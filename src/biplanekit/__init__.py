@@ -6,154 +6,33 @@ known tight constructions, and brute-force oracles that verify the fast
 algorithms on small instances.
 """
 
-from .analysis import (
-    ConnectivityReport,
-    GapReport,
-    OracleResult,
-    brute_force_maximum,
-    degree_histogram,
-    find_maximal_gap,
-    maximality_oracle,
-    vertex_connectivity,
-)
-from .augmentation import (
-    AugmentResult,
-    FlipRecord,
-    MaximalState,
-    NotBiplaneError,
-    PurpleFace,
-    apply_flip,
-    build_state,
-    certify_maximal,
-    is_colorblind_flippable,
-    maximal_augment,
-)
-from .constructions import (
-    BoundReport,
-    ConstructionError,
-    GridFlip,
-    GridGraph,
-    apply_boundary_flips,
-    apply_corner_flips,
-    bounds,
-    classify_grid_vertex,
-    gen_arc_in_triangle,
-    gen_convex,
-    gen_grid,
-    gen_hgon_with_arc,
-)
-from .fileio import (
-    FileFormatError,
-    format_graph,
-    format_points,
-    parse_graph,
-    parse_points,
-)
-from .geometry import (
-    COORD_LIMIT,
-    Edge,
-    Orientation,
-    Point,
-    PointSet,
-    Strictness,
-    ValidationReport,
-    convex_hull,
-    edge,
-    orientation,
-    segments_cross,
-    validate,
-)
-from .graphs import GeometricGraph, relaxed_edge_violations
-from .recognition import (
-    BiplaneDecomposition,
-    OddCycleWitness,
-    TooManyEdges,
-    biplane_edge_cap,
-    crossing_graph,
-    crossing_pairs,
-    exceeds_edge_cap,
-    test_biplane,
-)
-from .svgrender import RenderSpec, render_svg
-from .triangulation import (
-    FlipStatus,
-    GeometryError,
-    NotPlaneError,
-    Triangulation,
-    complete_to_triangulation,
-    enumerate_triangulations,
-    plane_face_walks,
-    triangulation_from_edges,
-)
+from .analysis import brute_force_maximum, maximality_oracle, vertex_connectivity
+from .augmentation import AugmentResult, NotBiplaneError, maximal_augment
+from .constructions import bounds, gen_convex, gen_grid
+from .fileio import format_graph
+from .geometry import PointSet, Strictness, validate
+from .graphs import GeometricGraph
+from .recognition import BiplaneDecomposition, OddCycleWitness, TooManyEdges, test_biplane
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AugmentResult",
     "BiplaneDecomposition",
-    "BoundReport",
-    "COORD_LIMIT",
-    "ConnectivityReport",
-    "ConstructionError",
-    "Edge",
-    "FileFormatError",
-    "FlipRecord",
-    "FlipStatus",
-    "GapReport",
     "GeometricGraph",
-    "GeometryError",
-    "GridFlip",
-    "GridGraph",
-    "MaximalState",
     "NotBiplaneError",
-    "NotPlaneError",
     "OddCycleWitness",
-    "OracleResult",
-    "Orientation",
-    "Point",
     "PointSet",
-    "PurpleFace",
-    "RenderSpec",
     "Strictness",
     "TooManyEdges",
-    "Triangulation",
-    "ValidationReport",
-    "apply_boundary_flips",
-    "apply_corner_flips",
-    "apply_flip",
-    "biplane_edge_cap",
     "bounds",
     "brute_force_maximum",
-    "build_state",
-    "certify_maximal",
-    "classify_grid_vertex",
-    "complete_to_triangulation",
-    "convex_hull",
-    "crossing_graph",
-    "crossing_pairs",
-    "degree_histogram",
-    "edge",
-    "enumerate_triangulations",
-    "exceeds_edge_cap",
-    "find_maximal_gap",
     "format_graph",
-    "format_points",
-    "gen_arc_in_triangle",
     "gen_convex",
     "gen_grid",
-    "gen_hgon_with_arc",
-    "is_colorblind_flippable",
     "maximal_augment",
     "maximality_oracle",
-    "orientation",
-    "parse_graph",
-    "parse_points",
-    "plane_face_walks",
-    "relaxed_edge_violations",
-    "render_svg",
-    "segments_cross",
     "test_biplane",
-    "triangulation_from_edges",
     "validate",
     "vertex_connectivity",
 ]

@@ -29,15 +29,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .geometry import Edge, Point, PointSet, convex_hull, cross, dir_in_ccw_sector, edge
+from .geometry import Edge, Point, PointSet, cross, dir_in_ccw_sector, edge, proper_cross
 from .graphs import GeometricGraph
 from .recognition import BiplaneDecomposition, BiplaneResult, test_biplane
-from .triangulation import (
-    GeometryError,
-    complete_to_triangulation,
-    plane_face_walks,
-    proper_cross,
-)
+from .triangulation import GeometryError, complete_to_triangulation, plane_face_walks
 from .unionfind import ParityDSU
 
 RED = 0
@@ -88,7 +83,6 @@ class MaximalState:
         "apex",
         "chord_anchor",
         "chord_color0",
-        "outer_walk",
         "trace",
     )
 
@@ -98,28 +92,24 @@ class MaximalState:
         edges: set[Edge],
         purple: set[Edge],
         hull_vertices: tuple[int, ...],
+        hull_edges: frozenset[Edge],
         faces: ParityDSU,
         side_walk: dict[Edge, tuple[int, int]],
         apex: dict[Edge, list[list[int | None]]],
         chord_anchor: dict[Edge, int],
         chord_color0: dict[Edge, int],
-        outer_walk: int,
         trace: list[FlipRecord] | None,
     ) -> None:
         self.points = points
         self.edges = edges
         self.purple = purple
         self.hull_vertices = hull_vertices
-        hv = hull_vertices
-        self.hull_edges = frozenset(
-            edge(hv[i], hv[(i + 1) % len(hv)]) for i in range(len(hv))
-        )
+        self.hull_edges = hull_edges
         self.faces = faces
         self.side_walk = side_walk
         self.apex = apex
         self.chord_anchor = chord_anchor
         self.chord_color0 = chord_color0
-        self.outer_walk = outer_walk
         self.queue: deque[Edge] = deque()
         self.trace = trace
 
@@ -248,10 +238,8 @@ def build_state(
     blue_set = t_blue.edge_set()
     purple = set(red_set & blue_set)
     edges = set(red_set | blue_set)
-    hull_vertices = tuple(convex_hull(ps))
 
     rot, _, walk_of, walks = plane_face_walks(pts, sorted(purple))
-    outer = walk_of[(hull_vertices[1], hull_vertices[0])]
     isolated = [v for v in range(len(ps)) if v not in rot]
     iso_anchor = {v: len(walks) + i for i, v in enumerate(isolated)}
     faces = ParityDSU(len(walks) + len(isolated))
@@ -279,13 +267,13 @@ def build_state(
         ps,
         edges,
         purple,
-        hull_vertices,
+        t_red.boundary,
+        t_red.hull_edges(),
         faces,
         side_walk,
         apex,
         chord_anchor,
         chord_color0,
-        outer,
         [] if collect_trace else None,
     )
     for e in sorted(purple):

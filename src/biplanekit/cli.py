@@ -33,11 +33,12 @@ from .fileio import (
     format_points,
     parse_graph,
     parse_points,
+    parse_points_or_graph,
 )
 from .geometry import Strictness, convex_hull, validate
 from .graphs import GeometricGraph
 from .recognition import BiplaneDecomposition, OddCycleWitness, TooManyEdges, test_biplane
-from .svgrender import RenderSpec, render_svg
+from .svgrender import render_svg
 from .triangulation import NotPlaneError, complete_to_triangulation, enumerate_triangulations
 
 
@@ -86,12 +87,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_triangulate(args: argparse.Namespace) -> int:
-    text = _read(args.points)
     strict = _strictness(args)
-    try:
-        g = parse_graph(text, strict)
-    except FileFormatError:
-        g = GeometricGraph(parse_points(text, strict), ())
+    g = parse_points_or_graph(_read(args.points), strict)
     if strict is Strictness.STRICT:
         rep = validate(g.points)
         if not rep.ok:
@@ -211,11 +208,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if not isinstance(verdict, BiplaneDecomposition):
         print("NOT-BIPLANE", file=sys.stderr)
         return 1
-    svg = render_svg(g, verdict.layer1, verdict.layer2, RenderSpec())
-    if args.out:
-        Path(args.out).write_text(svg)
-    else:
-        sys.stdout.write(svg)
+    _emit(args, render_svg(g, verdict.layer1, verdict.layer2))
     return 0
 
 

@@ -19,6 +19,7 @@ from .geometry import (
     convex_hull,
     cross,
     edge,
+    point_in_triangle_strict,
     segments_cross,
     validate,
 )
@@ -121,13 +122,8 @@ def gen_arc_in_triangle(n: int) -> PointSet:
         for j in range(i + 1, len(arc)):
             if cross(arc[i], arc[j], apex) >= 0:
                 raise ConstructionError("apex not strictly below an arc chord")
-    v1, v2, v3 = apex, arc[0], arc[-1]
     for w in arc[1:-1]:
-        if not (
-            cross(v1, v2, w) < 0 and cross(v2, v3, w) < 0 and cross(v3, v1, w) < 0
-        ) and not (
-            cross(v1, v2, w) > 0 and cross(v2, v3, w) > 0 and cross(v3, v1, w) > 0
-        ):
+        if not point_in_triangle_strict(w, apex, arc[0], arc[-1]):
             raise ConstructionError("arc point escapes the triangle")
     if sorted(convex_hull(ps)) != [0, 1, n - 1]:
         raise ConstructionError("hull is not the intended triangle")
@@ -179,16 +175,12 @@ def gen_hgon_with_arc(n: int, h: int) -> PointSet:
     if len(signs) != 1:
         raise ConstructionError("h-gon not convex in label order")
     # Arc points strictly inside the corner triangle (v1, v2, vh).
-    iv1, iv2, ivh = 0, 1, h - 1
     for w in range(h, n):
-        s1 = cross(ps[iv1], ps[iv2], ps[w])
-        s2 = cross(ps[iv2], ps[ivh], ps[w])
-        s3 = cross(ps[ivh], ps[iv1], ps[w])
-        if not ((s1 > 0 and s2 > 0 and s3 > 0) or (s1 < 0 and s2 < 0 and s3 < 0)):
+        if not point_in_triangle_strict(ps[w], ps[0], ps[1], ps[h - 1]):
             raise ConstructionError("arc point escapes the corner triangle")
     # v1-v3 separates the arc points from v4..vh.
     if h >= 4 and m > 0:
-        iv3 = 2
+        iv1, iv3 = 0, 2
         sides_w = {1 if cross(ps[iv1], ps[iv3], ps[w]) > 0 else -1 for w in range(h, n)}
         sides_v = {
             1 if cross(ps[iv1], ps[iv3], ps[t]) > 0 else -1 for t in range(3, h)

@@ -2,8 +2,9 @@
 
 Point-set file:  line 1 holds n, followed by n lines "x y" with decimal
 integers.  A graph file appends a line holding m and then m lines "i j"
-with 0-based vertex indices.  Lines starting with '#' are comments and
-blank lines are ignored.  Writers emit canonical, diffable output.
+with 0-based vertex indices.  '#' starts a comment that runs to the end of
+its line, and blank lines are ignored.  Any token after the last block is
+an error.  Writers emit canonical, diffable output.
 """
 
 from __future__ import annotations
@@ -22,61 +23,91 @@ class FileFormatError(ValueError):
         self.reason = message
 
 
-def _tokens(text: str):
-    """Yield (value, line_no, column) for every whitespace token."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        col = 0
-        for tok in line.split():
-            col = line.index(tok, col) + 1
-            yield tok, line_no, col
-            col += len(tok) - 1
+class _Reader:
+    """Integer tokens of a file, read in order, with 1-based positions."""
 
+    def __init__(self, text: str) -> None:
+        self.toks: list[tuple[str, int, int]] = []
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0]
+            col = 0
+            for tok in line.split():
+                col = line.index(tok, col) + 1
+                self.toks.append((tok, line_no, col))
+                col += len(tok) - 1
+        self.pos = 0
 
-def _read_int(stream, what: str) -> int:
-    try:
-        tok, line, col = next(stream)
-    except StopIteration:
-        raise FileFormatError(0, 0, f"unexpected end of file, expected {what}")
-    try:
-        return int(tok)
-    except ValueError:
-        raise FileFormatError(line, col, f"expected {what}, got {tok!r}")
+    def more(self) -> bool:
+        return self.pos < len(self.toks)
+
+    def next_int(self, what: str) -> int:
+        if not self.more():
+            # Report the position just past the last token.
+            tok, line, col = self.toks[-1] if self.toks else ("", 1, 1)
+            raise FileFormatError(
+                line, col + len(tok), f"unexpected end of file, expected {what}"
+            )
+        tok, line, col = self.toks[self.pos]
+        self.pos += 1
+        try:
+            return int(tok)
+        except ValueError:
+            raise FileFormatError(line, col, f"expected {what}, got {tok!r}")
+
+    def end(self) -> None:
+        if self.more():
+            tok, line, col = self.toks[self.pos]
+            raise FileFormatError(line, col, f"unexpected trailing input {tok!r}")
+
+    def block(self, count: str, first: str, second: str) -> list[tuple[int, int]]:
+        """A count, then that many integer pairs."""
+        k = self.next_int(count)
+        if k < 0:
+            _, line, col = self.toks[self.pos - 1]
+            raise FileFormatError(line, col, f"negative {count}")
+        return [
+            (self.next_int(f"{first} {i}"), self.next_int(f"{second} {i}"))
+            for i in range(k)
+        ]
+
+    def points(self, strictness: Strictness) -> PointSet:
+        coords = self.block(
+            "point count", "x coordinate of point", "y coordinate of point"
+        )
+        return PointSet.from_coords(coords, strictness)
+
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(
+            self.block("edge count", "first endpoint of edge", "second endpoint of edge")
+        )
 
 
 def parse_points(text: str, strictness: Strictness = Strictness.STRICT) -> PointSet:
-    stream = _tokens(text)
-    n = _read_int(stream, "point count")
-    if n < 0:
-        raise FileFormatError(1, 1, "negative point count")
-    coords = []
-    for i in range(n):
-        x = _read_int(stream, f"x coordinate of point {i}")
-        y = _read_int(stream, f"y coordinate of point {i}")
-        coords.append((x, y))
-    return PointSet.from_coords(coords, strictness)
+    """A point file; anything after the point block is an error."""
+    r = _Reader(text)
+    ps = r.points(strictness)
+    r.end()
+    return ps
 
 
 def parse_graph(text: str, strictness: Strictness = Strictness.STRICT) -> GeometricGraph:
-    stream = _tokens(text)
-    n = _read_int(stream, "point count")
-    if n < 0:
-        raise FileFormatError(1, 1, "negative point count")
-    coords = []
-    for i in range(n):
-        x = _read_int(stream, f"x coordinate of point {i}")
-        y = _read_int(stream, f"y coordinate of point {i}")
-        coords.append((x, y))
-    m = _read_int(stream, "edge count")
-    if m < 0:
-        raise FileFormatError(0, 0, "negative edge count")
-    edges = []
-    for k in range(m):
-        a = _read_int(stream, f"first endpoint of edge {k}")
-        b = _read_int(stream, f"second endpoint of edge {k}")
-        edges.append((a, b))
-    pts = PointSet.from_coords(coords, strictness)
-    return GeometricGraph(pts, tuple(edges))
+    """A graph file; anything after the edge block is an error."""
+    r = _Reader(text)
+    ps = r.points(strictness)
+    g = GeometricGraph(ps, r.edges())
+    r.end()
+    return g
+
+
+def parse_points_or_graph(
+    text: str, strictness: Strictness = Strictness.STRICT
+) -> GeometricGraph:
+    """A graph file, or a point file read as a graph without edges."""
+    r = _Reader(text)
+    ps = r.points(strictness)
+    g = GeometricGraph(ps, r.edges() if r.more() else ())
+    r.end()
+    return g
 
 
 def format_points(ps: PointSet) -> str:

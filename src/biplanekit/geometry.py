@@ -56,10 +56,6 @@ def orientation(p: Point, q: Point, r: Point) -> Orientation:
     return Orientation.COLLINEAR
 
 
-def collinear(p: Point, q: Point, r: Point) -> bool:
-    return cross(p, q, r) == 0
-
-
 def edge(a: int, b: int) -> Edge:
     """Canonical unordered vertex pair (a < b)."""
     if a == b:
@@ -127,6 +123,25 @@ def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
             c1, d1_ = sorted((c[1], d[1]))
         return max(a1, c1) < min(b1, d1_)
     return False
+
+
+def proper_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """Open segments ab and cd cross in exactly one interior point."""
+    s1 = cross(a, b, c)
+    s2 = cross(a, b, d)
+    s3 = cross(c, d, a)
+    s4 = cross(c, d, b)
+    return ((s1 > 0) != (s2 > 0)) and s1 != 0 and s2 != 0 and (
+        (s3 > 0) != (s4 > 0)
+    ) and s3 != 0 and s4 != 0
+
+
+def point_in_triangle_strict(p: Point, a: Point, b: Point, c: Point) -> bool:
+    """Is p strictly inside triangle abc (either orientation)?"""
+    s1 = cross(a, b, p)
+    s2 = cross(b, c, p)
+    s3 = cross(c, a, p)
+    return (s1 > 0 and s2 > 0 and s3 > 0) or (s1 < 0 and s2 < 0 and s3 < 0)
 
 
 def point_on_open_segment(p: Point, a: Point, b: Point) -> bool:
@@ -216,7 +231,7 @@ def validate(ps: PointSet) -> ValidationReport:
     return ValidationReport(True)
 
 
-def convex_hull(ps: PointSet | Sequence[Point]) -> list[int]:
+def convex_hull(ps: PointSet) -> list[int]:
     """Convex hull vertex indices in counterclockwise order.
 
     For STRICT point sets, strictly collinear boundary runs cannot occur and
@@ -224,12 +239,8 @@ def convex_hull(ps: PointSet | Sequence[Point]) -> list[int]:
     returned: points lying on the boundary between corners are kept, in
     boundary order, so that 3n - h - 3 matches triangulations of such sets.
     """
-    if isinstance(ps, PointSet):
-        pts: Sequence[Point] = ps.points
-        keep = ps.strictness is Strictness.RELAXED
-    else:
-        pts = ps
-        keep = False
+    pts = ps.points
+    keep = ps.strictness is Strictness.RELAXED
     n = len(pts)
     if n < 3:
         raise ValueError("convex hull needs at least 3 points")

@@ -5,14 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .geometry import (
-    Edge,
-    Point,
-    PointSet,
-    Strictness,
-    edge,
-    point_on_open_segment,
-)
+from .geometry import Edge, Point, PointSet, edge, point_on_open_segment
 
 
 @dataclass(frozen=True)
@@ -44,9 +37,6 @@ class GeometricGraph:
 
     def segment(self, e: Edge) -> tuple[Point, Point]:
         return self.points[e[0]], self.points[e[1]]
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return edge(a, b) in set(self.edges)
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -88,10 +78,3 @@ def relaxed_edge_violations(g: GeometricGraph) -> list[tuple[int, Edge]]:
             if point_on_open_segment(pts[v], a, b):
                 bad.append((v, e))
     return bad
-
-
-def graph_is_valid_for_strictness(g: GeometricGraph) -> bool:
-    """Relaxed sets additionally forbid a vertex interior to any edge."""
-    if g.points.strictness is Strictness.STRICT:
-        return True
-    return not relaxed_edge_violations(g)

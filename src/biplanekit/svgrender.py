@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Edge, segments_cross
+from .geometry import Edge
 from .graphs import GeometricGraph
+from .recognition import crossing_pairs
 
 
 @dataclass(frozen=True)
@@ -23,19 +24,6 @@ class RenderSpec:
     margin: int = 24
     vertex_radius: int = 4
     stroke_width: int = 2
-
-
-def _uncrossed_edges(g: GeometricGraph) -> set[Edge]:
-    pts = g.points.points
-    out = set()
-    for e in g.edges:
-        pa, pb = pts[e[0]], pts[e[1]]
-        if all(
-            e == f or not segments_cross(pa, pb, pts[f[0]], pts[f[1]])
-            for f in g.edges
-        ):
-            out.add(e)
-    return out
 
 
 def render_svg(
@@ -69,10 +57,10 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
         f'height="{height}" viewBox="0 0 {spec.width} {height}">',
     ]
-    shared = _uncrossed_edges(g)
-    for e in g.edges:
+    crossed = {i for pair in crossing_pairs(g) for i in pair}
+    for i, e in enumerate(g.edges):
         a, b = pts[e[0]], pts[e[1]]
-        if e in shared:
+        if i not in crossed:
             color, dash = spec.shared_color, ""
         elif e in set1:
             color, dash = spec.layer1_color, ' stroke-dasharray="7,4"'

@@ -28,6 +28,8 @@ from .geometry import (
     cross,
     direction_cmp,
     edge,
+    point_in_triangle_strict,
+    proper_cross,
     segments_cross,
 )
 from .graphs import GeometricGraph
@@ -50,19 +52,7 @@ class FlipStatus(Enum):
     FLIPPABLE = "flippable"
     NOT_AN_EDGE = "not-an-edge"
     HULL_EDGE = "hull-edge"
-    CONSTRAINED = "constrained"
     NOT_CONVEX = "not-convex"
-
-
-def proper_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Open segments ab and cd cross in exactly one interior point."""
-    s1 = cross(a, b, c)
-    s2 = cross(a, b, d)
-    s3 = cross(c, d, a)
-    s4 = cross(c, d, b)
-    return ((s1 > 0) != (s2 > 0)) and s1 != 0 and s2 != 0 and (
-        (s3 > 0) != (s4 > 0)
-    ) and s3 != 0 and s4 != 0
 
 
 def _add_triangle(
@@ -87,18 +77,16 @@ class Triangulation:
     """Value-style triangulation; flip() returns a new object.
 
     Instances are not thread-shared during mutation; finished values are
-    safe to share.  `constrained` edges refuse to flip (hull edges always
-    refuse).
+    safe to share.  Hull edges refuse to flip.
     """
 
-    __slots__ = ("points", "_apex", "boundary", "_hull_edges", "constrained")
+    __slots__ = ("points", "_apex", "boundary", "_hull_edges")
 
     def __init__(
         self,
         points: PointSet,
         apex: dict[Edge, list[int | None]],
         boundary: Sequence[int],
-        constrained: Iterable[Edge] = (),
     ) -> None:
         self.points = points
         self._apex = apex
@@ -107,7 +95,6 @@ class Triangulation:
         self._hull_edges = frozenset(
             edge(b[i], b[(i + 1) % len(b)]) for i in range(len(b))
         )
-        self.constrained = frozenset(constrained)
 
     @property
     def n(self) -> int:
@@ -122,9 +109,6 @@ class Triangulation:
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self._apex)
-
-    def has_edge(self, e: Edge) -> bool:
-        return e in self._apex
 
     def hull_edges(self) -> frozenset[Edge]:
         return self._hull_edges
@@ -143,8 +127,6 @@ class Triangulation:
             return FlipStatus.NOT_AN_EDGE
         if e in self._hull_edges:
             return FlipStatus.HULL_EDGE
-        if e in self.constrained:
-            return FlipStatus.CONSTRAINED
         l, r = entry
         pts = self.points.points
         if proper_cross(pts[e[0]], pts[e[1]], pts[l], pts[r]):
@@ -156,7 +138,7 @@ class Triangulation:
 
     def copy(self) -> "Triangulation":
         apex = {e: list(v) for e, v in self._apex.items()}
-        return Triangulation(self.points, apex, self.boundary, self.constrained)
+        return Triangulation(self.points, apex, self.boundary)
 
     def flip(self, e: Edge) -> "Triangulation":
         out = self.copy()
@@ -202,8 +184,8 @@ class Triangulation:
                     out.add(tuple(sorted((a, b, w))))
         return sorted(out)  # type: ignore[return-value]
 
-    def validate(self, check_plane: bool = False) -> None:
-        """Raise GeometryError if any structural invariant is broken."""
+    def validate(self) -> None:
+        """Raise GeometryError if an invariant is broken or two edges cross."""
         pts = self.points.points
         n = self.n
         h = len(self.boundary)
@@ -230,12 +212,11 @@ class Triangulation:
                 w = t[(i + 2) % 3]
                 if w not in self._apex[e]:
                     raise GeometryError(f"triangle {t} missing from apex map")
-        if check_plane:
-            g = GeometricGraph(self.points, tuple(self._apex))
-            pairs = crossing_pairs(g)
-            if pairs:
-                i, j = pairs[0]
-                raise GeometryError(f"edges {g.edges[i]} and {g.edges[j]} cross")
+        g = GeometricGraph(self.points, tuple(self._apex))
+        pairs = crossing_pairs(g)
+        if pairs:
+            i, j = pairs[0]
+            raise GeometryError(f"edges {g.edges[i]} and {g.edges[j]} cross")
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +366,6 @@ def _insert_constraint(
     _fill_pocket(pts, apex, a, b, lower)
 
 
-def _point_in_triangle_strict(p: Point, a: Point, b: Point, c: Point) -> bool:
-    s1 = cross(a, b, p)
-    s2 = cross(b, c, p)
-    s3 = cross(c, a, p)
-    return (s1 > 0 and s2 > 0 and s3 > 0) or (s1 < 0 and s2 < 0 and s3 < 0)
-
-
 def _fill_pocket(
     pts: Sequence[Point],
     apex: dict[Edge, list[int | None]],
@@ -424,7 +398,7 @@ def _fill_pocket(
             for t in range(i, j):
                 if t == k or chain[t] == c:
                     continue
-                if _point_in_triangle_strict(pts[chain[t]], px, py, pc):
+                if point_in_triangle_strict(pts[chain[t]], px, py, pc):
                     ok = False
                     break
             if ok:
@@ -568,7 +542,7 @@ def plane_face_walks(
 
 
 def triangulation_from_edges(
-    ps: PointSet, edges: Iterable[Edge], *, check_plane: bool = False
+    ps: PointSet, edges: Iterable[Edge]
 ) -> Triangulation:
     """Rebuild a Triangulation from a bare edge set, validating it."""
     edges = sorted({edge(a, b) for a, b in edges})
@@ -577,11 +551,9 @@ def triangulation_from_edges(
     touched = {v for e in edges for v in e}
     if touched != set(range(len(ps))):
         raise GeometryError("edge set does not cover every vertex")
-    if check_plane:
-        g = GeometricGraph(ps, tuple(edges))
-        pairs = crossing_pairs(g)
-        if pairs:
-            raise GeometryError(f"edge set is not plane: {pairs[0]}")
+    pairs = crossing_pairs(GeometricGraph(ps, tuple(edges)))
+    if pairs:
+        raise GeometryError(f"edge set is not plane: {pairs[0]}")
     _, _, walk_of, walks = plane_face_walks(pts, edges)
     outer_dart = (boundary[1], boundary[0])
     if outer_dart not in walk_of:

@@ -133,8 +133,8 @@ def test_output_decomposes_into_two_triangulations():
         n = rng.randint(4, 10)
         ps = random_strict_points(rng, n)
         res = maximal_augment(empty_graph(ps))
-        tr = triangulation_from_edges(ps, res.red_layer, check_plane=True)
-        tb = triangulation_from_edges(ps, res.blue_layer, check_plane=True)
+        tr = triangulation_from_edges(ps, res.red_layer)
+        tb = triangulation_from_edges(ps, res.blue_layer)
         h = len(convex_hull(ps))
         assert tr.edge_count == tb.edge_count == 3 * n - h - 3
         assert set(res.red_layer) | set(res.blue_layer) == set(res.graph.edges)
@@ -379,8 +379,8 @@ def test_exchanged_decomposition_is_still_two_triangulations():
     state = build_state(g)
     for face in state.purple_faces():
         state.exchange_face_colors(face.face_id)
-        tr = triangulation_from_edges(ps, state.red_edges(), check_plane=True)
-        tb = triangulation_from_edges(ps, state.blue_edges(), check_plane=True)
+        tr = triangulation_from_edges(ps, state.red_edges())
+        tb = triangulation_from_edges(ps, state.blue_edges())
         assert tr.edge_count == tb.edge_count
 
 

@@ -231,3 +231,64 @@ def test_cli_grid_render_matches_layer_tags(tmp_path):
     svg = render_svg(grid.graph, verdict.layer1, verdict.layer2, RenderSpec())
     assert svg.count("<circle") == 36
     assert svg.count("<line") == grid.graph.m
+
+
+def test_check_rejects_trailing_input(tmp_path, capsys):
+    f = tmp_path / "trailing.graph"
+    f.write_text("4\n0 0\n5 0\n5 5\n0 5\n1\n0 1\n99 99 garbage\n")
+    assert run(["check", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert "line 8" in captured.err and "BIPLANE" not in captured.out
+
+
+def test_triangulate_short_edge_block_is_an_error(tmp_path, capsys):
+    pts = "4\n0 0\n5 0\n0 5\n5 5\n"
+    good = tmp_path / "good.graph"
+    good.write_text(pts + "1\n0 3\n")
+    out = tmp_path / "tri.graph"
+    assert run(["triangulate", str(good), "--out", str(out)]) == 0
+    assert (0, 3) in parse_graph(out.read_text()).edges
+    short = tmp_path / "short.graph"
+    short.write_text(pts + "2\n0 3\n")
+    assert run(["triangulate", str(short)]) == 2
+    assert "line 7" in capsys.readouterr().err
+
+
+def test_oracle_rejects_graph_file(tmp_path, capsys):
+    f = tmp_path / "k4.graph"
+    f.write_text(k4_text())
+    assert run(["oracle", str(f)]) == 2
+    assert "line 6" in capsys.readouterr().err
+
+
+def test_render_solid_iff_uncrossed():
+    import random
+
+    from _helpers import brute_crossing_adjacency, random_biplane_graph, random_strict_points
+
+    from biplanekit.constructions import gen_grid
+    from biplanekit.recognition import test_biplane
+
+    rng = random.Random(21)
+    graphs = [gen_grid(6).graph]
+    for _ in range(20):
+        ps = random_strict_points(rng, rng.randint(5, 14))
+        graphs.append(random_biplane_graph(rng, ps, rng.randint(4, 30)))
+    spec = RenderSpec()
+    for g in graphs:
+        verdict = test_biplane(g)
+        svg = render_svg(g, verdict.layer1, verdict.layer2, spec)
+        colors = [
+            line.split('stroke="', 1)[1].split('"', 1)[0]
+            for line in svg.splitlines()
+            if "<line" in line
+        ]
+        assert len(colors) == g.m
+        adj = brute_crossing_adjacency(g)
+        layer1 = set(verdict.layer1)
+        for i, e in enumerate(g.edges):
+            if not adj[i]:
+                want = spec.shared_color
+            else:
+                want = spec.layer1_color if e in layer1 else spec.layer2_color
+            assert colors[i] == want, (g.edges, i)

@@ -3,6 +3,7 @@ import random
 import pytest
 from _helpers import random_strict_points
 
+from biplanekit.constructions import gen_grid
 from biplanekit.geometry import PointSet, Strictness, convex_hull, edge
 from biplanekit.graphs import GeometricGraph
 from biplanekit.triangulation import (
@@ -22,7 +23,7 @@ def convex4() -> PointSet:
 def test_empty_convex4_completion_edge_count():
     t = complete_to_triangulation(convex4())
     assert t.edge_count == 3 * 4 - 4 - 3
-    t.validate(check_plane=True)
+    t.validate()
 
 
 def test_completion_of_triangulation_is_identity():
@@ -41,7 +42,7 @@ def test_triangle_with_interior_point_and_hull_edges():
     g = GeometricGraph(ps, ((0, 1), (1, 2), (0, 2)))
     t = complete_to_triangulation(g)
     assert t.edge_count == 3 * 4 - 3 - 3
-    t.validate(check_plane=True)
+    t.validate()
 
 
 def test_completion_rejects_crossing_input():
@@ -59,7 +60,7 @@ def test_completion_monotone_contains_input():
         subset = tuple(e for e in full.sorted_edges() if rng.random() < 0.4)
         t = complete_to_triangulation(GeometricGraph(ps, subset))
         assert set(subset) <= t.edge_set()
-        t.validate(check_plane=True)
+        t.validate()
 
 
 def test_flip_of_quad_diagonal():
@@ -90,7 +91,7 @@ def test_flip_preserves_edge_count_randomly():
         for e in flippable[:3]:
             t2 = t.flip(e)
             assert t2.edge_count == t.edge_count
-            t2.validate(check_plane=True)
+            t2.validate()
 
 
 def test_spoke_to_interior_point_not_flippable():
@@ -105,13 +106,6 @@ def test_hull_edge_flip_status_reported_distinctly():
     assert t.flip_status((0, 1)) is FlipStatus.HULL_EDGE
     assert not t.is_flippable((0, 1))
     assert t.flip_status((0, 4)) is FlipStatus.NOT_AN_EDGE
-
-
-def test_constrained_edges_refuse_to_flip():
-    t = complete_to_triangulation(convex4())
-    diag = next(e for e in t.sorted_edges() if not t.is_hull_edge(e))
-    t2 = type(t)(t.points, {e: list(v) for e, v in zip(t.sorted_edges(), map(t.apexes, t.sorted_edges()))}, t.boundary, constrained={diag})
-    assert t2.flip_status(diag) is FlipStatus.CONSTRAINED
 
 
 def test_flippable_count_lower_bound():
@@ -142,6 +136,25 @@ def test_separating_chord_always_flippable():
             found += 1
             assert t.is_flippable(e), f"separating chord {e} not flippable"
     assert found > 0
+
+
+def test_sweep_boundary_is_convex_hull_up_to_rotation():
+    # build_state takes its hull from the sweep instead of convex_hull.
+    rng = random.Random(11)
+    sets = [gen_grid(k).graph.points for k in (5, 8)]
+    for _ in range(40):
+        sets.append(random_strict_points(rng, rng.randint(3, 30)))
+        cells = [(x, y) for x in range(6) for y in range(6)]
+        coords = rng.sample(cells, rng.randint(4, 20))
+        sets.append(PointSet.from_coords(coords, Strictness.RELAXED))
+    for ps in sets:
+        try:
+            hull = convex_hull(ps)
+        except ValueError:
+            continue  # all points collinear
+        b = list(complete_to_triangulation(ps).boundary)
+        k = b.index(hull[0])
+        assert b[k:] + b[:k] == hull
 
 
 def test_enumerate_convex4_two():
@@ -207,7 +220,7 @@ def test_triangulation_from_edges_roundtrip():
     rng = random.Random(55)
     ps = random_strict_points(rng, 9)
     t = complete_to_triangulation(ps)
-    rebuilt = triangulation_from_edges(ps, t.sorted_edges(), check_plane=True)
+    rebuilt = triangulation_from_edges(ps, t.sorted_edges())
     assert rebuilt.edge_set() == t.edge_set()
     for e in t.sorted_edges():
         assert set(rebuilt.apexes(e)) == set(t.apexes(e))
@@ -218,7 +231,7 @@ def test_relaxed_grid_completion():
     ps = PointSet.from_coords(coords, Strictness.RELAXED)
     t = complete_to_triangulation(ps)
     assert t.edge_count == 3 * 25 - 16 - 3
-    t.validate(check_plane=True)
+    t.validate()
 
 
 def test_face_walks_triangle():

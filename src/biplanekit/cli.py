@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 on a negative verdict (NOT-BIPLANE or
-TOO-MANY-EDGES), 2 on malformed input or bad arguments.  Every randomized
-command takes an explicit --seed so runs are reproducible.
+TOO-MANY-EDGES), 2 on malformed input, bad arguments, or input that breaks
+the geometric contract.  Every randomized command takes an explicit --seed
+so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -39,7 +40,12 @@ from .geometry import Strictness, convex_hull, validate
 from .graphs import GeometricGraph
 from .recognition import BiplaneDecomposition, OddCycleWitness, TooManyEdges, test_biplane
 from .svgrender import render_svg
-from .triangulation import NotPlaneError, complete_to_triangulation, enumerate_triangulations
+from .triangulation import (
+    GeometryError,
+    NotPlaneError,
+    complete_to_triangulation,
+    enumerate_triangulations,
+)
 
 
 def _strictness(args: argparse.Namespace) -> Strictness:
@@ -310,6 +316,9 @@ def run(argv: list[str] | None = None) -> int:
         return 1
     except NotPlaneError as exc:
         print(f"error: input not plane: {exc}", file=sys.stderr)
+        return 2
+    except GeometryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,16 +7,21 @@ side.  This gives constant-time adjacent-face lookup, flip tests, and flips.
 
 Completion of a plane graph to a triangulation runs in two deterministic
 stages: a lexicographic sweep triangulates the bare point set, then each
-input edge is inserted as a constraint (crossed edges are removed and the
-two resulting pockets are retriangulated).  The result is deterministic,
-idempotent, and contains every input edge.
+input edge is inserted as a constraint.  Insertion walks along the segment:
+it starts at the triangle around one endpoint whose wedge holds the
+segment's direction and steps from triangle to triangle through the apex
+map, so it visits only the edges the segment crosses, already in order along
+it.  The crossed edges are removed and the two resulting pockets are
+retriangulated.  The walk reads each vertex's incident edges from a
+neighbour index that completion builds after the sweep, only when there are
+constraints, and that insertion keeps current as it removes and adds edges.
+The result is deterministic, idempotent, and contains every input edge.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from enum import Enum
-from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
@@ -29,6 +34,7 @@ from .geometry import (
     direction_cmp,
     edge,
     point_in_triangle_strict,
+    point_on_open_segment,
     proper_cross,
     segments_cross,
 )
@@ -306,30 +312,69 @@ def _sweep_triangulation(
 # ---------------------------------------------------------------------------
 
 
+def _crossed_edges(
+    pts: Sequence[Point],
+    apex: dict[Edge, list[int | None]],
+    nbrs: list[set[int]],
+    a: int,
+    b: int,
+) -> list[Edge]:
+    """Edges crossed by the absent segment ab, in order from a to b.
+
+    Finds the triangle at a whose wedge holds direction a -> b, then steps
+    across the edge opposite the previous apex until the apex is b.
+    """
+    e = edge(a, b)
+    pa, pb = pts[a], pts[b]
+    dx, dy = pb.x - pa.x, pb.y - pa.y
+    first: Edge | None = None
+    for u in nbrs[a]:
+        pu = pts[u]
+        s = cross(pa, pb, pu)
+        if s == 0 and (pu.x - pa.x) * dx + (pu.y - pa.y) * dy > 0:
+            raise GeometryError(f"constraint {e} passes through vertex {u}")
+        if s < 0:
+            # u lies right of a -> b; w is the apex left of a -> u.
+            w = apex[edge(a, u)][0 if a < u else 1]
+            if w is not None and cross(pa, pb, pts[w]) > 0:
+                first = (w, u)
+                break
+    if first is None:
+        raise GeometryError(f"constraint {e} crosses nothing yet is absent")
+    p, q = first  # p left of a -> b, q right
+    prev = a
+    crossed: list[Edge] = []
+    while True:
+        g = edge(p, q)
+        crossed.append(g)
+        l, r = apex[g]
+        v = r if l == prev else l
+        if v == b:
+            return crossed
+        if v is None:
+            raise GeometryError(f"constraint {e} leaves the hull at edge {g}")
+        s = cross(pa, pb, pts[v])
+        if s == 0:
+            raise GeometryError(f"constraint {e} passes through vertex {v}")
+        if s > 0:
+            prev, p = p, v
+        else:
+            prev, q = q, v
+
+
 def _insert_constraint(
-    pts: Sequence[Point], apex: dict[Edge, list[int | None]], a: int, b: int
+    pts: Sequence[Point],
+    apex: dict[Edge, list[int | None]],
+    nbrs: list[set[int]],
+    a: int,
+    b: int,
 ) -> None:
-    """Force edge (a, b) into the triangulation held in `apex`."""
+    """Force edge (a, b) into the triangulation held in `apex` and `nbrs`."""
     e = edge(a, b)
     if e in apex:
         return
     pa, pb = pts[a], pts[b]
-    crossed = [
-        g for g in apex if segments_cross(pa, pb, pts[g[0]], pts[g[1]])
-    ]
-    if not crossed:
-        raise GeometryError(f"constraint {e} crosses nothing yet is absent")
-
-    dx, dy = pb.x - pa.x, pb.y - pa.y
-
-    def t_param(g: Edge) -> Fraction:
-        u, v = pts[g[0]], pts[g[1]]
-        ex, ey = v.x - u.x, v.y - u.y
-        den = dx * ey - dy * ex
-        num = (u.x - pa.x) * ey - (u.y - pa.y) * ex
-        return Fraction(num, den)
-
-    crossed.sort(key=t_param)
+    crossed = _crossed_edges(pts, apex, nbrs, a, b)
 
     dead = set()
     for g in crossed:
@@ -349,6 +394,8 @@ def _insert_constraint(
                 side.append(v)
     for g in crossed:
         del apex[g]
+        nbrs[g[0]].discard(g[1])
+        nbrs[g[1]].discard(g[0])
 
     for side in (upper, lower):
         walk = [a] + side + [b]
@@ -362,22 +409,24 @@ def _insert_constraint(
                 if w is not None and frozenset((g[0], g[1], w)) in dead:
                     entry[s] = None
 
-    _fill_pocket(pts, apex, a, b, upper)
-    _fill_pocket(pts, apex, a, b, lower)
+    _fill_pocket(pts, apex, nbrs, a, b, upper)
+    _fill_pocket(pts, apex, nbrs, a, b, lower)
 
 
 def _fill_pocket(
     pts: Sequence[Point],
     apex: dict[Edge, list[int | None]],
+    nbrs: list[set[int]],
     base_u: int,
     base_v: int,
     chain: list[int],
 ) -> None:
     """Triangulate the pocket bounded by segment (base_u, base_v) and chain.
 
-    At every step the first chain vertex whose triangle with the base is
-    empty of chain vertices and uncrossed by chain edges is used; such a
-    vertex always exists because the pocket admits a triangulation.
+    At every step the first chain vertex that is not collinear with the base
+    and whose triangle with the base has no chain vertex inside it or on its
+    two new sides, and no chain edge crossing them, is used; such a vertex
+    always exists because the pocket admits a triangulation.
     """
     if not chain:
         return
@@ -394,11 +443,18 @@ def _fill_pocket(
         for k in range(i, j):
             c = chain[k]
             pc = pts[c]
+            if cross(px, py, pc) == 0:
+                continue
             ok = True
             for t in range(i, j):
                 if t == k or chain[t] == c:
                     continue
-                if point_in_triangle_strict(pts[chain[t]], px, py, pc):
+                q = pts[chain[t]]
+                if (
+                    point_in_triangle_strict(q, px, py, pc)
+                    or point_on_open_segment(q, px, pc)
+                    or point_on_open_segment(q, py, pc)
+                ):
                     ok = False
                     break
             if ok:
@@ -417,6 +473,9 @@ def _fill_pocket(
             raise GeometryError("pocket retriangulation found no valid vertex")
         c = chain[pick]
         _add_triangle(pts, apex, x, y, c)
+        for u, v in ((x, y), (y, c), (c, x)):
+            nbrs[u].add(v)
+            nbrs[v].add(u)
         stack.append((x, c, i, pick))
         stack.append((c, y, pick + 1, j))
 
@@ -454,8 +513,13 @@ def complete_to_triangulation(
             raise NotPlaneError((g.edges[i], g.edges[j]))
     pts = ps.points
     apex, hull = _sweep_triangulation(pts)
-    for a, b in sorted(in_edges):
-        _insert_constraint(pts, apex, a, b)
+    if in_edges:
+        nbrs: list[set[int]] = [set() for _ in pts]
+        for u, v in apex:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        for a, b in sorted(in_edges):
+            _insert_constraint(pts, apex, nbrs, a, b)
     return Triangulation(ps, apex, hull)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from fractions import Fraction
 
 from biplanekit.geometry import PointSet, edge, segments_cross, validate
 from biplanekit.graphs import GeometricGraph
@@ -141,3 +142,18 @@ def graph_is_connected_after_removal(g: GeometricGraph, removed) -> bool:
                 seen.add(v)
                 q.append(v)
     return len(seen) == len(keep)
+
+
+def brute_crossed_edges(pts, apex, a, b) -> list[tuple[int, int]]:
+    """Edges of the apex map crossed by segment ab, by testing every edge
+    and sorting the crossings by their exact parameter along ab."""
+    pa, pb = pts[a], pts[b]
+    crossed = [g for g in apex if segments_cross(pa, pb, pts[g[0]], pts[g[1]])]
+    dx, dy = pb.x - pa.x, pb.y - pa.y
+
+    def t_param(g) -> Fraction:
+        u, v = pts[g[0]], pts[g[1]]
+        ex, ey = v.x - u.x, v.y - u.y
+        return Fraction((u.x - pa.x) * ey - (u.y - pa.y) * ex, dx * ey - dy * ex)
+
+    return sorted(crossed, key=t_param)

@@ -323,9 +323,12 @@ def test_criterion_09_grid_construction():
     _report(9, "grid-construction (k=5..20)")
 
 
-def test_criterion_10_scaling_sanity():
+@pytest.fixture(scope="module")
+def empty_input_runs():
+    """Timed maximal_augment of the empty graph on seeded random points,
+    n = 500 ... 4000: {n: (seconds, maximal graph)}."""
     rng = random.Random(2026)
-    times = {}
+    runs = {}
     for n in (500, 1000, 2000, 4000):
         coords = set()
         while len(coords) < n:
@@ -334,15 +337,42 @@ def test_criterion_10_scaling_sanity():
         g = GeometricGraph(ps, ())
         t0 = time.perf_counter()
         res = maximal_augment(g)
-        times[n] = time.perf_counter() - t0
-        h = len(convex_hull(ps))
-        assert_edge_bounds(n, h, res.graph.m)
+        runs[n] = (time.perf_counter() - t0, res.graph)
+    return runs
+
+
+def _fitted_exponent(times: dict[int, float]) -> float:
     xs = [math.log(n) for n in times]
     ys = [math.log(t) for t in times.values()]
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum(
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum(
         (x - mx) ** 2 for x in xs
     )
+
+
+def test_criterion_10_scaling_sanity(empty_input_runs):
+    times = {}
+    for n, (seconds, graph) in empty_input_runs.items():
+        times[n] = seconds
+        h = len(convex_hull(graph.points))
+        assert_edge_bounds(n, h, graph.m)
+    slope = _fitted_exponent(times)
     assert slope < 1.5, f"fitted exponent {slope:.2f}"
     assert times[4000] < 60.0, f"n=4000 took {times[4000]:.1f}s"
     _report(10, f"scaling-sanity (exponent {slope:.2f}, t4000 {times[4000]:.2f}s)")
+
+
+def test_criterion_10_scaling_nonempty_input(empty_input_runs):
+    # Re-augmenting a maximal graph completes both layers from thousands of
+    # constraints and flips nothing.
+    times = {}
+    for n in (1000, 2000, 4000):
+        graph = empty_input_runs[n][1]
+        t0 = time.perf_counter()
+        res = maximal_augment(graph)
+        times[n] = time.perf_counter() - t0
+        assert set(res.graph.edges) == set(graph.edges)
+    slope = _fitted_exponent(times)
+    assert slope < 1.5, f"fitted exponent {slope:.2f}"
+    assert times[4000] < 60.0, f"n=4000 took {times[4000]:.1f}s"
+    _report(10, f"scaling-nonempty (exponent {slope:.2f}, t4000 {times[4000]:.2f}s)")

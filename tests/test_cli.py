@@ -254,6 +254,19 @@ def test_triangulate_short_edge_block_is_an_error(tmp_path, capsys):
     assert "line 7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["augment"], ["triangulate", "--relaxed"]], ids=["augment", "triangulate"]
+)
+def test_edge_through_vertex_exit_two(tmp_path, capsys, argv):
+    # Edge 0-2 passes through vertex 1.
+    f = tmp_path / "through.graph"
+    f.write_text("5\n0 0\n1 0\n2 0\n1 5\n1 -5\n1\n0 2\n")
+    assert run(argv + [str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "constraint (0, 2) passes through vertex 1" in err
+    assert "Traceback" not in err
+
+
 def test_oracle_rejects_graph_file(tmp_path, capsys):
     f = tmp_path / "k4.graph"
     f.write_text(k4_text())

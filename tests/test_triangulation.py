@@ -1,8 +1,10 @@
 import random
 
 import pytest
-from _helpers import random_strict_points
+from _helpers import brute_crossed_edges, random_strict_points
 
+from biplanekit import triangulation
+from biplanekit.augmentation import maximal_augment
 from biplanekit.constructions import gen_grid
 from biplanekit.geometry import PointSet, Strictness, convex_hull, edge
 from biplanekit.graphs import GeometricGraph
@@ -61,6 +63,48 @@ def test_completion_monotone_contains_input():
         t = complete_to_triangulation(GeometricGraph(ps, subset))
         assert set(subset) <= t.edge_set()
         t.validate()
+
+
+def test_walk_matches_brute_crossed_edges(monkeypatch):
+    # Blue layers of maximal graphs are not the sweep triangulation, so
+    # completing their subsets inserts constraints that cross edges.
+    walk = triangulation._crossed_edges
+    lengths = []
+
+    def checked(pts, apex, nbrs, a, b):
+        got = walk(pts, apex, nbrs, a, b)
+        assert got == brute_crossed_edges(pts, apex, a, b)
+        lengths.append(len(got))
+        return got
+
+    monkeypatch.setattr(triangulation, "_crossed_edges", checked)
+    rng = random.Random(17)
+    for _ in range(40):
+        ps = random_strict_points(rng, rng.randint(6, 60))
+        blue = maximal_augment(GeometricGraph(ps, ())).blue_layer
+        subset = tuple(e for e in blue if rng.random() < 0.6)
+        t = complete_to_triangulation(GeometricGraph(ps, subset))
+        assert set(subset) <= t.edge_set()
+    assert len(lengths) > 100 and max(lengths) > 2
+
+
+def test_relaxed_grid_layer_subsets_complete():
+    # Pocket fills on lattice points meet chain vertices collinear with the
+    # base or lying on a candidate side.
+    for k in range(5, 11):
+        res = maximal_augment(gen_grid(k).graph)
+        ps = res.graph.points
+        for seed in range(10):
+            rng = random.Random(1000 * k + seed)
+            for layer in (res.red_layer, res.blue_layer):
+                subset = tuple(e for e in layer if rng.random() < 0.5)
+                t = complete_to_triangulation(GeometricGraph(ps, subset))
+                assert set(subset) <= t.edge_set()
+                t.validate()
+                again = complete_to_triangulation(
+                    GeometricGraph(ps, tuple(t.sorted_edges()))
+                )
+                assert again.edge_set() == t.edge_set()
 
 
 def test_flip_of_quad_diagonal():

@@ -1,9 +1,11 @@
 """Connectivity, degree statistics, and brute-force oracles.
 
 The oracles here are deliberately independent of the fast augmentation
-path: maximality is checked by inserting every non-edge, and maximum size
-by enumerating all triangulation pairs.  They exist to verify the fast
-algorithms on desk-scale instances.
+path.  Maximality is checked against its definition: the crossing graph is
+built once, and each non-edge is tried by a parity check of the edges it
+crosses (non-edges through a vertex are skipped on relaxed point sets).
+Maximum size is found by enumerating all triangulation pairs.  They exist
+to verify the fast algorithms on desk-scale instances.
 """
 
 from __future__ import annotations
@@ -13,10 +15,23 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .augmentation import maximal_augment
-from .geometry import Edge, PointSet, edge
+from .geometry import (
+    Edge,
+    PointSet,
+    Strictness,
+    edge,
+    point_on_open_segment,
+    segments_cross,
+)
 from .graphs import GeometricGraph
-from .recognition import BiplaneDecomposition, test_biplane
+from .recognition import (
+    BiplaneDecomposition,
+    crossing_pairs,
+    exceeds_edge_cap,
+    test_biplane,
+)
 from .triangulation import enumerate_triangulations
+from .unionfind import ParityDSU
 
 
 @dataclass(frozen=True)
@@ -44,67 +59,80 @@ def _bfs_components(n: int, adj: list[list[int]]) -> int:
     return comps
 
 
-def _min_vertex_cut(g: GeometricGraph, s: int, t: int) -> tuple[int, list[int]]:
-    """Exact s-t vertex cut by unit-capacity max flow on the split graph.
+def _split_network(g: GeometricGraph) -> tuple[list[int], list[int], list[list[int]]]:
+    """Unit-capacity split graph of g as paired arc lists.
 
     Node 2i is the in-copy and 2i+1 the out-copy of vertex i; each vertex
-    arc has capacity 1 and each edge is a pair of infinite arcs.
+    arc has capacity 1 and each edge is a pair of infinite arcs.  Arc e
+    runs to head[e] with capacity cap[e], and arc e ^ 1 is its reverse.
     """
     n = g.n
     inf = n + 1
-    cap: dict[tuple[int, int], int] = {}
-    adj: list[list[int]] = [[] for _ in range(2 * n)]
+    head: list[int] = []
+    cap: list[int] = []
+    out: list[list[int]] = [[] for _ in range(2 * n)]
 
     def add(u: int, v: int, c: int) -> None:
-        if (u, v) not in cap:
-            cap[(u, v)] = 0
-            cap[(v, u)] = cap.get((v, u), 0)
-            adj[u].append(v)
-            adj[v].append(u)
-        cap[(u, v)] += c
+        out[u].append(len(head))
+        head.append(v)
+        cap.append(c)
+        out[v].append(len(head))
+        head.append(u)
+        cap.append(0)
 
     for v in range(n):
         add(2 * v, 2 * v + 1, 1)
     for a, b in g.edges:
         add(2 * a + 1, 2 * b, inf)
         add(2 * b + 1, 2 * a, inf)
+    return head, cap, out
+
+
+def _min_vertex_cut(
+    network: tuple[list[int], list[int], list[list[int]]], s: int, t: int, limit: int
+) -> tuple[int, list[int]]:
+    """Exact s-t vertex cut by unit-capacity max flow, or a flow of `limit`.
+
+    Augmenting stops once the flow reaches `limit`; the value is then only
+    a lower bound and no cut is returned.  Below `limit` the value is the
+    exact minimum and the cut is the one next to the source.
+    """
+    head, base_cap, out = network
+    cap = list(base_cap)
+    nodes = len(out)
     src, sink = 2 * s + 1, 2 * t
     flow = 0
-    while True:
-        parent = {src: src}
+    while flow < limit:
+        via = [-1] * nodes  # arc that first reached each node
+        via[src] = -2
         q = deque([src])
-        while q and sink not in parent:
+        while q and via[sink] == -1:
             u = q.popleft()
-            for v in adj[u]:
-                if v not in parent and cap.get((u, v), 0) > 0:
-                    parent[v] = u
+            for e in out[u]:
+                v = head[e]
+                if via[v] == -1 and cap[e] > 0:
+                    via[v] = e
                     q.append(v)
-        if sink not in parent:
-            break
+        if via[sink] == -1:
+            # The search ran to exhaustion: via marks the residual reach of src.
+            cut = [v for v in range(nodes // 2) if via[2 * v] != -1 and via[2 * v + 1] == -1]
+            return flow, cut
         v = sink
         while v != src:
-            u = parent[v]
-            cap[(u, v)] -= 1
-            cap[(v, u)] = cap.get((v, u), 0) + 1
-            v = u
+            e = via[v]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            v = head[e ^ 1]
         flow += 1
-    reach = {src}
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if v not in reach and cap.get((u, v), 0) > 0:
-                reach.add(v)
-                q.append(v)
-    cut = [v for v in range(n) if 2 * v in reach and 2 * v + 1 not in reach]
-    return flow, cut
+    return flow, []
 
 
 def vertex_connectivity(g: GeometricGraph) -> ConnectivityReport:
     """Exact vertex connectivity with a witness cut.
 
     Uses the standard pair set: a fixed minimum-degree vertex against all
-    its non-neighbors, plus all non-adjacent pairs of its neighbors.
+    its non-neighbors, plus all non-adjacent pairs of its neighbors.  Each
+    pair's flow is capped at the smallest cut found so far.
     """
     n = g.n
     if n < 2:
@@ -126,10 +154,11 @@ def vertex_connectivity(g: GeometricGraph) -> ConnectivityReport:
         for y in nb[i + 1 :]
         if edge(x, y) not in present
     )
+    network = _split_network(g)
     best = deg[v]
     best_cut: list[int] = list(nb)
     for s, t in pairs:
-        value, cut = _min_vertex_cut(g, s, t)
+        value, cut = _min_vertex_cut(network, s, t, best)
         if value < best:
             best = value
             best_cut = cut
@@ -137,11 +166,36 @@ def vertex_connectivity(g: GeometricGraph) -> ConnectivityReport:
 
 
 def maximality_oracle(g: GeometricGraph) -> bool:
-    """Definition-level maximality: every non-edge insertion breaks biplanarity."""
-    if not isinstance(test_biplane(g), BiplaneDecomposition):
+    """Definition-level maximality: every non-edge insertion breaks biplanarity.
+
+    g + e is biplane exactly when, inside each component of g's crossing
+    graph, all the edges e crosses have the same color, so one recognition
+    of g decides every non-edge in a pass over the edges.  On relaxed point
+    sets a non-edge with a vertex on its open segment is not a valid edge
+    and is skipped.
+    """
+    dec = test_biplane(g)
+    if not isinstance(dec, BiplaneDecomposition):
         raise ValueError("input graph is not biplane")
-    for e in g.complement_edges():
-        if isinstance(test_biplane(g.with_edges([e])), BiplaneDecomposition):
+    if exceeds_edge_cap(g.n, g.m + 1):
+        return True
+    components = ParityDSU(g.m)
+    for i, j in crossing_pairs(g):
+        components.union(i, j)
+    layer1 = set(dec.layer1)
+    labels = [(components.find(i)[0], e in layer1) for i, e in enumerate(g.edges)]
+    pts = g.points.points
+    segments = [(pts[a], pts[b]) for a, b in g.edges]
+    relaxed = g.points.strictness is Strictness.RELAXED
+    for a, b in g.complement_edges():
+        pa, pb = pts[a], pts[b]
+        if relaxed and any(point_on_open_segment(p, pa, pb) for p in pts):
+            continue
+        color: dict[int, bool] = {}
+        for (c, d), (root, side) in zip(segments, labels):
+            if segments_cross(pa, pb, c, d) and color.setdefault(root, side) != side:
+                break
+        else:
             return False
     return True
 

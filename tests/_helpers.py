@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from biplanekit.geometry import PointSet, edge, segments_cross, validate
 from biplanekit.graphs import GeometricGraph
+from biplanekit.recognition import BiplaneDecomposition, test_biplane
 
 
 def random_strict_points(rng: random.Random, n: int, span: int = 10**6) -> PointSet:
@@ -157,3 +158,13 @@ def brute_crossed_edges(pts, apex, a, b) -> list[tuple[int, int]]:
         return Fraction((u.x - pa.x) * ey - (u.y - pa.y) * ex, dx * ey - dy * ex)
 
     return sorted(crossed, key=t_param)
+
+
+def brute_maximality_oracle(g: GeometricGraph) -> bool:
+    """Definition-level maximality: every non-edge insertion breaks biplanarity."""
+    if not isinstance(test_biplane(g), BiplaneDecomposition):
+        raise ValueError("input graph is not biplane")
+    for e in g.complement_edges():
+        if isinstance(test_biplane(g.with_edges([e])), BiplaneDecomposition):
+            return False
+    return True

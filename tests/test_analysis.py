@@ -2,6 +2,7 @@ import random
 
 import pytest
 from _helpers import (
+    brute_maximality_oracle,
     graph_is_connected_after_removal,
     random_biplane_graph,
     random_strict_points,
@@ -69,6 +70,76 @@ def test_connectivity_witness_cut_random_graphs():
         if 0 < rep.kappa < n - 1:
             assert len(rep.witness_cut) == rep.kappa
             assert not graph_is_connected_after_removal(g, rep.witness_cut)
+
+
+def test_connectivity_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(24)
+    for trial in range(40):
+        n = rng.randint(5, 16)
+        ps = random_strict_points(rng, n)
+        if trial % 2:
+            g = random_biplane_graph(rng, ps, rng.randint(n - 1, 3 * n))
+            if rng.random() < 0.5:
+                g = maximal_augment(g).graph
+        else:
+            # Two dense sides joined only through vertices 0..k-1, so the
+            # minimum cut is usually smaller than the minimum degree.
+            k = rng.randint(1, 3)
+            side = [2] * k + [rng.randrange(2) for _ in range(n - k)]
+            g = GeometricGraph(
+                ps,
+                tuple(
+                    (a, b)
+                    for a in range(n)
+                    for b in range(a + 1, n)
+                    if (side[a] == side[b] or 2 in (side[a], side[b])) and rng.random() < 0.8
+                ),
+            )
+        reference = nx.Graph()
+        reference.add_nodes_from(range(n))
+        reference.add_edges_from(g.edges)
+        rep = vertex_connectivity(g)
+        assert rep.kappa == nx.node_connectivity(reference)
+        if rep.kappa and g.m < n * (n - 1) // 2:
+            assert len(rep.witness_cut) == rep.kappa
+            assert not graph_is_connected_after_removal(g, rep.witness_cut)
+
+
+def test_maximality_oracle_matches_brute_reference():
+    rng = random.Random(25)
+    verdicts = set()
+    for trial in range(48):
+        n = rng.randint(5, 24)
+        ps = random_strict_points(rng, n)
+        g = random_biplane_graph(rng, ps, rng.randint(n, 4 * n))
+        if trial % 3:
+            g = maximal_augment(g).graph
+        if trial % 3 == 2:
+            drop = rng.choice(g.edges)
+            g = GeometricGraph(ps, tuple(e for e in g.edges if e != drop))
+        verdict = maximality_oracle(g)
+        assert verdict == brute_maximality_oracle(g)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_maximality_oracles_reject_graph_over_edge_cap():
+    ps = random_strict_points(random.Random(26), 10)
+    k10 = GeometricGraph(ps, tuple((a, b) for a in range(10) for b in range(a + 1, 10)))
+    assert k10.m == 45 > 6 * 10 - 18
+    with pytest.raises(ValueError):
+        maximality_oracle(k10)
+    with pytest.raises(ValueError):
+        brute_maximality_oracle(k10)
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_maximality_oracle_on_relaxed_grid(k):
+    g = maximal_augment(gen_grid(k).graph).graph
+    assert maximality_oracle(g)
+    drop = random.Random(k).choice(g.edges)
+    assert not maximality_oracle(GeometricGraph(g.points, tuple(e for e in g.edges if e != drop)))
 
 
 def test_maximality_oracle_k4_true():

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .augmentation import maximal_augment
 from .geometry import (
     Edge,
+    Point,
     PointSet,
     Strictness,
     edge,
@@ -183,21 +184,33 @@ def maximality_oracle(g: GeometricGraph) -> bool:
     for i, j in crossing_pairs(g):
         components.union(i, j)
     layer1 = set(dec.layer1)
-    labels = [(components.find(i)[0], e in layer1) for i, e in enumerate(g.edges)]
     pts = g.points.points
-    segments = [(pts[a], pts[b]) for a, b in g.edges]
+    # Longest edges first: they cross the most non-edges, so a clash is
+    # found early, and the scan's length depends on the geometry alone,
+    # not on how the vertices are labelled.
+    scan = sorted(
+        (
+            (pts[c], pts[d], components.find(i)[0], (c, d) in layer1)
+            for i, (c, d) in enumerate(g.edges)
+        ),
+        key=lambda r: (-_squared_length(r[0], r[1]), min(r[0], r[1]), max(r[0], r[1])),
+    )
     relaxed = g.points.strictness is Strictness.RELAXED
     for a, b in g.complement_edges():
         pa, pb = pts[a], pts[b]
         if relaxed and any(point_on_open_segment(p, pa, pb) for p in pts):
             continue
         color: dict[int, bool] = {}
-        for (c, d), (root, side) in zip(segments, labels):
+        for c, d, root, side in scan:
             if segments_cross(pa, pb, c, d) and color.setdefault(root, side) != side:
                 break
         else:
             return False
     return True
+
+
+def _squared_length(p: Point, q: Point) -> int:
+    return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .fileio import (
     parse_points,
     parse_points_or_graph,
 )
-from .geometry import Strictness, convex_hull, validate
+from .geometry import PointSet, Strictness, convex_hull, validate
 from .graphs import GeometricGraph
 from .recognition import BiplaneDecomposition, OddCycleWitness, TooManyEdges, test_biplane
 from .svgrender import render_svg
@@ -52,11 +52,19 @@ def _strictness(args: argparse.Namespace) -> Strictness:
     return Strictness.RELAXED if getattr(args, "relaxed", False) else Strictness.STRICT
 
 
-def _read(path: str) -> str:
+def _load(args: argparse.Namespace, path: str, parse):
+    """Parse a point or graph file; without --relaxed, also enforce STRICT."""
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise FileFormatError(0, 0, f"cannot read {path}: {exc}")
+    strict = _strictness(args)
+    data = parse(text, strict)
+    if strict is Strictness.STRICT:
+        rep = validate(data if isinstance(data, PointSet) else data.points)
+        if not rep.ok:
+            raise ValueError(rep.message)
+    return data
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -72,7 +80,7 @@ def _print_edges(edges) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    g = parse_graph(_read(args.graph), _strictness(args))
+    g = _load(args, args.graph, parse_graph)
     verdict = test_biplane(g)
     if isinstance(verdict, BiplaneDecomposition):
         print("BIPLANE")
@@ -93,13 +101,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_triangulate(args: argparse.Namespace) -> int:
-    strict = _strictness(args)
-    g = parse_points_or_graph(_read(args.points), strict)
-    if strict is Strictness.STRICT:
-        rep = validate(g.points)
-        if not rep.ok:
-            print(f"error: {rep.message}", file=sys.stderr)
-            return 2
+    g = _load(args, args.points, parse_points_or_graph)
     if args.enumerate:
         tris = enumerate_triangulations(g.points, cap=args.cap)
         print(f"TRIANGULATIONS {len(tris)}")
@@ -114,7 +116,7 @@ def _cmd_triangulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_augment(args: argparse.Namespace) -> int:
-    g = parse_graph(_read(args.graph), _strictness(args))
+    g = _load(args, args.graph, parse_graph)
     result = maximal_augment(g, collect_trace=args.trace)
     if args.trace and result.trace is not None:
         for rec in result.trace:
@@ -169,7 +171,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    g = parse_graph(_read(args.graph), _strictness(args))
+    g = _load(args, args.graph, parse_graph)
     want_all = not (args.connectivity or args.degrees or args.bounds)
     if args.degrees or want_all:
         hist = degree_histogram(g)
@@ -192,7 +194,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    ps = parse_points(_read(args.points), _strictness(args))
+    ps = _load(args, args.points, parse_points)
     res = brute_force_maximum(ps, cap=args.cap)
     print(
         f"MAXIMUM {res.maximum_edges} triangulations={res.triangulation_count}"
@@ -202,14 +204,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
-    ps = parse_points(_read(args.points), _strictness(args))
+    ps = _load(args, args.points, parse_points)
     rep = find_maximal_gap(ps, trials=args.trials, seed=args.seed)
     print(f"GAP min={rep.smallest} max={rep.largest} sizes={','.join(map(str, rep.sizes))}")
     return 0
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    g = parse_graph(_read(args.graph), _strictness(args))
+    g = _load(args, args.graph, parse_graph)
     verdict = test_biplane(g)
     if not isinstance(verdict, BiplaneDecomposition):
         print("NOT-BIPLANE", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 COORD_LIMIT = 2**30
@@ -161,7 +162,7 @@ class PointSet:
 
     Immutable; safe to share between threads.  Distinctness and the
     coordinate cap are enforced at construction.  Collinearity checks are
-    deferred to validate() because they are cubic.
+    deferred to validate() because they are quadratic.
     """
 
     points: tuple[Point, ...]
@@ -211,23 +212,31 @@ class ValidationReport:
 def validate(ps: PointSet) -> ValidationReport:
     """Check the general-position contract of a point set.
 
-    Under STRICT this scans all triples for collinearity (cubic, intended
-    for desk-scale inputs).  Under RELAXED only distinctness applies, which
-    the constructor already guarantees.
+    Under STRICT this reports the lexicographically first collinear triple
+    (i, j, k), i < j < k, in O(n^2) time: for each i in turn it groups the
+    later points by their reduced direction from i, and the first i with a
+    group of two or more names the first such group's two smallest
+    members.  Under RELAXED only distinctness applies, which the
+    constructor already guarantees.
     """
     if ps.strictness is Strictness.RELAXED:
         return ValidationReport(True)
     pts = ps.points
     n = len(pts)
     for i in range(n):
+        xi, yi = pts[i]
+        groups: dict[tuple[int, int], list[int]] = {}
         for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if cross(pts[i], pts[j], pts[k]) == 0:
-                    return ValidationReport(
-                        False,
-                        (i, j, k),
-                        f"collinear points {i}, {j}, {k}",
-                    )
+            dx, dy = pts[j][0] - xi, pts[j][1] - yi
+            g = gcd(dx, dy)
+            if dx < 0 or (dx == 0 and dy < 0):
+                g = -g
+            groups.setdefault((dx // g, dy // g), []).append(j)
+        # Groups come in the order of their smallest members.
+        for grp in groups.values():
+            if len(grp) > 1:
+                j, k = grp[0], grp[1]
+                return ValidationReport(False, (i, j, k), f"collinear points {i}, {j}, {k}")
     return ValidationReport(True)
 
 

@@ -7,7 +7,15 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from biplanekit.geometry import PointSet, edge, segments_cross, validate
+from biplanekit.geometry import (
+    PointSet,
+    Strictness,
+    ValidationReport,
+    cross,
+    edge,
+    segments_cross,
+    validate,
+)
 from biplanekit.graphs import GeometricGraph
 from biplanekit.recognition import BiplaneDecomposition, test_biplane
 
@@ -81,6 +89,64 @@ def crossing_adjacency_is_bipartite(adj: list[list[int]]) -> bool:
                 elif color[v] == color[u]:
                     return False
     return True
+
+
+def brute_crossing_pairs(g: GeometricGraph) -> list[tuple[int, int]]:
+    """Crossing pairs by the earlier bounding-box sweep: an active list
+    rebuilt for every edge and four orientation tests per candidate."""
+    pts = g.points.points
+    m = g.m
+    boxes = []
+    for a, b in g.edges:
+        pa, pb = pts[a], pts[b]
+        boxes.append(
+            (
+                min(pa.x, pb.x),
+                max(pa.x, pb.x),
+                min(pa.y, pb.y),
+                max(pa.y, pb.y),
+            )
+        )
+    order = sorted(range(m), key=lambda i: boxes[i][0])
+    pairs: list[tuple[int, int]] = []
+    active: list[int] = []
+    for i in order:
+        x0, _, ylo, yhi = boxes[i]
+        ai, bi = g.edges[i]
+        pa, pb = pts[ai], pts[bi]
+        keep = []
+        for j in active:
+            bj = boxes[j]
+            if bj[1] < x0:
+                continue
+            keep.append(j)
+            if bj[3] < ylo or bj[2] > yhi:
+                continue
+            aj, bj2 = g.edges[j]
+            if segments_cross(pa, pb, pts[aj], pts[bj2]):
+                pairs.append((j, i) if j < i else (i, j))
+        keep.append(i)
+        active = keep
+    pairs.sort()
+    return pairs
+
+
+def brute_validate(ps: PointSet) -> ValidationReport:
+    """The general-position check by scanning every triple in order."""
+    if ps.strictness is Strictness.RELAXED:
+        return ValidationReport(True)
+    pts = ps.points
+    n = len(pts)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if cross(pts[i], pts[j], pts[k]) == 0:
+                    return ValidationReport(
+                        False,
+                        (i, j, k),
+                        f"collinear points {i}, {j}, {k}",
+                    )
+    return ValidationReport(True)
 
 
 def brute_crossing_adjacency(g: GeometricGraph) -> list[list[int]]:

@@ -255,7 +255,9 @@ def test_triangulate_short_edge_block_is_an_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["augment"], ["triangulate", "--relaxed"]], ids=["augment", "triangulate"]
+    "argv",
+    [["augment", "--relaxed"], ["triangulate", "--relaxed"]],
+    ids=["augment", "triangulate"],
 )
 def test_edge_through_vertex_exit_two(tmp_path, capsys, argv):
     # Edge 0-2 passes through vertex 1.
@@ -265,6 +267,21 @@ def test_edge_through_vertex_exit_two(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "constraint (0, 2) passes through vertex 1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command", ["check", "augment", "analyze", "render", "triangulate", "oracle", "gap"]
+)
+def test_strict_collinear_input_exit_two(tmp_path, capsys, command):
+    # Points 1, 3, 4 lie on the line x = 1; the file is read as STRICT.
+    f = tmp_path / "collinear.txt"
+    points = "5\n0 0\n1 0\n2 1\n1 5\n1 -5\n"
+    f.write_text(points if command in ("oracle", "gap") else points + "1\n0 2\n")
+    extra = ["--trials", "1", "--seed", "0"] if command == "gap" else []
+    assert run([command, str(f)] + extra) == 2
+    captured = capsys.readouterr()
+    assert "error: collinear points 1, 3, 4" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_oracle_rejects_graph_file(tmp_path, capsys):

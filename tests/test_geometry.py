@@ -1,4 +1,5 @@
 import pytest
+from _helpers import brute_validate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,6 +114,26 @@ def test_validate_grid_strict_vs_relaxed():
     grid = [(i, j) for i in range(5) for j in range(5)]
     assert not validate(PointSet.from_coords(grid, Strictness.STRICT)).ok
     assert validate(PointSet.from_coords(grid, Strictness.RELAXED)).ok
+
+
+@given(
+    st.integers(min_value=2, max_value=7).flatmap(
+        lambda k: st.lists(
+            st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+            min_size=3,
+            max_size=14,
+            unique=True,
+        )
+    ),
+    st.integers(min_value=1, max_value=1000),
+    st.tuples(coords, coords),
+)
+@settings(max_examples=300)
+def test_validate_matches_triple_scan(cells, scale, shift):
+    # Scaled and shifted lattice points keep their collinear triples, and
+    # their directions need reducing by a common divisor.
+    ps = PointSet.from_coords([(scale * x + shift[0], scale * y + shift[1]) for x, y in cells])
+    assert validate(ps) == brute_validate(ps)
 
 
 def test_pointset_rejects_duplicates_and_huge_coords():

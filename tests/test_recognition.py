@@ -3,6 +3,7 @@ import random
 
 from _helpers import (
     brute_crossing_adjacency,
+    brute_crossing_pairs,
     crossing_adjacency_is_bipartite,
     layer_is_plane,
     random_edge_subset_graph,
@@ -10,7 +11,9 @@ from _helpers import (
     witness_cycle_is_valid,
 )
 
-from biplanekit.geometry import PointSet
+from biplanekit.augmentation import maximal_augment
+from biplanekit.constructions import gen_convex
+from biplanekit.geometry import PointSet, Strictness, cross
 from biplanekit.graphs import GeometricGraph
 from biplanekit.recognition import (
     BiplaneDecomposition,
@@ -151,3 +154,36 @@ def test_component_color_swap_is_also_valid():
     swapped2 = tuple(e for e in g.edges if e not in swapped1)
     assert layer_is_plane(g, swapped1)
     assert layer_is_plane(g, swapped2)
+
+
+def test_crossing_pairs_match_brute_sweep():
+    rng = random.Random(5)
+    graphs = []
+    for _ in range(40):
+        ps = random_strict_points(rng, rng.randint(3, 14))
+        graphs.append(random_edge_subset_graph(rng, ps))
+    # Relaxed lattice sets with every kind of pair: shared endpoints,
+    # vertices inside edges, and collinear edges that overlap or only touch.
+    for _ in range(150):
+        k = rng.randint(2, 6)
+        cells = [(x, y) for x in range(k) for y in range(k)]
+        ps = PointSet.from_coords(
+            rng.sample(cells, rng.randint(3, len(cells))), Strictness.RELAXED
+        )
+        graphs.append(random_edge_subset_graph(rng, ps))
+    graphs += [maximal_augment(GeometricGraph(gen_convex(n), ())).graph for n in (8, 21, 60)]
+    overlaps = vertical_overlaps = 0
+    for g in graphs:
+        pairs = crossing_pairs(g)
+        assert pairs == brute_crossing_pairs(g)
+        # The adjacency lists come out sorted without sorting them.
+        assert crossing_graph(g) == brute_crossing_adjacency(g)
+        pts = g.points.points
+        for i, j in pairs:
+            (a, b), (c, d) = g.edges[i], g.edges[j]
+            if cross(pts[a], pts[b], pts[c]) == 0 == cross(pts[a], pts[b], pts[d]):
+                overlaps += 1
+                vertical_overlaps += pts[a].x == pts[b].x
+    # The cases above reach the collinear test, including vertical edges
+    # that share their x-extent exactly.
+    assert overlaps and vertical_overlaps

@@ -20,7 +20,14 @@ never needs a queue update, since stale queue entries are re-tested at pop
 time.
 
 The work queue is FIFO.  Processing order does not affect maximality of the
-result, only which maximal graph is produced.
+result, only which maximal graph is produced.  The loop evaluates each
+popped edge's clause once: one union-find lookup per side of the edge gives
+both that side's face and its parity, and the clause found is handed to the
+flip instead of being tested again.
+
+Building the state completes both layers from one sweep of the bare points
+and reads the purple rotation system off the red triangulation's apex map,
+so indexing the purple faces needs no angular sort.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from typing import Iterable
 from .geometry import Edge, Point, PointSet, cross, dir_in_ccw_sector, edge, proper_cross
 from .graphs import GeometricGraph
 from .recognition import BiplaneDecomposition, BiplaneResult, test_biplane
-from .triangulation import GeometryError, complete_to_triangulation, plane_face_walks
+from .triangulation import GeometryError, complete_layers, plane_face_walks, trace_face_walks
 from .unionfind import ParityDSU
 
 RED = 0
@@ -228,25 +235,22 @@ def build_state(
         raise NotBiplaneError(verdict)
     ps = g.points
     pts = ps.points
-    t_red = complete_to_triangulation(
-        GeometricGraph(ps, verdict.layer1), check_plane=False
-    )
-    t_blue = complete_to_triangulation(
-        GeometricGraph(ps, verdict.layer2), check_plane=False
-    )
+    t_red, t_blue = complete_layers(ps, (verdict.layer1, verdict.layer2))
     red_set = t_red.edge_set()
     blue_set = t_blue.edge_set()
     purple = set(red_set & blue_set)
     edges = set(red_set | blue_set)
 
-    rot, _, walk_of, walks = plane_face_walks(pts, sorted(purple))
+    purple_sorted = sorted(purple)
+    rot = t_red.rotation(purple_sorted)
+    _, walk_of, walks = trace_face_walks(rot, purple_sorted)
     isolated = [v for v in range(len(ps)) if v not in rot]
     iso_anchor = {v: len(walks) + i for i, v in enumerate(isolated)}
     faces = ParityDSU(len(walks) + len(isolated))
 
     side_walk: dict[Edge, tuple[int, int]] = {}
     apex: dict[Edge, list[list[int | None]]] = {}
-    for e in sorted(purple):
+    for e in purple_sorted:
         a, b = e
         side_walk[e] = (walk_of[(a, b)], walk_of[(b, a)])
         rl, rr = t_red.apexes(e)
@@ -276,7 +280,7 @@ def build_state(
         chord_color0,
         [] if collect_trace else None,
     )
-    for e in sorted(purple):
+    for e in purple_sorted:
         if e not in state.hull_edges:
             state.queue.append(e)
     return state
@@ -289,21 +293,30 @@ def _clause(state: MaximalState, e: Edge) -> tuple[str, int] | None:
     the side whose face holds the blue triangle of the convex pair (the
     face that gets recolored so the flip can run in the red layer).
     """
+    # One find per side gives both the face root and its parity; the parity
+    # picks which stored apex is red (as eff_apex does).
+    faces = state.faces
+    wl, wr = state.side_walk[e]
+    root_l, par_l = faces.find(wl)
+    root_r, par_r = faces.find(wr)
+    par_l ^= faces.flip[root_l]
+    par_r ^= faces.flip[root_r]
+    left, right = state.apex[e]
     pts = state.points.points
     a, b = e
     pa, pb = pts[a], pts[b]
-    rl = state.eff_apex(e, 0, RED)
-    rr = state.eff_apex(e, 1, RED)
-    if proper_cross(pa, pb, pts[rl], pts[rr]):
+    prl = pts[left[par_l]]
+    prr = pts[right[par_r]]
+    if proper_cross(pa, pb, prl, prr):
         return ("red", -1)
-    bl = state.eff_apex(e, 0, BLUE)
-    br = state.eff_apex(e, 1, BLUE)
-    if proper_cross(pa, pb, pts[bl], pts[br]):
+    pbl = pts[left[par_l ^ 1]]
+    pbr = pts[right[par_r ^ 1]]
+    if proper_cross(pa, pb, pbl, pbr):
         return ("blue", -1)
-    if state.face_of(e, 0) != state.face_of(e, 1):
-        if proper_cross(pa, pb, pts[rl], pts[br]):
+    if root_l != root_r:
+        if proper_cross(pa, pb, prl, pbr):
             return ("cross", 1)
-        if proper_cross(pa, pb, pts[bl], pts[rr]):
+        if proper_cross(pa, pb, pbl, prr):
             return ("cross", 0)
     return None
 
@@ -336,40 +349,51 @@ def apply_flip(state: MaximalState, e: Edge) -> MaximalState:
     cl = _clause(state, e)
     if cl is None:
         raise ValueError(f"{e} is not colorblind flippable")
-    pts = state.points.points
-    a, b = e
+    _flip(state, e, cl)
+    return state
 
+
+def _flip(state: MaximalState, e: Edge, cl: tuple[str, int]) -> None:
+    """apply_flip's body for a purple edge whose clause `cl` is known."""
+    pts = state.points.points
+    faces = state.faces
+    a, b = e
+    wl, wr = state.side_walk[e]
+    left, right = state.apex[e]
+
+    # Both layers' triangles on each side, whatever the parities.
     neighborhood: set[Edge] = set()
-    for layer in (RED, BLUE):
-        c = state.eff_apex(e, 0, layer)
-        d = state.eff_apex(e, 1, layer)
-        for u, w in ((a, c), (c, b), (b, d), (d, a)):
-            neighborhood.add(edge(u, w))
+    for c in left:
+        neighborhood.add(edge(a, c))
+        neighborhood.add(edge(c, b))
+    for d in right:
+        neighborhood.add(edge(b, d))
+        neighborhood.add(edge(d, a))
 
     recolored: int | None = None
     if cl[0] == "cross":
-        anchor = state.side_walk[e][cl[1]]
-        state.faces.flip_component(anchor)
-        recolored = anchor
+        recolored = wr if cl[1] else wl
+        faces.flip_component(recolored)
         layer = RED
     else:
         layer = RED if cl[0] == "red" else BLUE
 
-    cap = state.eff_apex(e, 0, layer)
-    dap = state.eff_apex(e, 1, layer)
+    root_l, par_l = faces.find(wl)
+    root_r, par_r = faces.find(wr)
+    par_l ^= faces.flip[root_l]
+    par_r ^= faces.flip[root_r]
+    cap = left[par_l ^ layer]
+    dap = right[par_r ^ layer]
     f = edge(cap, dap)
     if f in state.edges:
         raise GeometryError(f"flip target {f} already present")
 
-    wl, wr = state.side_walk[e]
-    root_l = state.faces.find(wl)[0]
-    root_r = state.faces.find(wr)[0]
-    state.faces.union(wl, wr)
-    par = state.faces.parity(wl)
+    # union() keeps every parity, so wl keeps par_l in the merged face.
+    faces.union(wl, wr)
     state.chord_anchor[e] = wl
-    state.chord_color0[e] = (1 - layer) ^ par
+    state.chord_color0[e] = (1 - layer) ^ par_l
     state.chord_anchor[f] = wl
-    state.chord_color0[f] = layer ^ par
+    state.chord_color0[f] = layer ^ par_l
     state.edges.add(f)
     state.purple.discard(e)
 
@@ -384,7 +408,7 @@ def apply_flip(state: MaximalState, e: Edge) -> MaximalState:
         if entry is None:
             continue  # rim edge is a chord; chords carry no apex storage
         s = 0 if cross(pts[rim[0]], pts[rim[1]], pts[old]) > 0 else 1
-        slot = state.faces.parity(state.side_walk[rim][s]) ^ layer
+        slot = faces.parity(state.side_walk[rim][s]) ^ layer
         if entry[s][slot] != old:
             raise GeometryError(f"apex bookkeeping mismatch at {rim}")
         entry[s][slot] = new
@@ -398,7 +422,6 @@ def apply_flip(state: MaximalState, e: Edge) -> MaximalState:
 
     if state.trace is not None:
         state.trace.append(FlipRecord(e, cl[0], recolored, f, (root_l, root_r)))
-    return state
 
 
 def certify_maximal(state: MaximalState) -> bool:
@@ -429,18 +452,18 @@ def maximal_augment(
         deco = BiplaneDecomposition(graph.edges, ())
         return AugmentResult(graph, deco, graph.edges, graph.edges, None, None)
     state = build_state(g, collect_trace=collect_trace)
-    while state.queue:
-        e = state.queue.popleft()
-        if e not in state.purple:
+    queue, purple = state.queue, state.purple
+    while queue:
+        e = queue.popleft()
+        if e not in purple:
             continue
-        if _clause(state, e) is None:
-            continue
-        apply_flip(state, e)
+        cl = _clause(state, e)
+        if cl is not None:
+            _flip(state, e, cl)
     if not certify_maximal(state):
         raise GeometryError("queue drained but a flippable purple edge remains")
     red = tuple(state.red_edges())
     blue = tuple(state.blue_edges())
-    purple = set(state.purple)
     layer2 = tuple(e for e in blue if e not in purple)
     graph = GeometricGraph(ps, tuple(sorted(state.edges)))
     deco = BiplaneDecomposition(red, layer2)

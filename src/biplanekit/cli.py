@@ -37,7 +37,7 @@ from .fileio import (
     parse_points_or_graph,
 )
 from .geometry import PointSet, Strictness, convex_hull, validate
-from .graphs import GeometricGraph
+from .graphs import GeometricGraph, relaxed_edge_violations
 from .recognition import BiplaneDecomposition, OddCycleWitness, TooManyEdges, test_biplane
 from .svgrender import render_svg
 from .triangulation import (
@@ -53,7 +53,11 @@ def _strictness(args: argparse.Namespace) -> Strictness:
 
 
 def _load(args: argparse.Namespace, path: str, parse):
-    """Parse a point or graph file; without --relaxed, also enforce STRICT."""
+    """Parse a point or graph file and enforce its point-set contract.
+
+    Without --relaxed no three points may be collinear; with it, no vertex
+    may lie inside an edge.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -64,6 +68,11 @@ def _load(args: argparse.Namespace, path: str, parse):
         rep = validate(data if isinstance(data, PointSet) else data.points)
         if not rep.ok:
             raise ValueError(rep.message)
+    elif isinstance(data, GeometricGraph):
+        bad = relaxed_edge_violations(data)
+        if bad:
+            v, e = bad[0]
+            raise ValueError(f"edge {e} passes through vertex {v}")
     return data
 
 

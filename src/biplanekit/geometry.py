@@ -128,13 +128,21 @@ def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
 
 def proper_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     """Open segments ab and cd cross in exactly one interior point."""
-    s1 = cross(a, b, c)
-    s2 = cross(a, b, d)
-    s3 = cross(c, d, a)
-    s4 = cross(c, d, b)
-    return ((s1 > 0) != (s2 > 0)) and s1 != 0 and s2 != 0 and (
-        (s3 > 0) != (s4 > 0)
-    ) and s3 != 0 and s4 != 0
+    # cross(a, b, c), cross(a, b, d), cross(c, d, a), cross(c, d, b), written
+    # out because the flip loop calls this once per test.
+    ax, ay = a
+    bx, by = b
+    cx, cy = c
+    dx, dy = d
+    ex, ey = bx - ax, by - ay
+    s1 = ex * (cy - ay) - ey * (cx - ax)
+    s2 = ex * (dy - ay) - ey * (dx - ax)
+    if s1 == 0 or s2 == 0 or (s1 > 0) == (s2 > 0):
+        return False
+    fx, fy = dx - cx, dy - cy
+    s3 = fx * (ay - cy) - fy * (ax - cx)
+    s4 = fx * (by - cy) - fy * (bx - cx)
+    return s3 != 0 and s4 != 0 and (s3 > 0) != (s4 > 0)
 
 
 def point_in_triangle_strict(p: Point, a: Point, b: Point, c: Point) -> bool:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable
 
-from .geometry import Edge, Point, PointSet, edge, point_on_open_segment
+from .geometry import Edge, Point, PointSet, edge
 
 
 @dataclass(frozen=True)
@@ -67,14 +68,33 @@ class GeometricGraph:
 
 
 def relaxed_edge_violations(g: GeometricGraph) -> list[tuple[int, Edge]]:
-    """Vertices lying strictly inside an edge (forbidden on relaxed sets)."""
+    """Vertices lying strictly inside an edge (forbidden on relaxed sets).
+
+    Returns (vertex, edge) pairs ordered by edge, then vertex.  A point
+    strictly inside edge (a, b) is a lattice point, so only edges whose
+    direction vector has a gcd above 1 can hold one.  For each vertex a
+    that starts such an edge, the other points are grouped by their
+    gcd-reduced direction from a; a point on the edge's ray that is fewer
+    reduced steps from a than b lies inside the edge.  O(n) per such
+    vertex, O(n^2) at worst.
+    """
     pts = g.points.points
-    bad: list[tuple[int, Edge]] = []
+    starts: dict[int, list[Edge]] = {}
     for e in g.edges:
-        a, b = pts[e[0]], pts[e[1]]
-        for v in range(g.n):
-            if v in e:
-                continue
-            if point_on_open_segment(pts[v], a, b):
-                bad.append((v, e))
-    return bad
+        a, b = e
+        if gcd(pts[b].x - pts[a].x, pts[b].y - pts[a].y) > 1:
+            starts.setdefault(a, []).append(e)
+    inside: dict[Edge, list[int]] = {}
+    for a, es in starts.items():
+        xa, ya = pts[a]
+        rays: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for v, (x, y) in enumerate(pts):
+            if v != a:
+                dx, dy = x - xa, y - ya
+                k = gcd(dx, dy)
+                rays.setdefault((dx // k, dy // k), []).append((k, v))
+        for e in es:
+            dx, dy = pts[e[1]].x - xa, pts[e[1]].y - ya
+            k = gcd(dx, dy)
+            inside[e] = [v for s, v in rays[(dx // k, dy // k)] if s < k]
+    return [(v, e) for e in g.edges for v in inside.get(e, ())]

@@ -6,12 +6,14 @@ counterclockwise side, index 1 = right).  Hull edges carry None on the outer
 side.  This gives constant-time adjacent-face lookup, flip tests, and flips.
 
 Completion of a plane graph to a triangulation runs in two deterministic
-stages: a lexicographic sweep triangulates the bare point set, then each
-input edge is inserted as a constraint.  Insertion walks along the segment:
-it starts at the triangle around one endpoint whose wedge holds the
-segment's direction and steps from triangle to triangle through the apex
-map, so it visits only the edges the segment crosses, already in order along
-it.  The crossed edges are removed and the two resulting pockets are
+stages: a lexicographic sweep triangulates the bare point set, keeping the
+hull as a linked ring so that each point costs only the hull edges it sees,
+then each input edge is inserted as a constraint.  Several plane edge sets
+on one point set can be completed from a single sweep.  Insertion walks
+along the segment: it starts at the triangle around one endpoint whose wedge
+holds the segment's direction and steps from triangle to triangle through
+the apex map, so it visits only the edges the segment crosses, already in
+order along it.  The crossed edges are removed and the two resulting pockets are
 retriangulated.  The walk reads each vertex's incident edges from a
 neighbour index that completion builds after the sweep, only when there are
 constraints, and that insertion keeps current as it removes and adds edges.
@@ -127,6 +129,48 @@ class Triangulation:
         l, r = self._apex[e]
         return l, r
 
+    def rotation(self, edges: Iterable[Edge]) -> dict[int, list[int]]:
+        """Counterclockwise neighbour order of a subgraph of this triangulation.
+
+        Read off the apex map in time linear in the degrees walked: the left
+        apex of dart v -> u is v's next neighbour counterclockwise.  Each list
+        starts at v's first neighbour in `edges`, so it equals the angular
+        order up to a cyclic shift.
+        """
+        adj: dict[int, list[int]] = defaultdict(list)
+        for a, b in edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        apex = self._apex
+        rot: dict[int, list[int]] = {}
+        for v, nbrs in adj.items():
+            k = len(nbrs)
+            sub = set(nbrs)
+            u0 = nbrs[0]
+            ccw = [u0]
+            u = u0
+            while len(ccw) < k:
+                w = apex[(v, u)][0] if v < u else apex[(u, v)][1]
+                if w is None:
+                    break  # hull vertex: the rest lies clockwise from u0
+                if w == u0:
+                    raise GeometryError(f"vertex {v}: edges missing from triangulation")
+                if w in sub:
+                    ccw.append(w)
+                u = w
+            cw: list[int] = []
+            u = u0
+            while len(ccw) + len(cw) < k:
+                w = apex[(v, u)][1] if v < u else apex[(u, v)][0]
+                if w is None:
+                    raise GeometryError(f"vertex {v}: edges missing from triangulation")
+                if w in sub:
+                    cw.append(w)
+                u = w
+            cw.reverse()
+            rot[v] = cw + ccw
+        return rot
+
     def flip_status(self, e: Edge) -> FlipStatus:
         entry = self._apex.get(e)
         if entry is None:
@@ -235,75 +279,77 @@ def _sweep_triangulation(
 ) -> tuple[dict[Edge, list[int | None]], list[int]]:
     """Triangulate all points, processing them in lexicographic order.
 
-    Maintains the weak hull of the processed prefix; each new point fans to
-    the hull chain it sees.  Collinear prefixes (relaxed sets) are kept as a
-    chain until an off-line point arrives.
+    Maintains the weak hull of the processed prefix as a counterclockwise
+    ring of `nxt`/`prv` links; each new point fans to the hull chain it
+    sees, found by walking from the last inserted point, and the chain is
+    unlinked.  Collinear prefixes (relaxed sets) are kept as a chain until
+    an off-line point arrives.
     """
     n = len(pts)
     order = sorted(range(n), key=lambda i: pts[i])
     apex: dict[Edge, list[int | None]] = {}
     chain: list[int] = [order[0]]
-    hull: list[int] | None = None
+    nxt = [-1] * n
+    prv = [-1] * n
     last = -1
 
     for idx in range(1, n):
         p = order[idx]
-        if hull is None:
-            if len(chain) == 1 or cross(pts[chain[0]], pts[chain[-1]], pts[p]) == 0:
+        pp = pts[p]
+        if last < 0:
+            if len(chain) == 1 or cross(pts[chain[0]], pts[chain[-1]], pp) == 0:
                 chain.append(p)
                 continue
-            turn = cross(pts[chain[0]], pts[chain[-1]], pts[p])
+            turn = cross(pts[chain[0]], pts[chain[-1]], pp)
             for u, v in zip(chain, chain[1:]):
                 _add_triangle(pts, apex, p, u, v)
-            hull = chain + [p] if turn > 0 else chain[::-1] + [p]
-            last = len(hull) - 1
+            ring = chain + [p] if turn > 0 else chain[::-1] + [p]
+            for u, v in zip(ring, ring[1:] + ring[:1]):
+                nxt[u] = v
+                prv[v] = u
+            last = p
             continue
 
-        h = len(hull)
-
-        def visible(i: int) -> bool:
-            return cross(pts[hull[i]], pts[hull[(i + 1) % h]], pts[p]) < 0
+        def visible(u: int) -> bool:
+            # Hull edge u -> nxt[u] has p strictly on its outer side.
+            return cross(pts[u], pts[nxt[u]], pp) < 0
 
         if visible(last):
             start = last
-        elif visible((last - 1) % h):
-            start = (last - 1) % h
+        elif visible(prv[last]):
+            start = prv[last]
         else:
-            start = next((i for i in range(h) if visible(i)), -1)
-            if start < 0:
-                raise GeometryError("sweep: new point sees no hull edge")
+            start = nxt[last]
+            while not visible(start):
+                start = nxt[start]
+                if start == last:
+                    raise GeometryError("sweep: new point sees no hull edge")
         lo = start
-        while visible((lo - 1) % h):
-            lo = (lo - 1) % h
+        while visible(prv[lo]):
+            lo = prv[lo]
             if lo == start:
                 raise GeometryError("sweep: hull fully visible")
-        hi = (start + 1) % h
+        hi = nxt[start]
         while visible(hi):
-            hi = (hi + 1) % h
+            hi = nxt[hi]
             if hi == start:
                 raise GeometryError("sweep: hull fully visible")
-        span = []
-        i = lo
-        while True:
-            span.append(hull[i])
-            if i == hi:
-                break
-            i = (i + 1) % h
-        for u, v in zip(span, span[1:]):
+        u = lo
+        while u != hi:
+            v = nxt[u]
             _add_triangle(pts, apex, p, u, v)
-        keep = []
-        i = hi
-        while True:
-            keep.append(hull[i])
-            if i == lo:
-                break
-            i = (i + 1) % h
-        keep.append(p)
-        hull = keep
-        last = len(hull) - 1
+            u = v
+        nxt[lo] = p
+        prv[p] = lo
+        nxt[p] = hi
+        prv[hi] = p
+        last = p
 
-    if hull is None:
+    if last < 0:
         raise ValueError("all points are collinear; cannot triangulate")
+    hull = [nxt[last]]
+    while hull[-1] != last:
+        hull.append(nxt[hull[-1]])
     return apex, hull
 
 
@@ -485,11 +531,7 @@ def _fill_pocket(
 # ---------------------------------------------------------------------------
 
 
-def complete_to_triangulation(
-    source: GeometricGraph | PointSet,
-    *,
-    check_plane: bool = True,
-) -> Triangulation:
+def complete_to_triangulation(source: GeometricGraph | PointSet) -> Triangulation:
     """Deterministically extend a plane graph to a full triangulation.
 
     Idempotent (a triangulation comes back unchanged) and monotone (every
@@ -504,23 +546,41 @@ def complete_to_triangulation(
         in_edges = source.edges
     if len(ps) < 3:
         raise ValueError("triangulation needs at least 3 points")
-    if check_plane and in_edges:
-        g = source if isinstance(source, GeometricGraph) else None
-        assert g is not None
-        pairs = crossing_pairs(g)
+    if in_edges:
+        pairs = crossing_pairs(source)
         if pairs:
             i, j = pairs[0]
-            raise NotPlaneError((g.edges[i], g.edges[j]))
+            raise NotPlaneError((in_edges[i], in_edges[j]))
+    return complete_layers(ps, [in_edges])[0]
+
+
+def complete_layers(
+    ps: PointSet, layers: Sequence[Iterable[Edge]]
+) -> list[Triangulation]:
+    """Complete each plane edge set in `layers` to a triangulation of ps.
+
+    The bare points are swept once; each layer but the last starts from a
+    copy of that sweep, the last from the sweep itself.  Layers are not
+    checked for crossings.
+    """
     pts = ps.points
-    apex, hull = _sweep_triangulation(pts)
-    if in_edges:
-        nbrs: list[set[int]] = [set() for _ in pts]
-        for u, v in apex:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        for a, b in sorted(in_edges):
-            _insert_constraint(pts, apex, nbrs, a, b)
-    return Triangulation(ps, apex, hull)
+    sweep, hull = _sweep_triangulation(pts)
+    out = []
+    for i, in_edges in enumerate(layers):
+        if i == len(layers) - 1:
+            apex = sweep
+        else:
+            apex = {e: list(s) for e, s in sweep.items()}
+        in_edges = sorted(in_edges)
+        if in_edges:
+            nbrs: list[set[int]] = [set() for _ in pts]
+            for u, v in apex:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+            for a, b in in_edges:
+                _insert_constraint(pts, apex, nbrs, a, b)
+        out.append(Triangulation(ps, apex, hull))
+    return out
 
 
 def enumerate_triangulations(ps: PointSet, cap: int = 9) -> list[Triangulation]:
@@ -564,13 +624,20 @@ def plane_face_walks(
     counterclockwise.  Faces with holes produce one walk per boundary
     component; grouping walks into faces is the caller's concern.
     """
-    adj: dict[int, list[int]] = defaultdict(list)
     edges = sorted(edges)
+    rot = _angular_rotation(pts, edges)
+    return (rot, *trace_face_walks(rot, edges))
+
+
+def _angular_rotation(
+    pts: Sequence[Point], edges: Sequence[Edge]
+) -> dict[int, list[int]]:
+    """Each vertex's neighbours sorted counterclockwise by direction."""
+    adj: dict[int, list[int]] = defaultdict(list)
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
     rot: dict[int, list[int]] = {}
-    pos: dict[tuple[int, int], int] = {}
     for v, nbrs in adj.items():
         pv = pts[v]
 
@@ -580,9 +647,26 @@ def plane_face_walks(
                 Point(pts[j].x - pv.x, pts[j].y - pv.y),
             )
 
-        nbrs_sorted = sorted(nbrs, key=cmp_to_key(cmp))
-        rot[v] = nbrs_sorted
-        for i, u in enumerate(nbrs_sorted):
+        rot[v] = sorted(nbrs, key=cmp_to_key(cmp))
+    return rot
+
+
+def trace_face_walks(
+    rot: dict[int, list[int]], edges: Sequence[Edge]
+) -> tuple[
+    dict[tuple[int, int], int],
+    dict[tuple[int, int], int],
+    list[list[tuple[int, int]]],
+]:
+    """Trace the closed walks of a plane graph given its rotation system.
+
+    `rot[v]` lists v's neighbours counterclockwise, starting anywhere; the
+    walks depend only on the cyclic order.  Darts are started in the order
+    of the sorted `edges`.  Returns (dart positions, dart -> walk id, walks).
+    """
+    pos: dict[tuple[int, int], int] = {}
+    for v, nbrs in rot.items():
+        for i, u in enumerate(nbrs):
             pos[(v, u)] = i
     walk_of: dict[tuple[int, int], int] = {}
     walks: list[list[tuple[int, int]]] = []
@@ -602,7 +686,7 @@ def plane_face_walks(
                 if (u, v) == dart:
                     break
             walks.append(path)
-    return rot, pos, walk_of, walks
+    return pos, walk_of, walks
 
 
 def triangulation_from_edges(

@@ -24,6 +24,14 @@ class ParityDSU:
 
     def find(self, x: int) -> tuple[int, int]:
         """Return (root, parity of x relative to root)."""
+        # Roots and their children, most lookups after path compression,
+        # need no path.
+        parent = self.parent
+        p = parent[x]
+        if p == x:
+            return x, 0
+        if parent[p] == p:
+            return p, self.rel[x]
         path = []
         while self.parent[x] != x:
             path.append(x)

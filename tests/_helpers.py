@@ -13,11 +13,20 @@ from biplanekit.geometry import (
     ValidationReport,
     cross,
     edge,
+    point_on_open_segment,
     segments_cross,
     validate,
 )
+from biplanekit.augmentation import (
+    AugmentResult,
+    apply_flip,
+    build_state,
+    certify_maximal,
+    is_colorblind_flippable,
+)
 from biplanekit.graphs import GeometricGraph
 from biplanekit.recognition import BiplaneDecomposition, test_biplane
+from biplanekit.triangulation import GeometryError, _add_triangle
 
 
 def random_strict_points(rng: random.Random, n: int, span: int = 10**6) -> PointSet:
@@ -149,6 +158,19 @@ def brute_validate(ps: PointSet) -> ValidationReport:
     return ValidationReport(True)
 
 
+def brute_relaxed_edge_violations(g: GeometricGraph) -> list[tuple[int, tuple[int, int]]]:
+    """Vertices strictly inside an edge, by testing every vertex against
+    every edge in order."""
+    pts = g.points.points
+    bad = []
+    for e in g.edges:
+        a, b = pts[e[0]], pts[e[1]]
+        for v in range(g.n):
+            if v not in e and point_on_open_segment(pts[v], a, b):
+                bad.append((v, e))
+    return bad
+
+
 def brute_crossing_adjacency(g: GeometricGraph) -> list[list[int]]:
     """Crossing graph by plain double loop (no sweep acceleration)."""
     pts = g.points.points
@@ -234,3 +256,96 @@ def brute_maximality_oracle(g: GeometricGraph) -> bool:
         if isinstance(test_biplane(g.with_edges([e])), BiplaneDecomposition):
             return False
     return True
+
+
+def brute_sweep_triangulation(pts):
+    """Lexicographic sweep triangulation that keeps the hull as a list and
+    copies it for every new point (O(n * h)); returns (apex map, hull)."""
+    n = len(pts)
+    order = sorted(range(n), key=lambda i: pts[i])
+    apex = {}
+    chain = [order[0]]
+    hull = None
+    last = -1
+
+    for idx in range(1, n):
+        p = order[idx]
+        if hull is None:
+            if len(chain) == 1 or cross(pts[chain[0]], pts[chain[-1]], pts[p]) == 0:
+                chain.append(p)
+                continue
+            turn = cross(pts[chain[0]], pts[chain[-1]], pts[p])
+            for u, v in zip(chain, chain[1:]):
+                _add_triangle(pts, apex, p, u, v)
+            hull = chain + [p] if turn > 0 else chain[::-1] + [p]
+            last = len(hull) - 1
+            continue
+
+        h = len(hull)
+
+        def visible(i: int) -> bool:
+            return cross(pts[hull[i]], pts[hull[(i + 1) % h]], pts[p]) < 0
+
+        if visible(last):
+            start = last
+        elif visible((last - 1) % h):
+            start = (last - 1) % h
+        else:
+            start = next((i for i in range(h) if visible(i)), -1)
+            if start < 0:
+                raise GeometryError("sweep: new point sees no hull edge")
+        lo = start
+        while visible((lo - 1) % h):
+            lo = (lo - 1) % h
+            if lo == start:
+                raise GeometryError("sweep: hull fully visible")
+        hi = (start + 1) % h
+        while visible(hi):
+            hi = (hi + 1) % h
+            if hi == start:
+                raise GeometryError("sweep: hull fully visible")
+        span = []
+        i = lo
+        while True:
+            span.append(hull[i])
+            if i == hi:
+                break
+            i = (i + 1) % h
+        for u, v in zip(span, span[1:]):
+            _add_triangle(pts, apex, p, u, v)
+        keep = []
+        i = hi
+        while True:
+            keep.append(hull[i])
+            if i == lo:
+                break
+            i = (i + 1) % h
+        keep.append(p)
+        hull = keep
+        last = len(hull) - 1
+
+    if hull is None:
+        raise ValueError("all points are collinear; cannot triangulate")
+    return apex, hull
+
+
+def reference_augment(g: GeometricGraph, *, collect_trace: bool = False) -> AugmentResult:
+    """maximal_augment (n >= 3) through the public per-edge API: every
+    popped purple edge is tested with is_colorblind_flippable and flipped
+    with apply_flip, which evaluates its clause a second time."""
+    state = build_state(g, collect_trace=collect_trace)
+    while state.queue:
+        e = state.queue.popleft()
+        if e not in state.purple:
+            continue
+        if not is_colorblind_flippable(state, e):
+            continue
+        apply_flip(state, e)
+    if not certify_maximal(state):
+        raise GeometryError("queue drained but a flippable purple edge remains")
+    red = tuple(state.red_edges())
+    blue = tuple(state.blue_edges())
+    layer2 = tuple(e for e in blue if e not in state.purple)
+    graph = GeometricGraph(g.points, tuple(sorted(state.edges)))
+    trace = tuple(state.trace) if state.trace is not None else None
+    return AugmentResult(graph, BiplaneDecomposition(red, layer2), red, blue, state, trace)

@@ -376,3 +376,19 @@ def test_criterion_10_scaling_nonempty_input(empty_input_runs):
     assert slope < 1.5, f"fitted exponent {slope:.2f}"
     assert times[4000] < 60.0, f"n=4000 took {times[4000]:.1f}s"
     _report(10, f"scaling-nonempty (exponent {slope:.2f}, t4000 {times[4000]:.2f}s)")
+
+
+def test_criterion_10_scaling_convex_empty_input():
+    # In convex position every point stays on the sweep's hull, so any
+    # per-point work proportional to the hull makes augmentation quadratic.
+    times = {}
+    for n in (1000, 2000, 4000):
+        g = GeometricGraph(gen_convex(n), ())
+        t0 = time.perf_counter()
+        res = maximal_augment(g)
+        times[n] = time.perf_counter() - t0
+        assert res.graph.m == 3 * n - 6
+    slope = _fitted_exponent(times)
+    assert slope < 1.5, f"fitted exponent {slope:.2f}"
+    assert times[4000] < 60.0, f"n=4000 took {times[4000]:.1f}s"
+    _report(10, f"scaling-convex (exponent {slope:.2f}, t4000 {times[4000]:.2f}s)")

@@ -6,6 +6,7 @@ from _helpers import (
     layer_is_plane,
     random_biplane_graph,
     random_strict_points,
+    reference_augment,
 )
 
 from biplanekit.analysis import maximality_oracle
@@ -20,8 +21,8 @@ from biplanekit.augmentation import (
     maximal_augment,
 )
 from biplanekit.constructions import gen_arc_in_triangle, gen_convex
-from biplanekit.geometry import PointSet, convex_hull, edge, segments_cross
-from biplanekit.graphs import GeometricGraph
+from biplanekit.geometry import PointSet, Strictness, convex_hull, edge, segments_cross
+from biplanekit.graphs import GeometricGraph, relaxed_edge_violations
 from biplanekit.triangulation import triangulation_from_edges
 
 
@@ -428,3 +429,46 @@ def test_trace_records_faces_merged_and_new_edges():
     for rec in res.trace:
         assert rec.new_edge in set(res.graph.edges)
         assert rec.clause in ("red", "blue", "cross")
+
+
+def isolated_anchor_graph() -> GeometricGraph:
+    # Hexagon 0..5 around vertex 6: the input forces triangle 0-2-4 plus its
+    # spokes into one layer and 1-3-5 plus its spokes into the other, so no
+    # edge at 6 is in both triangulations.  Points 7..9 leave room to flip.
+    coords = [(10, 0), (5, 9), (-5, 10), (-10, 1), (-4, -9), (6, -8), (1, 2)]
+    coords += [(30, 31), (-27, 40), (3, -33)]
+    spokes = [(0, 2), (2, 4), (0, 4), (0, 6), (2, 6), (4, 6)]
+    spokes += [(1, 3), (3, 5), (1, 5), (1, 6), (3, 6), (5, 6)]
+    return GeometricGraph(PointSet.from_coords(coords), tuple(spokes))
+
+
+def test_fast_loop_matches_reference_loop():
+    # maximal_augment hands each popped edge's clause to the flip; the
+    # reference goes through is_colorblind_flippable and apply_flip.
+    rng = random.Random(31)
+    graphs = [isolated_anchor_graph()]
+    state = build_state(graphs[0])
+    assert 6 not in {v for e in state.purple for v in e}
+    for _ in range(40):
+        n = rng.randint(4, 40)
+        ps = random_strict_points(rng, n)
+        graphs.append(random_biplane_graph(rng, ps, rng.randint(0, 2 * n)))
+    while len(graphs) < 70:
+        k = rng.randint(3, 7)
+        cells = [(x, y) for x in range(k) for y in range(k)]
+        # More than k cells of a k x k lattice are never all collinear.
+        ps = PointSet.from_coords(rng.sample(cells, rng.randint(k + 1, k * k)), Strictness.RELAXED)
+        g = random_biplane_graph(rng, ps, rng.randint(0, 2 * len(ps)))
+        if not relaxed_edge_violations(g):
+            graphs.append(g)
+    clauses = set()
+    for g in graphs:
+        res = maximal_augment(g, collect_trace=True)
+        ref = reference_augment(g, collect_trace=True)
+        assert res.graph.edges == ref.graph.edges
+        assert res.red_layer == ref.red_layer
+        assert res.blue_layer == ref.blue_layer
+        assert res.decomposition == ref.decomposition
+        assert res.trace == ref.trace
+        clauses.update(rec.clause for rec in res.trace)
+    assert clauses == {"red", "blue", "cross"}

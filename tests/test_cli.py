@@ -255,18 +255,17 @@ def test_triangulate_short_edge_block_is_an_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["augment", "--relaxed"], ["triangulate", "--relaxed"]],
-    ids=["augment", "triangulate"],
+    "command", ["augment", "triangulate", "check", "analyze", "render"]
 )
-def test_edge_through_vertex_exit_two(tmp_path, capsys, argv):
-    # Edge 0-2 passes through vertex 1.
+def test_edge_through_vertex_exit_two(tmp_path, capsys, command):
+    # Edge 0-2 passes through vertex 1; every command that reads edges
+    # rejects the relaxed file before using it.
     f = tmp_path / "through.graph"
     f.write_text("5\n0 0\n1 0\n2 0\n1 5\n1 -5\n1\n0 2\n")
-    assert run(argv + [str(f)]) == 2
-    err = capsys.readouterr().err
-    assert "constraint (0, 2) passes through vertex 1" in err
-    assert "Traceback" not in err
+    assert run([command, "--relaxed", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert "error: edge (0, 2) passes through vertex 1" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(

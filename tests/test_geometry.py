@@ -1,5 +1,5 @@
 import pytest
-from _helpers import brute_validate
+from _helpers import brute_relaxed_edge_violations, brute_validate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +17,7 @@ from biplanekit.geometry import (
     segments_cross,
     validate,
 )
+from biplanekit.graphs import GeometricGraph, relaxed_edge_violations
 
 P = Point
 
@@ -134,6 +135,29 @@ def test_validate_matches_triple_scan(cells, scale, shift):
     # their directions need reducing by a common divisor.
     ps = PointSet.from_coords([(scale * x + shift[0], scale * y + shift[1]) for x, y in cells])
     assert validate(ps) == brute_validate(ps)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        min_size=3,
+        max_size=14,
+        unique=True,
+    ),
+    st.integers(min_value=1, max_value=1000),
+    st.tuples(coords, coords),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200)
+def test_relaxed_edge_violations_match_scan(cells, scale, shift, rng):
+    ps = PointSet.from_coords(
+        [(scale * x + shift[0], scale * y + shift[1]) for x, y in cells],
+        Strictness.RELAXED,
+    )
+    n = len(ps)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    g = GeometricGraph(ps, tuple(e for e in pairs if rng.random() < 0.4))
+    assert relaxed_edge_violations(g) == brute_relaxed_edge_violations(g)
 
 
 def test_pointset_rejects_duplicates_and_huge_coords():

@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from _helpers import brute_crossed_edges, random_strict_points
+from _helpers import brute_crossed_edges, brute_sweep_triangulation, random_strict_points
 
 from biplanekit import triangulation
 from biplanekit.augmentation import maximal_augment
-from biplanekit.constructions import gen_grid
+from biplanekit.constructions import gen_convex, gen_grid
 from biplanekit.geometry import PointSet, Strictness, convex_hull, edge
 from biplanekit.graphs import GeometricGraph
 from biplanekit.triangulation import (
@@ -14,6 +14,7 @@ from biplanekit.triangulation import (
     complete_to_triangulation,
     enumerate_triangulations,
     plane_face_walks,
+    trace_face_walks,
     triangulation_from_edges,
 )
 
@@ -199,6 +200,67 @@ def test_sweep_boundary_is_convex_hull_up_to_rotation():
         b = list(complete_to_triangulation(ps).boundary)
         k = b.index(hull[0])
         assert b[k:] + b[:k] == hull
+
+
+def test_ring_sweep_matches_brute_sweep():
+    # Same apex map (in insertion order) and the same boundary list.
+    rng = random.Random(23)
+    sets = [gen_convex(40).points, gen_grid(6).graph.points]
+    for m in (3, 7):
+        line = [(3 * i, 2 - i) for i in range(m)]
+        sets.append(PointSet.from_coords(line, Strictness.RELAXED).points)
+        sets.append(PointSet.from_coords(line + [(1, 5)], Strictness.RELAXED).points)
+    for _ in range(100):
+        sets.append(random_strict_points(rng, rng.randint(3, 60)).points)
+    for _ in range(100):
+        k = rng.randint(2, 8)
+        cells = [(x, y) for x in range(k) for y in range(k)]
+        coords = rng.sample(cells, rng.randint(3, k * k))
+        sets.append(PointSet.from_coords(coords, Strictness.RELAXED).points)
+    collinear = 0
+    for pts in sets:
+        try:
+            want = brute_sweep_triangulation(pts)
+        except ValueError:
+            collinear += 1
+            with pytest.raises(ValueError):
+                triangulation._sweep_triangulation(pts)
+            continue
+        apex, hull = triangulation._sweep_triangulation(pts)
+        assert list(apex.items()) == list(want[0].items())
+        assert hull == want[1]
+    assert collinear == 2
+
+
+def test_apex_rotation_matches_angular_rotation():
+    # Triangulation.rotation equals the angular sort up to a cyclic shift,
+    # and the face walks traced from either are the same.
+    rng = random.Random(29)
+    sets = [gen_grid(5).graph.points]
+    for _ in range(30):
+        sets.append(random_strict_points(rng, rng.randint(3, 40)))
+        cells = [(x, y) for x in range(6) for y in range(6)]
+        coords = rng.sample(cells, rng.randint(4, 24))
+        sets.append(PointSet.from_coords(coords, Strictness.RELAXED))
+    hull_multi = degree_one = 0
+    for ps in sets:
+        try:
+            t = complete_to_triangulation(ps)
+        except ValueError:
+            continue  # all points collinear
+        for density in (1.0, 0.6, 0.3):
+            sub = [e for e in t.sorted_edges() if rng.random() < density]
+            got = t.rotation(sub)
+            want, _, walk_of, walks = plane_face_walks(ps.points, sub)
+            assert got.keys() == want.keys()
+            for v, order in got.items():
+                k = want[v].index(order[0])
+                assert want[v][k:] + want[v][:k] == order
+                hull_multi += v in t.boundary and len(order) > 1
+                degree_one += len(order) == 1
+            _, walk_of2, walks2 = trace_face_walks(got, sub)
+            assert (walk_of2, walks2) == (walk_of, walks)
+    assert hull_multi > 100 and degree_one > 20
 
 
 def test_enumerate_convex4_two():

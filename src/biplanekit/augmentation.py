@@ -440,8 +440,8 @@ def maximal_augment(
 
     Returns the maximal graph together with a disjoint two-layer witness and
     the two (overlapping) triangulations it decomposes into.  Raises
-    NotBiplaneError when the input is not biplane.  The input point set must
-    be in strict general position.
+    NotBiplaneError when the input is not biplane, and ValueError when an
+    input edge on a relaxed point set has a vertex inside it.
     """
     ps = g.points
     n = len(ps)
@@ -462,9 +462,17 @@ def maximal_augment(
             _flip(state, e, cl)
     if not certify_maximal(state):
         raise GeometryError("queue drained but a flippable purple edge remains")
-    red = tuple(state.red_edges())
-    blue = tuple(state.blue_edges())
-    layer2 = tuple(e for e in blue if e not in purple)
+    # One color lookup per chord splits the chords; each layer is the
+    # purple edges plus its chords.
+    chords: tuple[list[Edge], list[Edge]] = ([], [])
+    color0, parity, anchor = state.chord_color0, state.faces.parity, state.chord_anchor
+    for e in anchor:
+        chords[color0[e] ^ parity(anchor[e])].append(e)
+    shared = sorted(purple)
+    blue_chords = sorted(chords[BLUE])
+    red = tuple(sorted(shared + chords[RED]))
+    blue = tuple(sorted(shared + blue_chords))
+    layer2 = tuple(blue_chords)
     graph = GeometricGraph(ps, tuple(sorted(state.edges)))
     deco = BiplaneDecomposition(red, layer2)
     trace = tuple(state.trace) if state.trace is not None else None

@@ -37,7 +37,7 @@ from .fileio import (
     parse_points_or_graph,
 )
 from .geometry import PointSet, Strictness, convex_hull, validate
-from .graphs import GeometricGraph, relaxed_edge_violations
+from .graphs import GeometricGraph, check_relaxed_edges
 from .recognition import BiplaneDecomposition, OddCycleWitness, TooManyEdges, test_biplane
 from .svgrender import render_svg
 from .triangulation import (
@@ -69,10 +69,7 @@ def _load(args: argparse.Namespace, path: str, parse):
         if not rep.ok:
             raise ValueError(rep.message)
     elif isinstance(data, GeometricGraph):
-        bad = relaxed_edge_violations(data)
-        if bad:
-            v, e = bad[0]
-            raise ValueError(f"edge {e} passes through vertex {v}")
+        check_relaxed_edges(data)
     return data
 
 

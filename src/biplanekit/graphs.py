@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
-from .geometry import Edge, Point, PointSet, edge
+from .geometry import Edge, Point, PointSet, Strictness, edge
 
 
 @dataclass(frozen=True)
@@ -98,3 +98,17 @@ def relaxed_edge_violations(g: GeometricGraph) -> list[tuple[int, Edge]]:
             k = gcd(dx, dy)
             inside[e] = [v for s, v in rays[(dx // k, dy // k)] if s < k]
     return [(v, e) for e in g.edges for v in inside.get(e, ())]
+
+
+def check_relaxed_edges(g: GeometricGraph) -> None:
+    """Enforce the relaxed contract: no vertex lies inside an edge.
+
+    Raises ValueError naming the first (vertex, edge) pair that
+    relaxed_edge_violations reports.  Strict point sets cannot break the
+    rule, so for them this is one test of the point set's mode.
+    """
+    if g.points.strictness is Strictness.RELAXED:
+        bad = relaxed_edge_violations(g)
+        if bad:
+            v, e = bad[0]
+            raise ValueError(f"edge {e} passes through vertex {v}")

@@ -9,6 +9,13 @@ precomputed per edge, and two more only if those do not already rule the
 crossing out: about 0.4 us per pair on a 2-vCPU VM, so a maximal graph
 on 500 points in convex position (745,502 such pairs, 123,753
 crossings) takes about 0.3 s.
+
+The maximality oracle in `analysis` shares this module's pieces: the
+per-edge line (`_edge_line`), the same exact test of one segment against
+rows of such lines (`_rows_crossed_by`), and the coloring with its
+component roots (`_recognize`), so it enumerates the crossings once.
+Relaxed graphs with a vertex inside an edge are rejected here, before
+any crossing is looked at.
 """
 
 from __future__ import annotations
@@ -16,9 +23,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
-from .geometry import Edge, segments_cross
-from .graphs import GeometricGraph
+from .geometry import Edge, Point, segments_cross
+from .graphs import GeometricGraph, check_relaxed_edges
 
 
 def biplane_edge_cap(n: int) -> int:
@@ -58,12 +66,21 @@ class TooManyEdges:
 BiplaneResult = BiplaneDecomposition | OddCycleWitness | TooManyEdges
 
 
+def _edge_line(xa: int, ya: int, xb: int, yb: int) -> tuple[int, int, int]:
+    """The line dx*y - dy*x = k through (xa, ya) and (xb, yb), as (dx, dy, k).
+
+    For any point v, dx*v.y - dy*v.x - k equals geometry.cross(a, b, v):
+    positive left of a -> b, negative right of it, zero on the line.
+    """
+    dx, dy = xb - xa, yb - ya
+    return dx, dy, dx * ya - dy * xa
+
+
 def crossing_pairs(g: GeometricGraph) -> list[tuple[int, int]]:
     """All pairs (i, j), i < j, of edge indices whose open segments cross, sorted.
 
     Each edge becomes one row holding its bounding box and its line
-    dx*y - dy*x = k, so that dx*Y[v] - dy*X[v] - k equals
-    geometry.cross(a, b, v).  Rows are sorted by left end; each row is
+    (`_edge_line`).  Rows are sorted by left end; each row is
     tested only against the later rows whose left end lies within its own
     x-extent.  A candidate is rejected when its endpoints lie on one side
     of the row's line or one of them lies on it, and only the survivors
@@ -75,9 +92,8 @@ def crossing_pairs(g: GeometricGraph) -> list[tuple[int, int]]:
     rows = []
     for idx, (a, b) in enumerate(g.edges):
         xa, ya, xb, yb = X[a], Y[a], X[b], Y[b]
-        dx, dy = xb - xa, yb - ya
         box = (min(xa, xb), max(xa, xb), min(ya, yb), max(ya, yb))
-        rows.append((*box, a, b, dx, dy, dx * ya - dy * xa, idx))
+        rows.append((*box, a, b, *_edge_line(xa, ya, xb, yb), idx))
     rows.sort()
     xlos = [r[0] for r in rows]
     pairs: list[tuple[int, int]] = []
@@ -121,35 +137,98 @@ def crossing_graph(g: GeometricGraph) -> list[list[int]]:
     return adj
 
 
-def test_biplane(g: GeometricGraph) -> BiplaneResult:
-    """Decide biplanarity.
+def _rows_crossed_by(
+    rows: list[tuple[int, int, int, int, int, int, int]],
+    X: list[int],
+    Y: list[int],
+    pts: tuple[Point, ...],
+    a: int,
+    b: int,
+) -> Iterator[tuple[int, int]]:
+    """(component, color) of each row whose edge crosses the open segment ab.
 
-    Returns a BiplaneDecomposition, an OddCycleWitness, or TooManyEdges.
-    Deterministic: BFS two-coloring in edge index order, and within each
-    crossing-graph component the lowest-index edge lands in layer1.
+    A row is (c, d, ex, ey, k, component, color): edge cd, its
+    `_edge_line`, and its place in the crossing graph; crossings come out
+    in row order.  This is crossing_pairs' test without the box filter: a
+    row is rejected after two signed areas against ab's line when c and d
+    lie strictly on one side of it or exactly one of them lies on it; c
+    and d both on it go to segments_cross (collinear overlap); the rest
+    cross exactly when a and b lie strictly on opposite sides of the
+    row's own line.
     """
+    xa, ya, xb, yb = X[a], Y[a], X[b], Y[b]
+    dx, dy, k = _edge_line(xa, ya, xb, yb)
+    for c, d, ex, ey, kr, comp, side in rows:
+        s1 = dx * Y[c] - dy * X[c] - k
+        s2 = dx * Y[d] - dy * X[d] - k
+        if s1 > 0:
+            if s2 >= 0:
+                continue
+        elif s1 < 0:
+            if s2 <= 0:
+                continue
+        else:
+            if s2 == 0 and segments_cross(pts[a], pts[b], pts[c], pts[d]):
+                yield comp, side
+            continue
+        t1 = ex * ya - ey * xa - kr
+        t2 = ex * yb - ey * xb - kr
+        if (t1 > 0 and t2 < 0) or (t1 < 0 and t2 > 0):
+            yield comp, side
+
+
+def _recognize(
+    g: GeometricGraph,
+) -> tuple[list[int], list[int]] | OddCycleWitness | TooManyEdges:
+    """Two-color g's crossing graph by BFS in edge index order.
+
+    Returns (color, root): edge i's color, 0 or 1, and the edge whose BFS
+    reached it, the lowest-index edge of its crossing-graph component,
+    which has color 0.  An odd cycle or the edge cap stops it instead.
+    Raises ValueError on a relaxed graph with a vertex inside an edge.
+    """
+    check_relaxed_edges(g)
     n, m = g.n, g.m
     if exceeds_edge_cap(n, m):
         return TooManyEdges(n, m, biplane_edge_cap(n))
     adj = crossing_graph(g)
     color = [-1] * m
     parent = [-1] * m
-    for root in range(m):
-        if color[root] != -1:
+    root = [-1] * m
+    for r in range(m):
+        if color[r] != -1:
             continue
-        color[root] = 0
-        queue = deque([root])
+        color[r] = 0
+        root[r] = r
+        queue = deque([r])
         while queue:
             u = queue.popleft()
             for v in adj[u]:
                 if color[v] == -1:
                     color[v] = color[u] ^ 1
                     parent[v] = u
+                    root[v] = r
                     queue.append(v)
                 elif color[v] == color[u]:
                     return OddCycleWitness(_odd_cycle(g, parent, u, v))
-    layer1 = tuple(g.edges[i] for i in range(m) if color[i] == 0)
-    layer2 = tuple(g.edges[i] for i in range(m) if color[i] == 1)
+    return color, root
+
+
+def test_biplane(g: GeometricGraph) -> BiplaneResult:
+    """Decide biplanarity.
+
+    Returns a BiplaneDecomposition, an OddCycleWitness, or TooManyEdges.
+    Deterministic: BFS two-coloring in edge index order, and within each
+    crossing-graph component the lowest-index edge lands in layer1.
+    Raises ValueError, naming the edge and the vertex, on a relaxed graph
+    with a vertex inside an edge.
+    """
+    verdict = _recognize(g)
+    if not isinstance(verdict, tuple):
+        return verdict
+    color = verdict[0]
+    layer1 = tuple(e for e, c in zip(g.edges, color) if c == 0)
+    layer2 = tuple(e for e, c in zip(g.edges, color) if c == 1)
     return BiplaneDecomposition(layer1, layer2)
 
 

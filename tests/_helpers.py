@@ -249,13 +249,54 @@ def brute_crossed_edges(pts, apex, a, b) -> list[tuple[int, int]]:
 
 
 def brute_maximality_oracle(g: GeometricGraph) -> bool:
-    """Definition-level maximality: every non-edge insertion breaks biplanarity."""
+    """Definition-level maximality: every non-edge insertion breaks biplanarity.
+
+    A non-edge with a vertex strictly inside it is not an edge on a relaxed
+    point set, so it is skipped (found by testing every vertex against it).
+    """
     if not isinstance(test_biplane(g), BiplaneDecomposition):
         raise ValueError("input graph is not biplane")
+    pts = g.points.points
     for e in g.complement_edges():
+        a, b = pts[e[0]], pts[e[1]]
+        if any(point_on_open_segment(p, a, b) for p in pts):
+            continue
         if isinstance(test_biplane(g.with_edges([e])), BiplaneDecomposition):
             return False
     return True
+
+
+def random_lattice_points(rng: random.Random, k: int, lo: int) -> PointSet:
+    """At least lo distinct cells of the k x k lattice, as a RELAXED set.
+
+    More than k cells of a k x k lattice are never all collinear.
+    """
+    cells = [(x, y) for x in range(k) for y in range(k)]
+    return PointSet.from_coords(rng.sample(cells, rng.randint(lo, k * k)), Strictness.RELAXED)
+
+
+def drop_edges_through_vertices(g: GeometricGraph) -> GeometricGraph:
+    """g without the edges that have a vertex strictly inside them."""
+    bad = {e for _, e in brute_relaxed_edge_violations(g)}
+    return GeometricGraph(g.points, tuple(e for e in g.edges if e not in bad))
+
+
+def random_plane_graph(rng: random.Random, ps: PointSet, target: int) -> GeometricGraph:
+    """Greedy random crossing-free graph with no vertex inside an edge."""
+    pts = ps.points
+    n = len(ps)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    rng.shuffle(pairs)
+    edges: list[tuple[int, int]] = []
+    for a, b in pairs:
+        if len(edges) >= target:
+            break
+        if any(point_on_open_segment(p, pts[a], pts[b]) for p in pts):
+            continue
+        if any(segments_cross(pts[a], pts[b], pts[u], pts[v]) for u, v in edges):
+            continue
+        edges.append((a, b))
+    return GeometricGraph(ps, tuple(edges))
 
 
 def brute_sweep_triangulation(pts):

@@ -3,8 +3,10 @@ import random
 import pytest
 from _helpers import (
     brute_maximality_oracle,
+    drop_edges_through_vertices,
     graph_is_connected_after_removal,
     random_biplane_graph,
+    random_lattice_points,
     random_strict_points,
 )
 
@@ -17,7 +19,7 @@ from biplanekit.analysis import (
 )
 from biplanekit.augmentation import maximal_augment
 from biplanekit.constructions import gen_arc_in_triangle, gen_convex, gen_grid, gen_hgon_with_arc
-from biplanekit.geometry import PointSet
+from biplanekit.geometry import PointSet, Strictness
 from biplanekit.graphs import GeometricGraph
 from biplanekit.triangulation import complete_to_triangulation
 
@@ -107,21 +109,28 @@ def test_connectivity_matches_networkx():
 
 
 def test_maximality_oracle_matches_brute_reference():
+    # Relaxed sets are lattice subsets: collinear non-edges through a
+    # vertex, which both oracles skip, and edges that touch end to end.
     rng = random.Random(25)
-    verdicts = set()
-    for trial in range(48):
-        n = rng.randint(5, 24)
-        ps = random_strict_points(rng, n)
-        g = random_biplane_graph(rng, ps, rng.randint(n, 4 * n))
-        if trial % 3:
-            g = maximal_augment(g).graph
-        if trial % 3 == 2:
-            drop = rng.choice(g.edges)
-            g = GeometricGraph(ps, tuple(e for e in g.edges if e != drop))
-        verdict = maximality_oracle(g)
-        assert verdict == brute_maximality_oracle(g)
-        verdicts.add(verdict)
-    assert verdicts == {True, False}
+    for strictness in Strictness:
+        verdicts = set()
+        for trial in range(48):
+            if strictness is Strictness.STRICT:
+                n = rng.randint(5, 24)
+                ps = random_strict_points(rng, n)
+            else:
+                ps = random_lattice_points(rng, rng.randint(3, 6), 5)
+                n = len(ps)
+            g = drop_edges_through_vertices(random_biplane_graph(rng, ps, rng.randint(n, 4 * n)))
+            if trial % 3:
+                g = maximal_augment(g).graph
+            if trial % 3 == 2:
+                drop = rng.choice(g.edges)
+                g = GeometricGraph(ps, tuple(e for e in g.edges if e != drop))
+            verdict = maximality_oracle(g)
+            assert verdict == brute_maximality_oracle(g)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}, strictness
 
 
 def test_maximality_oracles_reject_graph_over_edge_cap():

@@ -5,9 +5,12 @@ import pytest
 from _helpers import (
     layer_is_plane,
     random_biplane_graph,
+    random_plane_graph,
     random_strict_points,
     reference_augment,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biplanekit.analysis import maximality_oracle
 from biplanekit.augmentation import (
@@ -472,3 +475,24 @@ def test_fast_loop_matches_reference_loop():
         assert res.trace == ref.trace
         clauses.update(rec.clause for rec in res.trace)
     assert clauses == {"red", "blue", "cross"}
+
+
+@given(
+    st.integers(min_value=3, max_value=6).flatmap(
+        lambda k: st.lists(
+            st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+            min_size=k + 1,
+            max_size=k * k,
+            unique=True,
+        )
+    ),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_relaxed_lattice_outputs_are_oracle_maximal(cells, rng):
+    # More than k cells of a k x k lattice are never all collinear.
+    ps = PointSet.from_coords(cells, Strictness.RELAXED)
+    for g in (empty_graph(ps), random_plane_graph(rng, ps, rng.randint(1, 2 * len(ps)))):
+        out = maximal_augment(g).graph
+        assert set(g.edges) <= set(out.edges)
+        assert maximality_oracle(out)

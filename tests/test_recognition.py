@@ -1,6 +1,7 @@
 import math
 import random
 
+import pytest
 from _helpers import (
     brute_crossing_adjacency,
     brute_crossing_pairs,
@@ -10,15 +11,27 @@ from _helpers import (
     random_strict_points,
     witness_cycle_is_valid,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from biplanekit.analysis import maximality_oracle
 from biplanekit.augmentation import maximal_augment
 from biplanekit.constructions import gen_convex
-from biplanekit.geometry import PointSet, Strictness, cross
+from biplanekit.geometry import (
+    Point,
+    PointSet,
+    Strictness,
+    cross,
+    point_on_open_segment,
+    segments_cross,
+)
 from biplanekit.graphs import GeometricGraph
 from biplanekit.recognition import (
     BiplaneDecomposition,
     OddCycleWitness,
     TooManyEdges,
+    _edge_line,
+    _rows_crossed_by,
     crossing_graph,
     crossing_pairs,
     exceeds_edge_cap,
@@ -187,3 +200,67 @@ def test_crossing_pairs_match_brute_sweep():
     # The cases above reach the collinear test, including vertical edges
     # that share their x-extent exactly.
     assert overlaps and vertical_overlaps
+
+
+def test_oracle_row_test_matches_segments_cross():
+    # Two segments on a scaled and shifted 4 x 4 lattice, endpoints drawn
+    # independently, so they share endpoints, meet in T-junctions, stand
+    # vertical, and lie on one line overlapping, touching or apart.
+    cell = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    kinds = set()
+
+    @given(
+        st.lists(cell, min_size=4, max_size=4).filter(lambda c: c[0] != c[1] and c[2] != c[3]),
+        st.integers(min_value=1, max_value=1000),
+        st.tuples(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6)),
+    )
+    @settings(max_examples=600, derandomize=True)
+    def check(cells, scale, shift):
+        pts = tuple(Point(scale * x + shift[0], scale * y + shift[1]) for x, y in cells)
+        pa, pb, pc, pd = pts
+        X = [p.x for p in pts]
+        Y = [p.y for p in pts]
+        row = (2, 3, *_edge_line(X[2], Y[2], X[3], Y[3]), 7, 1)
+        got = list(_rows_crossed_by([row], X, Y, pts, 0, 1))
+        want = segments_cross(pa, pb, pc, pd)
+        assert got == ([(7, 1)] if want else [])
+        if {pa, pb} & {pc, pd}:
+            kinds.add("shared endpoint")
+        if pa.x == pb.x or pc.x == pd.x:
+            kinds.add("vertical")
+        if cross(pa, pb, pc) == 0 == cross(pa, pb, pd):
+            if want:
+                kinds.add("collinear overlap")
+            elif {pa, pb} & {pc, pd}:
+                kinds.add("collinear touching")
+            else:
+                kinds.add("collinear apart")
+        elif any(
+            point_on_open_segment(p, q, r)
+            for p, q, r in ((pa, pc, pd), (pb, pc, pd), (pc, pa, pb), (pd, pa, pb))
+        ):
+            kinds.add("T-junction")
+
+    check()
+    assert kinds == {
+        "shared endpoint",
+        "vertical",
+        "collinear overlap",
+        "collinear touching",
+        "collinear apart",
+        "T-junction",
+    }
+
+
+def test_relaxed_edge_through_vertex_rejected_by_library():
+    # (1, 0) lies inside edge (0, 2); the points above and below keep the
+    # set from being collinear.
+    ps = PointSet.from_coords([(0, 0), (1, 0), (2, 0), (1, 5), (1, -5)], Strictness.RELAXED)
+    g = GeometricGraph(ps, ((0, 2),))
+    for call in (test_biplane, maximal_augment, maximality_oracle):
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) passes through vertex 1"):
+            call(g)
+    # Splitting the edge at the vertex gives a valid relaxed graph.
+    valid = GeometricGraph(ps, ((0, 1), (1, 2), (1, 3)))
+    assert isinstance(test_biplane(valid), BiplaneDecomposition)
+    assert not maximality_oracle(valid)

@@ -473,7 +473,7 @@ def maximal_augment(
     red = tuple(sorted(shared + chords[RED]))
     blue = tuple(sorted(shared + blue_chords))
     layer2 = tuple(blue_chords)
-    graph = GeometricGraph(ps, tuple(sorted(state.edges)))
+    graph = GeometricGraph(ps, tuple(state.edges))
     deco = BiplaneDecomposition(red, layer2)
     trace = tuple(state.trace) if state.trace is not None else None
     return AugmentResult(graph, deco, red, blue, state, trace)

@@ -10,7 +10,7 @@ fixed-width backend (Python itself never overflows).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
@@ -36,25 +36,9 @@ class Point(NamedTuple):
     y: int
 
 
-class Orientation(IntEnum):
-    CLOCKWISE = -1
-    COLLINEAR = 0
-    COUNTERCLOCKWISE = 1
-
-
 def cross(o: Point, a: Point, b: Point) -> int:
     """Signed double area of triangle (o, a, b)."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def orientation(p: Point, q: Point, r: Point) -> Orientation:
-    """Turn direction of the path p -> q -> r."""
-    c = cross(p, q, r)
-    if c > 0:
-        return Orientation.COUNTERCLOCKWISE
-    if c < 0:
-        return Orientation.CLOCKWISE
-    return Orientation.COLLINEAR
 
 
 def edge(a: int, b: int) -> Edge:
@@ -249,15 +233,13 @@ def validate(ps: PointSet) -> ValidationReport:
 
 
 def convex_hull(ps: PointSet) -> list[int]:
-    """Convex hull vertex indices in counterclockwise order.
+    """Weak convex hull vertex indices in counterclockwise order.
 
-    For STRICT point sets, strictly collinear boundary runs cannot occur and
-    the hull is the usual strict hull.  For RELAXED sets the weak hull is
-    returned: points lying on the boundary between corners are kept, in
-    boundary order, so that 3n - h - 3 matches triangulations of such sets.
+    Points lying on the boundary between corners are kept, in boundary
+    order, so that 3n - h - 3 matches triangulations of relaxed sets; a
+    STRICT set has no such points, so its hull is the usual strict hull.
     """
     pts = ps.points
-    keep = ps.strictness is Strictness.RELAXED
     n = len(pts)
     if n < 3:
         raise ValueError("convex hull needs at least 3 points")
@@ -268,7 +250,7 @@ def convex_hull(ps: PointSet) -> list[int]:
         for i in seq:
             while len(chain) >= 2:
                 c = cross(pts[chain[-2]], pts[chain[-1]], pts[i])
-                if c < 0 or (c == 0 and not keep):
+                if c < 0:
                     chain.pop()
                 else:
                     break

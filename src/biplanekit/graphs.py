@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
-from .geometry import Edge, Point, PointSet, Strictness, edge
+from .geometry import Edge, PointSet, Strictness, edge
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,6 @@ class GeometricGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def segment(self, e: Edge) -> tuple[Point, Point]:
-        return self.points[e[0]], self.points[e[1]]
 
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]

@@ -13,8 +13,11 @@ on one point set can be completed from a single sweep.  Insertion walks
 along the segment: it starts at the triangle around one endpoint whose wedge
 holds the segment's direction and steps from triangle to triangle through
 the apex map, so it visits only the edges the segment crosses, already in
-order along it.  The crossed edges are removed and the two resulting pockets are
-retriangulated.  The walk reads each vertex's incident edges from a
+order along it.  The crossed edges are removed and the two resulting pockets,
+each weakly visible from the segment, are retriangulated by one stack pass
+along their boundary (Toussaint and Avis, "On a convex hull algorithm for
+polygons and its application to triangulation problems", Pattern
+Recognition 15, 1982).  The walk reads each vertex's incident edges from a
 neighbour index that completion builds after the sweep, only when there are
 constraints, and that insertion keeps current as it removes and adds edges.
 The result is deterministic, idempotent, and contains every input edge.
@@ -35,10 +38,7 @@ from .geometry import (
     cross,
     direction_cmp,
     edge,
-    point_in_triangle_strict,
-    point_on_open_segment,
     proper_cross,
-    segments_cross,
 )
 from .graphs import GeometricGraph
 from .recognition import crossing_pairs
@@ -416,45 +416,22 @@ def _insert_constraint(
     b: int,
 ) -> None:
     """Force edge (a, b) into the triangulation held in `apex` and `nbrs`."""
-    e = edge(a, b)
-    if e in apex:
+    if edge(a, b) in apex:
         return
     pa, pb = pts[a], pts[b]
     crossed = _crossed_edges(pts, apex, nbrs, a, b)
-
-    dead = set()
-    for g in crossed:
-        for w in apex[g]:
-            if w is not None:
-                dead.add(frozenset((g[0], g[1], w)))
-
+    # _crossed_edges has raised if an endpoint lies on the line through ab.
     upper: list[int] = []
     lower: list[int] = []
     for g in crossed:
         for v in g:
-            s = cross(pa, pb, pts[v])
-            if s == 0:
-                raise GeometryError("crossed edge endpoint collinear with constraint")
-            side = upper if s > 0 else lower
+            side = upper if cross(pa, pb, pts[v]) > 0 else lower
             if not side or side[-1] != v:
                 side.append(v)
     for g in crossed:
         del apex[g]
         nbrs[g[0]].discard(g[1])
         nbrs[g[1]].discard(g[0])
-
-    for side in (upper, lower):
-        walk = [a] + side + [b]
-        for u, v in zip(walk, walk[1:]):
-            g = edge(u, v)
-            entry = apex.get(g)
-            if entry is None:
-                raise GeometryError(f"pocket boundary edge {g} missing")
-            for s in (0, 1):
-                w = entry[s]
-                if w is not None and frozenset((g[0], g[1], w)) in dead:
-                    entry[s] = None
-
     _fill_pocket(pts, apex, nbrs, a, b, upper)
     _fill_pocket(pts, apex, nbrs, a, b, lower)
 
@@ -469,61 +446,44 @@ def _fill_pocket(
 ) -> None:
     """Triangulate the pocket bounded by segment (base_u, base_v) and chain.
 
-    At every step the first chain vertex that is not collinear with the base
-    and whose triangle with the base has no chain vertex inside it or on its
-    two new sides, and no chain edge crossing them, is used; such a vertex
-    always exists because the pocket admits a triangulation.
+    Every chain vertex ends an edge that crossed the base, so the pocket is
+    weakly visible from the base and one Graham-scan-like pass along the
+    walk base_u, chain..., base_v triangulates it (Toussaint and Avis,
+    1982): whenever the top two stack vertices and the next walk vertex
+    turn strictly toward the base, their triangle is cut off and the top
+    is popped.  Collinear turns are pushed and never cut.  The pass ends
+    with the stack [base_u, base_v], the last triangle having the base as
+    a side.  The pocket-side apex slots of the walk edges, which named
+    triangles the constraint crossed, are cleared first.
     """
     if not chain:
         return
-    stack = [(base_u, base_v, 0, len(chain))]
-    while stack:
-        x, y, i, j = stack.pop()
-        if i == j:
-            continue
-        px, py = pts[x], pts[y]
-        segs = [(chain[t], chain[t + 1]) for t in range(i, j - 1)]
-        segs.append((x, chain[i]))
-        segs.append((chain[j - 1], y))
-        pick = -1
-        for k in range(i, j):
-            c = chain[k]
-            pc = pts[c]
-            if cross(px, py, pc) == 0:
-                continue
-            ok = True
-            for t in range(i, j):
-                if t == k or chain[t] == c:
-                    continue
-                q = pts[chain[t]]
-                if (
-                    point_in_triangle_strict(q, px, py, pc)
-                    or point_on_open_segment(q, px, pc)
-                    or point_on_open_segment(q, py, pc)
-                ):
-                    ok = False
-                    break
-            if ok:
-                for u, v in segs:
-                    if c in (u, v):
-                        continue
-                    if segments_cross(px, pc, pts[u], pts[v]) or segments_cross(
-                        py, pc, pts[u], pts[v]
-                    ):
-                        ok = False
-                        break
-            if ok:
-                pick = k
+    walk = [base_u, *chain, base_v]
+    # The chain lies on one side of base_u -> base_v; a turn toward the base
+    # has the opposite sign, and the pocket lies on that side of the walk.
+    up = cross(pts[base_u], pts[base_v], pts[chain[0]]) > 0
+    for u, v in zip(walk, walk[1:]):
+        entry = apex.get(edge(u, v))
+        if entry is None:
+            raise GeometryError(f"pocket boundary edge {edge(u, v)} missing")
+        entry[(u < v) == up] = None
+    stack = [base_u]
+    for v in walk[1:]:
+        pv = pts[v]
+        while len(stack) >= 2:
+            x, y = stack[-2], stack[-1]
+            c = cross(pts[x], pts[y], pv)
+            if c == 0 or (c > 0) == up:
                 break
-        if pick < 0:
-            raise GeometryError("pocket retriangulation found no valid vertex")
-        c = chain[pick]
-        _add_triangle(pts, apex, x, y, c)
-        for u, v in ((x, y), (y, c), (c, x)):
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        stack.append((x, c, i, pick))
-        stack.append((c, y, pick + 1, j))
+            _add_triangle(pts, apex, x, y, v)
+            nbrs[x].add(v)
+            nbrs[v].add(x)
+            stack.pop()
+        stack.append(v)
+    if stack != [base_u, base_v]:
+        raise GeometryError(
+            f"pocket on ({base_u}, {base_v}) is not weakly visible from its base"
+        )
 
 
 # ---------------------------------------------------------------------------

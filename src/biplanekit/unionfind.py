@@ -50,9 +50,6 @@ class ParityDSU:
         root, par = self.find(x)
         return par ^ self.flip[root]
 
-    def same(self, a: int, b: int) -> bool:
-        return self.find(a)[0] == self.find(b)[0]
-
     def union(self, a: int, b: int) -> int:
         """Merge the components of a and b, preserving every parity."""
         ra, _ = self.find(a)

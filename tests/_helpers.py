@@ -13,6 +13,7 @@ from biplanekit.geometry import (
     ValidationReport,
     cross,
     edge,
+    point_in_triangle_strict,
     point_on_open_segment,
     segments_cross,
     validate,
@@ -246,6 +247,66 @@ def brute_crossed_edges(pts, apex, a, b) -> list[tuple[int, int]]:
         return Fraction((u.x - pa.x) * ey - (u.y - pa.y) * ex, dx * ey - dy * ex)
 
     return sorted(crossed, key=t_param)
+
+
+def brute_fill_pocket(pts, apex, nbrs, base_u, base_v, chain) -> None:
+    """Triangulate the pocket bounded by segment (base_u, base_v) and chain.
+
+    At every step the first chain vertex that is not collinear with the base
+    and whose triangle with the base has no chain vertex inside it or on its
+    two new sides, and no chain edge crossing them, is used; such a vertex
+    always exists because the pocket admits a triangulation.
+    """
+    if not chain:
+        return
+    stack = [(base_u, base_v, 0, len(chain))]
+    while stack:
+        x, y, i, j = stack.pop()
+        if i == j:
+            continue
+        px, py = pts[x], pts[y]
+        segs = [(chain[t], chain[t + 1]) for t in range(i, j - 1)]
+        segs.append((x, chain[i]))
+        segs.append((chain[j - 1], y))
+        pick = -1
+        for k in range(i, j):
+            c = chain[k]
+            pc = pts[c]
+            if cross(px, py, pc) == 0:
+                continue
+            ok = True
+            for t in range(i, j):
+                if t == k or chain[t] == c:
+                    continue
+                q = pts[chain[t]]
+                if (
+                    point_in_triangle_strict(q, px, py, pc)
+                    or point_on_open_segment(q, px, pc)
+                    or point_on_open_segment(q, py, pc)
+                ):
+                    ok = False
+                    break
+            if ok:
+                for u, v in segs:
+                    if c in (u, v):
+                        continue
+                    if segments_cross(px, pc, pts[u], pts[v]) or segments_cross(
+                        py, pc, pts[u], pts[v]
+                    ):
+                        ok = False
+                        break
+            if ok:
+                pick = k
+                break
+        if pick < 0:
+            raise GeometryError("pocket retriangulation found no valid vertex")
+        c = chain[pick]
+        _add_triangle(pts, apex, x, y, c)
+        for u, v in ((x, y), (y, c), (c, x)):
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        stack.append((x, c, i, pick))
+        stack.append((c, y, pick + 1, j))
 
 
 def brute_maximality_oracle(g: GeometricGraph) -> bool:

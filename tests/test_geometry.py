@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 
 from biplanekit.geometry import (
     COORD_LIMIT,
-    Orientation,
     Point,
     PointSet,
     Strictness,
     convex_hull,
     cross,
     edge,
-    orientation,
     point_on_open_segment,
     segments_cross,
     validate,
@@ -22,10 +20,16 @@ from biplanekit.graphs import GeometricGraph, relaxed_edge_violations
 P = Point
 
 
+def turn(p: Point, q: Point, r: Point) -> int:
+    """Sign of cross: 1 counterclockwise, 0 collinear, -1 clockwise."""
+    c = cross(p, q, r)
+    return (c > 0) - (c < 0)
+
+
 def test_orientation_examples():
-    assert orientation(P(0, 0), P(1, 0), P(0, 1)) is Orientation.COUNTERCLOCKWISE
-    assert orientation(P(0, 0), P(1, 1), P(2, 2)) is Orientation.COLLINEAR
-    assert orientation(P(0, 0), P(0, 1), P(1, 0)) is Orientation.CLOCKWISE
+    assert turn(P(0, 0), P(1, 0), P(0, 1)) == 1
+    assert turn(P(0, 0), P(1, 1), P(2, 2)) == 0
+    assert turn(P(0, 0), P(0, 1), P(1, 0)) == -1
 
 
 coords = st.integers(min_value=-(10**6), max_value=10**6)
@@ -34,10 +38,10 @@ points = st.builds(P, coords, coords)
 
 @given(points, points, points)
 def test_orientation_antisymmetric_under_swaps(p, q, r):
-    base = orientation(p, q, r)
-    assert orientation(q, p, r) == -base
-    assert orientation(p, r, q) == -base
-    assert orientation(r, q, p) == -base
+    base = turn(p, q, r)
+    assert turn(q, p, r) == -base
+    assert turn(p, r, q) == -base
+    assert turn(r, q, p) == -base
 
 
 @given(points, points, points, points)

@@ -1,12 +1,19 @@
 import random
 
 import pytest
-from _helpers import brute_crossed_edges, brute_sweep_triangulation, random_strict_points
+from _helpers import (
+    brute_crossed_edges,
+    brute_fill_pocket,
+    brute_sweep_triangulation,
+    random_lattice_points,
+    random_plane_graph,
+    random_strict_points,
+)
 
 from biplanekit import triangulation
 from biplanekit.augmentation import maximal_augment
 from biplanekit.constructions import gen_convex, gen_grid
-from biplanekit.geometry import PointSet, Strictness, convex_hull, edge
+from biplanekit.geometry import PointSet, Strictness, convex_hull, cross, edge
 from biplanekit.graphs import GeometricGraph
 from biplanekit.triangulation import (
     FlipStatus,
@@ -106,6 +113,99 @@ def test_relaxed_grid_layer_subsets_complete():
                     GeometricGraph(ps, tuple(t.sorted_edges()))
                 )
                 assert again.edge_set() == t.edge_set()
+
+
+def _doubled_area(pts, triangles) -> int:
+    return sum(abs(cross(pts[u], pts[v], pts[w])) for u, v, w in triangles)
+
+
+def test_scan_fill_matches_brute_fill_per_pocket(monkeypatch):
+    # Each pocket that completion fills is also filled by the reference
+    # search on an empty apex map; both must cover the pocket with
+    # len(chain) strictly oriented triangles.  The fill's calls to the
+    # geometry predicates are counted: one linear pass makes at most
+    # 2 * len(chain) + 1 turn tests plus three per triangle.
+    fill = triangulation._fill_pocket
+    add = triangulation._add_triangle
+    names = [
+        name
+        for name in ("cross", "proper_cross", "segments_cross",
+                     "point_in_triangle_strict", "point_on_open_segment")
+        if hasattr(triangulation, name)
+    ]
+    pockets = {"strict": 0, "lattice": 0, "grid": 0}
+    family = ["strict"]
+    collinear = [0]
+
+    def checked(pts, apex, nbrs, a, b, chain):
+        walk = [a, *chain, b]
+        collinear[0] += sum(
+            cross(pts[u], pts[v], pts[w]) == 0
+            for u, v, w in zip(walk, walk[1:], walk[2:])
+        )
+        calls = [0]
+        added = []
+
+        def counting(f):
+            def wrapper(*args):
+                calls[0] += 1
+                return f(*args)
+
+            return wrapper
+
+        def recording(pts_, apex_, u, v, w):
+            added.append((u, v, w))
+            add(pts_, apex_, u, v, w)
+
+        with monkeypatch.context() as m:
+            for name in names:
+                m.setattr(triangulation, name, counting(getattr(triangulation, name)))
+            m.setattr(triangulation, "_add_triangle", recording)
+            fill(pts, apex, nbrs, a, b, chain)
+        assert calls[0] <= 6 * (len(chain) + 1), (len(chain), calls[0])
+
+        scratch = {}
+        brute_fill_pocket(pts, scratch, [set() for _ in pts], a, b, chain)
+        brute = {
+            tuple(sorted((g[0], g[1], w)))
+            for g, slots in scratch.items()
+            for w in slots
+            if w is not None
+        }
+        for tris in (added, brute):
+            assert len(tris) == len(chain)
+            assert all(cross(pts[u], pts[v], pts[w]) != 0 for u, v, w in tris)
+        assert _doubled_area(pts, added) == _doubled_area(pts, brute)
+        pockets[family[0]] += 1
+
+    monkeypatch.setattr(triangulation, "_fill_pocket", checked)
+    rng = random.Random(41)
+    for _ in range(30):
+        ps = random_strict_points(rng, rng.randint(6, 50))
+        blue = maximal_augment(GeometricGraph(ps, ())).blue_layer
+        subset = tuple(e for e in blue if rng.random() < 0.6)
+        complete_to_triangulation(GeometricGraph(ps, subset))
+    family[0] = "lattice"
+    for _ in range(60):
+        ps = random_lattice_points(rng, rng.randint(4, 9), 10)
+        g = random_plane_graph(rng, ps, rng.randint(1, 3 * len(ps)))
+        complete_to_triangulation(g)
+    family[0] = "grid"
+    for k in range(5, 11):
+        res = maximal_augment(gen_grid(k).graph)
+        for layer in (res.red_layer, res.blue_layer):
+            subset = tuple(e for e in layer if rng.random() < 0.5)
+            complete_to_triangulation(GeometricGraph(res.graph.points, subset))
+    assert min(pockets.values()) > 50, pockets
+    assert collinear[0] > 0
+
+
+def test_grid_reaugmentation_returns_the_grid():
+    # Both layers are completed from thousands of constraints on lattice
+    # points; the maximal grid comes back edge for edge.
+    for k in [*range(5, 21), 30, 40]:
+        g = gen_grid(k).graph
+        assert maximal_augment(g).graph.edges == g.edges
 
 
 def test_flip_of_quad_diagonal():

@@ -127,12 +127,14 @@ def test_scan_fill_matches_brute_fill_per_pocket(monkeypatch):
     # 2 * len(chain) + 1 turn tests plus three per triangle.
     fill = triangulation._fill_pocket
     add = triangulation._add_triangle
-    names = [
-        name
-        for name in ("cross", "proper_cross", "segments_cross",
-                     "point_in_triangle_strict", "point_on_open_segment")
-        if hasattr(triangulation, name)
-    ]
+    predicates = (
+        "cross",
+        "proper_cross",
+        "segments_cross",
+        "point_in_triangle_strict",
+        "point_on_open_segment",
+    )
+    names = [name for name in predicates if hasattr(triangulation, name)]
     pockets = {"strict": 0, "lattice": 0, "grid": 0}
     family = ["strict"]
     collinear = [0]

@@ -6,13 +6,13 @@ the crossing graph once, and each non-edge is tried by a parity check of
 the edges it crosses (non-edges through a vertex are skipped on relaxed
 point sets, found by one relaxed_edge_violations pass over all
 non-edges).  The crossings of one non-edge are found with recognition's
-exact kernel, two signed areas against the non-edge's line per edge and
-two more against the edge's stored line only when those do not already
-rule the crossing out.  That is about 0.5 us per edge scanned on a
-2-vCPU VM; on maximal random graphs a non-edge meets a clash after about
-30 edges, so n = 200 (18,922 non-edges) takes about 0.4 s.  Maximum size is
-found by enumerating all triangulation pairs.  They exist to verify the
-fast algorithms on desk-scale instances.
+exact kernel `_crossed`, the one that `crossing_pairs` runs: a y-extent test,
+two signed areas against the non-edge's line per edge, and two more
+against the edge's stored line only when those do not already rule the
+crossing out.  On maximal random graphs a non-edge meets a clash after
+about 30 edges, so n = 200 (18,926 non-edges) takes about 0.5 s on a
+2-vCPU VM.  Maximum size is found by enumerating all triangulation
+pairs.  They exist to verify the fast algorithms on desk-scale instances.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .augmentation import maximal_augment
 from .geometry import Edge, PointSet, Strictness, edge
 from .graphs import GeometricGraph, relaxed_edge_violations
-from .recognition import _edge_line, _recognize, _rows_crossed_by, exceeds_edge_cap
+from .recognition import _crossed, _edge_rows, _recognize, exceeds_edge_cap
 from .triangulation import enumerate_triangulations
 
 
@@ -175,21 +175,15 @@ def maximality_oracle(g: GeometricGraph) -> bool:
     if exceeds_edge_cap(g.n, g.m + 1):
         return True
     color, root = coloring
-    pts = g.points.points
-    X = [p[0] for p in pts]
-    Y = [p[1] for p in pts]
-    rows = [
-        (c, d, *_edge_line(X[c], Y[c], X[d], Y[d]), root[i], color[i])
-        for i, (c, d) in enumerate(g.edges)
-    ]
+    rows = _edge_rows(g, zip(root, color))
     # Longest edges first: they cross the most non-edges, so a clash is
     # found early, and the scan's length depends on the geometry alone,
     # not on how the vertices are labelled.
     rows.sort(
         key=lambda r: (
-            -((X[r[0]] - X[r[1]]) ** 2 + (Y[r[0]] - Y[r[1]]) ** 2),
-            min(pts[r[0]], pts[r[1]]),
-            max(pts[r[0]], pts[r[1]]),
+            -((r[4] - r[6]) ** 2 + (r[5] - r[7]) ** 2),
+            min(r[4:6], r[6:8]),
+            max(r[4:6], r[6:8]),
         )
     )
     non_edges = g.complement_edges()
@@ -197,11 +191,13 @@ def maximality_oracle(g: GeometricGraph) -> bool:
     if g.points.strictness is Strictness.RELAXED:
         blocked = relaxed_edge_violations(GeometricGraph(g.points, tuple(non_edges)))
         through_vertex = {e for _, e in blocked}
+    pts = g.points.points
     for e in non_edges:
         if e in through_vertex:
             continue
         seen: dict[int, int] = {}
-        for comp, side in _rows_crossed_by(rows, X, Y, pts, *e):
+        (xa, ya), (xb, yb) = pts[e[0]], pts[e[1]]
+        for comp, side in _crossed(rows, 0, len(rows), xa, ya, xb, yb):
             if seen.setdefault(comp, side) != side:
                 break
         else:

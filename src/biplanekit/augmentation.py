@@ -27,19 +27,27 @@ flip instead of being tested again.
 
 Building the state completes both layers from one sweep of the bare points
 and reads the purple rotation system off the red triangulation's apex map,
-so indexing the purple faces needs no angular sort.
+so indexing the purple faces needs no angular sort.  Chords need no
+angular predicate either: walking counterclockwise around a chord's
+endpoint in the chord's own layer, the last purple dart passed names the
+face the chord lies in.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
-from .geometry import Edge, Point, PointSet, cross, dir_in_ccw_sector, edge, proper_cross
+from .geometry import Edge, PointSet, cross, edge, proper_cross
 from .graphs import GeometricGraph
 from .recognition import BiplaneDecomposition, BiplaneResult, test_biplane
-from .triangulation import GeometryError, complete_layers, plane_face_walks, trace_face_walks
+from .triangulation import (
+    GeometryError,
+    Triangulation,
+    complete_layers,
+    plane_face_walks,
+    trace_face_walks,
+)
 from .unionfind import ParityDSU
 
 RED = 0
@@ -199,31 +207,24 @@ class AugmentResult:
     trace: tuple[FlipRecord, ...] | None
 
 
-def _wedge_anchor(
-    pts: Iterable[Point],
-    rot: dict[int, list[int]],
-    walk_of: dict[tuple[int, int], int],
-    iso_anchor: dict[int, int],
-    v: int,
-    toward: int,
-) -> int:
-    """Anchor of the face containing the direction v -> toward at vertex v."""
-    nbrs = rot.get(v)
-    if not nbrs:
-        return iso_anchor[v]
-    if len(nbrs) == 1:
-        return walk_of[(v, nbrs[0])]
-    pv = pts[v]
-    pt = pts[toward]
-    d = Point(pt.x - pv.x, pt.y - pv.y)
-    k = len(nbrs)
-    for i in range(k):
-        u, w = nbrs[i], nbrs[(i + 1) % k]
-        du = Point(pts[u].x - pv.x, pts[u].y - pv.y)
-        dw = Point(pts[w].x - pv.x, pts[w].y - pv.y)
-        if dir_in_ccw_sector(d, du, dw):
-            return walk_of[(v, u)]
-    raise GeometryError(f"chord ({v}, {toward}) collinear with a purple edge")
+def _chord_walks(
+    t: Triangulation, v: int, u0: int, walk_of: dict[tuple[int, int], int], iso: int | None
+) -> dict[int, int]:
+    """Face walk of each chord of t at v, keyed by the chord's other end.
+
+    Counterclockwise around v, a chord leaves v into the purple face left
+    of the last purple dart passed before it; `iso` stands in for that
+    face when no purple edge meets v.
+    """
+    ring = t.ring(v, u0)
+    last = next((walk_of[(v, u)] for u in reversed(ring) if (v, u) in walk_of), iso)
+    walks: dict[int, int] = {}
+    for u in ring:
+        if (v, u) in walk_of:
+            last = walk_of[(v, u)]
+        else:
+            walks[u] = last
+    return walks
 
 
 def build_state(
@@ -234,7 +235,6 @@ def build_state(
     if not isinstance(verdict, BiplaneDecomposition):
         raise NotBiplaneError(verdict)
     ps = g.points
-    pts = ps.points
     t_red, t_blue = complete_layers(ps, (verdict.layer1, verdict.layer2))
     red_set = t_red.edge_set()
     blue_set = t_blue.edge_set()
@@ -257,15 +257,24 @@ def build_state(
         bl, br = t_blue.apexes(e)
         apex[e] = [[rl, bl], [rr, br]]
 
+    # Each chord endpoint's ring is walked once per layer, and only there:
+    # with no chords (empty input) no ring is walked at all.
+    layers = (t_red, t_blue)
+    rings: dict[tuple[int, int], dict[int, int]] = {}
     chord_anchor: dict[Edge, int] = {}
     chord_color0: dict[Edge, int] = {}
     for e in sorted(edges - purple):
-        a, b = e
-        anchor_a = _wedge_anchor(pts, rot, walk_of, iso_anchor, a, b)
-        anchor_b = _wedge_anchor(pts, rot, walk_of, iso_anchor, b, a)
-        faces.union(anchor_a, anchor_b)
-        chord_anchor[e] = anchor_a
-        chord_color0[e] = RED if e in red_set else BLUE
+        layer = RED if e in red_set else BLUE
+        anchors = []
+        for v, u in (e, e[::-1]):
+            at_v = rings.get((layer, v))
+            if at_v is None:
+                at_v = _chord_walks(layers[layer], v, u, walk_of, iso_anchor.get(v))
+                rings[(layer, v)] = at_v
+            anchors.append(at_v[u])
+        faces.union(*anchors)
+        chord_anchor[e] = anchors[0]
+        chord_color0[e] = layer
 
     state = MaximalState(
         ps,

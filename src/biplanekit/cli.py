@@ -29,7 +29,6 @@ from .constructions import (
     gen_hgon_with_arc,
 )
 from .fileio import (
-    FileFormatError,
     format_graph,
     format_points,
     parse_graph,
@@ -58,10 +57,7 @@ def _load(args: argparse.Namespace, path: str, parse):
     Without --relaxed no three points may be collinear; with it, no vertex
     may lie inside an edge.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FileFormatError(0, 0, f"cannot read {path}: {exc}")
+    text = Path(path).read_text()
     strict = _strictness(args)
     data = parse(text, strict)
     if strict is Strictness.STRICT:
@@ -144,36 +140,35 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     family = args.family
     if family == "convex":
         if args.n is None:
-            raise FileFormatError(0, 0, "convex needs --n")
+            raise ValueError("convex needs --n")
         _emit(args, format_points(gen_convex(args.n)))
         return 0
     if family == "arc-triangle":
         if args.n is None:
-            raise FileFormatError(0, 0, "arc-triangle needs --n")
+            raise ValueError("arc-triangle needs --n")
         _emit(args, format_points(gen_arc_in_triangle(args.n)))
         return 0
     if family == "hgon-arc":
         if args.n is None or args.h is None:
-            raise FileFormatError(0, 0, "hgon-arc needs --n and --h")
+            raise ValueError("hgon-arc needs --n and --h")
         _emit(args, format_points(gen_hgon_with_arc(args.n, args.h)))
         return 0
-    if family == "grid":
-        if args.k is None:
-            raise FileFormatError(0, 0, "grid needs --k")
-        grid = gen_grid(args.k)
-        for spec in (args.flips or "").split(","):
-            spec = spec.strip()
-            if not spec:
-                continue
-            if spec == "corners":
-                grid = apply_corner_flips(grid)
-            elif spec.startswith("boundary:"):
-                grid = apply_boundary_flips(grid, int(spec.split(":", 1)[1]))
-            else:
-                raise FileFormatError(0, 0, f"unknown flip spec {spec!r}")
-        _emit(args, format_graph(grid.graph))
-        return 0
-    raise FileFormatError(0, 0, f"unknown family {family!r}")
+    # family is "grid": argparse's choices admit no other.
+    if args.k is None:
+        raise ValueError("grid needs --k")
+    grid = gen_grid(args.k)
+    for spec in (args.flips or "").split(","):
+        spec = spec.strip()
+        if not spec:
+            continue
+        if spec == "corners":
+            grid = apply_corner_flips(grid)
+        elif spec.startswith("boundary:"):
+            grid = apply_boundary_flips(grid, int(spec.split(":", 1)[1]))
+        else:
+            raise ValueError(f"unknown flip spec {spec!r}")
+    _emit(args, format_graph(grid.graph))
+    return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -316,19 +311,13 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NotBiplaneError:
         print("NOT-BIPLANE", file=sys.stderr)
         return 1
     except NotPlaneError as exc:
         print(f"error: input not plane: {exc}", file=sys.stderr)
         return 2
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (GeometryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,6 +24,7 @@ from .geometry import (
     validate,
 )
 from .graphs import GeometricGraph
+from .recognition import biplane_edge_cap
 
 
 class ConstructionError(RuntimeError):
@@ -58,7 +59,7 @@ def bounds(n: int, h: int) -> BoundReport:
         h,
         min_maximal,
         6 * n - 3 * h - 6,
-        6 * n - 18 if n >= 8 else None,
+        biplane_edge_cap(n) if n >= 8 else None,
         maximum_lower,
     )
 

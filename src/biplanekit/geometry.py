@@ -66,24 +66,6 @@ def direction_cmp(d1: Point, d2: Point) -> int:
     return 0
 
 
-def dir_in_ccw_sector(d: Point, u: Point, w: Point) -> bool:
-    """Is direction d strictly inside the counterclockwise sector u -> w?"""
-
-    def c(p: Point, q: Point) -> int:
-        return p[0] * q[1] - p[1] * q[0]
-
-    cu_w = c(u, w)
-    if cu_w > 0:
-        return c(u, d) > 0 and c(d, w) > 0
-    if cu_w < 0:
-        # Reflex sector: complement of the closed sector w -> u.
-        return not (c(w, d) >= 0 and c(d, u) >= 0)
-    # u and w collinear: either opposite (half-plane sector) or equal.
-    if u[0] * w[0] + u[1] * w[1] < 0:
-        return c(u, d) > 0
-    raise ValueError("sector endpoints point in the same direction")
-
-
 def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     """Do the OPEN segments ab and cd share a point?
 
@@ -135,17 +117,6 @@ def point_in_triangle_strict(p: Point, a: Point, b: Point, c: Point) -> bool:
     s2 = cross(b, c, p)
     s3 = cross(c, a, p)
     return (s1 > 0 and s2 > 0 and s3 > 0) or (s1 < 0 and s2 < 0 and s3 < 0)
-
-
-def point_on_open_segment(p: Point, a: Point, b: Point) -> bool:
-    """Does p lie strictly inside segment ab?"""
-    if cross(a, b, p) != 0:
-        return False
-    if a[0] != b[0]:
-        lo, hi = sorted((a[0], b[0]))
-        return lo < p[0] < hi
-    lo, hi = sorted((a[1], b[1]))
-    return lo < p[1] < hi
 
 
 @dataclass(frozen=True)

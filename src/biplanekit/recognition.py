@@ -10,12 +10,14 @@ crossing out: about 0.4 us per pair on a 2-vCPU VM, so a maximal graph
 on 500 points in convex position (745,502 such pairs, 123,753
 crossings) takes about 0.3 s.
 
-The maximality oracle in `analysis` shares this module's pieces: the
-per-edge line (`_edge_line`), the same exact test of one segment against
-rows of such lines (`_rows_crossed_by`), and the coloring with its
-component roots (`_recognize`), so it enumerates the crossings once.
-Relaxed graphs with a vertex inside an edge are rejected here, before
-any crossing is looked at.
+One kernel answers "which of these edges cross segment ab" for both
+callers: `_crossed` scans rows that each hold an edge's box, endpoints,
+line (`_edge_line`) and a payload.  `crossing_pairs` scans each row's
+x-window with edge indices as payloads; the maximality oracle in
+`analysis` scans all rows with (component, color) payloads and shares
+the coloring with its component roots (`_recognize`), so it enumerates
+the crossings once.  Relaxed graphs with a vertex inside an edge are
+rejected here, before any crossing is looked at.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
-from .geometry import Edge, Point, segments_cross
+from .geometry import Edge, segments_cross
 from .graphs import GeometricGraph, check_relaxed_edges
 
 
@@ -76,50 +78,72 @@ def _edge_line(xa: int, ya: int, xb: int, yb: int) -> tuple[int, int, int]:
     return dx, dy, dx * ya - dy * xa
 
 
+def _crossed(
+    rows: Sequence[tuple], lo: int, hi: int, xa: int, ya: int, xb: int, yb: int
+) -> Iterator[Any]:
+    """Payload of each row in rows[lo:hi] whose edge crosses the open segment ab.
+
+    A row is (xlo, xhi, ylo, yhi, xc, yc, xd, yd, ex, ey, k, payload): the
+    box of edge cd, its endpoints, its `_edge_line` and whatever the
+    caller wants back; crossings come out in row order.  A row is
+    rejected when its y-extent misses ab's (`crossing_pairs` windows the
+    x-extents itself), then after two signed areas against ab's line when
+    c and d lie strictly on one side of it or exactly one of them lies on
+    it; c and d both on it go to segments_cross (collinear overlap); the
+    rest cross exactly when a and b lie strictly on opposite sides of the
+    row's own line.
+    """
+    dx, dy, k = _edge_line(xa, ya, xb, yb)
+    low, high = (ya, yb) if ya < yb else (yb, ya)
+    for _, _, ylo, yhi, xc, yc, xd, yd, ex, ey, kr, payload in rows[lo:hi]:
+        if ylo > high or yhi < low:
+            continue
+        s1 = dx * yc - dy * xc - k
+        s2 = dx * yd - dy * xd - k
+        if s1 > 0:
+            if s2 >= 0:
+                continue
+        elif s1 < 0:
+            if s2 <= 0:
+                continue
+        else:
+            if s2 == 0 and segments_cross((xa, ya), (xb, yb), (xc, yc), (xd, yd)):
+                yield payload
+            continue
+        t1 = ex * ya - ey * xa - kr
+        t2 = ex * yb - ey * xb - kr
+        if (t1 > 0 and t2 < 0) or (t1 < 0 and t2 > 0):
+            yield payload
+
+
+def _edge_rows(g: GeometricGraph, payloads: Iterable[Any]) -> list[tuple]:
+    """One `_crossed` row per edge of g, in edge order, with its payload."""
+    pts = g.points.points
+    rows = []
+    for (a, b), payload in zip(g.edges, payloads):
+        (xa, ya), (xb, yb) = pts[a], pts[b]
+        xlo, xhi = (xa, xb) if xa < xb else (xb, xa)
+        ylo, yhi = (ya, yb) if ya < yb else (yb, ya)
+        line = _edge_line(xa, ya, xb, yb)
+        rows.append((xlo, xhi, ylo, yhi, xa, ya, xb, yb, *line, payload))
+    return rows
+
+
 def crossing_pairs(g: GeometricGraph) -> list[tuple[int, int]]:
     """All pairs (i, j), i < j, of edge indices whose open segments cross, sorted.
 
-    Each edge becomes one row holding its bounding box and its line
-    (`_edge_line`).  Rows are sorted by left end; each row is
-    tested only against the later rows whose left end lies within its own
-    x-extent.  A candidate is rejected when its endpoints lie on one side
-    of the row's line or one of them lies on it, and only the survivors
-    are tested against the candidate's line.  Worst case stays quadratic.
+    Each edge becomes one `_crossed` row with its index as payload.  Rows
+    are sorted by left end; each row is tested only against the later
+    rows whose left end lies within its own x-extent.  Worst case stays
+    quadratic.
     """
-    pts = g.points.points
-    X = [p[0] for p in pts]
-    Y = [p[1] for p in pts]
-    rows = []
-    for idx, (a, b) in enumerate(g.edges):
-        xa, ya, xb, yb = X[a], Y[a], X[b], Y[b]
-        box = (min(xa, xb), max(xa, xb), min(ya, yb), max(ya, yb))
-        rows.append((*box, a, b, *_edge_line(xa, ya, xb, yb), idx))
+    rows = _edge_rows(g, range(g.m))
     rows.sort()
     xlos = [r[0] for r in rows]
     pairs: list[tuple[int, int]] = []
-    for p in range(len(rows)):
-        _, xhi, ylo, yhi, a, b, dx, dy, k, i = rows[p]
-        for q in range(p + 1, bisect_right(xlos, xhi, p + 1)):
-            _, _, qlo, qhi, c, d, ex, ey, kq, j = rows[q]
-            if qlo > yhi or qhi < ylo:
-                continue
-            s1 = dx * Y[c] - dy * X[c] - k
-            s2 = dx * Y[d] - dy * X[d] - k
-            if s1 > 0:
-                if s2 >= 0:
-                    continue
-            elif s1 < 0:
-                if s2 <= 0:
-                    continue
-            else:
-                # Both endpoints on the line: the collinear-overlap case.
-                if s2 == 0 and segments_cross(pts[a], pts[b], pts[c], pts[d]):
-                    pairs.append((i, j) if i < j else (j, i))
-                continue
-            t1 = ex * Y[a] - ey * X[a] - kq
-            t2 = ex * Y[b] - ey * X[b] - kq
-            if (t1 > 0 and t2 < 0) or (t1 < 0 and t2 > 0):
-                pairs.append((i, j) if i < j else (j, i))
+    for p, (_, xhi, _, _, xa, ya, xb, yb, _, _, _, i) in enumerate(rows):
+        for j in _crossed(rows, p + 1, bisect_right(xlos, xhi, p + 1), xa, ya, xb, yb):
+            pairs.append((i, j) if i < j else (j, i))
     pairs.sort()
     return pairs
 
@@ -135,46 +159,6 @@ def crossing_graph(g: GeometricGraph) -> list[list[int]]:
         adj[i].append(j)
         adj[j].append(i)
     return adj
-
-
-def _rows_crossed_by(
-    rows: list[tuple[int, int, int, int, int, int, int]],
-    X: list[int],
-    Y: list[int],
-    pts: tuple[Point, ...],
-    a: int,
-    b: int,
-) -> Iterator[tuple[int, int]]:
-    """(component, color) of each row whose edge crosses the open segment ab.
-
-    A row is (c, d, ex, ey, k, component, color): edge cd, its
-    `_edge_line`, and its place in the crossing graph; crossings come out
-    in row order.  This is crossing_pairs' test without the box filter: a
-    row is rejected after two signed areas against ab's line when c and d
-    lie strictly on one side of it or exactly one of them lies on it; c
-    and d both on it go to segments_cross (collinear overlap); the rest
-    cross exactly when a and b lie strictly on opposite sides of the
-    row's own line.
-    """
-    xa, ya, xb, yb = X[a], Y[a], X[b], Y[b]
-    dx, dy, k = _edge_line(xa, ya, xb, yb)
-    for c, d, ex, ey, kr, comp, side in rows:
-        s1 = dx * Y[c] - dy * X[c] - k
-        s2 = dx * Y[d] - dy * X[d] - k
-        if s1 > 0:
-            if s2 >= 0:
-                continue
-        elif s1 < 0:
-            if s2 <= 0:
-                continue
-        else:
-            if s2 == 0 and segments_cross(pts[a], pts[b], pts[c], pts[d]):
-                yield comp, side
-            continue
-        t1 = ex * ya - ey * xa - kr
-        t2 = ex * yb - ey * xb - kr
-        if (t1 > 0 and t2 < 0) or (t1 < 0 and t2 > 0):
-            yield comp, side
 
 
 def _recognize(

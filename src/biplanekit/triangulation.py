@@ -129,46 +129,52 @@ class Triangulation:
         l, r = self._apex[e]
         return l, r
 
+    def ring(self, v: int, u0: int) -> list[int]:
+        """All neighbours of v in counterclockwise order, from neighbour u0.
+
+        Read off the apex map in time linear in v's degree: the left apex
+        of dart v -> u is v's next neighbour counterclockwise.  At a hull
+        vertex the order is cut at the outer face instead, so the list
+        runs from one hull neighbour to the other.
+        """
+        apex = self._apex
+        ccw = [u0]
+        u = u0
+        while True:
+            w = apex[(v, u)][0] if v < u else apex[(u, v)][1]
+            if w is None:
+                break  # hull vertex: the rest lies clockwise from u0
+            if w == u0:
+                return ccw
+            ccw.append(w)
+            u = w
+        cw: list[int] = []
+        u = u0
+        while True:
+            w = apex[(v, u)][1] if v < u else apex[(u, v)][0]
+            if w is None:
+                break
+            cw.append(w)
+            u = w
+        cw.reverse()
+        return cw + ccw
+
     def rotation(self, edges: Iterable[Edge]) -> dict[int, list[int]]:
         """Counterclockwise neighbour order of a subgraph of this triangulation.
 
-        Read off the apex map in time linear in the degrees walked: the left
-        apex of dart v -> u is v's next neighbour counterclockwise.  Each list
-        starts at v's first neighbour in `edges`, so it equals the angular
-        order up to a cyclic shift.
+        Each vertex's list is its `ring` restricted to `edges`, so it equals
+        the angular order up to a cyclic shift.
         """
         adj: dict[int, list[int]] = defaultdict(list)
         for a, b in edges:
             adj[a].append(b)
             adj[b].append(a)
-        apex = self._apex
         rot: dict[int, list[int]] = {}
         for v, nbrs in adj.items():
-            k = len(nbrs)
             sub = set(nbrs)
-            u0 = nbrs[0]
-            ccw = [u0]
-            u = u0
-            while len(ccw) < k:
-                w = apex[(v, u)][0] if v < u else apex[(u, v)][1]
-                if w is None:
-                    break  # hull vertex: the rest lies clockwise from u0
-                if w == u0:
-                    raise GeometryError(f"vertex {v}: edges missing from triangulation")
-                if w in sub:
-                    ccw.append(w)
-                u = w
-            cw: list[int] = []
-            u = u0
-            while len(ccw) + len(cw) < k:
-                w = apex[(v, u)][1] if v < u else apex[(u, v)][0]
-                if w is None:
-                    raise GeometryError(f"vertex {v}: edges missing from triangulation")
-                if w in sub:
-                    cw.append(w)
-                u = w
-            cw.reverse()
-            rot[v] = cw + ccw
+            rot[v] = [u for u in self.ring(v, nbrs[0]) if u in sub]
+            if len(rot[v]) < len(sub):
+                raise GeometryError(f"vertex {v}: edges missing from triangulation")
         return rot
 
     def flip_status(self, e: Edge) -> FlipStatus:

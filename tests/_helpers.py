@@ -14,7 +14,6 @@ from biplanekit.geometry import (
     cross,
     edge,
     point_in_triangle_strict,
-    point_on_open_segment,
     segments_cross,
     validate,
 )
@@ -157,6 +156,60 @@ def brute_validate(ps: PointSet) -> ValidationReport:
                         f"collinear points {i}, {j}, {k}",
                     )
     return ValidationReport(True)
+
+
+def point_on_open_segment(p, a, b) -> bool:
+    """Does p lie strictly inside segment ab?"""
+    if cross(a, b, p) != 0:
+        return False
+    if a[0] != b[0]:
+        lo, hi = sorted((a[0], b[0]))
+        return lo < p[0] < hi
+    lo, hi = sorted((a[1], b[1]))
+    return lo < p[1] < hi
+
+
+def dir_in_ccw_sector(d, u, w) -> bool:
+    """Is direction d strictly inside the counterclockwise sector u -> w?"""
+
+    def c(p, q) -> int:
+        return p[0] * q[1] - p[1] * q[0]
+
+    cu_w = c(u, w)
+    if cu_w > 0:
+        return c(u, d) > 0 and c(d, w) > 0
+    if cu_w < 0:
+        # Reflex sector: complement of the closed sector w -> u.
+        return not (c(w, d) >= 0 and c(d, u) >= 0)
+    # u and w collinear: either opposite (half-plane sector) or equal.
+    if u[0] * w[0] + u[1] * w[1] < 0:
+        return c(u, d) > 0
+    raise ValueError("sector endpoints point in the same direction")
+
+
+def brute_wedge_anchor(pts, rot, walk_of, iso_anchor, v, toward) -> int:
+    """Walk id of the purple face the direction v -> toward leaves v into.
+
+    `rot` is the purple rotation system; each sector between consecutive
+    purple neighbours of v is tested angularly, and the walk left of the
+    dart starting the sector holding the direction is returned.  A vertex
+    with no purple edge answers iso_anchor[v].
+    """
+    nbrs = rot.get(v)
+    if not nbrs:
+        return iso_anchor[v]
+    if len(nbrs) == 1:
+        return walk_of[(v, nbrs[0])]
+    pv = pts[v]
+    d = (pts[toward][0] - pv[0], pts[toward][1] - pv[1])
+    k = len(nbrs)
+    for i in range(k):
+        u, w = nbrs[i], nbrs[(i + 1) % k]
+        du = (pts[u][0] - pv[0], pts[u][1] - pv[1])
+        dw = (pts[w][0] - pv[0], pts[w][1] - pv[1])
+        if dir_in_ccw_sector(d, du, dw):
+            return walk_of[(v, u)]
+    raise GeometryError(f"chord ({v}, {toward}) collinear with a purple edge")
 
 
 def brute_relaxed_edge_violations(g: GeometricGraph) -> list[tuple[int, tuple[int, int]]]:

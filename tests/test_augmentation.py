@@ -3,8 +3,10 @@ import random
 
 import pytest
 from _helpers import (
+    brute_wedge_anchor,
     layer_is_plane,
     random_biplane_graph,
+    random_lattice_points,
     random_plane_graph,
     random_strict_points,
     reference_augment,
@@ -17,6 +19,7 @@ from biplanekit.augmentation import (
     BLUE,
     RED,
     NotBiplaneError,
+    _chord_walks,
     apply_flip,
     build_state,
     certify_maximal,
@@ -26,7 +29,8 @@ from biplanekit.augmentation import (
 from biplanekit.constructions import gen_arc_in_triangle, gen_convex
 from biplanekit.geometry import PointSet, Strictness, convex_hull, edge, segments_cross
 from biplanekit.graphs import GeometricGraph, relaxed_edge_violations
-from biplanekit.triangulation import triangulation_from_edges
+from biplanekit.recognition import test_biplane
+from biplanekit.triangulation import complete_layers, plane_face_walks, triangulation_from_edges
 
 
 def empty_graph(ps: PointSet) -> GeometricGraph:
@@ -307,6 +311,47 @@ def test_face_merge_can_revoke_faraway_cross_flippability():
     assert certify_maximal(state)
     final = GeometricGraph(ps, tuple(sorted(state.edges)))
     assert maximality_oracle(final)
+
+
+def test_chord_walks_match_angular_sector_scan():
+    # Each dart of each chord takes the face walk of the last purple dart
+    # passed counterclockwise around its tail in the chord's own layer; the
+    # angular scan of the sectors between purple neighbours must agree.
+    rng = random.Random(29)
+    graphs = []
+    for _ in range(30):
+        ps = random_strict_points(rng, rng.randint(5, 30))
+        graphs.append(random_biplane_graph(rng, ps, rng.randint(0, 4 * len(ps))))
+    for _ in range(30):
+        ps = random_lattice_points(rng, rng.randint(3, 6), 4)
+        layers = [random_plane_graph(rng, ps, rng.randint(0, 2 * len(ps))) for _ in range(2)]
+        graphs.append(GeometricGraph(ps, tuple(set(layers[0].edges) | set(layers[1].edges))))
+    no_purple = multi_walk = chords = 0
+    for g in graphs:
+        state = build_state(g)
+        verdict = test_biplane(g)
+        t_red, t_blue = complete_layers(g.points, (verdict.layer1, verdict.layer2))
+        red = t_red.edge_set()
+        pts = g.points.points
+        rot, _, walk_of, walks = plane_face_walks(pts, sorted(state.purple))
+        isolated = [v for v in range(g.n) if v not in rot]
+        iso_anchor = {v: len(walks) + i for i, v in enumerate(isolated)}
+        for e in sorted(state.edges - state.purple):
+            t = t_red if e in red else t_blue
+            got = [
+                _chord_walks(t, v, u, walk_of, iso_anchor.get(v))[u] for v, u in (e, e[::-1])
+            ]
+            want = [
+                brute_wedge_anchor(pts, rot, walk_of, iso_anchor, v, u) for v, u in (e, e[::-1])
+            ]
+            assert got == want, (g.points, g.edges, e)
+            assert state.chord_anchor[e] == got[0]
+            assert state.faces.find(got[0])[0] == state.faces.find(got[1])[0]
+            chords += 1
+            no_purple += any(v in iso_anchor for v in e)
+            # Two different boundary walks of one purple face.
+            multi_walk += got[0] != got[1] and not any(v in iso_anchor for v in e)
+    assert chords and no_purple and multi_walk, (chords, no_purple, multi_walk)
 
 
 def test_purple_face_chord_graphs_connected_and_bipartite():

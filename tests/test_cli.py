@@ -12,7 +12,7 @@ from biplanekit.fileio import (
 )
 from biplanekit.geometry import PointSet
 from biplanekit.graphs import GeometricGraph
-from biplanekit.svgrender import RenderSpec, render_svg
+from biplanekit.svgrender import LAYER1_COLOR, LAYER2_COLOR, SHARED_COLOR, render_svg
 
 
 def k4_text() -> str:
@@ -94,6 +94,26 @@ def test_unknown_flag_exit_two(tmp_path):
     f = tmp_path / "k4.graph"
     f.write_text(k4_text())
     assert run(["check", "--bogus", str(f)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "convex"], "convex needs --n"),
+        (["generate", "grid", "--k", "8", "--flips", "bogus"], "unknown flip spec 'bogus'"),
+        (["check", "absent.graph"], "No such file or directory"),
+    ],
+)
+def test_argument_and_io_errors_are_not_file_positions(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    # Bad arguments and unreadable paths exit 2 without posing as a
+    # format error at some line and column of the input.
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "line 0" not in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_augment_empty_convex8(tmp_path, capsys):
@@ -219,7 +239,7 @@ def test_render_svg_rejects_bad_layers():
     ps = PointSet.from_coords([(0, 0), (4, 0), (0, 4)])
     g = GeometricGraph(ps, ((0, 1),))
     with pytest.raises(ValueError):
-        render_svg(g, ((0, 1),), ((1, 2),), RenderSpec())
+        render_svg(g, ((0, 1),), ((1, 2),))
 
 
 def test_cli_grid_render_matches_layer_tags(tmp_path):
@@ -228,7 +248,7 @@ def test_cli_grid_render_matches_layer_tags(tmp_path):
 
     grid = gen_grid(6)
     verdict = test_biplane(grid.graph)
-    svg = render_svg(grid.graph, verdict.layer1, verdict.layer2, RenderSpec())
+    svg = render_svg(grid.graph, verdict.layer1, verdict.layer2)
     assert svg.count("<circle") == 36
     assert svg.count("<line") == grid.graph.m
 
@@ -303,10 +323,9 @@ def test_render_solid_iff_uncrossed():
     for _ in range(20):
         ps = random_strict_points(rng, rng.randint(5, 14))
         graphs.append(random_biplane_graph(rng, ps, rng.randint(4, 30)))
-    spec = RenderSpec()
     for g in graphs:
         verdict = test_biplane(g)
-        svg = render_svg(g, verdict.layer1, verdict.layer2, spec)
+        svg = render_svg(g, verdict.layer1, verdict.layer2)
         colors = [
             line.split('stroke="', 1)[1].split('"', 1)[0]
             for line in svg.splitlines()
@@ -317,7 +336,7 @@ def test_render_solid_iff_uncrossed():
         layer1 = set(verdict.layer1)
         for i, e in enumerate(g.edges):
             if not adj[i]:
-                want = spec.shared_color
+                want = SHARED_COLOR
             else:
-                want = spec.layer1_color if e in layer1 else spec.layer2_color
+                want = LAYER1_COLOR if e in layer1 else LAYER2_COLOR
             assert colors[i] == want, (g.edges, i)

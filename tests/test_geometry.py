@@ -1,5 +1,5 @@
 import pytest
-from _helpers import brute_relaxed_edge_violations, brute_validate
+from _helpers import brute_relaxed_edge_violations, brute_validate, point_on_open_segment
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +11,6 @@ from biplanekit.geometry import (
     convex_hull,
     cross,
     edge,
-    point_on_open_segment,
     segments_cross,
     validate,
 )

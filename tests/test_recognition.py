@@ -7,11 +7,12 @@ from _helpers import (
     brute_crossing_pairs,
     crossing_adjacency_is_bipartite,
     layer_is_plane,
+    point_on_open_segment,
     random_edge_subset_graph,
     random_strict_points,
     witness_cycle_is_valid,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biplanekit.analysis import maximality_oracle
@@ -22,7 +23,6 @@ from biplanekit.geometry import (
     PointSet,
     Strictness,
     cross,
-    point_on_open_segment,
     segments_cross,
 )
 from biplanekit.graphs import GeometricGraph
@@ -30,8 +30,8 @@ from biplanekit.recognition import (
     BiplaneDecomposition,
     OddCycleWitness,
     TooManyEdges,
+    _crossed,
     _edge_line,
-    _rows_crossed_by,
     crossing_graph,
     crossing_pairs,
     exceeds_edge_cap,
@@ -205,7 +205,9 @@ def test_crossing_pairs_match_brute_sweep():
 def test_oracle_row_test_matches_segments_cross():
     # Two segments on a scaled and shifted 4 x 4 lattice, endpoints drawn
     # independently, so they share endpoints, meet in T-junctions, stand
-    # vertical, and lie on one line overlapping, touching or apart.
+    # vertical, and lie on one line overlapping, touching or apart.  Each
+    # kind is also pinned by an explicit example, so that none of them
+    # depends on what the generator happens to draw.
     cell = st.tuples(st.integers(0, 3), st.integers(0, 3))
     kinds = set()
 
@@ -214,16 +216,23 @@ def test_oracle_row_test_matches_segments_cross():
         st.integers(min_value=1, max_value=1000),
         st.tuples(st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6)),
     )
+    @example([(0, 0), (2, 2), (0, 2), (2, 0)], 1, (0, 0))  # proper crossing
+    @example([(0, 0), (1, 1), (1, 1), (2, 0)], 1, (0, 0))  # shared endpoint
+    @example([(1, 0), (1, 3), (0, 1), (3, 1)], 7, (5, -5))  # vertical
+    @example([(0, 0), (2, 0), (1, 0), (3, 0)], 1, (0, 0))  # collinear overlap
+    @example([(0, 0), (1, 0), (1, 0), (2, 0)], 1, (0, 0))  # collinear touching
+    @example([(0, 0), (1, 1), (2, 2), (3, 3)], 3, (0, 0))  # collinear apart
+    @example([(0, 0), (2, 0), (1, 0), (1, 2)], 1, (0, 0))  # T-junction
     @settings(max_examples=600, derandomize=True)
     def check(cells, scale, shift):
         pts = tuple(Point(scale * x + shift[0], scale * y + shift[1]) for x, y in cells)
         pa, pb, pc, pd = pts
-        X = [p.x for p in pts]
-        Y = [p.y for p in pts]
-        row = (2, 3, *_edge_line(X[2], Y[2], X[3], Y[3]), 7, 1)
-        got = list(_rows_crossed_by([row], X, Y, pts, 0, 1))
+        (xc, yc), (xd, yd) = pc, pd
+        box = (min(xc, xd), max(xc, xd), min(yc, yd), max(yc, yd))
+        row = (*box, xc, yc, xd, yd, *_edge_line(xc, yc, xd, yd), "cd")
+        got = list(_crossed([row, row], 1, 2, pa.x, pa.y, pb.x, pb.y))
         want = segments_cross(pa, pb, pc, pd)
-        assert got == ([(7, 1)] if want else [])
+        assert got == (["cd"] if want else [])
         if {pa, pb} & {pc, pd}:
             kinds.add("shared endpoint")
         if pa.x == pb.x or pc.x == pd.x:

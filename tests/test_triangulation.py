@@ -132,7 +132,6 @@ def test_scan_fill_matches_brute_fill_per_pocket(monkeypatch):
         "proper_cross",
         "segments_cross",
         "point_in_triangle_strict",
-        "point_on_open_segment",
     )
     names = [name for name in predicates if hasattr(triangulation, name)]
     pockets = {"strict": 0, "lattice": 0, "grid": 0}

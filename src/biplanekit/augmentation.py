@@ -6,11 +6,14 @@ parity union-find: flipping a purple edge merges its two faces, and the
 cross-face flip clause exchanges a face's red and blue chords by toggling
 one parity bit instead of relabeling chords.
 
-Per purple edge we store, for each geometric side, the apex of the adjacent
-triangle in each color lineage; the parity bit of the face on that side
-says which stored slot is currently red.  All flip tests are therefore
-constant-time, and each flip touches only its quadrilateral neighborhood,
-which keeps the whole augmentation near-linearithmic.
+Both layers use the dart map of `triangulation`: a side of an edge is a
+dart, and the face or triangle on that side is a lookup keyed by it, never
+an orientation test.  Per purple dart (u, v) the state stores the face
+walk left of u -> v and the apex of the triangle left of u -> v in each
+color lineage; the parity bit of that walk's face says which stored slot
+is currently red.  All flip tests are therefore constant-time, and each
+flip touches only its quadrilateral neighborhood, which keeps the whole
+augmentation near-linearithmic.
 
 Locality contract: an edge can only BECOME flippable if it lies in one of
 the up-to-four triangles containing the flipped edge, so re-enqueueing that
@@ -26,7 +29,7 @@ both that side's face and its parity, and the clause found is handed to the
 flip instead of being tested again.
 
 Building the state completes both layers from one sweep of the bare points
-and reads the purple rotation system off the red triangulation's apex map,
+and reads the purple rotation system off the red triangulation's dart map,
 so indexing the purple faces needs no angular sort.  Chords need no
 angular predicate either: walking counterclockwise around a chord's
 endpoint in the chord's own layer, the last purple dart passed names the
@@ -36,12 +39,14 @@ face the chord lies in.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .geometry import Edge, PointSet, cross, edge, proper_cross
+from .geometry import Edge, PointSet, edge, proper_cross
 from .graphs import GeometricGraph
 from .recognition import BiplaneDecomposition, BiplaneResult, test_biplane
 from .triangulation import (
+    CollinearError,
+    Dart,
     GeometryError,
     Triangulation,
     complete_layers,
@@ -83,60 +88,39 @@ class PurpleFace:
     blue_chords: tuple[Edge, ...]
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class MaximalState:
-    """Mutable augmentation state; requires exclusive access while flipping."""
+    """Mutable augmentation state; requires exclusive access while flipping.
 
-    __slots__ = (
-        "points",
-        "edges",
-        "purple",
-        "hull_vertices",
-        "hull_edges",
-        "queue",
-        "faces",
-        "side_walk",
-        "apex",
-        "chord_anchor",
-        "chord_color0",
-        "trace",
-    )
+    `walk_of` and `apex` are keyed by purple dart: the face walk left of
+    u -> v, and the apexes left of u -> v in the two color lineages.
+    """
 
-    def __init__(
-        self,
-        points: PointSet,
-        edges: set[Edge],
-        purple: set[Edge],
-        hull_vertices: tuple[int, ...],
-        hull_edges: frozenset[Edge],
-        faces: ParityDSU,
-        side_walk: dict[Edge, tuple[int, int]],
-        apex: dict[Edge, list[list[int | None]]],
-        chord_anchor: dict[Edge, int],
-        chord_color0: dict[Edge, int],
-        trace: list[FlipRecord] | None,
-    ) -> None:
-        self.points = points
-        self.edges = edges
-        self.purple = purple
-        self.hull_vertices = hull_vertices
-        self.hull_edges = hull_edges
-        self.faces = faces
-        self.side_walk = side_walk
-        self.apex = apex
-        self.chord_anchor = chord_anchor
-        self.chord_color0 = chord_color0
-        self.queue: deque[Edge] = deque()
-        self.trace = trace
+    points: PointSet
+    edges: set[Edge]
+    purple: set[Edge]
+    hull_vertices: tuple[int, ...]
+    hull_edges: frozenset[Edge]
+    faces: ParityDSU
+    walk_of: dict[Dart, int]
+    apex: dict[Dart, list[int | None]]
+    chord_anchor: dict[Edge, int]
+    chord_color0: dict[Edge, int]
+    trace: list[FlipRecord] | None
+    queue: deque[Edge] = field(default_factory=deque)
 
     # -- queries ------------------------------------------------------------
 
     def eff_apex(self, e: Edge, side: int, layer: int) -> int | None:
-        """Apex of the triangle adjacent to purple edge e in `layer` on `side`."""
-        w = self.side_walk[e][side]
-        return self.apex[e][side][self.faces.parity(w) ^ layer]
+        """Apex of the triangle in `layer` left (side 0) or right (side 1)
+        of purple edge e."""
+        d = (e[1], e[0]) if side else e
+        return self.apex[d][self.faces.parity(self.walk_of[d]) ^ layer]
 
     def face_of(self, e: Edge, side: int) -> int:
-        return self.faces.find(self.side_walk[e][side])[0]
+        """Purple face left (side 0) or right (side 1) of purple edge e."""
+        d = (e[1], e[0]) if side else e
+        return self.faces.find(self.walk_of[d])[0]
 
     def chord_color(self, e: Edge) -> int:
         return self.chord_color0[e] ^ self.faces.parity(self.chord_anchor[e])
@@ -157,18 +141,14 @@ class MaximalState:
 
     def purple_faces(self) -> list[PurpleFace]:
         """Current bounded faces of (S, P) with boundary walks and chords."""
-        pts = self.points.points
-        _, _, walk_of, walks = plane_face_walks(pts, sorted(self.purple))
+        _, walk_of, walks = plane_face_walks(self.points, self.purple)
         hv = self.hull_vertices
         outer = walk_of[(hv[1], hv[0])]
-        bound: dict[int, list[tuple[tuple[int, int], ...]]] = {}
+        bound: dict[int, list[tuple[Dart, ...]]] = {}
         for wid, path in enumerate(walks):
             if wid == outer:
                 continue
-            u, v = path[0]
-            e = edge(u, v)
-            side = 0 if (u, v) == e else 1
-            root = self.faces.find(self.side_walk[e][side])[0]
+            root = self.faces.find(self.walk_of[path[0]])[0]
             bound.setdefault(root, []).append(tuple(path))
         chords: dict[int, tuple[list[Edge], list[Edge]]] = {}
         for c in sorted(self.chord_anchor):
@@ -243,19 +223,13 @@ def build_state(
 
     purple_sorted = sorted(purple)
     rot = t_red.rotation(purple_sorted)
-    _, walk_of, walks = trace_face_walks(rot, purple_sorted)
+    walk_of, walks = trace_face_walks(rot, purple_sorted)
     isolated = [v for v in range(len(ps)) if v not in rot]
     iso_anchor = {v: len(walks) + i for i, v in enumerate(isolated)}
     faces = ParityDSU(len(walks) + len(isolated))
 
-    side_walk: dict[Edge, tuple[int, int]] = {}
-    apex: dict[Edge, list[list[int | None]]] = {}
-    for e in purple_sorted:
-        a, b = e
-        side_walk[e] = (walk_of[(a, b)], walk_of[(b, a)])
-        rl, rr = t_red.apexes(e)
-        bl, br = t_blue.apexes(e)
-        apex[e] = [[rl, bl], [rr, br]]
+    red_left, blue_left = t_red.left, t_blue.left
+    apex = {d: [red_left[d], blue_left[d]] for d in walk_of}
 
     # Each chord endpoint's ring is walked once per layer, and only there:
     # with no chords (empty input) no ring is walked at all.
@@ -283,7 +257,7 @@ def build_state(
         t_red.boundary,
         t_red.hull_edges(),
         faces,
-        side_walk,
+        walk_of,
         apex,
         chord_anchor,
         chord_color0,
@@ -305,14 +279,14 @@ def _clause(state: MaximalState, e: Edge) -> tuple[str, int] | None:
     # One find per side gives both the face root and its parity; the parity
     # picks which stored apex is red (as eff_apex does).
     faces = state.faces
-    wl, wr = state.side_walk[e]
-    root_l, par_l = faces.find(wl)
-    root_r, par_r = faces.find(wr)
+    a, b = e
+    rev = (b, a)
+    root_l, par_l = faces.find(state.walk_of[e])
+    root_r, par_r = faces.find(state.walk_of[rev])
     par_l ^= faces.flip[root_l]
     par_r ^= faces.flip[root_r]
-    left, right = state.apex[e]
+    left, right = state.apex[e], state.apex[rev]
     pts = state.points.points
-    a, b = e
     pa, pb = pts[a], pts[b]
     prl = pts[left[par_l]]
     prr = pts[right[par_r]]
@@ -364,11 +338,12 @@ def apply_flip(state: MaximalState, e: Edge) -> MaximalState:
 
 def _flip(state: MaximalState, e: Edge, cl: tuple[str, int]) -> None:
     """apply_flip's body for a purple edge whose clause `cl` is known."""
-    pts = state.points.points
     faces = state.faces
+    walk_of, apex = state.walk_of, state.apex
     a, b = e
-    wl, wr = state.side_walk[e]
-    left, right = state.apex[e]
+    rev = (b, a)
+    wl, wr = walk_of[e], walk_of[rev]
+    left, right = apex[e], apex[rev]
 
     # Both layers' triangles on each side, whatever the parities.
     neighborhood: set[Edge] = set()
@@ -406,24 +381,23 @@ def _flip(state: MaximalState, e: Edge, cl: tuple[str, int]) -> None:
     state.edges.add(f)
     state.purple.discard(e)
 
-    for u, w, old, new in (
-        (a, cap, b, dap),
-        (cap, b, a, dap),
-        (b, dap, a, cap),
-        (dap, a, b, cap),
+    # The rim darts facing the quad a, dap, b, cap trade their apex in
+    # `layer` (see Triangulation._flip_in_place).
+    for d, old, new in (
+        ((cap, a), b, dap),
+        ((b, cap), a, dap),
+        ((dap, b), a, cap),
+        ((a, dap), b, cap),
     ):
-        rim = edge(u, w)
-        entry = state.apex.get(rim)
+        entry = apex.get(d)
         if entry is None:
             continue  # rim edge is a chord; chords carry no apex storage
-        s = 0 if cross(pts[rim[0]], pts[rim[1]], pts[old]) > 0 else 1
-        slot = faces.parity(state.side_walk[rim][s]) ^ layer
-        if entry[s][slot] != old:
-            raise GeometryError(f"apex bookkeeping mismatch at {rim}")
-        entry[s][slot] = new
+        slot = faces.parity(walk_of[d]) ^ layer
+        if entry[slot] != old:
+            raise GeometryError(f"apex bookkeeping mismatch at {edge(*d)}")
+        entry[slot] = new
 
-    del state.apex[e]
-    del state.side_walk[e]
+    del apex[e], apex[rev], walk_of[e], walk_of[rev]
 
     for g2 in sorted(neighborhood):
         if g2 in state.purple and g2 not in state.hull_edges:
@@ -448,19 +422,17 @@ def maximal_augment(
     """Extend a biplane graph to a maximal biplane graph.
 
     Returns the maximal graph together with a disjoint two-layer witness and
-    the two (overlapping) triangulations it decomposes into.  Raises
-    NotBiplaneError when the input is not biplane, and ValueError when an
-    input edge on a relaxed point set has a vertex inside it.
+    the two (overlapping) triangulations it decomposes into.  Points that
+    all lie on one line, fewer than three included, span no triangle: the
+    maximal graph is then the path through them in sorted order, and both
+    layers equal it.  Raises NotBiplaneError when the input is not biplane,
+    and ValueError when an input edge has a vertex inside it on a relaxed
+    point set, or skips a point of the path.
     """
-    ps = g.points
-    n = len(ps)
-    if n < 3:
-        # Degenerate: everything fits in one plane layer.
-        all_edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-        graph = GeometricGraph(ps, all_edges)
-        deco = BiplaneDecomposition(graph.edges, ())
-        return AugmentResult(graph, deco, graph.edges, graph.edges, None, None)
-    state = build_state(g, collect_trace=collect_trace)
+    try:
+        state = build_state(g, collect_trace=collect_trace)
+    except CollinearError:
+        return _path_augment(g)
     queue, purple = state.queue, state.purple
     while queue:
         e = queue.popleft()
@@ -482,7 +454,21 @@ def maximal_augment(
     red = tuple(sorted(shared + chords[RED]))
     blue = tuple(sorted(shared + blue_chords))
     layer2 = tuple(blue_chords)
-    graph = GeometricGraph(ps, tuple(state.edges))
+    graph = GeometricGraph(g.points, tuple(state.edges))
     deco = BiplaneDecomposition(red, layer2)
     trace = tuple(state.trace) if state.trace is not None else None
     return AugmentResult(graph, deco, red, blue, state, trace)
+
+
+def _path_augment(g: GeometricGraph) -> AugmentResult:
+    """maximal_augment's result on points that all lie on one line."""
+    pts = g.points.points
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+    rank = {v: i for i, v in enumerate(order)}
+    for a, b in g.edges:
+        i, j = sorted((rank[a], rank[b]))
+        if j > i + 1:
+            raise ValueError(f"edge {(a, b)} passes through vertex {min(order[i + 1 : j])}")
+    path = GeometricGraph(g.points, tuple(zip(order, order[1:])))
+    deco = BiplaneDecomposition(path.edges, ())
+    return AugmentResult(path, deco, path.edges, path.edges, None, None)

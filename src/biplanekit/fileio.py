@@ -3,13 +3,15 @@
 Point-set file:  line 1 holds n, followed by n lines "x y" with decimal
 integers.  A graph file appends a line holding m and then m lines "i j"
 with 0-based vertex indices.  '#' starts a comment that runs to the end of
-its line, and blank lines are ignored.  Any token after the last block is
-an error.  Writers emit canonical, diffable output.
+its line, and blank lines are ignored.  An edge that repeats an earlier one
+(in either direction), joins a vertex to itself, or names a missing vertex
+is an error, as is any token after the last block.  Writers emit
+canonical, diffable output.
 """
 
 from __future__ import annotations
 
-from .geometry import PointSet, Strictness
+from .geometry import Edge, PointSet, Strictness
 from .graphs import GeometricGraph
 
 
@@ -54,32 +56,48 @@ class _Reader:
         except ValueError:
             raise FileFormatError(line, col, f"expected {what}, got {tok!r}")
 
+    def error(self, message: str, back: int = 1) -> FileFormatError:
+        """An error located at the token `back` tokens before the next one."""
+        _, line, col = self.toks[self.pos - back]
+        return FileFormatError(line, col, message)
+
     def end(self) -> None:
         if self.more():
             tok, line, col = self.toks[self.pos]
             raise FileFormatError(line, col, f"unexpected trailing input {tok!r}")
 
-    def block(self, count: str, first: str, second: str) -> list[tuple[int, int]]:
-        """A count, then that many integer pairs."""
-        k = self.next_int(count)
+    def count(self, what: str) -> int:
+        k = self.next_int(what)
         if k < 0:
-            _, line, col = self.toks[self.pos - 1]
-            raise FileFormatError(line, col, f"negative {count}")
-        return [
-            (self.next_int(f"{first} {i}"), self.next_int(f"{second} {i}"))
-            for i in range(k)
-        ]
+            raise self.error(f"negative {what}")
+        return k
 
     def points(self, strictness: Strictness) -> PointSet:
-        coords = self.block(
-            "point count", "x coordinate of point", "y coordinate of point"
-        )
+        coords = [
+            (
+                self.next_int(f"x coordinate of point {i}"),
+                self.next_int(f"y coordinate of point {i}"),
+            )
+            for i in range(self.count("point count"))
+        ]
         return PointSet.from_coords(coords, strictness)
 
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            self.block("edge count", "first endpoint of edge", "second endpoint of edge")
-        )
+    def edges(self, n: int) -> tuple[Edge, ...]:
+        """The edge block: distinct edges between distinct ones of n points."""
+        first: dict[Edge, int] = {}
+        for i in range(self.count("edge count")):
+            a = self.next_int(f"first endpoint of edge {i}")
+            b = self.next_int(f"second endpoint of edge {i}")
+            e = (a, b) if a < b else (b, a)
+            if e[0] < 0 or e[1] >= n:
+                v, back = (a, 2) if not 0 <= a < n else (b, 1)
+                raise self.error(f"edge {i} references missing vertex {v}", back)
+            if a == b:
+                raise self.error(f"edge {i} is a loop at vertex {a}")
+            if e in first:
+                raise self.error(f"edge {i} repeats edge {first[e]}")
+            first[e] = i
+        return tuple(first)
 
 
 def parse_points(text: str, strictness: Strictness = Strictness.STRICT) -> PointSet:
@@ -94,7 +112,7 @@ def parse_graph(text: str, strictness: Strictness = Strictness.STRICT) -> Geomet
     """A graph file; anything after the edge block is an error."""
     r = _Reader(text)
     ps = r.points(strictness)
-    g = GeometricGraph(ps, r.edges())
+    g = GeometricGraph(ps, r.edges(len(ps)))
     r.end()
     return g
 
@@ -105,7 +123,7 @@ def parse_points_or_graph(
     """A graph file, or a point file read as a graph without edges."""
     r = _Reader(text)
     ps = r.points(strictness)
-    g = GeometricGraph(ps, r.edges() if r.more() else ())
+    g = GeometricGraph(ps, r.edges(len(ps)) if r.more() else ())
     r.end()
     return g
 

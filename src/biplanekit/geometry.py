@@ -48,24 +48,6 @@ def edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-def direction_cmp(d1: Point, d2: Point) -> int:
-    """Compare two nonzero direction vectors counterclockwise.
-
-    Directions are ordered starting just above the positive x-axis and
-    sweeping counterclockwise.  Returns -1, 0, or 1.
-    """
-    h1 = 0 if (d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)) else 1
-    h2 = 0 if (d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)) else 1
-    if h1 != h2:
-        return -1 if h1 < h2 else 1
-    c = d1[0] * d2[1] - d1[1] * d2[0]
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
-
-
 def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     """Do the OPEN segments ab and cd share a point?
 

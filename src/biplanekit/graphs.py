@@ -14,7 +14,8 @@ class GeometricGraph:
     """Immutable straight-line graph: a point set plus canonical edges.
 
     Edges are stored sorted as (a, b) pairs with a < b.  Construction
-    rejects loops, duplicates, and out-of-range indices.
+    merges duplicate edges, (a, b) and (b, a) included, and rejects loops
+    and out-of-range indices.
     """
 
     points: PointSet

@@ -1,9 +1,13 @@
-"""Plane triangulations with exact integer flips.
+"""Plane triangulations as dart maps, with exact integer flips.
 
-Representation: for each edge (a, b), a < b, we store the apex vertex of the
-adjacent triangle on each side of the directed line a -> b (index 0 = left /
-counterclockwise side, index 1 = right).  Hull edges carry None on the outer
-side.  This gives constant-time adjacent-face lookup, flip tests, and flips.
+Representation: one dict over darts (directed edges).  `left[(u, v)]` is
+the apex of the triangle left of u -> v, or None where the outer face lies
+there; both darts of every edge are keys.  This is a half-edge map
+(Guibas and Stolfi, "Primitives for the manipulation of general
+subdivisions", ACM TOG 4, 1985): the triangle on a given side of an edge
+is one lookup, and so is a vertex's next neighbour counterclockwise, since
+the apex left of v -> u follows u around v.  Only building a triangle
+tests an orientation; reading, walking and flipping the map test none.
 
 Completion of a plane graph to a triangulation runs in two deterministic
 stages: a lexicographic sweep triangulates the bare point set, keeping the
@@ -12,7 +16,7 @@ then each input edge is inserted as a constraint.  Several plane edge sets
 on one point set can be completed from a single sweep.  Insertion walks
 along the segment: it starts at the triangle around one endpoint whose wedge
 holds the segment's direction and steps from triangle to triangle through
-the apex map, so it visits only the edges the segment crosses, already in
+the dart map, so it visits only the edges the segment crosses, already in
 order along it.  The crossed edges are removed and the two resulting pockets,
 each weakly visible from the segment, are retriangulated by one stack pass
 along their boundary (Toussaint and Avis, "On a convex hull algorithm for
@@ -27,25 +31,21 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from enum import Enum
-from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from .geometry import (
-    Edge,
-    Point,
-    PointSet,
-    convex_hull,
-    cross,
-    direction_cmp,
-    edge,
-    proper_cross,
-)
+from .geometry import Edge, Point, PointSet, cross, edge, proper_cross
 from .graphs import GeometricGraph
 from .recognition import crossing_pairs
+
+Dart = tuple[int, int]  # directed edge (u, v); (v, u) is the other dart of the edge
 
 
 class GeometryError(RuntimeError):
     """Internal geometric invariant broke (degenerate or inconsistent input)."""
+
+
+class CollinearError(ValueError):
+    """All points lie on one line, so they span no triangle."""
 
 
 class NotPlaneError(ValueError):
@@ -64,40 +64,39 @@ class FlipStatus(Enum):
 
 
 def _add_triangle(
-    pts: Sequence[Point], apex: dict[Edge, list[int | None]], u: int, v: int, w: int
+    pts: Sequence[Point], left: dict[Dart, int | None], u: int, v: int, w: int
 ) -> None:
-    for x, y, z in ((u, v, w), (v, w, u), (w, u, v)):
-        e = edge(x, y)
-        c = cross(pts[e[0]], pts[e[1]], pts[z])
-        if c == 0:
-            raise GeometryError(f"degenerate triangle ({u}, {v}, {w})")
-        s = 0 if c > 0 else 1
-        entry = apex.get(e)
-        if entry is None:
-            entry = [None, None]
-            apex[e] = entry
-        if entry[s] is not None:
-            raise GeometryError(f"overlapping triangles at edge {e}")
-        entry[s] = z
+    """Record triangle uvw, given in either orientation, in the dart map."""
+    c = cross(pts[u], pts[v], pts[w])
+    if c == 0:
+        raise GeometryError(f"degenerate triangle ({u}, {v}, {w})")
+    if c < 0:
+        v, w = w, v
+    for d, z in (((u, v), w), ((v, w), u), ((w, u), v)):
+        if left.get(d) is not None:
+            raise GeometryError(f"overlapping triangles at edge {edge(*d)}")
+        left[d] = z
+        left.setdefault((d[1], d[0]), None)
 
 
 class Triangulation:
     """Value-style triangulation; flip() returns a new object.
 
-    Instances are not thread-shared during mutation; finished values are
-    safe to share.  Hull edges refuse to flip.
+    `left` is the dart map described in the module docstring.  Instances
+    are not thread-shared during mutation; finished values are safe to
+    share.  Hull edges refuse to flip.
     """
 
-    __slots__ = ("points", "_apex", "boundary", "_hull_edges")
+    __slots__ = ("points", "left", "boundary", "_hull_edges")
 
     def __init__(
         self,
         points: PointSet,
-        apex: dict[Edge, list[int | None]],
+        left: dict[Dart, int | None],
         boundary: Sequence[int],
     ) -> None:
         self.points = points
-        self._apex = apex
+        self.left = left
         self.boundary = tuple(boundary)
         b = self.boundary
         self._hull_edges = frozenset(
@@ -110,13 +109,13 @@ class Triangulation:
 
     @property
     def edge_count(self) -> int:
-        return len(self._apex)
+        return len(self.left) // 2
 
     def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self._apex)
+        return frozenset(d for d in self.left if d[0] < d[1])
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self._apex)
+        return sorted(d for d in self.left if d[0] < d[1])
 
     def hull_edges(self) -> frozenset[Edge]:
         return self._hull_edges
@@ -126,22 +125,23 @@ class Triangulation:
 
     def apexes(self, e: Edge) -> tuple[int | None, int | None]:
         """(left apex, right apex) of edge e; None on the outer side."""
-        l, r = self._apex[e]
-        return l, r
+        a, b = e
+        return self.left[(a, b)], self.left[(b, a)]
 
     def ring(self, v: int, u0: int) -> list[int]:
         """All neighbours of v in counterclockwise order, from neighbour u0.
 
-        Read off the apex map in time linear in v's degree: the left apex
-        of dart v -> u is v's next neighbour counterclockwise.  At a hull
-        vertex the order is cut at the outer face instead, so the list
-        runs from one hull neighbour to the other.
+        Read off the dart map in time linear in v's degree: the apex left
+        of v -> u is v's next neighbour counterclockwise, the apex left of
+        u -> v its next clockwise.  At a hull vertex the order is cut at
+        the outer face instead, so the list runs from one hull neighbour
+        to the other.
         """
-        apex = self._apex
+        left = self.left
         ccw = [u0]
         u = u0
         while True:
-            w = apex[(v, u)][0] if v < u else apex[(u, v)][1]
+            w = left[(v, u)]
             if w is None:
                 break  # hull vertex: the rest lies clockwise from u0
             if w == u0:
@@ -151,7 +151,7 @@ class Triangulation:
         cw: list[int] = []
         u = u0
         while True:
-            w = apex[(v, u)][1] if v < u else apex[(u, v)][0]
+            w = left[(u, v)]
             if w is None:
                 break
             cw.append(w)
@@ -178,26 +178,22 @@ class Triangulation:
         return rot
 
     def flip_status(self, e: Edge) -> FlipStatus:
-        entry = self._apex.get(e)
-        if entry is None:
+        a, b = e
+        if (a, b) not in self.left:
             return FlipStatus.NOT_AN_EDGE
-        if e in self._hull_edges:
+        l, r = self.left[(a, b)], self.left[(b, a)]
+        if l is None or r is None:
             return FlipStatus.HULL_EDGE
-        l, r = entry
         pts = self.points.points
-        if proper_cross(pts[e[0]], pts[e[1]], pts[l], pts[r]):
+        if proper_cross(pts[a], pts[b], pts[l], pts[r]):
             return FlipStatus.FLIPPABLE
         return FlipStatus.NOT_CONVEX
 
     def is_flippable(self, e: Edge) -> bool:
         return self.flip_status(e) is FlipStatus.FLIPPABLE
 
-    def copy(self) -> "Triangulation":
-        apex = {e: list(v) for e, v in self._apex.items()}
-        return Triangulation(self.points, apex, self.boundary)
-
     def flip(self, e: Edge) -> "Triangulation":
-        out = self.copy()
+        out = Triangulation(self.points, dict(self.left), self.boundary)
         out._flip_in_place(e)
         return out
 
@@ -205,39 +201,32 @@ class Triangulation:
         status = self.flip_status(e)
         if status is not FlipStatus.FLIPPABLE:
             raise ValueError(f"edge {e} is not flippable: {status.value}")
+        left = self.left
         a, b = e
-        l, r = self._apex[e]
-        f = edge(l, r)
-        if f in self._apex:
-            raise GeometryError(f"flip target {f} already present")
-        del self._apex[e]
-        pts = self.points.points
-        entry: list[int | None] = [None, None]
-        sa = 0 if cross(pts[f[0]], pts[f[1]], pts[a]) > 0 else 1
-        entry[sa] = a
-        entry[1 - sa] = b
-        self._apex[f] = entry
+        l, r = left[(a, b)], left[(b, a)]
+        if (l, r) in left:
+            raise GeometryError(f"flip target {edge(l, r)} already present")
+        del left[(a, b)], left[(b, a)]
         #           b                     b
         #         / | \                 /   \
         #        l  |  r     ->        l-----r
         #         \ | /                 \   /
         #           a                     a
-        # The four rim edges trade their apex on the quad side.
-        for u, w, old, new in ((a, l, b, r), (l, b, a, r), (b, r, a, l), (r, a, b, l)):
-            g = edge(u, w)
-            ge = self._apex[g]
-            s = 0 if ge[0] == old else 1
-            if ge[s] != old:
-                raise GeometryError(f"apex map inconsistent at {g}")
-            ge[s] = new
-        return f
+        # The new edge has a left of r -> l and b left of l -> r; the four
+        # rim darts facing the quad trade their apex.
+        left[(r, l)] = a
+        left[(l, r)] = b
+        for d, old, new in (((a, r), b, l), ((r, b), a, l), ((b, l), a, r), ((l, a), b, r)):
+            if left[d] != old:
+                raise GeometryError(f"dart map inconsistent at {d}")
+            left[d] = new
+        return edge(l, r)
 
     def triangles(self) -> list[tuple[int, int, int]]:
         out = set()
-        for (a, b), (l, r) in self._apex.items():
-            for w in (l, r):
-                if w is not None:
-                    out.add(tuple(sorted((a, b, w))))
+        for (a, b), w in self.left.items():
+            if w is not None:
+                out.add(tuple(sorted((a, b, w))))
         return sorted(out)  # type: ignore[return-value]
 
     def validate(self) -> None:
@@ -245,30 +234,27 @@ class Triangulation:
         pts = self.points.points
         n = self.n
         h = len(self.boundary)
+        left = self.left
+        for (a, b), w in left.items():
+            if (b, a) not in left:
+                raise GeometryError(f"dart ({a}, {b}) lacks its reverse")
+            if w is None:
+                if edge(a, b) not in self._hull_edges:
+                    raise GeometryError(f"interior edge {edge(a, b)} lacks an apex")
+            elif cross(pts[a], pts[b], pts[w]) <= 0:
+                raise GeometryError(f"apex {w} of dart ({a}, {b}) not on its left")
+            elif left.get((b, w)) != a or left.get((w, a)) != b:
+                raise GeometryError(f"triangle ({a}, {b}, {w}) not closed in the dart map")
+        for a, b in self._hull_edges:
+            if (left.get((a, b)) is None) == (left.get((b, a)) is None):
+                raise GeometryError(f"hull edge {(a, b)} must have one outer side")
         if self.edge_count != 3 * n - h - 3:
             raise GeometryError(
                 f"edge count {self.edge_count} != 3n-h-3 = {3 * n - h - 3}"
             )
-        for e, (l, r) in self._apex.items():
-            if e in self._hull_edges:
-                if (l is None) == (r is None):
-                    raise GeometryError(f"hull edge {e} must have one outer side")
-            elif l is None or r is None:
-                raise GeometryError(f"interior edge {e} lacks an apex")
-            if l is not None and cross(pts[e[0]], pts[e[1]], pts[l]) <= 0:
-                raise GeometryError(f"left apex of {e} not on the left")
-            if r is not None and cross(pts[e[0]], pts[e[1]], pts[r]) >= 0:
-                raise GeometryError(f"right apex of {e} not on the right")
-        tris = self.triangles()
-        if len(tris) != 2 * n - h - 2:
+        if len(self.triangles()) != 2 * n - h - 2:
             raise GeometryError("Euler check failed: wrong triangle count")
-        for t in tris:
-            for i in range(3):
-                e = edge(t[i], t[(i + 1) % 3])
-                w = t[(i + 2) % 3]
-                if w not in self._apex[e]:
-                    raise GeometryError(f"triangle {t} missing from apex map")
-        g = GeometricGraph(self.points, tuple(self._apex))
+        g = GeometricGraph(self.points, tuple(self.sorted_edges()))
         pairs = crossing_pairs(g)
         if pairs:
             i, j = pairs[0]
@@ -282,7 +268,7 @@ class Triangulation:
 
 def _sweep_triangulation(
     pts: Sequence[Point],
-) -> tuple[dict[Edge, list[int | None]], list[int]]:
+) -> tuple[dict[Dart, int | None], list[int]]:
     """Triangulate all points, processing them in lexicographic order.
 
     Maintains the weak hull of the processed prefix as a counterclockwise
@@ -293,8 +279,8 @@ def _sweep_triangulation(
     """
     n = len(pts)
     order = sorted(range(n), key=lambda i: pts[i])
-    apex: dict[Edge, list[int | None]] = {}
-    chain: list[int] = [order[0]]
+    left: dict[Dart, int | None] = {}
+    chain: list[int] = order[:1]
     nxt = [-1] * n
     prv = [-1] * n
     last = -1
@@ -308,7 +294,7 @@ def _sweep_triangulation(
                 continue
             turn = cross(pts[chain[0]], pts[chain[-1]], pp)
             for u, v in zip(chain, chain[1:]):
-                _add_triangle(pts, apex, p, u, v)
+                _add_triangle(pts, left, p, u, v)
             ring = chain + [p] if turn > 0 else chain[::-1] + [p]
             for u, v in zip(ring, ring[1:] + ring[:1]):
                 nxt[u] = v
@@ -343,7 +329,7 @@ def _sweep_triangulation(
         u = lo
         while u != hi:
             v = nxt[u]
-            _add_triangle(pts, apex, p, u, v)
+            _add_triangle(pts, left, p, u, v)
             u = v
         nxt[lo] = p
         prv[p] = lo
@@ -352,11 +338,11 @@ def _sweep_triangulation(
         last = p
 
     if last < 0:
-        raise ValueError("all points are collinear; cannot triangulate")
+        raise CollinearError("all points are collinear; cannot triangulate")
     hull = [nxt[last]]
     while hull[-1] != last:
         hull.append(nxt[hull[-1]])
-    return apex, hull
+    return left, hull
 
 
 # ---------------------------------------------------------------------------
@@ -366,20 +352,22 @@ def _sweep_triangulation(
 
 def _crossed_edges(
     pts: Sequence[Point],
-    apex: dict[Edge, list[int | None]],
+    left: dict[Dart, int | None],
     nbrs: list[set[int]],
     a: int,
     b: int,
-) -> list[Edge]:
+) -> list[Dart]:
     """Edges crossed by the absent segment ab, in order from a to b.
 
+    Each comes as the dart (p, q) with p left of a -> b and q right of it,
+    so the next triangle along the segment is the one left of p -> q.
     Finds the triangle at a whose wedge holds direction a -> b, then steps
-    across the edge opposite the previous apex until the apex is b.
+    through the triangle left of each crossed dart until its apex is b.
     """
     e = edge(a, b)
     pa, pb = pts[a], pts[b]
     dx, dy = pb.x - pa.x, pb.y - pa.y
-    first: Edge | None = None
+    first: Dart | None = None
     for u in nbrs[a]:
         pu = pts[u]
         s = cross(pa, pb, pu)
@@ -387,92 +375,85 @@ def _crossed_edges(
             raise GeometryError(f"constraint {e} passes through vertex {u}")
         if s < 0:
             # u lies right of a -> b; w is the apex left of a -> u.
-            w = apex[edge(a, u)][0 if a < u else 1]
+            w = left[(a, u)]
             if w is not None and cross(pa, pb, pts[w]) > 0:
                 first = (w, u)
                 break
     if first is None:
         raise GeometryError(f"constraint {e} crosses nothing yet is absent")
-    p, q = first  # p left of a -> b, q right
-    prev = a
-    crossed: list[Edge] = []
+    p, q = first
+    crossed: list[Dart] = []
     while True:
-        g = edge(p, q)
-        crossed.append(g)
-        l, r = apex[g]
-        v = r if l == prev else l
+        crossed.append((p, q))
+        v = left[(p, q)]
         if v == b:
             return crossed
         if v is None:
-            raise GeometryError(f"constraint {e} leaves the hull at edge {g}")
+            raise GeometryError(f"constraint {e} leaves the hull at edge {edge(p, q)}")
         s = cross(pa, pb, pts[v])
         if s == 0:
             raise GeometryError(f"constraint {e} passes through vertex {v}")
         if s > 0:
-            prev, p = p, v
+            p = v
         else:
-            prev, q = q, v
+            q = v
 
 
 def _insert_constraint(
     pts: Sequence[Point],
-    apex: dict[Edge, list[int | None]],
+    left: dict[Dart, int | None],
     nbrs: list[set[int]],
     a: int,
     b: int,
 ) -> None:
-    """Force edge (a, b) into the triangulation held in `apex` and `nbrs`."""
-    if edge(a, b) in apex:
+    """Force edge (a, b) into the triangulation held in `left` and `nbrs`."""
+    if (a, b) in left:
         return
-    pa, pb = pts[a], pts[b]
-    crossed = _crossed_edges(pts, apex, nbrs, a, b)
-    # _crossed_edges has raised if an endpoint lies on the line through ab.
     upper: list[int] = []
     lower: list[int] = []
-    for g in crossed:
-        for v in g:
-            side = upper if cross(pa, pb, pts[v]) > 0 else lower
-            if not side or side[-1] != v:
-                side.append(v)
-    for g in crossed:
-        del apex[g]
-        nbrs[g[0]].discard(g[1])
-        nbrs[g[1]].discard(g[0])
-    _fill_pocket(pts, apex, nbrs, a, b, upper)
-    _fill_pocket(pts, apex, nbrs, a, b, lower)
+    for p, q in _crossed_edges(pts, left, nbrs, a, b):
+        if not upper or upper[-1] != p:
+            upper.append(p)
+        if not lower or lower[-1] != q:
+            lower.append(q)
+        del left[(p, q)], left[(q, p)]
+        nbrs[p].discard(q)
+        nbrs[q].discard(p)
+    _fill_pocket(pts, left, nbrs, a, b, upper, True)
+    _fill_pocket(pts, left, nbrs, a, b, lower, False)
 
 
 def _fill_pocket(
     pts: Sequence[Point],
-    apex: dict[Edge, list[int | None]],
+    left: dict[Dart, int | None],
     nbrs: list[set[int]],
     base_u: int,
     base_v: int,
     chain: list[int],
+    up: bool,
 ) -> None:
     """Triangulate the pocket bounded by segment (base_u, base_v) and chain.
 
-    Every chain vertex ends an edge that crossed the base, so the pocket is
-    weakly visible from the base and one Graham-scan-like pass along the
-    walk base_u, chain..., base_v triangulates it (Toussaint and Avis,
-    1982): whenever the top two stack vertices and the next walk vertex
-    turn strictly toward the base, their triangle is cut off and the top
-    is popped.  Collinear turns are pushed and never cut.  The pass ends
-    with the stack [base_u, base_v], the last triangle having the base as
-    a side.  The pocket-side apex slots of the walk edges, which named
+    The chain lies left of base_u -> base_v when `up`, right of it
+    otherwise.  Every chain vertex ends an edge that crossed the base, so
+    the pocket is weakly visible from the base and one Graham-scan-like
+    pass along the walk base_u, chain..., base_v triangulates it (Toussaint
+    and Avis, 1982): whenever the top two stack vertices and the next walk
+    vertex turn strictly toward the base, their triangle is cut off and the
+    top is popped.  Collinear turns are pushed and never cut.  The pass
+    ends with the stack [base_u, base_v], the last triangle having the base
+    as a side.  The walk's darts that face the pocket, which named
     triangles the constraint crossed, are cleared first.
     """
     if not chain:
         return
     walk = [base_u, *chain, base_v]
-    # The chain lies on one side of base_u -> base_v; a turn toward the base
-    # has the opposite sign, and the pocket lies on that side of the walk.
-    up = cross(pts[base_u], pts[base_v], pts[chain[0]]) > 0
     for u, v in zip(walk, walk[1:]):
-        entry = apex.get(edge(u, v))
-        if entry is None:
+        # Above the base the pocket lies right of the walk, below it left.
+        d = (v, u) if up else (u, v)
+        if d not in left:
             raise GeometryError(f"pocket boundary edge {edge(u, v)} missing")
-        entry[(u < v) == up] = None
+        left[d] = None
     stack = [base_u]
     for v in walk[1:]:
         pv = pts[v]
@@ -481,7 +462,7 @@ def _fill_pocket(
             c = cross(pts[x], pts[y], pv)
             if c == 0 or (c > 0) == up:
                 break
-            _add_triangle(pts, apex, x, y, v)
+            _add_triangle(pts, left, x, y, v)
             nbrs[x].add(v)
             nbrs[v].add(x)
             stack.pop()
@@ -502,7 +483,7 @@ def complete_to_triangulation(source: GeometricGraph | PointSet) -> Triangulatio
 
     Idempotent (a triangulation comes back unchanged) and monotone (every
     input edge appears in the output).  Raises NotPlaneError if two input
-    edges cross.
+    edges cross, and CollinearError if the points span no triangle.
     """
     if isinstance(source, PointSet):
         ps = source
@@ -510,8 +491,6 @@ def complete_to_triangulation(source: GeometricGraph | PointSet) -> Triangulatio
     else:
         ps = source.points
         in_edges = source.edges
-    if len(ps) < 3:
-        raise ValueError("triangulation needs at least 3 points")
     if in_edges:
         pairs = crossing_pairs(source)
         if pairs:
@@ -527,25 +506,21 @@ def complete_layers(
 
     The bare points are swept once; each layer but the last starts from a
     copy of that sweep, the last from the sweep itself.  Layers are not
-    checked for crossings.
+    checked for crossings.  Raises CollinearError if ps spans no triangle.
     """
     pts = ps.points
     sweep, hull = _sweep_triangulation(pts)
     out = []
     for i, in_edges in enumerate(layers):
-        if i == len(layers) - 1:
-            apex = sweep
-        else:
-            apex = {e: list(s) for e, s in sweep.items()}
+        left = sweep if i == len(layers) - 1 else dict(sweep)
         in_edges = sorted(in_edges)
         if in_edges:
             nbrs: list[set[int]] = [set() for _ in pts]
-            for u, v in apex:
+            for u, v in left:
                 nbrs[u].add(v)
-                nbrs[v].add(u)
             for a, b in in_edges:
-                _insert_constraint(pts, apex, nbrs, a, b)
-        out.append(Triangulation(ps, apex, hull))
+                _insert_constraint(pts, left, nbrs, a, b)
+        out.append(Triangulation(ps, left, hull))
     return out
 
 
@@ -570,117 +545,75 @@ def enumerate_triangulations(ps: PointSet, cap: int = 9) -> list[Triangulation]:
     return out
 
 
+def triangulation_from_edges(ps: PointSet, edges: Iterable[Edge]) -> Triangulation:
+    """The triangulation of ps whose edges are exactly `edges`.
+
+    The edge set is completed; GeometryError is raised when two of its
+    edges cross or when completion has to add an edge.
+    """
+    g = GeometricGraph(ps, tuple(edges))
+    try:
+        t = complete_to_triangulation(g)
+    except NotPlaneError as err:
+        raise GeometryError(f"edge set is not plane: {err}") from err
+    if t.edge_count != g.m:
+        raise GeometryError(f"edge set lacks {t.edge_count - g.m} triangulation edges")
+    return t
+
+
 # ---------------------------------------------------------------------------
 # Plane-graph face traversal (rotation system)
 # ---------------------------------------------------------------------------
 
 
 def plane_face_walks(
-    pts: Sequence[Point], edges: Iterable[Edge]
-) -> tuple[
-    dict[int, list[int]],
-    dict[tuple[int, int], int],
-    dict[tuple[int, int], int],
-    list[list[tuple[int, int]]],
-]:
-    """Trace the faces of a plane graph via its rotation system.
+    ps: PointSet, edges: Iterable[Edge]
+) -> tuple[dict[int, list[int]], dict[Dart, int], list[list[Dart]]]:
+    """Trace the faces of a plane graph on ps via its rotation system.
 
-    Returns (rotations, dart positions, dart -> walk id, walks).  Every dart
+    Returns (rotations, dart -> walk id, walks).  The
+    rotations are read off a completion of the graph, so each vertex's
+    list is its counterclockwise order up to a cyclic shift.  Every dart
     (directed edge) belongs to exactly one closed walk; bounded faces trace
     counterclockwise.  Faces with holes produce one walk per boundary
     component; grouping walks into faces is the caller's concern.
     """
     edges = sorted(edges)
-    rot = _angular_rotation(pts, edges)
+    t = complete_to_triangulation(GeometricGraph(ps, tuple(edges)))
+    rot = t.rotation(edges)
     return (rot, *trace_face_walks(rot, edges))
-
-
-def _angular_rotation(
-    pts: Sequence[Point], edges: Sequence[Edge]
-) -> dict[int, list[int]]:
-    """Each vertex's neighbours sorted counterclockwise by direction."""
-    adj: dict[int, list[int]] = defaultdict(list)
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    rot: dict[int, list[int]] = {}
-    for v, nbrs in adj.items():
-        pv = pts[v]
-
-        def cmp(i: int, j: int, pv: Point = pv) -> int:
-            return direction_cmp(
-                Point(pts[i].x - pv.x, pts[i].y - pv.y),
-                Point(pts[j].x - pv.x, pts[j].y - pv.y),
-            )
-
-        rot[v] = sorted(nbrs, key=cmp_to_key(cmp))
-    return rot
 
 
 def trace_face_walks(
     rot: dict[int, list[int]], edges: Sequence[Edge]
-) -> tuple[
-    dict[tuple[int, int], int],
-    dict[tuple[int, int], int],
-    list[list[tuple[int, int]]],
-]:
+) -> tuple[dict[Dart, int], list[list[Dart]]]:
     """Trace the closed walks of a plane graph given its rotation system.
 
     `rot[v]` lists v's neighbours counterclockwise, starting anywhere; the
     walks depend only on the cyclic order.  Darts are started in the order
-    of the sorted `edges`.  Returns (dart positions, dart -> walk id, walks).
+    of the sorted `edges`.  Returns (dart -> walk id, walks); the walk of a
+    dart traces the face on its left.
     """
-    pos: dict[tuple[int, int], int] = {}
+    # The face left of u -> v continues along v -> w, w the neighbour
+    # before u around v.
+    succ: dict[Dart, Dart] = {}
     for v, nbrs in rot.items():
         for i, u in enumerate(nbrs):
-            pos[(v, u)] = i
-    walk_of: dict[tuple[int, int], int] = {}
-    walks: list[list[tuple[int, int]]] = []
+            succ[(u, v)] = (v, nbrs[i - 1])
+    walk_of: dict[Dart, int] = {}
+    walks: list[list[Dart]] = []
     for a, b in edges:
         for dart in ((a, b), (b, a)):
             if dart in walk_of:
                 continue
             wid = len(walks)
             path = []
-            u, v = dart
+            d = dart
             while True:
-                walk_of[(u, v)] = wid
-                path.append((u, v))
-                r = rot[v]
-                w = r[(pos[(v, u)] - 1) % len(r)]
-                u, v = v, w
-                if (u, v) == dart:
+                walk_of[d] = wid
+                path.append(d)
+                d = succ[d]
+                if d == dart:
                     break
             walks.append(path)
-    return pos, walk_of, walks
-
-
-def triangulation_from_edges(
-    ps: PointSet, edges: Iterable[Edge]
-) -> Triangulation:
-    """Rebuild a Triangulation from a bare edge set, validating it."""
-    edges = sorted({edge(a, b) for a, b in edges})
-    pts = ps.points
-    boundary = convex_hull(ps)
-    touched = {v for e in edges for v in e}
-    if touched != set(range(len(ps))):
-        raise GeometryError("edge set does not cover every vertex")
-    pairs = crossing_pairs(GeometricGraph(ps, tuple(edges)))
-    if pairs:
-        raise GeometryError(f"edge set is not plane: {pairs[0]}")
-    _, _, walk_of, walks = plane_face_walks(pts, edges)
-    outer_dart = (boundary[1], boundary[0])
-    if outer_dart not in walk_of:
-        raise GeometryError("hull edge missing from edge set")
-    outer = walk_of[outer_dart]
-    apex: dict[Edge, list[int | None]] = {}
-    for wid, path in enumerate(walks):
-        if wid == outer:
-            continue
-        if len(path) != 3:
-            raise GeometryError(f"bounded face {path} is not a triangle")
-        _add_triangle(pts, apex, path[0][0], path[1][0], path[2][0])
-    tri = Triangulation(ps, apex, boundary)
-    if tri.edge_count != len(edges):
-        raise GeometryError("reconstructed triangulation lost edges")
-    return tri
+    return walk_of, walks

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
+from functools import cmp_to_key
 
 from biplanekit.geometry import (
     PointSet,
@@ -187,6 +188,36 @@ def dir_in_ccw_sector(d, u, w) -> bool:
     raise ValueError("sector endpoints point in the same direction")
 
 
+def direction_cmp(d1, d2) -> int:
+    """Compare two nonzero direction vectors counterclockwise, starting
+    just above the positive x-axis.  Returns -1, 0, or 1."""
+    h1 = 0 if (d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)) else 1
+    h2 = 0 if (d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)) else 1
+    if h1 != h2:
+        return -1 if h1 < h2 else 1
+    c = d1[0] * d2[1] - d1[1] * d2[0]
+    return -1 if c > 0 else 1 if c < 0 else 0
+
+
+def brute_angular_rotation(pts, edges) -> dict[int, list[int]]:
+    """Each vertex's neighbours sorted counterclockwise by direction."""
+    adj: dict[int, list[int]] = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    rot = {}
+    for v, nbrs in adj.items():
+        pv = pts[v]
+
+        def cmp(i: int, j: int, pv=pv) -> int:
+            return direction_cmp(
+                (pts[i].x - pv.x, pts[i].y - pv.y), (pts[j].x - pv.x, pts[j].y - pv.y)
+            )
+
+        rot[v] = sorted(nbrs, key=cmp_to_key(cmp))
+    return rot
+
+
 def brute_wedge_anchor(pts, rot, walk_of, iso_anchor, v, toward) -> int:
     """Walk id of the purple face the direction v -> toward leaves v into.
 
@@ -288,10 +319,13 @@ def graph_is_connected_after_removal(g: GeometricGraph, removed) -> bool:
 
 
 def brute_crossed_edges(pts, apex, a, b) -> list[tuple[int, int]]:
-    """Edges of the apex map crossed by segment ab, by testing every edge
-    and sorting the crossings by their exact parameter along ab."""
+    """Edges of the dart map crossed by segment ab, by testing every edge
+    (once, at its dart u -> v with u < v) and sorting the crossings by
+    their exact parameter along ab."""
     pa, pb = pts[a], pts[b]
-    crossed = [g for g in apex if segments_cross(pa, pb, pts[g[0]], pts[g[1]])]
+    crossed = [
+        g for g in apex if g[0] < g[1] and segments_cross(pa, pb, pts[g[0]], pts[g[1]])
+    ]
     dx, dy = pb.x - pa.x, pb.y - pa.y
 
     def t_param(g) -> Fraction:

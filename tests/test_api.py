@@ -1,8 +1,11 @@
 """The package's API: the top level is exactly what the README documents,
-and geometry defines nothing the library does not use."""
+geometry defines nothing the library does not use, and every function the
+benchmark wraps exists."""
 
 import ast
+import importlib
 import re
+import sys
 from pathlib import Path
 
 import biplanekit
@@ -62,3 +65,16 @@ def test_every_geometry_definition_is_used_by_the_library():
             used.add(name)
             stack.append(name)
     assert sorted(defs.keys() - used) == []
+
+
+def test_perfbench_trace_targets_exist(monkeypatch):
+    # perfbench/run.py wraps these library functions on every run, so a
+    # renamed or deleted one would fail every benchmark operation.
+    import biplanekit.cli  # noqa: F401  (perfbench wraps cli.run)
+
+    monkeypatch.syspath_prepend(str(README.parent / "perfbench"))
+    for name in ("run", "checks", "tracer"):  # perfbench's own modules
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    run = importlib.import_module("run")
+    targets = run.trace_targets(biplanekit)
+    assert targets and all(callable(fn) for _, fn, _ in targets)

@@ -1,8 +1,10 @@
 import itertools
 import random
+import re
 
 import pytest
 from _helpers import (
+    brute_angular_rotation,
     brute_wedge_anchor,
     layer_is_plane,
     random_biplane_graph,
@@ -30,7 +32,7 @@ from biplanekit.constructions import gen_arc_in_triangle, gen_convex
 from biplanekit.geometry import PointSet, Strictness, convex_hull, edge, segments_cross
 from biplanekit.graphs import GeometricGraph, relaxed_edge_violations
 from biplanekit.recognition import test_biplane
-from biplanekit.triangulation import complete_layers, plane_face_walks, triangulation_from_edges
+from biplanekit.triangulation import complete_layers, trace_face_walks, triangulation_from_edges
 
 
 def empty_graph(ps: PointSet) -> GeometricGraph:
@@ -133,6 +135,39 @@ def test_tiny_point_sets():
     two = PointSet.from_coords([(0, 0), (1, 0)])
     res = maximal_augment(empty_graph(two))
     assert res.graph.m == 1
+    for n in (0, 1):
+        res = maximal_augment(empty_graph(PointSet.from_coords([(3, 4)] * n)))
+        assert res.graph.m == 0 and res.decomposition.layer1 == ()
+
+
+def test_collinear_points_augment_to_the_sorted_path():
+    # Points on one line span no triangle; the path through them in sorted
+    # order is maximal, one layer holds it, and both layers equal it.
+    coords = [(6, 9), (0, 0), (4, 6), (2, 3), (8, 12)]
+    ps = PointSet.from_coords(coords, Strictness.RELAXED)
+    path = ((0, 2), (0, 4), (1, 3), (2, 3))
+    for edges in ((), ((1, 3),), path):
+        res = maximal_augment(GeometricGraph(ps, edges), collect_trace=True)
+        assert res.graph.edges == path
+        assert res.decomposition.layer1 == path and res.decomposition.layer2 == ()
+        assert res.red_layer == res.blue_layer == path
+        assert maximality_oracle(res.graph)
+    diag = PointSet.from_coords([(0, 0), (1, 1), (2, 2), (3, 3)], Strictness.RELAXED)
+    assert maximal_augment(GeometricGraph(diag, ((1, 2),))).graph.edges == (
+        (0, 1),
+        (1, 2),
+        (2, 3),
+    )
+    # The vertex named is the lowest-numbered one inside the edge, as in
+    # relaxed_edge_violations; a STRICT set gets the same check.
+    for strictness in Strictness:
+        ps = PointSet.from_coords(coords, strictness)
+        for edges, message in (
+            (((1, 2),), "edge (1, 2) passes through vertex 3"),
+            (((1, 4), (2, 3)), "edge (1, 4) passes through vertex 0"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                maximal_augment(GeometricGraph(ps, edges))
 
 
 def test_output_decomposes_into_two_triangulations():
@@ -333,7 +368,9 @@ def test_chord_walks_match_angular_sector_scan():
         t_red, t_blue = complete_layers(g.points, (verdict.layer1, verdict.layer2))
         red = t_red.edge_set()
         pts = g.points.points
-        rot, _, walk_of, walks = plane_face_walks(pts, sorted(state.purple))
+        purple = sorted(state.purple)
+        rot = brute_angular_rotation(pts, purple)
+        walk_of, walks = trace_face_walks(rot, purple)
         isolated = [v for v in range(g.n) if v not in rot]
         iso_anchor = {v: len(walks) + i for i, v in enumerate(isolated)}
         for e in sorted(state.edges - state.purple):

@@ -340,3 +340,36 @@ def test_render_solid_iff_uncrossed():
             else:
                 want = LAYER1_COLOR if e in layer1 else LAYER2_COLOR
             assert colors[i] == want, (g.edges, i)
+
+
+@pytest.mark.parametrize(
+    "edges, line, column, reason",
+    [
+        ("0 1\n1 0\n2 3\n", 8, 3, "edge 1 repeats edge 0"),
+        ("0 1\n2 2\n1 3\n", 8, 3, "edge 1 is a loop at vertex 2"),
+        ("0 1\n1 2\n3 4\n", 9, 3, "edge 2 references missing vertex 4"),
+        ("0 1\n-1 2\n1 3\n", 8, 1, "edge 1 references missing vertex -1"),
+    ],
+)
+def test_parse_graph_rejects_repeated_loop_and_missing_vertex(edges, line, column, reason):
+    text = "4\n0 0\n5 0\n5 5\n0 5\n3\n" + edges
+    with pytest.raises(FileFormatError) as exc:
+        parse_graph(text)
+    assert (exc.value.line, exc.value.column, exc.value.reason) == (line, column, reason)
+
+
+def test_check_exits_2_on_repeated_edge(tmp_path, capsys):
+    f = tmp_path / "repeat.graph"
+    f.write_text("4\n0 0\n5 0\n5 5\n0 5\n3\n0 1\n1 0\n2 3\n")
+    assert run(["check", str(f)]) == 2
+    assert "line 8, column 3: edge 1 repeats edge 0" in capsys.readouterr().err
+
+
+def test_augment_relaxed_collinear_points_returns_the_path(tmp_path, capsys):
+    f = tmp_path / "line.graph"
+    f.write_text("4\n0 0\n1 1\n2 2\n3 3\n1\n1 2\n")
+    assert run(["check", "--relaxed", str(f)]) == 0
+    capsys.readouterr()
+    assert run(["augment", "--relaxed", str(f)]) == 0
+    out = capsys.readouterr().out
+    assert out == "4\n0 0\n1 1\n2 2\n3 3\n3\n0 1\n1 2\n2 3\nLAYER1 3\n0 1\n1 2\n2 3\nLAYER2 0\n"

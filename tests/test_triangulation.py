@@ -2,6 +2,7 @@ import random
 
 import pytest
 from _helpers import (
+    brute_angular_rotation,
     brute_crossed_edges,
     brute_fill_pocket,
     brute_sweep_triangulation,
@@ -17,6 +18,7 @@ from biplanekit.geometry import PointSet, Strictness, convex_hull, cross, edge
 from biplanekit.graphs import GeometricGraph
 from biplanekit.triangulation import (
     FlipStatus,
+    GeometryError,
     NotPlaneError,
     complete_to_triangulation,
     enumerate_triangulations,
@@ -76,12 +78,15 @@ def test_completion_monotone_contains_input():
 def test_walk_matches_brute_crossed_edges(monkeypatch):
     # Blue layers of maximal graphs are not the sweep triangulation, so
     # completing their subsets inserts constraints that cross edges.
+    # Each crossed edge comes as the dart from its endpoint left of a -> b.
     walk = triangulation._crossed_edges
     lengths = []
 
-    def checked(pts, apex, nbrs, a, b):
-        got = walk(pts, apex, nbrs, a, b)
-        assert got == brute_crossed_edges(pts, apex, a, b)
+    def checked(pts, left, nbrs, a, b):
+        got = walk(pts, left, nbrs, a, b)
+        assert [edge(p, q) for p, q in got] == brute_crossed_edges(pts, left, a, b)
+        pa, pb = pts[a], pts[b]
+        assert all(cross(pa, pb, pts[p]) > 0 > cross(pa, pb, pts[q]) for p, q in got)
         lengths.append(len(got))
         return got
 
@@ -138,7 +143,7 @@ def test_scan_fill_matches_brute_fill_per_pocket(monkeypatch):
     family = ["strict"]
     collinear = [0]
 
-    def checked(pts, apex, nbrs, a, b, chain):
+    def checked(pts, left, nbrs, a, b, chain, up):
         walk = [a, *chain, b]
         collinear[0] += sum(
             cross(pts[u], pts[v], pts[w]) == 0
@@ -154,25 +159,20 @@ def test_scan_fill_matches_brute_fill_per_pocket(monkeypatch):
 
             return wrapper
 
-        def recording(pts_, apex_, u, v, w):
+        def recording(pts_, left_, u, v, w):
             added.append((u, v, w))
-            add(pts_, apex_, u, v, w)
+            add(pts_, left_, u, v, w)
 
         with monkeypatch.context() as m:
             for name in names:
                 m.setattr(triangulation, name, counting(getattr(triangulation, name)))
             m.setattr(triangulation, "_add_triangle", recording)
-            fill(pts, apex, nbrs, a, b, chain)
+            fill(pts, left, nbrs, a, b, chain, up)
         assert calls[0] <= 6 * (len(chain) + 1), (len(chain), calls[0])
 
         scratch = {}
         brute_fill_pocket(pts, scratch, [set() for _ in pts], a, b, chain)
-        brute = {
-            tuple(sorted((g[0], g[1], w)))
-            for g, slots in scratch.items()
-            for w in slots
-            if w is not None
-        }
+        brute = {tuple(sorted((*d, w))) for d, w in scratch.items() if w is not None}
         for tris in (added, brute):
             assert len(tris) == len(chain)
             assert all(cross(pts[u], pts[v], pts[w]) != 0 for u, v, w in tris)
@@ -334,8 +334,9 @@ def test_ring_sweep_matches_brute_sweep():
 
 
 def test_apex_rotation_matches_angular_rotation():
-    # Triangulation.rotation equals the angular sort up to a cyclic shift,
-    # and the face walks traced from either are the same.
+    # Triangulation.rotation and the rotation plane_face_walks returns
+    # equal the angular sort up to a cyclic shift, and the face walks
+    # traced from the angular sort are the ones plane_face_walks returns.
     rng = random.Random(29)
     sets = [gen_grid(5).graph.points]
     for _ in range(30):
@@ -351,15 +352,18 @@ def test_apex_rotation_matches_angular_rotation():
             continue  # all points collinear
         for density in (1.0, 0.6, 0.3):
             sub = [e for e in t.sorted_edges() if rng.random() < density]
+            want = brute_angular_rotation(ps.points, sub)
             got = t.rotation(sub)
-            want, _, walk_of, walks = plane_face_walks(ps.points, sub)
-            assert got.keys() == want.keys()
+            rot, walk_of, walks = plane_face_walks(ps, sub)
+            for rotation in (got, rot):
+                assert rotation.keys() == want.keys()
+                for v, order in rotation.items():
+                    k = want[v].index(order[0])
+                    assert want[v][k:] + want[v][:k] == order
             for v, order in got.items():
-                k = want[v].index(order[0])
-                assert want[v][k:] + want[v][:k] == order
                 hull_multi += v in t.boundary and len(order) > 1
                 degree_one += len(order) == 1
-            _, walk_of2, walks2 = trace_face_walks(got, sub)
+            walk_of2, walks2 = trace_face_walks(want, sub)
             assert (walk_of2, walks2) == (walk_of, walks)
     assert hull_multi > 100 and degree_one > 20
 
@@ -433,6 +437,19 @@ def test_triangulation_from_edges_roundtrip():
         assert set(rebuilt.apexes(e)) == set(t.apexes(e))
 
 
+def test_triangulation_from_edges_rejects_non_triangulations():
+    rng = random.Random(56)
+    for _ in range(10):
+        ps = random_strict_points(rng, rng.randint(5, 12))
+        t = complete_to_triangulation(ps)
+        gone = rng.choice([e for e in t.sorted_edges() if not t.is_hull_edge(e)])
+        short = [e for e in t.sorted_edges() if e != gone]
+        with pytest.raises(GeometryError):
+            triangulation_from_edges(ps, short)
+    with pytest.raises(GeometryError):
+        triangulation_from_edges(convex4(), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)])
+
+
 def test_relaxed_grid_completion():
     coords = [(i, j) for i in range(1, 6) for j in range(1, 6)]
     ps = PointSet.from_coords(coords, Strictness.RELAXED)
@@ -443,7 +460,7 @@ def test_relaxed_grid_completion():
 
 def test_face_walks_triangle():
     ps = PointSet.from_coords([(0, 0), (4, 0), (0, 4)])
-    _, _, walk_of, walks = plane_face_walks(ps.points, [(0, 1), (1, 2), (0, 2)])
+    _, walk_of, walks = plane_face_walks(ps, [(0, 1), (1, 2), (0, 2)])
     assert len(walks) == 2  # inner face and outer face
     inner = walk_of[(0, 1)]
     assert len(walks[inner]) == 3

@@ -35,24 +35,6 @@ class ConnectivityReport:
     witness_cut: tuple[int, ...]  # empty when kappa == 0 or the graph is complete
 
 
-def _bfs_components(n: int, adj: list[list[int]]) -> int:
-    seen = [False] * n
-    comps = 0
-    for s in range(n):
-        if seen[s]:
-            continue
-        comps += 1
-        seen[s] = True
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    q.append(v)
-    return comps
-
-
 def _split_network(g: GeometricGraph) -> tuple[list[int], list[int], list[list[int]]]:
     """Unit-capacity split graph of g as paired arc lists.
 
@@ -126,15 +108,15 @@ def vertex_connectivity(g: GeometricGraph) -> ConnectivityReport:
 
     Uses the standard pair set: a fixed minimum-degree vertex against all
     its non-neighbors, plus all non-adjacent pairs of its neighbors.  Each
-    pair's flow is capped at the smallest cut found so far.
+    pair's flow is capped at the smallest cut found so far.  A disconnected
+    graph needs no special case: a pair across two components has flow 0
+    and an empty cut.
     """
     n = g.n
     if n < 2:
         raise ValueError("vertex connectivity needs at least 2 vertices")
     adj = g.adjacency()
     deg = g.degrees()
-    if _bfs_components(n, adj) > 1:
-        return ConnectivityReport(0, min(deg), ())
     present = set(g.edges)
     if g.m == n * (n - 1) // 2:
         return ConnectivityReport(n - 1, n - 1, ())

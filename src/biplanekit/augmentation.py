@@ -50,7 +50,6 @@ from .triangulation import (
     GeometryError,
     Triangulation,
     complete_layers,
-    plane_face_walks,
     trace_face_walks,
 )
 from .unionfind import ParityDSU
@@ -78,16 +77,6 @@ class FlipRecord:
     merged_faces: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class PurpleFace:
-    """Bounded face of the purple graph with its current chord layers."""
-
-    face_id: int
-    boundary: tuple[tuple[tuple[int, int], ...], ...]
-    red_chords: tuple[Edge, ...]
-    blue_chords: tuple[Edge, ...]
-
-
 @dataclass(slots=True, eq=False, repr=False)
 class MaximalState:
     """Mutable augmentation state; requires exclusive access while flipping.
@@ -99,7 +88,6 @@ class MaximalState:
     points: PointSet
     edges: set[Edge]
     purple: set[Edge]
-    hull_vertices: tuple[int, ...]
     hull_edges: frozenset[Edge]
     faces: ParityDSU
     walk_of: dict[Dart, int]
@@ -109,64 +97,18 @@ class MaximalState:
     trace: list[FlipRecord] | None
     queue: deque[Edge] = field(default_factory=deque)
 
-    # -- queries ------------------------------------------------------------
+    def layers(self) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+        """The red and blue triangulations, each as sorted edges.
 
-    def eff_apex(self, e: Edge, side: int, layer: int) -> int | None:
-        """Apex of the triangle in `layer` left (side 0) or right (side 1)
-        of purple edge e."""
-        d = (e[1], e[0]) if side else e
-        return self.apex[d][self.faces.parity(self.walk_of[d]) ^ layer]
-
-    def face_of(self, e: Edge, side: int) -> int:
-        """Purple face left (side 0) or right (side 1) of purple edge e."""
-        d = (e[1], e[0]) if side else e
-        return self.faces.find(self.walk_of[d])[0]
-
-    def chord_color(self, e: Edge) -> int:
-        return self.chord_color0[e] ^ self.faces.parity(self.chord_anchor[e])
-
-    def red_edges(self) -> list[Edge]:
-        out = list(self.purple)
-        out.extend(e for e in self.chord_anchor if self.chord_color(e) == RED)
-        return sorted(out)
-
-    def blue_edges(self) -> list[Edge]:
-        out = list(self.purple)
-        out.extend(e for e in self.chord_anchor if self.chord_color(e) == BLUE)
-        return sorted(out)
-
-    def exchange_face_colors(self, anchor: int) -> None:
-        """Swap the red and blue chord sets of one purple face."""
-        self.faces.flip_component(anchor)
-
-    def purple_faces(self) -> list[PurpleFace]:
-        """Current bounded faces of (S, P) with boundary walks and chords."""
-        _, walk_of, walks = plane_face_walks(self.points, self.purple)
-        hv = self.hull_vertices
-        outer = walk_of[(hv[1], hv[0])]
-        bound: dict[int, list[tuple[Dart, ...]]] = {}
-        for wid, path in enumerate(walks):
-            if wid == outer:
-                continue
-            root = self.faces.find(self.walk_of[path[0]])[0]
-            bound.setdefault(root, []).append(tuple(path))
-        chords: dict[int, tuple[list[Edge], list[Edge]]] = {}
-        for c in sorted(self.chord_anchor):
-            root = self.faces.find(self.chord_anchor[c])[0]
-            pair = chords.setdefault(root, ([], []))
-            pair[self.chord_color(c)].append(c)
-        out = []
-        for root in sorted(set(bound) | set(chords)):
-            r, b = chords.get(root, ([], []))
-            out.append(
-                PurpleFace(
-                    root,
-                    tuple(bound.get(root, [])),
-                    tuple(r),
-                    tuple(b),
-                )
-            )
-        return out
+        One color lookup per chord splits the chords; each layer is the
+        purple edges plus its chords.
+        """
+        shared = sorted(self.purple)
+        layers: tuple[list[Edge], list[Edge]] = (list(shared), shared)
+        color0, parity, anchor = self.chord_color0, self.faces.parity, self.chord_anchor
+        for e in anchor:
+            layers[color0[e] ^ parity(anchor[e])].append(e)
+        return tuple(sorted(layers[RED])), tuple(sorted(layers[BLUE]))
 
 
 @dataclass(frozen=True)
@@ -254,7 +196,6 @@ def build_state(
         ps,
         edges,
         purple,
-        t_red.boundary,
         t_red.hull_edges(),
         faces,
         walk_of,
@@ -277,7 +218,7 @@ def _clause(state: MaximalState, e: Edge) -> tuple[str, int] | None:
     face that gets recolored so the flip can run in the red layer).
     """
     # One find per side gives both the face root and its parity; the parity
-    # picks which stored apex is red (as eff_apex does).
+    # picks which stored apex is red.
     faces = state.faces
     a, b = e
     rev = (b, a)
@@ -304,22 +245,9 @@ def _clause(state: MaximalState, e: Edge) -> tuple[str, int] | None:
     return None
 
 
-def is_colorblind_flippable(state: MaximalState, e: Edge) -> bool:
-    """Can purple edge e be flipped under some decomposition of the edges?
-
-    True iff e is flippable in the red or blue triangulation, or e borders
-    two different purple faces and a red and a blue triangle on opposite
-    sides of e form a strictly convex quadrilateral.
-    """
-    if e not in state.purple:
-        raise ValueError(f"{e} is not a purple edge")
-    if e in state.hull_edges:
-        raise ValueError(f"{e} is a hull edge and never flippable")
-    return _clause(state, e) is not None
-
-
-def apply_flip(state: MaximalState, e: Edge) -> MaximalState:
-    """Flip purple edge e: add its quadrilateral diagonal as a new edge.
+def _flip(state: MaximalState, e: Edge, cl: tuple[str, int]) -> None:
+    """Flip purple edge e, whose clause `cl` is known: add its quadrilateral
+    diagonal as a new edge.
 
     The two purple faces of e merge; under the cross-face clause the face
     holding the blue triangle of the convex pair is recolored first so the
@@ -327,17 +255,6 @@ def apply_flip(state: MaximalState, e: Edge) -> MaximalState:
     triangles that contained e are re-enqueued (only their flippability can
     change).
     """
-    if e not in state.purple or e in state.hull_edges:
-        raise ValueError(f"{e} is not a flippable purple edge")
-    cl = _clause(state, e)
-    if cl is None:
-        raise ValueError(f"{e} is not colorblind flippable")
-    _flip(state, e, cl)
-    return state
-
-
-def _flip(state: MaximalState, e: Edge, cl: tuple[str, int]) -> None:
-    """apply_flip's body for a purple edge whose clause `cl` is known."""
     faces = state.faces
     walk_of, apex = state.walk_of, state.apex
     a, b = e
@@ -443,17 +360,8 @@ def maximal_augment(
             _flip(state, e, cl)
     if not certify_maximal(state):
         raise GeometryError("queue drained but a flippable purple edge remains")
-    # One color lookup per chord splits the chords; each layer is the
-    # purple edges plus its chords.
-    chords: tuple[list[Edge], list[Edge]] = ([], [])
-    color0, parity, anchor = state.chord_color0, state.faces.parity, state.chord_anchor
-    for e in anchor:
-        chords[color0[e] ^ parity(anchor[e])].append(e)
-    shared = sorted(purple)
-    blue_chords = sorted(chords[BLUE])
-    red = tuple(sorted(shared + chords[RED]))
-    blue = tuple(sorted(shared + blue_chords))
-    layer2 = tuple(blue_chords)
+    red, blue = state.layers()
+    layer2 = tuple(e for e in blue if e not in purple)
     graph = GeometricGraph(g.points, tuple(state.edges))
     deco = BiplaneDecomposition(red, layer2)
     trace = tuple(state.trace) if state.trace is not None else None

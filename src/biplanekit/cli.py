@@ -171,26 +171,43 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bounds_line(g: GeometricGraph) -> str:
+    try:
+        h = len(convex_hull(g.points))
+    except ValueError:  # fewer than three points, or all on one line
+        return f"BOUNDS n={g.n} m={g.m} need a triangle; the points span none"
+    b = bounds(g.n, h)
+    cap = b.max_edges_hull if b.max_edges_abs is None else min(
+        b.max_edges_hull, b.max_edges_abs
+    )
+    return (
+        f"BOUNDS n={b.n} h={b.h} m={g.m} minMaximal={b.min_maximal} "
+        f"maxEdges={cap} maximumLower={b.maximum_lower}"
+    )
+
+
+def _connectivity_line(g: GeometricGraph) -> str:
+    if g.n < 2:
+        return f"CONNECTIVITY n={g.n} needs at least 2 vertices"
+    rep = vertex_connectivity(g)
+    cut = ",".join(map(str, rep.witness_cut)) if rep.witness_cut else "-"
+    return f"CONNECTIVITY kappa={rep.kappa} minDegree={rep.min_degree} cut={cut}"
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    # Every report is computed before any is printed, so a failure leaves
+    # no partial output.
     g = _load(args, args.graph, parse_graph)
     want_all = not (args.connectivity or args.degrees or args.bounds)
+    lines = []
     if args.degrees or want_all:
         hist = degree_histogram(g)
-        print("DEGREES " + " ".join(f"{d}:{c}" for d, c in hist.items()))
+        lines.append(" ".join(["DEGREES", *(f"{d}:{c}" for d, c in hist.items())]))
     if args.bounds or want_all:
-        h = len(convex_hull(g.points))
-        b = bounds(g.n, h)
-        cap = b.max_edges_hull if b.max_edges_abs is None else min(
-            b.max_edges_hull, b.max_edges_abs
-        )
-        print(
-            f"BOUNDS n={b.n} h={b.h} m={g.m} minMaximal={b.min_maximal} "
-            f"maxEdges={cap} maximumLower={b.maximum_lower}"
-        )
+        lines.append(_bounds_line(g))
     if args.connectivity or want_all:
-        rep = vertex_connectivity(g)
-        cut = ",".join(map(str, rep.witness_cut)) if rep.witness_cut else "-"
-        print(f"CONNECTIVITY kappa={rep.kappa} minDegree={rep.min_degree} cut={cut}")
+        lines.append(_connectivity_line(g))
+    print("\n".join(lines))
     return 0
 
 

@@ -232,9 +232,6 @@ class GridGraph:
             raise ValueError(f"({i}, {j}) outside the {self.k} x {self.k} grid")
         return (i - 1) * self.k + (j - 1)
 
-    def coord(self, v: int) -> tuple[int, int]:
-        return v // self.k + 1, v % self.k + 1
-
 
 def gen_grid(k: int) -> GridGraph:
     """The k x k grid graph that is the union of two lattice triangulations.
@@ -359,31 +356,3 @@ def apply_boundary_flips(grid: GridGraph, i: int, side: int = 0) -> GridGraph:
     added = [((i, 1), (i - 2, 4)), ((i - 1, 2), (i - 3, 5))]
     return _transform(grid, "boundary", (i, side), removed, added, side)
 
-
-def grid_degree_classes(k: int) -> dict[str, int]:
-    """Expected degree by vertex class for the untransformed grid."""
-    return {
-        "corner": 4,
-        "corner-neighbor": 6,
-        "boundary": 7,
-        "inner-corner": 10,
-        "inner-frame": 11,
-        "interior": 12,
-    }
-
-
-def classify_grid_vertex(k: int, i: int, j: int) -> str:
-    """Vertex class of (i, j) in the degree classification of the grid."""
-    corners = {(1, 1), (1, k), (k, 1), (k, k)}
-    specials = {(1, 2), (2, k), (k, k - 1), (k - 1, 1)}
-    if (i, j) in corners:
-        return "corner"
-    if (i, j) in specials:
-        return "corner-neighbor"
-    if i in (1, k) or j in (1, k):
-        return "boundary"
-    if (i, j) in {(2, 2), (2, k - 1), (k - 1, 2), (k - 1, k - 1)}:
-        return "inner-corner"
-    if i in (2, k - 1) or j in (2, k - 1):
-        return "inner-frame"
-    return "interior"

@@ -14,17 +14,18 @@ stages: a lexicographic sweep triangulates the bare point set, keeping the
 hull as a linked ring so that each point costs only the hull edges it sees,
 then each input edge is inserted as a constraint.  Several plane edge sets
 on one point set can be completed from a single sweep.  Insertion walks
-along the segment: it starts at the triangle around one endpoint whose wedge
-holds the segment's direction and steps from triangle to triangle through
-the dart map, so it visits only the edges the segment crosses, already in
-order along it.  The crossed edges are removed and the two resulting pockets,
-each weakly visible from the segment, are retriangulated by one stack pass
-along their boundary (Toussaint and Avis, "On a convex hull algorithm for
-polygons and its application to triangulation problems", Pattern
-Recognition 15, 1982).  The walk reads each vertex's incident edges from a
-neighbour index that completion builds after the sweep, only when there are
-constraints, and that insertion keeps current as it removes and adds edges.
-The result is deterministic, idempotent, and contains every input edge.
+along the segment: it starts at the triangle around the endpoint of lower
+degree whose wedge holds the segment's direction and steps from triangle to
+triangle through the dart map, so it visits only the edges the segment
+crosses, already in order along it.  The crossed edges are removed and the
+two resulting pockets, each weakly visible from the segment, are
+retriangulated by one stack pass along their boundary (Toussaint and Avis,
+"On a convex hull algorithm for polygons and its application to
+triangulation problems", Pattern Recognition 15, 1982).  The walk reads each
+vertex's incident edges from a neighbour index that completion builds after
+the sweep, only when there are constraints, and that insertion keeps current
+as it removes and adds edges.  The result is deterministic, idempotent, and
+contains every input edge.
 """
 
 from __future__ import annotations
@@ -120,14 +121,6 @@ class Triangulation:
     def hull_edges(self) -> frozenset[Edge]:
         return self._hull_edges
 
-    def is_hull_edge(self, e: Edge) -> bool:
-        return e in self._hull_edges
-
-    def apexes(self, e: Edge) -> tuple[int | None, int | None]:
-        """(left apex, right apex) of edge e; None on the outer side."""
-        a, b = e
-        return self.left[(a, b)], self.left[(b, a)]
-
     def ring(self, v: int, u0: int) -> list[int]:
         """All neighbours of v in counterclockwise order, from neighbour u0.
 
@@ -221,45 +214,6 @@ class Triangulation:
                 raise GeometryError(f"dart map inconsistent at {d}")
             left[d] = new
         return edge(l, r)
-
-    def triangles(self) -> list[tuple[int, int, int]]:
-        out = set()
-        for (a, b), w in self.left.items():
-            if w is not None:
-                out.add(tuple(sorted((a, b, w))))
-        return sorted(out)  # type: ignore[return-value]
-
-    def validate(self) -> None:
-        """Raise GeometryError if an invariant is broken or two edges cross."""
-        pts = self.points.points
-        n = self.n
-        h = len(self.boundary)
-        left = self.left
-        for (a, b), w in left.items():
-            if (b, a) not in left:
-                raise GeometryError(f"dart ({a}, {b}) lacks its reverse")
-            if w is None:
-                if edge(a, b) not in self._hull_edges:
-                    raise GeometryError(f"interior edge {edge(a, b)} lacks an apex")
-            elif cross(pts[a], pts[b], pts[w]) <= 0:
-                raise GeometryError(f"apex {w} of dart ({a}, {b}) not on its left")
-            elif left.get((b, w)) != a or left.get((w, a)) != b:
-                raise GeometryError(f"triangle ({a}, {b}, {w}) not closed in the dart map")
-        for a, b in self._hull_edges:
-            if (left.get((a, b)) is None) == (left.get((b, a)) is None):
-                raise GeometryError(f"hull edge {(a, b)} must have one outer side")
-        if self.edge_count != 3 * n - h - 3:
-            raise GeometryError(
-                f"edge count {self.edge_count} != 3n-h-3 = {3 * n - h - 3}"
-            )
-        if len(self.triangles()) != 2 * n - h - 2:
-            raise GeometryError("Euler check failed: wrong triangle count")
-        g = GeometricGraph(self.points, tuple(self.sorted_edges()))
-        pairs = crossing_pairs(g)
-        if pairs:
-            i, j = pairs[0]
-            raise GeometryError(f"edges {g.edges[i]} and {g.edges[j]} cross")
-
 
 # ---------------------------------------------------------------------------
 # Sweep triangulation of a bare point set
@@ -409,9 +363,16 @@ def _insert_constraint(
     """Force edge (a, b) into the triangulation held in `left` and `nbrs`."""
     if (a, b) in left:
         return
+    # The walk's start scans the neighbours of its first vertex, so it
+    # starts at the endpoint of lower degree; reversed, the walk from b
+    # crosses the same edges.
+    if len(nbrs[b]) < len(nbrs[a]):
+        crossed = [(q, p) for p, q in reversed(_crossed_edges(pts, left, nbrs, b, a))]
+    else:
+        crossed = _crossed_edges(pts, left, nbrs, a, b)
     upper: list[int] = []
     lower: list[int] = []
-    for p, q in _crossed_edges(pts, left, nbrs, a, b):
+    for p, q in crossed:
         if not upper or upper[-1] != p:
             upper.append(p)
         if not lower or lower[-1] != q:
@@ -543,22 +504,6 @@ def enumerate_triangulations(ps: PointSet, cap: int = 9) -> list[Triangulation]:
                     out.append(t2)
                     queue.append(t2)
     return out
-
-
-def triangulation_from_edges(ps: PointSet, edges: Iterable[Edge]) -> Triangulation:
-    """The triangulation of ps whose edges are exactly `edges`.
-
-    The edge set is completed; GeometryError is raised when two of its
-    edges cross or when completion has to add an edge.
-    """
-    g = GeometricGraph(ps, tuple(edges))
-    try:
-        t = complete_to_triangulation(g)
-    except NotPlaneError as err:
-        raise GeometryError(f"edge set is not plane: {err}") from err
-    if t.edge_count != g.m:
-        raise GeometryError(f"edge set lacks {t.edge_count - g.m} triangulation edges")
-    return t
 
 
 # ---------------------------------------------------------------------------

@@ -3,31 +3,38 @@ independent re-checks that deliberately avoid the library's fast paths."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from fractions import Fraction
 from functools import cmp_to_key
 
+from biplanekit.augmentation import (
+    BLUE,
+    RED,
+    AugmentResult,
+    MaximalState,
+    _clause,
+    _flip,
+    build_state,
+    certify_maximal,
+)
+from biplanekit.constructions import GridGraph
 from biplanekit.geometry import (
+    Edge,
     PointSet,
     Strictness,
     ValidationReport,
+    convex_hull,
     cross,
     edge,
     point_in_triangle_strict,
     segments_cross,
     validate,
 )
-from biplanekit.augmentation import (
-    AugmentResult,
-    apply_flip,
-    build_state,
-    certify_maximal,
-    is_colorblind_flippable,
-)
 from biplanekit.graphs import GeometricGraph
-from biplanekit.recognition import BiplaneDecomposition, test_biplane
-from biplanekit.triangulation import GeometryError, _add_triangle
+from biplanekit.recognition import BiplaneDecomposition, crossing_pairs, test_biplane
+from biplanekit.triangulation import GeometryError, Triangulation, _add_triangle
 
 
 def random_strict_points(rng: random.Random, n: int, span: int = 10**6) -> PointSet:
@@ -518,10 +525,236 @@ def brute_sweep_triangulation(pts):
     return apex, hull
 
 
+def validate_triangulation(t: Triangulation) -> None:
+    """Raise GeometryError if a dart-map invariant is broken, the edge or
+    triangle count is not the one Euler's formula gives, or two edges cross."""
+    pts = t.points.points
+    n, h = t.n, len(t.boundary)
+    hull = t.hull_edges()
+    left = t.left
+    triangles = set()
+    for (a, b), w in left.items():
+        if (b, a) not in left:
+            raise GeometryError(f"dart ({a}, {b}) lacks its reverse")
+        if w is None:
+            if edge(a, b) not in hull:
+                raise GeometryError(f"interior edge {edge(a, b)} lacks an apex")
+            continue
+        if cross(pts[a], pts[b], pts[w]) <= 0:
+            raise GeometryError(f"apex {w} of dart ({a}, {b}) not on its left")
+        if left.get((b, w)) != a or left.get((w, a)) != b:
+            raise GeometryError(f"triangle ({a}, {b}, {w}) not closed in the dart map")
+        triangles.add(frozenset((a, b, w)))
+    for a, b in hull:
+        if (left.get((a, b)) is None) == (left.get((b, a)) is None):
+            raise GeometryError(f"hull edge {(a, b)} must have one outer side")
+    if t.edge_count != 3 * n - h - 3:
+        raise GeometryError(f"edge count {t.edge_count} != 3n-h-3 = {3 * n - h - 3}")
+    if len(triangles) != 2 * n - h - 2:
+        raise GeometryError("Euler check failed: wrong triangle count")
+    g = GeometricGraph(t.points, tuple(t.sorted_edges()))
+    pairs = crossing_pairs(g)
+    if pairs:
+        i, j = pairs[0]
+        raise GeometryError(f"edges {g.edges[i]} and {g.edges[j]} cross")
+
+
+# Expected degree by vertex class in the untransformed grid; an
+# "inner-frame" vertex has degree at least 11.
+GRID_DEGREE_CLASSES = {
+    "corner": 4,
+    "corner-neighbor": 6,
+    "boundary": 7,
+    "inner-corner": 10,
+    "inner-frame": 11,
+    "interior": 12,
+}
+
+
+def classify_grid_vertex(k: int, i: int, j: int) -> str:
+    """Vertex class of (i, j) in the degree classification of the grid."""
+    if (i, j) in {(1, 1), (1, k), (k, 1), (k, k)}:
+        return "corner"
+    if (i, j) in {(1, 2), (2, k), (k, k - 1), (k - 1, 1)}:
+        return "corner-neighbor"
+    if i in (1, k) or j in (1, k):
+        return "boundary"
+    if (i, j) in {(2, 2), (2, k - 1), (k - 1, 2), (k - 1, k - 1)}:
+        return "inner-corner"
+    if i in (2, k - 1) or j in (2, k - 1):
+        return "inner-frame"
+    return "interior"
+
+
+def grid_coord(grid: GridGraph, v: int) -> tuple[int, int]:
+    """(i, j) of vertex v; the inverse of GridGraph.index."""
+    return v // grid.k + 1, v % grid.k + 1
+
+
+def assert_grid_degree_classes(grid: GridGraph) -> None:
+    deg = grid.graph.degrees()
+    for v in range(grid.graph.n):
+        i, j = grid_coord(grid, v)
+        cls = classify_grid_vertex(grid.k, i, j)
+        want = GRID_DEGREE_CLASSES[cls]
+        ok = deg[v] >= want if cls == "inner-frame" else deg[v] == want
+        assert ok, (grid.k, (i, j), cls, deg[v])
+
+
+# ---------------------------------------------------------------------------
+# Per-edge view of the augmentation state.  maximal_augment evaluates each
+# popped edge's clause once and hands it to the flip; these go through the
+# clause again, so that tests can ask about any purple edge at any time.
+# ---------------------------------------------------------------------------
+
+
+def eff_apex(state: MaximalState, e: Edge, side: int, layer: int) -> int | None:
+    """Apex of the triangle in `layer` left (side 0) or right (side 1) of
+    purple edge e."""
+    d = (e[1], e[0]) if side else e
+    return state.apex[d][state.faces.parity(state.walk_of[d]) ^ layer]
+
+
+def face_of(state: MaximalState, e: Edge, side: int) -> int:
+    """Purple face left (side 0) or right (side 1) of purple edge e."""
+    d = (e[1], e[0]) if side else e
+    return state.faces.find(state.walk_of[d])[0]
+
+
+def flip_neighborhood(state: MaximalState, e: Edge) -> set[Edge]:
+    """Edges of the up-to-four triangles, in either layer, that contain e."""
+    a, b = e
+    out = set()
+    for layer in (RED, BLUE):
+        c, d = eff_apex(state, e, 0, layer), eff_apex(state, e, 1, layer)
+        out.update(edge(u, v) for u, v in ((a, c), (c, b), (b, d), (d, a)))
+    return out
+
+
+def is_colorblind_flippable(state: MaximalState, e: Edge) -> bool:
+    """Can purple edge e be flipped under some decomposition of the edges?
+
+    True iff e is flippable in the red or blue triangulation, or e borders
+    two different purple faces and a red and a blue triangle on opposite
+    sides of e form a strictly convex quadrilateral.
+    """
+    if e not in state.purple:
+        raise ValueError(f"{e} is not a purple edge")
+    if e in state.hull_edges:
+        raise ValueError(f"{e} is a hull edge and never flippable")
+    return _clause(state, e) is not None
+
+
+def apply_flip(state: MaximalState, e: Edge) -> None:
+    """Flip purple edge e, or raise ValueError if it is not flippable."""
+    if e not in state.purple or e in state.hull_edges:
+        raise ValueError(f"{e} is not a flippable purple edge")
+    cl = _clause(state, e)
+    if cl is None:
+        raise ValueError(f"{e} is not colorblind flippable")
+    _flip(state, e, cl)
+
+
+def purple_faces(state: MaximalState) -> dict[int, tuple[list[Edge], list[Edge]]]:
+    """Each bounded face of the purple graph, keyed by its union-find root,
+    with its red and blue chords."""
+    find = state.faces.find
+    hull = convex_hull(state.points)
+    outer = find(state.walk_of[(hull[1], hull[0])])[0]
+    faces = {root: ([], []) for root in sorted({find(w)[0] for w in state.walk_of.values()})}
+    del faces[outer]
+    for c in sorted(state.chord_anchor):
+        anchor = state.chord_anchor[c]
+        color = state.chord_color0[c] ^ state.faces.parity(anchor)
+        faces.setdefault(find(anchor)[0], ([], []))[color].append(c)
+    return faces
+
+
+def assert_face_chords_bipartite(state: MaximalState) -> None:
+    """In each purple face the chords' crossing graph is connected and
+    properly 2-colored by the chords' layers."""
+    pts = state.points.points
+    for red, blue in purple_faces(state).values():
+        chords = red + blue
+        if not chords:
+            continue
+        adj: dict[Edge, list[Edge]] = {c: [] for c in chords}
+        for c1, c2 in itertools.combinations(chords, 2):
+            if segments_cross(pts[c1[0]], pts[c1[1]], pts[c2[0]], pts[c2[1]]):
+                adj[c1].append(c2)
+                adj[c2].append(c1)
+        seen, stack = {chords[0]}, [chords[0]]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        assert len(seen) == len(chords), "face chord graph disconnected"
+        for c1 in chords:
+            for c2 in adj[c1]:
+                assert (c1 in red) != (c2 in red), "crossing chords share a color"
+
+
+def assert_flippability_ignores_face_exchanges(state: MaximalState) -> bool:
+    """Exchanging the chord colors of any subset of the purple faces changes
+    no purple edge's colorblind flippability.  Returns False, checking
+    nothing, when no edge can flip or there are more than 10 faces."""
+    faces = list(purple_faces(state))
+    purple = sorted(state.purple - state.hull_edges)
+    if not purple or len(faces) > 10:
+        return False
+    baseline = {p: is_colorblind_flippable(state, p) for p in purple}
+    for r in range(1, len(faces) + 1):
+        for subset in itertools.combinations(faces, r):
+            for f in subset:
+                state.faces.flip_component(f)
+            for p, verdict in baseline.items():
+                assert is_colorblind_flippable(state, p) == verdict
+            for f in subset:
+                state.faces.flip_component(f)
+    return True
+
+
+def checked_flips(state: MaximalState) -> tuple[int, int]:
+    """Drain the FIFO queue as maximal_augment does, checking flip locality
+    at every flip; returns (flips, merge revocations).
+
+    An edge can only BECOME flippable inside the triangles that contained
+    the flipped edge.  It can LOSE flippability farther away only when its
+    two faces were exactly the two the flip merged (the cross-face clause
+    needs two different faces); that is a merge revocation.
+    """
+    flips = revocations = 0
+    while state.queue:
+        e = state.queue.popleft()
+        if e not in state.purple or not is_colorblind_flippable(state, e):
+            continue
+        before = {
+            p: (is_colorblind_flippable(state, p), {face_of(state, p, 0), face_of(state, p, 1)})
+            for p in sorted(state.purple - state.hull_edges)
+        }
+        merged = {face_of(state, e, 0), face_of(state, e, 1)}
+        allowed = flip_neighborhood(state, e)
+        apply_flip(state, e)
+        flips += 1
+        for p in sorted(state.purple - state.hull_edges):
+            if p not in before or p in allowed:
+                continue
+            was, faces = before[p]
+            if was == is_colorblind_flippable(state, p):
+                continue
+            assert was, f"flip of {e} enabled faraway {p}"
+            assert faces == merged and face_of(state, p, 0) == face_of(state, p, 1), (
+                f"revocation of {p} by flip of {e} not explained by the face merge"
+            )
+            revocations += 1
+    return flips, revocations
+
+
 def reference_augment(g: GeometricGraph, *, collect_trace: bool = False) -> AugmentResult:
-    """maximal_augment (n >= 3) through the public per-edge API: every
-    popped purple edge is tested with is_colorblind_flippable and flipped
-    with apply_flip, which evaluates its clause a second time."""
+    """maximal_augment (n >= 3) through the per-edge helpers: every popped
+    purple edge is tested with is_colorblind_flippable and flipped with
+    apply_flip, which evaluates its clause a second time."""
     state = build_state(g, collect_trace=collect_trace)
     while state.queue:
         e = state.queue.popleft()
@@ -532,8 +765,7 @@ def reference_augment(g: GeometricGraph, *, collect_trace: bool = False) -> Augm
         apply_flip(state, e)
     if not certify_maximal(state):
         raise GeometryError("queue drained but a flippable purple edge remains")
-    red = tuple(state.red_edges())
-    blue = tuple(state.blue_edges())
+    red, blue = state.layers()
     layer2 = tuple(e for e in blue if e not in state.purple)
     graph = GeometricGraph(g.points, tuple(sorted(state.edges)))
     trace = tuple(state.trace) if state.trace is not None else None

@@ -5,14 +5,17 @@ corpus is built once and reused by the maximality, bounds, connectivity,
 and purple-structure criteria.
 """
 
-import itertools
 import math
 import random
 import time
 
 import pytest
 from _helpers import (
+    assert_face_chords_bipartite,
+    assert_flippability_ignores_face_exchanges,
+    assert_grid_degree_classes,
     brute_crossing_adjacency,
+    checked_flips,
     crossing_adjacency_is_bipartite,
     graph_is_connected_after_removal,
     layer_is_plane,
@@ -28,25 +31,16 @@ from biplanekit.analysis import (
     maximality_oracle,
     vertex_connectivity,
 )
-from biplanekit.augmentation import (
-    BLUE,
-    RED,
-    apply_flip,
-    build_state,
-    is_colorblind_flippable,
-    maximal_augment,
-)
+from biplanekit.augmentation import build_state, maximal_augment
 from biplanekit.constructions import (
     apply_boundary_flips,
     apply_corner_flips,
-    classify_grid_vertex,
     gen_arc_in_triangle,
     gen_convex,
     gen_grid,
     gen_hgon_with_arc,
-    grid_degree_classes,
 )
-from biplanekit.geometry import PointSet, convex_hull, edge, segments_cross
+from biplanekit.geometry import PointSet, convex_hull
 from biplanekit.graphs import GeometricGraph
 from biplanekit.recognition import (
     BiplaneDecomposition,
@@ -187,99 +181,18 @@ def test_criterion_07_three_connectivity(augmented_corpus):
     _report(7, "three-connectivity")
 
 
-def _flip_neighborhood(state, e):
-    allowed = set()
-    a, b = e
-    for layer in (RED, BLUE):
-        c = state.eff_apex(e, 0, layer)
-        d = state.eff_apex(e, 1, layer)
-        for u, v in ((a, c), (c, b), (b, d), (d, a)):
-            allowed.add(edge(u, v))
-    return allowed
-
-
 def test_criterion_08_purple_structure(augmented_corpus):
-    exchanges_checked = 0
-    flips_checked = 0
-    merge_revocations = 0
+    # Per purple face the chord crossing graph is connected and properly
+    # 2-colored; flippability survives exhaustive face color exchanges; and
+    # re-driving the FIFO loop, every flip is local (see checked_flips).
+    exchanges_checked = flips_checked = merge_revocations = 0
     for g, _ in augmented_corpus:
         state = build_state(g)
-        pts = g.points.points
-
-        # Per purple face: chord crossing graph connected, properly 2-colored.
-        faces = state.purple_faces()
-        for face in faces:
-            chords = list(face.red_chords) + list(face.blue_chords)
-            if not chords:
-                continue
-            adj = {c: [] for c in chords}
-            for i, c1 in enumerate(chords):
-                for c2 in chords[i + 1 :]:
-                    if segments_cross(pts[c1[0]], pts[c1[1]], pts[c2[0]], pts[c2[1]]):
-                        adj[c1].append(c2)
-                        adj[c2].append(c1)
-            stack, seen = [chords[0]], {chords[0]}
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            assert len(seen) == len(chords), "chord intersection graph disconnected"
-            for c1 in chords:
-                for c2 in adj[c1]:
-                    assert (c1 in face.red_chords) != (c2 in face.red_chords)
-
-        # Flippability invariant under exhaustive face color exchanges.
-        purple = sorted(state.purple - state.hull_edges)
-        face_ids = [f.face_id for f in faces]
-        if purple and len(face_ids) <= 10:
-            baseline = {p: is_colorblind_flippable(state, p) for p in purple}
-            for r in range(1, len(face_ids) + 1):
-                for subset in itertools.combinations(face_ids, r):
-                    for fid in subset:
-                        state.exchange_face_colors(fid)
-                    for p, verdict in baseline.items():
-                        assert is_colorblind_flippable(state, p) == verdict
-                    for fid in subset:
-                        state.exchange_face_colors(fid)
-            exchanges_checked += 1
-
-        # Flip locality: re-drive the FIFO loop checking every flip.  Edges
-        # can only BECOME flippable inside the triangles containing the
-        # flipped edge.  Flippability can additionally be LOST by an edge
-        # whose two faces were exactly the two faces the flip merged (the
-        # cross-face clause needs two different faces); any such revocation
-        # must be fully attributable to that merge and nothing else.
-        state = build_state(g)
-        while state.queue:
-            e = state.queue.popleft()
-            if e not in state.purple or not is_colorblind_flippable(state, e):
-                continue
-            purple_now = sorted(state.purple - state.hull_edges)
-            before = {
-                p: (
-                    is_colorblind_flippable(state, p),
-                    frozenset((state.face_of(p, 0), state.face_of(p, 1))),
-                )
-                for p in purple_now
-            }
-            merged = frozenset((state.face_of(e, 0), state.face_of(e, 1)))
-            allowed = _flip_neighborhood(state, e)
-            apply_flip(state, e)
-            flips_checked += 1
-            for p in sorted(state.purple - state.hull_edges):
-                if p not in before:
-                    continue
-                was, faces_before = before[p]
-                now = is_colorblind_flippable(state, p)
-                if was == now or p in allowed:
-                    continue
-                assert was and not now, f"flip of {e} enabled faraway {p}"
-                assert faces_before == merged and state.face_of(p, 0) == state.face_of(p, 1), (
-                    f"revocation of {p} by flip of {e} not explained by the face merge"
-                )
-                merge_revocations += 1
+        assert_face_chords_bipartite(state)
+        exchanges_checked += assert_flippability_ignores_face_exchanges(state)
+        flips, revocations = checked_flips(build_state(g))
+        flips_checked += flips
+        merge_revocations += revocations
     assert exchanges_checked >= 20, "too few instances with <= 10 purple faces"
     assert flips_checked > 0
     _report(
@@ -292,15 +205,7 @@ def test_criterion_08_purple_structure(augmented_corpus):
 def test_criterion_09_grid_construction():
     for k in range(5, 21):
         grid = gen_grid(k)
-        deg = grid.graph.degrees()
-        expect = grid_degree_classes(k)
-        for v in range(grid.graph.n):
-            i, j = grid.coord(v)
-            cls = classify_grid_vertex(k, i, j)
-            if cls == "inner-frame":
-                assert deg[v] >= 11, ((i, j), deg[v])
-            else:
-                assert deg[v] == expect[cls], ((i, j), cls, deg[v], expect[cls])
+        assert_grid_degree_classes(grid)
         assert isinstance(test_biplane(grid.graph), BiplaneDecomposition)
 
         if k >= 8:
@@ -381,13 +286,19 @@ def test_criterion_10_scaling_nonempty_input(empty_input_runs):
 def test_criterion_10_scaling_convex_empty_input():
     # In convex position every point stays on the sweep's hull, so any
     # per-point work proportional to the hull makes augmentation quadratic.
+    # Each n is timed as the fastest of three runs: a run of 0.05-0.4 s is
+    # easily slowed by a garbage collection or a busy neighbour, and one
+    # slow run among three sizes would decide the fitted exponent.
     times = {}
     for n in (1000, 2000, 4000):
         g = GeometricGraph(gen_convex(n), ())
-        t0 = time.perf_counter()
-        res = maximal_augment(g)
-        times[n] = time.perf_counter() - t0
-        assert res.graph.m == 3 * n - 6
+        runs = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            res = maximal_augment(g)
+            runs.append(time.perf_counter() - t0)
+            assert res.graph.m == 3 * n - 6
+        times[n] = min(runs)
     slope = _fitted_exponent(times)
     assert slope < 1.5, f"fitted exponent {slope:.2f}"
     assert times[4000] < 60.0, f"n=4000 took {times[4000]:.1f}s"

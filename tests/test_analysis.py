@@ -11,6 +11,7 @@ from _helpers import (
 )
 
 from biplanekit.analysis import (
+    ConnectivityReport,
     brute_force_maximum,
     degree_histogram,
     find_maximal_gap,
@@ -38,9 +39,13 @@ def test_connectivity_path():
 
 
 def test_connectivity_disconnected():
+    # With isolated vertices, and with two triangles and no isolated vertex:
+    # a pair across two components has flow 0 and an empty cut.
     g = GeometricGraph(PointSet.from_coords([(0, 0), (4, 0), (9, 1), (0, 7)]), ((0, 1),))
-    rep = vertex_connectivity(g)
-    assert rep.kappa == 0 and rep.witness_cut == ()
+    assert vertex_connectivity(g) == ConnectivityReport(0, 0, ())
+    ps = PointSet.from_coords([(0, 0), (4, 0), (1, 3), (10, 0), (14, 1), (11, 5)])
+    g = GeometricGraph(ps, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+    assert vertex_connectivity(g) == ConnectivityReport(0, 2, ())
 
 
 def test_connectivity_complete_graph():

@@ -1,12 +1,19 @@
-import itertools
 import random
 import re
 
 import pytest
 from _helpers import (
+    apply_flip,
+    assert_face_chords_bipartite,
+    assert_flippability_ignores_face_exchanges,
     brute_angular_rotation,
     brute_wedge_anchor,
+    checked_flips,
+    eff_apex,
+    flip_neighborhood,
+    is_colorblind_flippable,
     layer_is_plane,
+    purple_faces,
     random_biplane_graph,
     random_lattice_points,
     random_plane_graph,
@@ -22,17 +29,15 @@ from biplanekit.augmentation import (
     RED,
     NotBiplaneError,
     _chord_walks,
-    apply_flip,
     build_state,
     certify_maximal,
-    is_colorblind_flippable,
     maximal_augment,
 )
 from biplanekit.constructions import gen_arc_in_triangle, gen_convex
 from biplanekit.geometry import PointSet, Strictness, convex_hull, edge, segments_cross
 from biplanekit.graphs import GeometricGraph, relaxed_edge_violations
 from biplanekit.recognition import test_biplane
-from biplanekit.triangulation import complete_layers, trace_face_walks, triangulation_from_edges
+from biplanekit.triangulation import complete_layers, complete_to_triangulation, trace_face_walks
 
 
 def empty_graph(ps: PointSet) -> GeometricGraph:
@@ -176,16 +181,15 @@ def test_output_decomposes_into_two_triangulations():
         n = rng.randint(4, 10)
         ps = random_strict_points(rng, n)
         res = maximal_augment(empty_graph(ps))
-        tr = triangulation_from_edges(ps, res.red_layer)
-        tb = triangulation_from_edges(ps, res.blue_layer)
         h = len(convex_hull(ps))
-        assert tr.edge_count == tb.edge_count == 3 * n - h - 3
         assert set(res.red_layer) | set(res.blue_layer) == set(res.graph.edges)
-        # stored per-edge apex slots agree with the rebuilt triangulations
-        st = res.state
-        for e in purple_nonhull(st):
-            assert (st.eff_apex(e, 0, RED), st.eff_apex(e, 1, RED)) == tr.apexes(e)
-            assert (st.eff_apex(e, 0, BLUE), st.eff_apex(e, 1, BLUE)) == tb.apexes(e)
+        for layer, edges in ((RED, res.red_layer), (BLUE, res.blue_layer)):
+            t = complete_to_triangulation(GeometricGraph(ps, edges))
+            assert t.edge_count == len(edges) == 3 * n - h - 3
+            # stored per-edge apex slots agree with the rebuilt triangulation
+            for a, b in purple_nonhull(res.state):
+                got = (eff_apex(res.state, (a, b), 0, layer), eff_apex(res.state, (a, b), 1, layer))
+                assert got == (t.left[(a, b)], t.left[(b, a)])
 
 
 def test_decomposition_layers_disjoint_partition_and_plane():
@@ -250,13 +254,7 @@ def test_reenqueued_edges_within_flip_neighborhood():
         e = state.queue.popleft()
         if e not in state.purple or not is_colorblind_flippable(state, e):
             continue
-        allowed = set()
-        for layer in (RED, BLUE):
-            c = state.eff_apex(e, 0, layer)
-            d = state.eff_apex(e, 1, layer)
-            a, b = e
-            for u, v in ((a, c), (c, b), (b, d), (d, a)):
-                allowed.add(edge(u, v))
+        allowed = flip_neighborhood(state, e)
         before_len = len(state.queue)
         apply_flip(state, e)
         added = list(state.queue)[before_len:]
@@ -271,36 +269,7 @@ def test_flip_locality():
     for _ in range(12):
         n = rng.randint(5, 10)
         ps = random_strict_points(rng, n)
-        g = random_biplane_graph(rng, ps, rng.randint(0, n))
-        state = build_state(g)
-        while state.queue:
-            e = state.queue.popleft()
-            if e not in state.purple or not is_colorblind_flippable(state, e):
-                continue
-            before = {
-                p: is_colorblind_flippable(state, p) for p in purple_nonhull(state)
-            }
-            merged = frozenset((state.face_of(e, 0), state.face_of(e, 1)))
-            faces_before = {
-                p: frozenset((state.face_of(p, 0), state.face_of(p, 1)))
-                for p in purple_nonhull(state)
-            }
-            allowed = set()
-            for layer in (RED, BLUE):
-                c = state.eff_apex(e, 0, layer)
-                d = state.eff_apex(e, 1, layer)
-                a, b = e
-                for u, v in ((a, c), (c, b), (b, d), (d, a)):
-                    allowed.add(edge(u, v))
-            apply_flip(state, e)
-            after = {
-                p: is_colorblind_flippable(state, p) for p in purple_nonhull(state)
-            }
-            for p, verdict in after.items():
-                if p not in before or before[p] == verdict or p in allowed:
-                    continue
-                assert before[p] and not verdict, f"flip of {e} enabled faraway {p}"
-                assert faces_before[p] == merged, f"unexplained revocation at {p}"
+        checked_flips(build_state(random_biplane_graph(rng, ps, rng.randint(0, n))))
 
 
 def test_face_merge_can_revoke_faraway_cross_flippability():
@@ -317,31 +286,7 @@ def test_face_merge_can_revoke_faraway_cross_flippability():
     ps = PointSet.from_coords(coords)
     g = GeometricGraph(ps, ())
     state = build_state(g)
-    observed = False
-    while state.queue:
-        e = state.queue.popleft()
-        if e not in state.purple or not is_colorblind_flippable(state, e):
-            continue
-        before = {p: is_colorblind_flippable(state, p) for p in purple_nonhull(state)}
-        merged = frozenset((state.face_of(e, 0), state.face_of(e, 1)))
-        faces_before = {
-            p: frozenset((state.face_of(p, 0), state.face_of(p, 1)))
-            for p in purple_nonhull(state)
-        }
-        allowed = set()
-        for layer in (RED, BLUE):
-            c = state.eff_apex(e, 0, layer)
-            d = state.eff_apex(e, 1, layer)
-            a, b = e
-            for u, v in ((a, c), (c, b), (b, d), (d, a)):
-                allowed.add(edge(u, v))
-        apply_flip(state, e)
-        for p in purple_nonhull(state):
-            if p in before and p not in allowed:
-                now = is_colorblind_flippable(state, p)
-                if before[p] and not now:
-                    assert faces_before[p] == merged
-                    observed = True
+    observed = checked_flips(state)[1]
     assert observed, "expected at least one merge-induced revocation"
     assert certify_maximal(state)
     final = GeometricGraph(ps, tuple(sorted(state.edges)))
@@ -397,37 +342,7 @@ def test_purple_face_chord_graphs_connected_and_bipartite():
         n = rng.randint(5, 11)
         ps = random_strict_points(rng, n)
         g = random_biplane_graph(rng, ps, rng.randint(0, 2 * n))
-        state = build_state(g)
-        pts = ps.points
-        for face in state.purple_faces():
-            chords = list(face.red_chords) + list(face.blue_chords)
-            if not chords:
-                continue
-            # crossing graph over this face's chords
-            adj = {c: [] for c in chords}
-            for i, c1 in enumerate(chords):
-                for c2 in chords[i + 1 :]:
-                    if segments_cross(
-                        pts[c1[0]], pts[c1[1]], pts[c2[0]], pts[c2[1]]
-                    ):
-                        adj[c1].append(c2)
-                        adj[c2].append(c1)
-            # connected
-            seen = {chords[0]}
-            stack = [chords[0]]
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            assert len(seen) == len(chords), "face chord graph disconnected"
-            # bipartite with parts exactly (red, blue)
-            for c1 in chords:
-                for c2 in adj[c1]:
-                    in_red1 = c1 in face.red_chords
-                    in_red2 = c2 in face.red_chords
-                    assert in_red1 != in_red2, "crossing chords share a color"
+        assert_face_chords_bipartite(build_state(g))
 
 
 def test_colorblind_flippability_invariant_under_face_exchanges():
@@ -439,22 +354,7 @@ def test_colorblind_flippability_invariant_under_face_exchanges():
         n = rng.randint(5, 10)
         ps = random_strict_points(rng, n)
         g = random_biplane_graph(rng, ps, rng.randint(0, 2 * n))
-        state = build_state(g)
-        faces = [f.face_id for f in state.purple_faces()]
-        if not purple_nonhull(state) or len(faces) > 10:
-            continue
-        baseline = {
-            p: is_colorblind_flippable(state, p) for p in purple_nonhull(state)
-        }
-        for r in range(1, len(faces) + 1):
-            for subset in itertools.combinations(faces, r):
-                for f in subset:
-                    state.exchange_face_colors(f)
-                for p, verdict in baseline.items():
-                    assert is_colorblind_flippable(state, p) == verdict
-                for f in subset:
-                    state.exchange_face_colors(f)
-        checked += 1
+        checked += assert_flippability_ignores_face_exchanges(build_state(g))
     assert checked >= 5
 
 
@@ -463,11 +363,11 @@ def test_exchanged_decomposition_is_still_two_triangulations():
     ps = random_strict_points(rng, 9)
     g = random_biplane_graph(rng, ps, 10)
     state = build_state(g)
-    for face in state.purple_faces():
-        state.exchange_face_colors(face.face_id)
-        tr = triangulation_from_edges(ps, state.red_edges())
-        tb = triangulation_from_edges(ps, state.blue_edges())
-        assert tr.edge_count == tb.edge_count
+    for f in purple_faces(state):
+        state.faces.flip_component(f)
+        for layer in state.layers():
+            t = complete_to_triangulation(GeometricGraph(ps, layer))
+            assert t.edge_count == len(layer)
 
 
 def test_cross_clause_occurs_and_is_correct():
@@ -529,7 +429,8 @@ def isolated_anchor_graph() -> GeometricGraph:
 
 def test_fast_loop_matches_reference_loop():
     # maximal_augment hands each popped edge's clause to the flip; the
-    # reference goes through is_colorblind_flippable and apply_flip.
+    # reference goes through the is_colorblind_flippable and apply_flip
+    # helpers.
     rng = random.Random(31)
     graphs = [isolated_anchor_graph()]
     state = build_state(graphs[0])

@@ -10,7 +10,7 @@ from biplanekit.fileio import (
     parse_graph,
     parse_points,
 )
-from biplanekit.geometry import PointSet
+from biplanekit.geometry import PointSet, Strictness
 from biplanekit.graphs import GeometricGraph
 from biplanekit.svgrender import LAYER1_COLOR, LAYER2_COLOR, SHARED_COLOR, render_svg
 
@@ -180,6 +180,38 @@ def test_analyze_outputs_sections(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "DEGREES 3:4" in out
     assert "BOUNDS" in out and "CONNECTIVITY kappa=3" in out
+
+
+@pytest.mark.parametrize(
+    "coords, degrees, connectivity",
+    [
+        (
+            [(0, 0), (1, 1), (2, 2), (3, 3)],
+            "DEGREES 1:2 2:2",
+            "CONNECTIVITY kappa=1 minDegree=1 cut=1",
+        ),
+        ([(5, 2), (0, 0)], "DEGREES 1:2", "CONNECTIVITY kappa=1 minDegree=1 cut=-"),
+        ([(4, 4)], "DEGREES 0:1", "CONNECTIVITY n=1 needs at least 2 vertices"),
+        ([], "DEGREES", "CONNECTIVITY n=0 needs at least 2 vertices"),
+    ],
+    ids=["collinear-path", "two-points", "one-point", "no-points"],
+)
+def test_analyze_reads_what_augment_writes_on_points_spanning_no_triangle(
+    tmp_path, capsys, coords, degrees, connectivity
+):
+    # Augmenting such points gives the path through them; analyze reports
+    # on it in full and says that the bounds need a triangle.
+    f = tmp_path / "in.graph"
+    f.write_text(format_graph(GeometricGraph(PointSet.from_coords(coords, Strictness.RELAXED), ())))
+    out = tmp_path / "out.graph"
+    assert run(["augment", "--relaxed", str(f), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["analyze", "--relaxed", str(out)]) == 0
+    captured = capsys.readouterr()
+    n = len(coords)
+    bounds_line = f"BOUNDS n={n} m={max(n - 1, 0)} need a triangle; the points span none"
+    assert captured.out.splitlines() == [degrees, bounds_line, connectivity]
+    assert captured.err == ""
 
 
 def test_oracle_command(tmp_path, capsys):

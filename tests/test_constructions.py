@@ -1,6 +1,6 @@
 
 import pytest
-from _helpers import layer_is_plane
+from _helpers import assert_grid_degree_classes, grid_coord, layer_is_plane
 
 from biplanekit.analysis import brute_force_maximum
 from biplanekit.augmentation import maximal_augment
@@ -8,12 +8,10 @@ from biplanekit.constructions import (
     apply_boundary_flips,
     apply_corner_flips,
     bounds,
-    classify_grid_vertex,
     gen_arc_in_triangle,
     gen_convex,
     gen_grid,
     gen_hgon_with_arc,
-    grid_degree_classes,
 )
 from biplanekit.geometry import convex_hull, edge, validate
 from biplanekit.graphs import GeometricGraph, relaxed_edge_violations
@@ -112,15 +110,7 @@ def test_grid_edge_count_and_degree_classification():
     for k in (5, 6, 9, 25, 40):
         grid = gen_grid(k)
         assert grid.graph.m == 6 * (k - 1) ** 2
-        deg = grid.graph.degrees()
-        expect = grid_degree_classes(k)
-        for v in range(grid.graph.n):
-            i, j = grid.coord(v)
-            cls = classify_grid_vertex(k, i, j)
-            if cls == "inner-frame":
-                assert deg[v] >= 11
-            else:
-                assert deg[v] == expect[cls], (k, (i, j), cls, deg[v])
+        assert_grid_degree_classes(grid)
 
 
 def test_grid_adjacency_symmetric_under_negation():
@@ -129,8 +119,8 @@ def test_grid_adjacency_symmetric_under_negation():
     k = grid.k
     edges = set(grid.graph.edges)
     for a, b in edges:
-        ia, ja = grid.coord(a)
-        ib, jb = grid.coord(b)
+        ia, ja = grid_coord(grid, a)
+        ib, jb = grid_coord(grid, b)
         ra = grid.index(k + 1 - ia, k + 1 - ja)
         rb = grid.index(k + 1 - ib, k + 1 - jb)
         assert edge(ra, rb) in edges

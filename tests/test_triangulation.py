@@ -9,6 +9,7 @@ from _helpers import (
     random_lattice_points,
     random_plane_graph,
     random_strict_points,
+    validate_triangulation,
 )
 
 from biplanekit import triangulation
@@ -16,15 +17,15 @@ from biplanekit.augmentation import maximal_augment
 from biplanekit.constructions import gen_convex, gen_grid
 from biplanekit.geometry import PointSet, Strictness, convex_hull, cross, edge
 from biplanekit.graphs import GeometricGraph
+from biplanekit.recognition import test_biplane
 from biplanekit.triangulation import (
     FlipStatus,
-    GeometryError,
     NotPlaneError,
+    complete_layers,
     complete_to_triangulation,
     enumerate_triangulations,
     plane_face_walks,
     trace_face_walks,
-    triangulation_from_edges,
 )
 
 
@@ -35,7 +36,7 @@ def convex4() -> PointSet:
 def test_empty_convex4_completion_edge_count():
     t = complete_to_triangulation(convex4())
     assert t.edge_count == 3 * 4 - 4 - 3
-    t.validate()
+    validate_triangulation(t)
 
 
 def test_completion_of_triangulation_is_identity():
@@ -54,7 +55,7 @@ def test_triangle_with_interior_point_and_hull_edges():
     g = GeometricGraph(ps, ((0, 1), (1, 2), (0, 2)))
     t = complete_to_triangulation(g)
     assert t.edge_count == 3 * 4 - 3 - 3
-    t.validate()
+    validate_triangulation(t)
 
 
 def test_completion_rejects_crossing_input():
@@ -72,7 +73,7 @@ def test_completion_monotone_contains_input():
         subset = tuple(e for e in full.sorted_edges() if rng.random() < 0.4)
         t = complete_to_triangulation(GeometricGraph(ps, subset))
         assert set(subset) <= t.edge_set()
-        t.validate()
+        validate_triangulation(t)
 
 
 def test_walk_matches_brute_crossed_edges(monkeypatch):
@@ -101,6 +102,26 @@ def test_walk_matches_brute_crossed_edges(monkeypatch):
     assert len(lengths) > 100 and max(lengths) > 2
 
 
+def test_constraint_walk_starts_at_lower_degree_endpoint(monkeypatch):
+    # The sweep fans the first point of a convex set to every other point,
+    # so a walk that started there would scan ~n neighbours for each of its
+    # ~n chords.  Started at the other endpoint, completing both layers of
+    # the maximal convex graph costs about 10 orientation tests per point.
+    n = 500
+    g = maximal_augment(GeometricGraph(gen_convex(n), ())).graph
+    verdict = test_biplane(g)
+    calls = [0]
+    cross_ = triangulation.cross
+
+    def counting(*args):
+        calls[0] += 1
+        return cross_(*args)
+
+    monkeypatch.setattr(triangulation, "cross", counting)
+    complete_layers(g.points, (verdict.layer1, verdict.layer2))
+    assert calls[0] <= 20 * n, calls[0]
+
+
 def test_relaxed_grid_layer_subsets_complete():
     # Pocket fills on lattice points meet chain vertices collinear with the
     # base or lying on a candidate side.
@@ -113,7 +134,7 @@ def test_relaxed_grid_layer_subsets_complete():
                 subset = tuple(e for e in layer if rng.random() < 0.5)
                 t = complete_to_triangulation(GeometricGraph(ps, subset))
                 assert set(subset) <= t.edge_set()
-                t.validate()
+                validate_triangulation(t)
                 again = complete_to_triangulation(
                     GeometricGraph(ps, tuple(t.sorted_edges()))
                 )
@@ -211,19 +232,19 @@ def test_grid_reaugmentation_returns_the_grid():
 
 def test_flip_of_quad_diagonal():
     t = complete_to_triangulation(convex4())
-    diag = next(e for e in t.sorted_edges() if not t.is_hull_edge(e))
+    diag = next(e for e in t.sorted_edges() if e not in t.hull_edges())
     assert t.is_flippable(diag)
     t2 = t.flip(diag)
-    other = next(e for e in t2.sorted_edges() if not t2.is_hull_edge(e))
+    other = next(e for e in t2.sorted_edges() if e not in t2.hull_edges())
     assert {diag, other} == {(0, 2), (1, 3)}
     assert t2.edge_count == t.edge_count
 
 
 def test_flip_is_involution():
     t = complete_to_triangulation(convex4())
-    diag = next(e for e in t.sorted_edges() if not t.is_hull_edge(e))
+    diag = next(e for e in t.sorted_edges() if e not in t.hull_edges())
     back = t.flip(diag).flip(next(
-        e for e in t.flip(diag).sorted_edges() if not t.is_hull_edge(e) and e != diag
+        e for e in t.flip(diag).sorted_edges() if e not in t.hull_edges() and e != diag
     ))
     assert back.edge_set() == t.edge_set()
 
@@ -237,7 +258,7 @@ def test_flip_preserves_edge_count_randomly():
         for e in flippable[:3]:
             t2 = t.flip(e)
             assert t2.edge_count == t.edge_count
-            t2.validate()
+            validate_triangulation(t2)
 
 
 def test_spoke_to_interior_point_not_flippable():
@@ -277,7 +298,7 @@ def test_separating_chord_always_flippable():
         if len(hull) == n:
             continue
         for e in t.sorted_edges():
-            if t.is_hull_edge(e) or e[0] not in hull or e[1] not in hull:
+            if e in t.hull_edges() or e[0] not in hull or e[1] not in hull:
                 continue
             found += 1
             assert t.is_flippable(e), f"separating chord {e} not flippable"
@@ -423,31 +444,8 @@ def test_euler_and_count_invariants_random():
         t = complete_to_triangulation(ps)
         h = len(convex_hull(ps))
         assert t.edge_count == 3 * n - h - 3
-        faces = len(t.triangles()) + 1  # plus the outer face
+        faces = sum(w is not None for w in t.left.values()) // 3 + 1  # plus the outer face
         assert n - t.edge_count + faces == 2
-
-
-def test_triangulation_from_edges_roundtrip():
-    rng = random.Random(55)
-    ps = random_strict_points(rng, 9)
-    t = complete_to_triangulation(ps)
-    rebuilt = triangulation_from_edges(ps, t.sorted_edges())
-    assert rebuilt.edge_set() == t.edge_set()
-    for e in t.sorted_edges():
-        assert set(rebuilt.apexes(e)) == set(t.apexes(e))
-
-
-def test_triangulation_from_edges_rejects_non_triangulations():
-    rng = random.Random(56)
-    for _ in range(10):
-        ps = random_strict_points(rng, rng.randint(5, 12))
-        t = complete_to_triangulation(ps)
-        gone = rng.choice([e for e in t.sorted_edges() if not t.is_hull_edge(e)])
-        short = [e for e in t.sorted_edges() if e != gone]
-        with pytest.raises(GeometryError):
-            triangulation_from_edges(ps, short)
-    with pytest.raises(GeometryError):
-        triangulation_from_edges(convex4(), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3)])
 
 
 def test_relaxed_grid_completion():
@@ -455,7 +453,7 @@ def test_relaxed_grid_completion():
     ps = PointSet.from_coords(coords, Strictness.RELAXED)
     t = complete_to_triangulation(ps)
     assert t.edge_count == 3 * 25 - 16 - 3
-    t.validate()
+    validate_triangulation(t)
 
 
 def test_face_walks_triangle():

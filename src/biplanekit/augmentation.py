@@ -6,13 +6,14 @@ parity union-find: flipping a purple edge merges its two faces, and the
 cross-face flip clause exchanges a face's red and blue chords by toggling
 one parity bit instead of relabeling chords.
 
-Both layers use the dart map of `triangulation`: a side of an edge is a
-dart, and the face or triangle on that side is a lookup keyed by it, never
-an orientation test.  Per purple dart (u, v) the state stores the face
-walk left of u -> v and the apex of the triangle left of u -> v in each
-color lineage; the parity bit of that walk's face says which stored slot
-is currently red.  All flip tests are therefore constant-time, and each
-flip touches only its quadrilateral neighborhood, which keeps the whole
+The purple edges are numbered once, in sorted order: edge k = (a, b), a < b,
+has dart 2k = a -> b and dart 2k + 1 = b -> a.  Per dart the state keeps, in
+flat lists, the face walk on its left and the apex of the triangle on its
+left in each color lineage; the parity bit of that walk's face says which
+lineage is currently red.  Per edge it keeps three flags: alive (still
+purple), hull, and settled.  The apexes come from the dart maps of
+`triangulation`, so all flip tests are constant-time, and each flip
+touches only its quadrilateral neighborhood, which keeps the whole
 augmentation near-linearithmic.
 
 Locality contract: an edge can only BECOME flippable if it lies in one of
@@ -20,13 +21,17 @@ the up-to-four triangles containing the flipped edge, so re-enqueueing that
 neighborhood suffices.  An edge elsewhere can LOSE cross-face flippability
 when the flip merges exactly the two faces it straddles; that direction
 never needs a queue update, since stale queue entries are re-tested at pop
-time.
+time.  Exchanging a face's chord colors changes no edge's flippability.
 
-The work queue is FIFO.  Processing order does not affect maximality of the
-result, only which maximal graph is produced.  The loop evaluates each
-popped edge's clause once: one union-find lookup per side of the edge gives
-both that side's face and its parity, and the clause found is handed to the
-flip instead of being tested again.
+The work queue is FIFO over edge ids.  Processing order does not affect
+maximality of the result, only which maximal graph is produced.  The loop
+evaluates a popped edge's clause once: one union-find lookup per side of
+the edge gives both that side's face and its parity, and the clause found
+is handed to the flip instead of being tested again.  An edge found
+unflippable is marked settled, and every re-enqueue clears the mark; by the
+locality contract a settled edge cannot have become flippable, so popping
+it again costs no test.  `certify_maximal` re-tests every live purple edge
+at the end.
 
 Building the state completes both layers from one sweep of the bare points
 and reads the purple rotation system off the red triangulation's dart map,
@@ -39,7 +44,7 @@ face the chord lies in.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import Edge, PointSet, edge, proper_cross
 from .graphs import GeometricGraph
@@ -50,6 +55,7 @@ from .triangulation import (
     GeometryError,
     Triangulation,
     complete_layers,
+    number_darts,
     trace_face_walks,
 )
 from .unionfind import ParityDSU
@@ -81,21 +87,33 @@ class FlipRecord:
 class MaximalState:
     """Mutable augmentation state; requires exclusive access while flipping.
 
-    `walk_of` and `apex` are keyed by purple dart: the face walk left of
-    u -> v, and the apexes left of u -> v in the two color lineages.
+    `ends[k]` is purple edge k, and `dart_of` maps each of its darts (u, v)
+    to its number, 2k or 2k + 1.  `walk[d]` is the face walk left of dart
+    d, and `apex[lineage][d]` the apex left of d in that color lineage.
+    `alive` (still purple), `hull` and `settled` (found unflippable, and not
+    re-enqueued since) are per-edge flags; `queue` holds edge ids.  Numbers
+    stay fixed: a flipped-away edge only loses `alive`.
     """
 
     points: PointSet
     edges: set[Edge]
-    purple: set[Edge]
-    hull_edges: frozenset[Edge]
+    ends: list[Edge]
+    dart_of: dict[Dart, int]
+    alive: bytearray
+    hull: bytearray
+    settled: bytearray
     faces: ParityDSU
-    walk_of: dict[Dart, int]
-    apex: dict[Dart, list[int | None]]
+    walk: list[int]
+    apex: tuple[list[int | None], list[int | None]]
     chord_anchor: dict[Edge, int]
     chord_color0: dict[Edge, int]
     trace: list[FlipRecord] | None
-    queue: deque[Edge] = field(default_factory=deque)
+    queue: deque[int]
+
+    @property
+    def purple(self) -> set[Edge]:
+        """The edges that are still purple."""
+        return {e for e, live in zip(self.ends, self.alive) if live}
 
     def layers(self) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
         """The red and blue triangulations, each as sorted edges.
@@ -103,7 +121,7 @@ class MaximalState:
         One color lookup per chord splits the chords; each layer is the
         purple edges plus its chords.
         """
-        shared = sorted(self.purple)
+        shared = [e for e, live in zip(self.ends, self.alive) if live]
         layers: tuple[list[Edge], list[Edge]] = (list(shared), shared)
         color0, parity, anchor = self.chord_color0, self.faces.parity, self.chord_anchor
         for e in anchor:
@@ -130,7 +148,12 @@ class AugmentResult:
 
 
 def _chord_walks(
-    t: Triangulation, v: int, u0: int, walk_of: dict[tuple[int, int], int], iso: int | None
+    t: Triangulation,
+    v: int,
+    u0: int,
+    dart_of: dict[Dart, int],
+    walk: list[int],
+    iso: int | None,
 ) -> dict[int, int]:
     """Face walk of each chord of t at v, keyed by the chord's other end.
 
@@ -139,13 +162,14 @@ def _chord_walks(
     face when no purple edge meets v.
     """
     ring = t.ring(v, u0)
-    last = next((walk_of[(v, u)] for u in reversed(ring) if (v, u) in walk_of), iso)
+    last = next((walk[dart_of[(v, u)]] for u in reversed(ring) if (v, u) in dart_of), iso)
     walks: dict[int, int] = {}
     for u in ring:
-        if (v, u) in walk_of:
-            last = walk_of[(v, u)]
-        else:
+        d = dart_of.get((v, u))
+        if d is None:
             walks[u] = last
+        else:
+            last = walk[d]
     return walks
 
 
@@ -160,18 +184,16 @@ def build_state(
     t_red, t_blue = complete_layers(ps, (verdict.layer1, verdict.layer2))
     red_set = t_red.edge_set()
     blue_set = t_blue.edge_set()
-    purple = set(red_set & blue_set)
-    edges = set(red_set | blue_set)
 
-    purple_sorted = sorted(purple)
-    rot = t_red.rotation(purple_sorted)
-    walk_of, walks = trace_face_walks(rot, purple_sorted)
+    ends = sorted(red_set & blue_set)
+    rot = t_red.rotation(ends)
+    dart_of = number_darts(ends)
+    walk, walks = trace_face_walks(rot, dart_of)
     isolated = [v for v in range(len(ps)) if v not in rot]
     iso_anchor = {v: len(walks) + i for i, v in enumerate(isolated)}
     faces = ParityDSU(len(walks) + len(isolated))
-
     red_left, blue_left = t_red.left, t_blue.left
-    apex = {d: [red_left[d], blue_left[d]] for d in walk_of}
+    apex = ([red_left[d] for d in dart_of], [blue_left[d] for d in dart_of])
 
     # Each chord endpoint's ring is walked once per layer, and only there:
     # with no chords (empty input) no ring is walked at all.
@@ -179,62 +201,64 @@ def build_state(
     rings: dict[tuple[int, int], dict[int, int]] = {}
     chord_anchor: dict[Edge, int] = {}
     chord_color0: dict[Edge, int] = {}
-    for e in sorted(edges - purple):
+    for e in sorted(red_set ^ blue_set):
         layer = RED if e in red_set else BLUE
         anchors = []
         for v, u in (e, e[::-1]):
             at_v = rings.get((layer, v))
             if at_v is None:
-                at_v = _chord_walks(layers[layer], v, u, walk_of, iso_anchor.get(v))
+                at_v = _chord_walks(layers[layer], v, u, dart_of, walk, iso_anchor.get(v))
                 rings[(layer, v)] = at_v
             anchors.append(at_v[u])
         faces.union(*anchors)
         chord_anchor[e] = anchors[0]
         chord_color0[e] = layer
 
-    state = MaximalState(
+    hull_edges = t_red.hull_edges()
+    hull = bytearray(e in hull_edges for e in ends)
+    return MaximalState(
         ps,
-        edges,
-        purple,
-        t_red.hull_edges(),
+        set(red_set | blue_set),
+        ends,
+        dart_of,
+        bytearray(b"\x01") * len(ends),
+        hull,
+        bytearray(len(ends)),
         faces,
-        walk_of,
+        walk,
         apex,
         chord_anchor,
         chord_color0,
         [] if collect_trace else None,
+        deque(k for k, h in enumerate(hull) if not h),
     )
-    for e in purple_sorted:
-        if e not in state.hull_edges:
-            state.queue.append(e)
-    return state
 
 
-def _clause(state: MaximalState, e: Edge) -> tuple[str, int] | None:
-    """Which colorblind-flip clause applies to purple edge e, if any.
+def _clause(state: MaximalState, k: int) -> tuple[str, int] | None:
+    """Which colorblind-flip clause applies to purple edge k, if any.
 
     Returns ("red", -1), ("blue", -1), or ("cross", side) where `side` is
     the side whose face holds the blue triangle of the convex pair (the
     face that gets recolored so the flip can run in the red layer).
     """
     # One find per side gives both the face root and its parity; the parity
-    # picks which stored apex is red.
+    # picks which lineage's apex is red.
     faces = state.faces
-    a, b = e
-    rev = (b, a)
-    root_l, par_l = faces.find(state.walk_of[e])
-    root_r, par_r = faces.find(state.walk_of[rev])
+    d = 2 * k
+    root_l, par_l = faces.find(state.walk[d])
+    root_r, par_r = faces.find(state.walk[d + 1])
     par_l ^= faces.flip[root_l]
     par_r ^= faces.flip[root_r]
-    left, right = state.apex[e], state.apex[rev]
+    apex = state.apex
     pts = state.points.points
+    a, b = state.ends[k]
     pa, pb = pts[a], pts[b]
-    prl = pts[left[par_l]]
-    prr = pts[right[par_r]]
+    prl = pts[apex[par_l][d]]
+    prr = pts[apex[par_r][d + 1]]
     if proper_cross(pa, pb, prl, prr):
         return ("red", -1)
-    pbl = pts[left[par_l ^ 1]]
-    pbr = pts[right[par_r ^ 1]]
+    pbl = pts[apex[par_l ^ 1][d]]
+    pbr = pts[apex[par_r ^ 1][d + 1]]
     if proper_cross(pa, pb, pbl, pbr):
         return ("blue", -1)
     if root_l != root_r:
@@ -245,31 +269,28 @@ def _clause(state: MaximalState, e: Edge) -> tuple[str, int] | None:
     return None
 
 
-def _flip(state: MaximalState, e: Edge, cl: tuple[str, int]) -> None:
-    """Flip purple edge e, whose clause `cl` is known: add its quadrilateral
+def _flip(state: MaximalState, k: int, cl: tuple[str, int]) -> None:
+    """Flip purple edge k, whose clause `cl` is known: add its quadrilateral
     diagonal as a new edge.
 
-    The two purple faces of e merge; under the cross-face clause the face
-    holding the blue triangle of the convex pair is recolored first so the
-    flip runs in the red layer.  The purple edges of the up-to-four
-    triangles that contained e are re-enqueued (only their flippability can
-    change).
+    The two purple faces of the edge merge; under the cross-face clause the
+    face holding the blue triangle of the convex pair is recolored first so
+    the flip runs in the red layer.  The purple edges of the up-to-four
+    triangles that contained the edge are re-enqueued (only their
+    flippability can change) and lose their settled mark.
     """
     faces = state.faces
-    walk_of, apex = state.walk_of, state.apex
+    walk, apex, dart_of, alive = state.walk, state.apex, state.dart_of, state.alive
+    d = 2 * k
+    e = state.ends[k]
     a, b = e
-    rev = (b, a)
-    wl, wr = walk_of[e], walk_of[rev]
-    left, right = apex[e], apex[rev]
+    wl, wr = walk[d], walk[d + 1]
 
     # Both layers' triangles on each side, whatever the parities.
-    neighborhood: set[Edge] = set()
-    for c in left:
-        neighborhood.add(edge(a, c))
-        neighborhood.add(edge(c, b))
-    for d in right:
-        neighborhood.add(edge(b, d))
-        neighborhood.add(edge(d, a))
+    neighborhood: list[Dart] = []
+    for lineage in apex:
+        c, z = lineage[d], lineage[d + 1]
+        neighborhood += ((a, c), (c, b), (b, z), (z, a))
 
     recolored: int | None = None
     if cl[0] == "cross":
@@ -283,8 +304,8 @@ def _flip(state: MaximalState, e: Edge, cl: tuple[str, int]) -> None:
     root_r, par_r = faces.find(wr)
     par_l ^= faces.flip[root_l]
     par_r ^= faces.flip[root_r]
-    cap = left[par_l ^ layer]
-    dap = right[par_r ^ layer]
+    cap = apex[par_l ^ layer][d]
+    dap = apex[par_r ^ layer][d + 1]
     f = edge(cap, dap)
     if f in state.edges:
         raise GeometryError(f"flip target {f} already present")
@@ -296,29 +317,30 @@ def _flip(state: MaximalState, e: Edge, cl: tuple[str, int]) -> None:
     state.chord_anchor[f] = wl
     state.chord_color0[f] = layer ^ par_l
     state.edges.add(f)
-    state.purple.discard(e)
+    alive[k] = 0
 
     # The rim darts facing the quad a, dap, b, cap trade their apex in
     # `layer` (see Triangulation._flip_in_place).
-    for d, old, new in (
+    for rd, old, new in (
         ((cap, a), b, dap),
         ((b, cap), a, dap),
         ((dap, b), a, cap),
         ((a, dap), b, cap),
     ):
-        entry = apex.get(d)
-        if entry is None:
+        x = dart_of.get(rd)
+        if x is None or not alive[x >> 1]:
             continue  # rim edge is a chord; chords carry no apex storage
-        slot = faces.parity(walk_of[d]) ^ layer
-        if entry[slot] != old:
-            raise GeometryError(f"apex bookkeeping mismatch at {edge(*d)}")
-        entry[slot] = new
+        lineage = apex[faces.parity(walk[x]) ^ layer]
+        if lineage[x] != old:
+            raise GeometryError(f"apex bookkeeping mismatch at {edge(*rd)}")
+        lineage[x] = new
 
-    del apex[e], apex[rev], walk_of[e], walk_of[rev]
-
-    for g2 in sorted(neighborhood):
-        if g2 in state.purple and g2 not in state.hull_edges:
-            state.queue.append(g2)
+    hull, settled, queue = state.hull, state.settled, state.queue
+    ids = {x >> 1 for x in map(dart_of.get, neighborhood) if x is not None}
+    for j in sorted(ids):
+        if alive[j] and not hull[j]:
+            queue.append(j)
+            settled[j] = 0
 
     if state.trace is not None:
         state.trace.append(FlipRecord(e, cl[0], recolored, f, (root_l, root_r)))
@@ -327,9 +349,9 @@ def _flip(state: MaximalState, e: Edge, cl: tuple[str, int]) -> None:
 def certify_maximal(state: MaximalState) -> bool:
     """Maximality certificate: no purple non-hull edge is flippable."""
     return all(
-        _clause(state, e) is None
-        for e in state.purple
-        if e not in state.hull_edges
+        _clause(state, k) is None
+        for k, (live, h) in enumerate(zip(state.alive, state.hull))
+        if live and not h
     )
 
 
@@ -350,17 +372,20 @@ def maximal_augment(
         state = build_state(g, collect_trace=collect_trace)
     except CollinearError:
         return _path_augment(g)
-    queue, purple = state.queue, state.purple
+    queue, alive, settled = state.queue, state.alive, state.settled
     while queue:
-        e = queue.popleft()
-        if e not in purple:
+        k = queue.popleft()
+        if not alive[k] or settled[k]:
             continue
-        cl = _clause(state, e)
-        if cl is not None:
-            _flip(state, e, cl)
+        cl = _clause(state, k)
+        if cl is None:
+            settled[k] = 1
+        else:
+            _flip(state, k, cl)
     if not certify_maximal(state):
         raise GeometryError("queue drained but a flippable purple edge remains")
     red, blue = state.layers()
+    purple = state.purple
     layer2 = tuple(e for e in blue if e not in purple)
     graph = GeometricGraph(g.points, tuple(state.edges))
     deco = BiplaneDecomposition(red, layer2)

@@ -526,39 +526,54 @@ def plane_face_walks(
     edges = sorted(edges)
     t = complete_to_triangulation(GeometricGraph(ps, tuple(edges)))
     rot = t.rotation(edges)
-    return (rot, *trace_face_walks(rot, edges))
+    dart_of = number_darts(edges)
+    walk, walks = trace_face_walks(rot, dart_of)
+    darts = list(dart_of)
+    return rot, dict(zip(darts, walk)), [[darts[d] for d in w] for w in walks]
+
+
+def number_darts(edges: Iterable[Edge]) -> dict[Dart, int]:
+    """Number the darts of `edges`: the k-th edge (a, b) gets dart 2k for
+    a -> b and 2k + 1 for b -> a.  The dict lists them in that order."""
+    dart_of: dict[Dart, int] = {}
+    for k, (a, b) in enumerate(edges):
+        dart_of[(a, b)] = 2 * k
+        dart_of[(b, a)] = 2 * k + 1
+    return dart_of
 
 
 def trace_face_walks(
-    rot: dict[int, list[int]], edges: Sequence[Edge]
-) -> tuple[dict[Dart, int], list[list[Dart]]]:
+    rot: dict[int, list[int]], dart_of: dict[Dart, int]
+) -> tuple[list[int], list[list[int]]]:
     """Trace the closed walks of a plane graph given its rotation system.
 
     `rot[v]` lists v's neighbours counterclockwise, starting anywhere; the
-    walks depend only on the cyclic order.  Darts are started in the order
-    of the sorted `edges`.  Returns (dart -> walk id, walks); the walk of a
+    walks depend only on the cyclic order.  `dart_of` numbers the darts
+    as `number_darts` does, and walks are started in dart order.  Returns
+    (walk id of each dart, walks as lists of dart numbers); the walk of a
     dart traces the face on its left.
     """
     # The face left of u -> v continues along v -> w, w the neighbour
     # before u around v.
-    succ: dict[Dart, Dart] = {}
+    succ = [0] * len(dart_of)
     for v, nbrs in rot.items():
-        for i, u in enumerate(nbrs):
-            succ[(u, v)] = (v, nbrs[i - 1])
-    walk_of: dict[Dart, int] = {}
-    walks: list[list[Dart]] = []
-    for a, b in edges:
-        for dart in ((a, b), (b, a)):
-            if dart in walk_of:
-                continue
-            wid = len(walks)
-            path = []
-            d = dart
-            while True:
-                walk_of[d] = wid
-                path.append(d)
-                d = succ[d]
-                if d == dart:
-                    break
-            walks.append(path)
-    return walk_of, walks
+        prev = nbrs[-1]
+        for u in nbrs:
+            succ[dart_of[(u, v)]] = dart_of[(v, prev)]
+            prev = u
+    walk = [-1] * len(succ)
+    walks: list[list[int]] = []
+    for start in range(len(succ)):
+        if walk[start] >= 0:
+            continue
+        wid = len(walks)
+        path = []
+        d = start
+        while True:
+            walk[d] = wid
+            path.append(d)
+            d = succ[d]
+            if d == start:
+                break
+        walks.append(path)
+    return walk, walks

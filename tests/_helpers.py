@@ -602,23 +602,48 @@ def assert_grid_degree_classes(grid: GridGraph) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Per-edge view of the augmentation state.  maximal_augment evaluates each
-# popped edge's clause once and hands it to the flip; these go through the
-# clause again, so that tests can ask about any purple edge at any time.
+# Per-edge view of the augmentation state.  maximal_augment numbers the
+# purple edges, evaluates each popped edge's clause once, hands it to the
+# flip, and skips an edge it found unflippable until a flip re-enqueues it;
+# these take edges, go through the clause again, and skip nothing, so that
+# tests can ask about any purple edge at any time.
 # ---------------------------------------------------------------------------
+
+
+def purple_id(state: MaximalState, e: Edge) -> int:
+    """Number of purple edge e; ValueError if e is not purple."""
+    k = state.dart_of.get(e, -2) >> 1
+    if k < 0 or not state.alive[k]:
+        raise ValueError(f"{e} is not a purple edge")
+    return k
+
+
+def hull_edges(state: MaximalState) -> set[Edge]:
+    """The purple edges on the convex hull."""
+    return {e for e, h in zip(state.ends, state.hull) if h}
+
+
+def queued_edges(state: MaximalState) -> list[Edge]:
+    """The queue, front first, as edges."""
+    return [state.ends[k] for k in state.queue]
+
+
+def pop_edge(state: MaximalState) -> Edge:
+    """Pop the front of the queue, as an edge."""
+    return state.ends[state.queue.popleft()]
 
 
 def eff_apex(state: MaximalState, e: Edge, side: int, layer: int) -> int | None:
     """Apex of the triangle in `layer` left (side 0) or right (side 1) of
     purple edge e."""
-    d = (e[1], e[0]) if side else e
-    return state.apex[d][state.faces.parity(state.walk_of[d]) ^ layer]
+    d = state.dart_of[(e[1], e[0]) if side else e]
+    return state.apex[state.faces.parity(state.walk[d]) ^ layer][d]
 
 
 def face_of(state: MaximalState, e: Edge, side: int) -> int:
     """Purple face left (side 0) or right (side 1) of purple edge e."""
-    d = (e[1], e[0]) if side else e
-    return state.faces.find(state.walk_of[d])[0]
+    d = state.dart_of[(e[1], e[0]) if side else e]
+    return state.faces.find(state.walk[d])[0]
 
 
 def flip_neighborhood(state: MaximalState, e: Edge) -> set[Edge]:
@@ -638,21 +663,21 @@ def is_colorblind_flippable(state: MaximalState, e: Edge) -> bool:
     two different purple faces and a red and a blue triangle on opposite
     sides of e form a strictly convex quadrilateral.
     """
-    if e not in state.purple:
-        raise ValueError(f"{e} is not a purple edge")
-    if e in state.hull_edges:
+    k = purple_id(state, e)
+    if state.hull[k]:
         raise ValueError(f"{e} is a hull edge and never flippable")
-    return _clause(state, e) is not None
+    return _clause(state, k) is not None
 
 
 def apply_flip(state: MaximalState, e: Edge) -> None:
     """Flip purple edge e, or raise ValueError if it is not flippable."""
-    if e not in state.purple or e in state.hull_edges:
-        raise ValueError(f"{e} is not a flippable purple edge")
-    cl = _clause(state, e)
+    k = purple_id(state, e)
+    if state.hull[k]:
+        raise ValueError(f"{e} is a hull edge and never flippable")
+    cl = _clause(state, k)
     if cl is None:
         raise ValueError(f"{e} is not colorblind flippable")
-    _flip(state, e, cl)
+    _flip(state, k, cl)
 
 
 def purple_faces(state: MaximalState) -> dict[int, tuple[list[Edge], list[Edge]]]:
@@ -660,8 +685,9 @@ def purple_faces(state: MaximalState) -> dict[int, tuple[list[Edge], list[Edge]]
     with its red and blue chords."""
     find = state.faces.find
     hull = convex_hull(state.points)
-    outer = find(state.walk_of[(hull[1], hull[0])])[0]
-    faces = {root: ([], []) for root in sorted({find(w)[0] for w in state.walk_of.values()})}
+    outer = face_of(state, (hull[0], hull[1]), 1)
+    live = [w for d, w in enumerate(state.walk) if state.alive[d >> 1]]
+    faces = {root: ([], []) for root in sorted({find(w)[0] for w in live})}
     del faces[outer]
     for c in sorted(state.chord_anchor):
         anchor = state.chord_anchor[c]
@@ -700,7 +726,7 @@ def assert_flippability_ignores_face_exchanges(state: MaximalState) -> bool:
     no purple edge's colorblind flippability.  Returns False, checking
     nothing, when no edge can flip or there are more than 10 faces."""
     faces = list(purple_faces(state))
-    purple = sorted(state.purple - state.hull_edges)
+    purple = sorted(state.purple - hull_edges(state))
     if not purple or len(faces) > 10:
         return False
     baseline = {p: is_colorblind_flippable(state, p) for p in purple}
@@ -725,19 +751,20 @@ def checked_flips(state: MaximalState) -> tuple[int, int]:
     needs two different faces); that is a merge revocation.
     """
     flips = revocations = 0
+    hull = hull_edges(state)
     while state.queue:
-        e = state.queue.popleft()
+        e = pop_edge(state)
         if e not in state.purple or not is_colorblind_flippable(state, e):
             continue
         before = {
             p: (is_colorblind_flippable(state, p), {face_of(state, p, 0), face_of(state, p, 1)})
-            for p in sorted(state.purple - state.hull_edges)
+            for p in sorted(state.purple - hull)
         }
         merged = {face_of(state, e, 0), face_of(state, e, 1)}
         allowed = flip_neighborhood(state, e)
         apply_flip(state, e)
         flips += 1
-        for p in sorted(state.purple - state.hull_edges):
+        for p in sorted(state.purple - hull):
             if p not in before or p in allowed:
                 continue
             was, faces = before[p]
@@ -753,12 +780,13 @@ def checked_flips(state: MaximalState) -> tuple[int, int]:
 
 def reference_augment(g: GeometricGraph, *, collect_trace: bool = False) -> AugmentResult:
     """maximal_augment (n >= 3) through the per-edge helpers: every popped
-    purple edge is tested with is_colorblind_flippable and flipped with
-    apply_flip, which evaluates its clause a second time."""
+    purple edge is tested with is_colorblind_flippable, settled or not, and
+    flipped with apply_flip, which evaluates its clause a second time."""
     state = build_state(g, collect_trace=collect_trace)
     while state.queue:
-        e = state.queue.popleft()
-        if e not in state.purple:
+        k = state.queue.popleft()
+        e = state.ends[k]
+        if not state.alive[k]:
             continue
         if not is_colorblind_flippable(state, e):
             continue

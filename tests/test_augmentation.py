@@ -11,9 +11,12 @@ from _helpers import (
     checked_flips,
     eff_apex,
     flip_neighborhood,
+    hull_edges,
     is_colorblind_flippable,
     layer_is_plane,
+    pop_edge,
     purple_faces,
+    queued_edges,
     random_biplane_graph,
     random_lattice_points,
     random_plane_graph,
@@ -23,6 +26,7 @@ from _helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biplanekit import augmentation
 from biplanekit.analysis import maximality_oracle
 from biplanekit.augmentation import (
     BLUE,
@@ -33,11 +37,16 @@ from biplanekit.augmentation import (
     certify_maximal,
     maximal_augment,
 )
-from biplanekit.constructions import gen_arc_in_triangle, gen_convex
+from biplanekit.constructions import gen_arc_in_triangle, gen_convex, gen_grid
 from biplanekit.geometry import PointSet, Strictness, convex_hull, edge, segments_cross
 from biplanekit.graphs import GeometricGraph, relaxed_edge_violations
 from biplanekit.recognition import test_biplane
-from biplanekit.triangulation import complete_layers, complete_to_triangulation, trace_face_walks
+from biplanekit.triangulation import (
+    complete_layers,
+    complete_to_triangulation,
+    number_darts,
+    trace_face_walks,
+)
 
 
 def empty_graph(ps: PointSet) -> GeometricGraph:
@@ -45,7 +54,7 @@ def empty_graph(ps: PointSet) -> GeometricGraph:
 
 
 def purple_nonhull(state):
-    return sorted(state.purple - state.hull_edges)
+    return sorted(state.purple - hull_edges(state))
 
 
 def uncrossed_edges(g: GeometricGraph) -> set:
@@ -78,7 +87,7 @@ def test_build_state_hull_edges_always_purple():
     rng = random.Random(1)
     ps = random_strict_points(rng, 8)
     state = build_state(empty_graph(ps))
-    assert state.hull_edges <= state.purple
+    assert hull_edges(state) <= state.purple
 
 
 def test_build_state_purple_equals_uncrossed():
@@ -104,7 +113,7 @@ def test_each_flip_decreases_purple_by_one_and_adds_an_edge():
     ps = random_strict_points(rng, 9)
     state = build_state(empty_graph(ps))
     while state.queue:
-        e = state.queue.popleft()
+        e = pop_edge(state)
         if e not in state.purple:
             continue
         if not is_colorblind_flippable(state, e):
@@ -209,7 +218,7 @@ def test_certify_maximal_true_on_output_false_after_restoring_flippable():
     state = build_state(empty_graph(ps))
     flipped_any = False
     while state.queue:
-        e = state.queue.popleft()
+        e = pop_edge(state)
         if e not in state.purple:
             continue
         if is_colorblind_flippable(state, e):
@@ -251,13 +260,13 @@ def test_reenqueued_edges_within_flip_neighborhood():
     ps = random_strict_points(rng, 10)
     state = build_state(empty_graph(ps))
     while state.queue:
-        e = state.queue.popleft()
+        e = pop_edge(state)
         if e not in state.purple or not is_colorblind_flippable(state, e):
             continue
         allowed = flip_neighborhood(state, e)
         before_len = len(state.queue)
         apply_flip(state, e)
-        added = list(state.queue)[before_len:]
+        added = queued_edges(state)[before_len:]
         assert set(added) <= allowed
 
 
@@ -315,13 +324,15 @@ def test_chord_walks_match_angular_sector_scan():
         pts = g.points.points
         purple = sorted(state.purple)
         rot = brute_angular_rotation(pts, purple)
-        walk_of, walks = trace_face_walks(rot, purple)
+        dart_of = number_darts(purple)
+        walk, walks = trace_face_walks(rot, dart_of)
+        walk_of = {d: walk[x] for d, x in dart_of.items()}
         isolated = [v for v in range(g.n) if v not in rot]
         iso_anchor = {v: len(walks) + i for i, v in enumerate(isolated)}
         for e in sorted(state.edges - state.purple):
             t = t_red if e in red else t_blue
             got = [
-                _chord_walks(t, v, u, walk_of, iso_anchor.get(v))[u] for v, u in (e, e[::-1])
+                _chord_walks(t, v, u, dart_of, walk, iso_anchor.get(v))[u] for v, u in (e, e[::-1])
             ]
             want = [
                 brute_wedge_anchor(pts, rot, walk_of, iso_anchor, v, u) for v, u in (e, e[::-1])
@@ -447,6 +458,16 @@ def test_fast_loop_matches_reference_loop():
         g = random_biplane_graph(rng, ps, rng.randint(0, 2 * len(ps)))
         if not relaxed_edge_violations(g):
             graphs.append(g)
+    # Many popped edges are already settled on the empty graphs (654 skips
+    # on the 300 points, 73 on the grid's points); on the maximal grid and
+    # convex graphs no edge is queued at all.
+    grid = gen_grid(8).graph
+    graphs += [
+        empty_graph(random_strict_points(rng, 300)),
+        grid,
+        empty_graph(grid.points),
+        maximal_augment(empty_graph(gen_convex(60))).graph,
+    ]
     clauses = set()
     for g in graphs:
         res = maximal_augment(g, collect_trace=True)
@@ -458,6 +479,23 @@ def test_fast_loop_matches_reference_loop():
         assert res.trace == ref.trace
         clauses.update(rec.clause for rec in res.trace)
     assert clauses == {"red", "blue", "cross"}
+
+
+def test_flip_loop_clause_calls_are_linear(monkeypatch):
+    # A popped edge found unflippable is not tested again until a flip
+    # re-enqueues it; testing every pop costs about 8n clause calls here.
+    calls = 0
+    clause = augmentation._clause
+
+    def counted(state, k):
+        nonlocal calls
+        calls += 1
+        return clause(state, k)
+
+    monkeypatch.setattr(augmentation, "_clause", counted)
+    ps = random_strict_points(random.Random(57), 1000)
+    maximal_augment(empty_graph(ps))
+    assert calls <= 6 * len(ps)
 
 
 @given(

@@ -1,6 +1,9 @@
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from biplanekit.cli import run
 from biplanekit.fileio import (
@@ -405,3 +408,38 @@ def test_augment_relaxed_collinear_points_returns_the_path(tmp_path, capsys):
     assert run(["augment", "--relaxed", str(f)]) == 0
     out = capsys.readouterr().out
     assert out == "4\n0 0\n1 1\n2 2\n3 3\n3\n0 1\n1 2\n2 3\nLAYER1 3\n0 1\n1 2\n2 3\nLAYER2 0\n"
+
+
+LATTICE_SUBSETS = st.integers(min_value=1, max_value=6).flatmap(
+    lambda k: st.lists(
+        st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=k * k, unique=True
+    )
+)
+# Up to six points on one lattice line, so that they span no triangle.
+COLLINEAR_SETS = st.builds(
+    lambda start, step, n: [(start[0] + i * step[0], start[1] + i * step[1]) for i in range(n)],
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 3)]),
+    st.integers(0, 6),
+)
+
+
+@given(st.one_of(LATTICE_SUBSETS, COLLINEAR_SETS))
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_every_graph_command_accepts_what_augment_writes(tmp_path, capsys, cells):
+    # Examples share tmp_path and capsys: each overwrites the files and
+    # reads only the output it made.  `triangulate` is left out: it needs a
+    # plane input, and a maximal biplane graph has crossing edges.
+    src, out, again, svg = (str(tmp_path / name) for name in ("in", "out", "again", "svg"))
+    ps = PointSet.from_coords(cells, Strictness.RELAXED)
+    Path(src).write_text(format_graph(GeometricGraph(ps, ())))
+    assert run(["augment", "--relaxed", src, "--out", out]) == 0
+    capsys.readouterr()
+    assert run(["check", "--relaxed", out]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "BIPLANE"
+    assert run(["analyze", "--relaxed", "--connectivity", "--degrees", "--bounds", out]) == 0
+    assert run(["render", "--relaxed", out, "--out", svg]) == 0
+    assert run(["augment", "--relaxed", out, "--out", again]) == 0
+    assert parse_graph(Path(again).read_text()).edges == parse_graph(Path(out).read_text()).edges

@@ -55,7 +55,6 @@ from .triangulation import (
     GeometryError,
     Triangulation,
     complete_layers,
-    number_darts,
     trace_face_walks,
 )
 from .unionfind import ParityDSU
@@ -187,8 +186,7 @@ def build_state(
 
     ends = sorted(red_set & blue_set)
     rot = t_red.rotation(ends)
-    dart_of = number_darts(ends)
-    walk, walks = trace_face_walks(rot, dart_of)
+    dart_of, walk, walks = trace_face_walks(rot, ends)
     isolated = [v for v in range(len(ps)) if v not in rot]
     iso_anchor = {v: len(walks) + i for i, v in enumerate(isolated)}
     faces = ParityDSU(len(walks) + len(isolated))

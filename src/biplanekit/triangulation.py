@@ -526,33 +526,27 @@ def plane_face_walks(
     edges = sorted(edges)
     t = complete_to_triangulation(GeometricGraph(ps, tuple(edges)))
     rot = t.rotation(edges)
-    dart_of = number_darts(edges)
-    walk, walks = trace_face_walks(rot, dart_of)
+    dart_of, walk, walks = trace_face_walks(rot, edges)
     darts = list(dart_of)
     return rot, dict(zip(darts, walk)), [[darts[d] for d in w] for w in walks]
 
 
-def number_darts(edges: Iterable[Edge]) -> dict[Dart, int]:
-    """Number the darts of `edges`: the k-th edge (a, b) gets dart 2k for
-    a -> b and 2k + 1 for b -> a.  The dict lists them in that order."""
+def trace_face_walks(
+    rot: dict[int, list[int]], edges: Iterable[Edge]
+) -> tuple[dict[Dart, int], list[int], list[list[int]]]:
+    """Trace the closed walks of a plane graph given its rotation system.
+
+    `rot[v]` lists v's neighbours counterclockwise, starting anywhere; the
+    walks depend only on the cyclic order.  The k-th edge (a, b) of
+    `edges` gets dart 2k for a -> b and 2k + 1 for b -> a, and walks are
+    started in dart order.  Returns (dart -> number, listed in number
+    order; walk id of each dart; walks as lists of dart numbers); the walk
+    of a dart traces the face on its left.
+    """
     dart_of: dict[Dart, int] = {}
     for k, (a, b) in enumerate(edges):
         dart_of[(a, b)] = 2 * k
         dart_of[(b, a)] = 2 * k + 1
-    return dart_of
-
-
-def trace_face_walks(
-    rot: dict[int, list[int]], dart_of: dict[Dart, int]
-) -> tuple[list[int], list[list[int]]]:
-    """Trace the closed walks of a plane graph given its rotation system.
-
-    `rot[v]` lists v's neighbours counterclockwise, starting anywhere; the
-    walks depend only on the cyclic order.  `dart_of` numbers the darts
-    as `number_darts` does, and walks are started in dart order.  Returns
-    (walk id of each dart, walks as lists of dart numbers); the walk of a
-    dart traces the face on its left.
-    """
     # The face left of u -> v continues along v -> w, w the neighbour
     # before u around v.
     succ = [0] * len(dart_of)
@@ -576,4 +570,4 @@ def trace_face_walks(
             if d == start:
                 break
         walks.append(path)
-    return walk, walks
+    return dart_of, walk, walks

@@ -3,6 +3,7 @@ independent re-checks that deliberately avoid the library's fast paths."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from collections import deque
@@ -612,8 +613,8 @@ def assert_grid_degree_classes(grid: GridGraph) -> None:
 
 def purple_id(state: MaximalState, e: Edge) -> int:
     """Number of purple edge e; ValueError if e is not purple."""
-    k = state.dart_of.get(e, -2) >> 1
-    if k < 0 or not state.alive[k]:
+    k = bisect.bisect_left(state.ends, e)
+    if k == len(state.ends) or state.ends[k] != e or not state.alive[k]:
         raise ValueError(f"{e} is not a purple edge")
     return k
 
@@ -686,7 +687,7 @@ def purple_faces(state: MaximalState) -> dict[int, tuple[list[Edge], list[Edge]]
     find = state.faces.find
     hull = convex_hull(state.points)
     outer = face_of(state, (hull[0], hull[1]), 1)
-    live = [w for d, w in enumerate(state.walk) if state.alive[d >> 1]]
+    live = [state.walk[state.dart_of[d]] for e in state.purple for d in (e, e[::-1])]
     faces = {root: ([], []) for root in sorted({find(w)[0] for w in live})}
     del faces[outer]
     for c in sorted(state.chord_anchor):

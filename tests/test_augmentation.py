@@ -41,12 +41,7 @@ from biplanekit.constructions import gen_arc_in_triangle, gen_convex, gen_grid
 from biplanekit.geometry import PointSet, Strictness, convex_hull, edge, segments_cross
 from biplanekit.graphs import GeometricGraph, relaxed_edge_violations
 from biplanekit.recognition import test_biplane
-from biplanekit.triangulation import (
-    complete_layers,
-    complete_to_triangulation,
-    number_darts,
-    trace_face_walks,
-)
+from biplanekit.triangulation import complete_layers, complete_to_triangulation, trace_face_walks
 
 
 def empty_graph(ps: PointSet) -> GeometricGraph:
@@ -85,9 +80,14 @@ def test_not_biplane_input_raises_with_witness():
 
 def test_build_state_hull_edges_always_purple():
     rng = random.Random(1)
-    ps = random_strict_points(rng, 8)
-    state = build_state(empty_graph(ps))
-    assert hull_edges(state) <= state.purple
+    for _ in range(10):
+        ps = random_strict_points(rng, rng.randint(3, 12))
+        hull = convex_hull(ps)
+        ring = {edge(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
+        for g in (empty_graph(ps), random_biplane_graph(rng, ps, 2 * len(ps))):
+            state = build_state(g)
+            assert ring <= state.purple
+            assert hull_edges(state) == ring
 
 
 def test_build_state_purple_equals_uncrossed():
@@ -324,8 +324,7 @@ def test_chord_walks_match_angular_sector_scan():
         pts = g.points.points
         purple = sorted(state.purple)
         rot = brute_angular_rotation(pts, purple)
-        dart_of = number_darts(purple)
-        walk, walks = trace_face_walks(rot, dart_of)
+        dart_of, walk, walks = trace_face_walks(rot, purple)
         walk_of = {d: walk[x] for d, x in dart_of.items()}
         isolated = [v for v in range(g.n) if v not in rot]
         iso_anchor = {v: len(walks) + i for i, v in enumerate(isolated)}

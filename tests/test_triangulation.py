@@ -24,7 +24,6 @@ from biplanekit.triangulation import (
     complete_layers,
     complete_to_triangulation,
     enumerate_triangulations,
-    number_darts,
     plane_face_walks,
     trace_face_walks,
 )
@@ -385,8 +384,7 @@ def test_apex_rotation_matches_angular_rotation():
             for v, order in got.items():
                 hull_multi += v in t.boundary and len(order) > 1
                 degree_one += len(order) == 1
-            dart_of = number_darts(sub)
-            walk2, walks2 = trace_face_walks(want, dart_of)
+            dart_of, walk2, walks2 = trace_face_walks(want, sub)
             darts = list(dart_of)
             assert dict(zip(darts, walk2)) == walk_of
             assert [[darts[d] for d in w] for w in walks2] == walks

@@ -34,11 +34,12 @@ it again costs no test.  `certify_maximal` re-tests every live purple edge
 at the end.
 
 Building the state completes both layers from one sweep of the bare points
-and reads the purple rotation system off the red triangulation's dart map,
-so indexing the purple faces needs no angular sort.  Chords need no
-angular predicate either: walking counterclockwise around a chord's
-endpoint in the chord's own layer, the last purple dart passed names the
-face the chord lies in.
+and reads the purple faces off the red triangulation's dart map: one
+clockwise turn around the head of each purple dart finds the dart that
+follows it in its face walk, and passes the red chords leaving that vertex
+into the face.  The blue chords are placed by the same turns through the
+blue dart map, which only runs when there are blue-only chords.  Neither
+needs an angular sort or predicate.
 """
 
 from __future__ import annotations
@@ -47,14 +48,14 @@ from collections import deque
 from dataclasses import dataclass
 
 from .geometry import Edge, PointSet, edge, proper_cross
-from .graphs import GeometricGraph
+from .graphs import GeometricGraph, relaxed_edge_violations
 from .recognition import BiplaneDecomposition, BiplaneResult, test_biplane
 from .triangulation import (
     CollinearError,
     Dart,
     GeometryError,
-    Triangulation,
     complete_layers,
+    face_turns,
     trace_face_walks,
 )
 from .unionfind import ParityDSU
@@ -146,32 +147,6 @@ class AugmentResult:
     trace: tuple[FlipRecord, ...] | None
 
 
-def _chord_walks(
-    t: Triangulation,
-    v: int,
-    u0: int,
-    dart_of: dict[Dart, int],
-    walk: list[int],
-    iso: int | None,
-) -> dict[int, int]:
-    """Face walk of each chord of t at v, keyed by the chord's other end.
-
-    Counterclockwise around v, a chord leaves v into the purple face left
-    of the last purple dart passed before it; `iso` stands in for that
-    face when no purple edge meets v.
-    """
-    ring = t.ring(v, u0)
-    last = next((walk[dart_of[(v, u)]] for u in reversed(ring) if (v, u) in dart_of), iso)
-    walks: dict[int, int] = {}
-    for u in ring:
-        d = dart_of.get((v, u))
-        if d is None:
-            walks[u] = last
-        else:
-            last = walk[d]
-    return walks
-
-
 def build_state(
     g: GeometricGraph, *, collect_trace: bool = False
 ) -> MaximalState:
@@ -185,29 +160,25 @@ def build_state(
     blue_set = t_blue.edge_set()
 
     ends = sorted(red_set & blue_set)
-    rot = t_red.rotation(ends)
-    dart_of, walk, walks = trace_face_walks(rot, ends)
-    isolated = [v for v in range(len(ps)) if v not in rot]
+    dart_of, walk, walks, red_passed = trace_face_walks(t_red, ends)
+    touched = {v for e in ends for v in e}
+    isolated = [v for v in range(len(ps)) if v not in touched]
     iso_anchor = {v: len(walks) + i for i, v in enumerate(isolated)}
     faces = ParityDSU(len(walks) + len(isolated))
     red_left, blue_left = t_red.left, t_blue.left
     apex = ([red_left[d] for d in dart_of], [blue_left[d] for d in dart_of])
 
-    # Each chord endpoint's ring is walked once per layer, and only there:
-    # with no chords (empty input) no ring is walked at all.
-    layers = (t_red, t_blue)
-    rings: dict[tuple[int, int], dict[int, int]] = {}
+    # A chord dart v -> u leaves v into the face of the purple dart whose turn
+    # in the chord's layer passed it, or into v's slot if no purple edge meets v.
+    blue_passed = face_turns(t_blue, dart_of)[1] if blue_set - red_set else {}
     chord_anchor: dict[Edge, int] = {}
     chord_color0: dict[Edge, int] = {}
     for e in sorted(red_set ^ blue_set):
         layer = RED if e in red_set else BLUE
-        anchors = []
-        for v, u in (e, e[::-1]):
-            at_v = rings.get((layer, v))
-            if at_v is None:
-                at_v = _chord_walks(layers[layer], v, u, dart_of, walk, iso_anchor.get(v))
-                rings[(layer, v)] = at_v
-            anchors.append(at_v[u])
+        passed = (red_passed, blue_passed)[layer]
+        anchors = [
+            walk[passed[d]] if d in passed else iso_anchor[d[0]] for d in (e, e[::-1])
+        ]
         faces.union(*anchors)
         chord_anchor[e] = anchors[0]
         chord_color0[e] = layer
@@ -393,13 +364,12 @@ def maximal_augment(
 
 def _path_augment(g: GeometricGraph) -> AugmentResult:
     """maximal_augment's result on points that all lie on one line."""
+    bad = relaxed_edge_violations(g)
+    if bad:
+        v, e = bad[0]
+        raise ValueError(f"edge {e} passes through vertex {v}")
     pts = g.points.points
     order = sorted(range(len(pts)), key=pts.__getitem__)
-    rank = {v: i for i, v in enumerate(order)}
-    for a, b in g.edges:
-        i, j = sorted((rank[a], rank[b]))
-        if j > i + 1:
-            raise ValueError(f"edge {(a, b)} passes through vertex {min(order[i + 1 : j])}")
     path = GeometricGraph(g.points, tuple(zip(order, order[1:])))
     deco = BiplaneDecomposition(path.edges, ())
     return AugmentResult(path, deco, path.edges, path.edges, None, None)

@@ -47,10 +47,6 @@ from .triangulation import (
 )
 
 
-def _strictness(args: argparse.Namespace) -> Strictness:
-    return Strictness.RELAXED if getattr(args, "relaxed", False) else Strictness.STRICT
-
-
 def _load(args: argparse.Namespace, path: str, parse):
     """Parse a point or graph file and enforce its point-set contract.
 
@@ -58,7 +54,7 @@ def _load(args: argparse.Namespace, path: str, parse):
     may lie inside an edge.
     """
     text = Path(path).read_text()
-    strict = _strictness(args)
+    strict = Strictness.RELAXED if args.relaxed else Strictness.STRICT
     data = parse(text, strict)
     if strict is Strictness.STRICT:
         rep = validate(data if isinstance(data, PointSet) else data.points)
@@ -70,7 +66,7 @@ def _load(args: argparse.Namespace, path: str, parse):
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
@@ -255,26 +251,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser) -> None:
+    # Each subcommand takes only the flags its code reads: --relaxed where
+    # it loads a file, --out where it emits an artifact.
+    def relaxed(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--relaxed", action="store_true", help="relaxed point set")
+
+    def out(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--out", help="write the main artifact to this file")
 
     sp = sub.add_parser("check", help="test biplanarity of a graph file")
     sp.add_argument("graph")
-    common(sp)
+    relaxed(sp)
     sp.set_defaults(func=_cmd_check)
 
     sp = sub.add_parser("triangulate", help="complete a plane graph or point set")
     sp.add_argument("points")
     sp.add_argument("--enumerate", action="store_true", help="list all triangulations")
     sp.add_argument("--cap", type=int, default=9, help="enumeration size cap")
-    common(sp)
+    relaxed(sp)
+    out(sp)
     sp.set_defaults(func=_cmd_triangulate)
 
     sp = sub.add_parser("augment", help="augment a biplane graph to a maximal one")
     sp.add_argument("graph")
     sp.add_argument("--trace", action="store_true", help="log each flip to stderr")
-    common(sp)
+    relaxed(sp)
+    out(sp)
     sp.set_defaults(func=_cmd_augment)
 
     sp = sub.add_parser("generate", help="emit a named construction")
@@ -283,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=int)
     sp.add_argument("--k", type=int)
     sp.add_argument("--flips", help="comma list: corners,boundary:I")
-    common(sp)
+    out(sp)
     sp.set_defaults(func=_cmd_generate)
 
     sp = sub.add_parser("analyze", help="degree/bounds/connectivity report")
@@ -291,25 +293,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--connectivity", action="store_true")
     sp.add_argument("--degrees", action="store_true")
     sp.add_argument("--bounds", action="store_true")
-    common(sp)
+    relaxed(sp)
     sp.set_defaults(func=_cmd_analyze)
 
     sp = sub.add_parser("oracle", help="exact maximum size by pair enumeration")
     sp.add_argument("points")
     sp.add_argument("--cap", type=int, default=9)
-    common(sp)
+    relaxed(sp)
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("gap", help="hunt for maximal graphs of different sizes")
     sp.add_argument("points")
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    common(sp)
+    relaxed(sp)
     sp.set_defaults(func=_cmd_gap)
 
     sp = sub.add_parser("render", help="render a graph with its layers as SVG")
     sp.add_argument("graph")
-    common(sp)
+    relaxed(sp)
+    out(sp)
     sp.set_defaults(func=_cmd_render)
 
     sp = sub.add_parser("bounds", help="print the edge-count bound report")

@@ -26,11 +26,17 @@ vertex's incident edges from a neighbour index that completion builds after
 the sweep, only when there are constraints, and that insertion keeps current
 as it removes and adds edges.  The result is deterministic, idempotent, and
 contains every input edge.
+
+The faces of a plane subgraph are traced through the map of a triangulation
+holding it: the face left of u -> v continues along v -> w, w the first
+subgraph neighbour clockwise from u around v, one lookup per step.  The
+turn also passes the other darts leaving v into that face, so all turns
+together place every dart in O(darts).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -120,55 +126,6 @@ class Triangulation:
 
     def hull_edges(self) -> frozenset[Edge]:
         return self._hull_edges
-
-    def ring(self, v: int, u0: int) -> list[int]:
-        """All neighbours of v in counterclockwise order, from neighbour u0.
-
-        Read off the dart map in time linear in v's degree: the apex left
-        of v -> u is v's next neighbour counterclockwise, the apex left of
-        u -> v its next clockwise.  At a hull vertex the order is cut at
-        the outer face instead, so the list runs from one hull neighbour
-        to the other.
-        """
-        left = self.left
-        ccw = [u0]
-        u = u0
-        while True:
-            w = left[(v, u)]
-            if w is None:
-                break  # hull vertex: the rest lies clockwise from u0
-            if w == u0:
-                return ccw
-            ccw.append(w)
-            u = w
-        cw: list[int] = []
-        u = u0
-        while True:
-            w = left[(u, v)]
-            if w is None:
-                break
-            cw.append(w)
-            u = w
-        cw.reverse()
-        return cw + ccw
-
-    def rotation(self, edges: Iterable[Edge]) -> dict[int, list[int]]:
-        """Counterclockwise neighbour order of a subgraph of this triangulation.
-
-        Each vertex's list is its `ring` restricted to `edges`, so it equals
-        the angular order up to a cyclic shift.
-        """
-        adj: dict[int, list[int]] = defaultdict(list)
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        rot: dict[int, list[int]] = {}
-        for v, nbrs in adj.items():
-            sub = set(nbrs)
-            rot[v] = [u for u in self.ring(v, nbrs[0]) if u in sub]
-            if len(rot[v]) < len(sub):
-                raise GeometryError(f"vertex {v}: edges missing from triangulation")
-        return rot
 
     def flip_status(self, e: Edge) -> FlipStatus:
         a, b = e
@@ -507,67 +464,84 @@ def enumerate_triangulations(ps: PointSet, cap: int = 9) -> list[Triangulation]:
 
 
 # ---------------------------------------------------------------------------
-# Plane-graph face traversal (rotation system)
+# Plane-graph face traversal (clockwise turns through the dart map)
 # ---------------------------------------------------------------------------
 
 
 def plane_face_walks(
     ps: PointSet, edges: Iterable[Edge]
-) -> tuple[dict[int, list[int]], dict[Dart, int], list[list[Dart]]]:
-    """Trace the faces of a plane graph on ps via its rotation system.
+) -> tuple[dict[Dart, int], list[list[Dart]]]:
+    """Trace the faces of a plane graph on ps.
 
-    Returns (rotations, dart -> walk id, walks).  The
-    rotations are read off a completion of the graph, so each vertex's
-    list is its counterclockwise order up to a cyclic shift.  Every dart
-    (directed edge) belongs to exactly one closed walk; bounded faces trace
-    counterclockwise.  Faces with holes produce one walk per boundary
-    component; grouping walks into faces is the caller's concern.
+    Returns (dart -> walk id, walks), read off a completion of the graph
+    by `trace_face_walks`.  Every dart (directed edge) belongs to exactly
+    one closed walk; bounded faces trace counterclockwise.  Faces with
+    holes give one walk per boundary component; grouping walks into faces
+    is the caller's concern.
     """
     edges = sorted(edges)
     t = complete_to_triangulation(GeometricGraph(ps, tuple(edges)))
-    rot = t.rotation(edges)
-    dart_of, walk, walks = trace_face_walks(rot, edges)
+    dart_of, walk, walks, _ = trace_face_walks(t, edges)
     darts = list(dart_of)
-    return rot, dict(zip(darts, walk)), [[darts[d] for d in w] for w in walks]
+    return dict(zip(darts, walk)), [[darts[d] for d in w] for w in walks]
+
+
+def face_turns(
+    t: Triangulation, dart_of: dict[Dart, int]
+) -> tuple[list[int], dict[Dart, int]]:
+    """One clockwise turn around the head of each numbered dart of t.
+
+    The numbered darts are those of a subgraph of t.  The turn for u -> v
+    steps x = left[(x, v)] from x = u, one neighbour clockwise around v, or
+    to v's boundary predecessor where the outer face lies left of x -> v.
+    It stops at the first numbered v -> w, the dart after u -> v in the
+    face walk on its left.  Returns (the successor's number for each
+    number; for each unnumbered dart of t that a turn passes, and so leaves
+    v into that face, the number of the dart whose turn passed it).
+    """
+    left, b = t.left, t.boundary
+    before = dict(zip(b, b[-1:] + b[:-1]))
+    succ = [0] * len(dart_of)
+    passed: dict[Dart, int] = {}
+    for (u, v), d in dart_of.items():
+        x = u
+        while True:
+            x = left[(x, v)]
+            if x is None:
+                x = before[v]
+            nxt = dart_of.get((v, x))
+            if nxt is not None:
+                break
+            passed[(v, x)] = d
+        succ[d] = nxt
+    return succ, passed
 
 
 def trace_face_walks(
-    rot: dict[int, list[int]], edges: Iterable[Edge]
-) -> tuple[dict[Dart, int], list[int], list[list[int]]]:
-    """Trace the closed walks of a plane graph given its rotation system.
+    t: Triangulation, edges: Iterable[Edge]
+) -> tuple[dict[Dart, int], list[int], list[list[int]], dict[Dart, int]]:
+    """Trace the closed walks of a plane subgraph `edges` of t.
 
-    `rot[v]` lists v's neighbours counterclockwise, starting anywhere; the
-    walks depend only on the cyclic order.  The k-th edge (a, b) of
-    `edges` gets dart 2k for a -> b and 2k + 1 for b -> a, and walks are
-    started in dart order.  Returns (dart -> number, listed in number
-    order; walk id of each dart; walks as lists of dart numbers); the walk
-    of a dart traces the face on its left.
+    The k-th edge (a, b) of `edges` gets dart 2k for a -> b and 2k + 1 for
+    b -> a, and walks are started in dart order.  Returns (dart -> number,
+    listed in number order; walk id of each dart; walks as lists of dart
+    numbers; the passed darts of `face_turns`); the walk of a dart traces
+    the face on its left.
     """
     dart_of: dict[Dart, int] = {}
     for k, (a, b) in enumerate(edges):
         dart_of[(a, b)] = 2 * k
         dart_of[(b, a)] = 2 * k + 1
-    # The face left of u -> v continues along v -> w, w the neighbour
-    # before u around v.
-    succ = [0] * len(dart_of)
-    for v, nbrs in rot.items():
-        prev = nbrs[-1]
-        for u in nbrs:
-            succ[dart_of[(u, v)]] = dart_of[(v, prev)]
-            prev = u
+    succ, passed = face_turns(t, dart_of)
     walk = [-1] * len(succ)
     walks: list[list[int]] = []
     for start in range(len(succ)):
-        if walk[start] >= 0:
-            continue
-        wid = len(walks)
-        path = []
         d = start
-        while True:
-            walk[d] = wid
+        path = []
+        while walk[d] < 0:  # succ is a permutation: the walk closes at start
+            walk[d] = len(walks)
             path.append(d)
             d = succ[d]
-            if d == start:
-                break
-        walks.append(path)
-    return dart_of, walk, walks
+        if path:
+            walks.append(path)
+    return dart_of, walk, walks, passed

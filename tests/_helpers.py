@@ -226,6 +226,42 @@ def brute_angular_rotation(pts, edges) -> dict[int, list[int]]:
     return rot
 
 
+def brute_face_walks(rot, edges):
+    """Closed walks of a plane graph traced from its rotation system.
+
+    `rot[v]` lists v's neighbours counterclockwise, starting anywhere.
+    Numbers darts and starts walks as trace_face_walks does, and returns
+    (dart -> number, walk id of each dart, walks as dart numbers).
+    """
+    dart_of = {}
+    for k, (a, b) in enumerate(edges):
+        dart_of[(a, b)] = 2 * k
+        dart_of[(b, a)] = 2 * k + 1
+    # The face left of u -> v continues along v -> w, w the neighbour
+    # before u around v.
+    succ = [0] * len(dart_of)
+    for v, nbrs in rot.items():
+        prev = nbrs[-1]
+        for u in nbrs:
+            succ[dart_of[(u, v)]] = dart_of[(v, prev)]
+            prev = u
+    walk = [-1] * len(succ)
+    walks = []
+    for start in range(len(succ)):
+        if walk[start] >= 0:
+            continue
+        path = []
+        d = start
+        while True:
+            walk[d] = len(walks)
+            path.append(d)
+            d = succ[d]
+            if d == start:
+                break
+        walks.append(path)
+    return dart_of, walk, walks
+
+
 def brute_wedge_anchor(pts, rot, walk_of, iso_anchor, v, toward) -> int:
     """Walk id of the purple face the direction v -> toward leaves v into.
 

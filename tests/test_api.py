@@ -45,7 +45,7 @@ def perfbench_run(monkeypatch):
 
 
 # Classes whose methods and fields are checked one by one.
-MEMBER_CHECKED = {"Triangulation", "MaximalState"}
+MEMBER_CHECKED = {"GeometricGraph", "MaximalState", "ParityDSU", "PointSet", "Triangulation"}
 
 
 def names_in(nodes) -> set[str]:
@@ -92,14 +92,22 @@ def library_definitions() -> tuple[dict[tuple[str, str], set[str]], set[str]]:
 def test_every_library_definition_is_used(monkeypatch):
     # Code that only tests reach belongs in tests/_helpers.py, next to the
     # brute references, not in the library.  A definition counts as used
-    # when the package exports it, perfbench wraps it, it is the command's
-    # entry point, or a used definition or a statement outside any
-    # definition, in any library module, names it.  Names are matched
+    # when the package exports it, perfbench wraps it or reaches it as an
+    # attribute (make_inputs.py calls GeometricGraph.with_edges), it is the
+    # command's entry point, or a used definition or a statement outside
+    # any definition, in any library module, names it.  Names are matched
     # without their module, so a name shared by two definitions keeps both.
     defs, loose = library_definitions()
     targets = perfbench_run(monkeypatch).trace_targets(biplanekit)
+    bench = {
+        node.attr
+        for path in (ROOT / "perfbench").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
     scripts = re.findall(r'"biplanekit\.\w+:(\w+)"', (ROOT / "pyproject.toml").read_text())
-    named = set(biplanekit.__all__) | {fn.__name__ for _, fn, _ in targets} | set(scripts) | loose
+    named = set(biplanekit.__all__) | {fn.__name__ for _, fn, _ in targets} | set(scripts)
+    named |= bench | loose
     by_name: dict[str, list[tuple[str, str]]] = {}
     for key in defs:
         by_name.setdefault(key[1].rpartition(".")[2], []).append(key)

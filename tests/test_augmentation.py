@@ -7,6 +7,7 @@ from _helpers import (
     assert_face_chords_bipartite,
     assert_flippability_ignores_face_exchanges,
     brute_angular_rotation,
+    brute_face_walks,
     brute_wedge_anchor,
     checked_flips,
     eff_apex,
@@ -32,7 +33,6 @@ from biplanekit.augmentation import (
     BLUE,
     RED,
     NotBiplaneError,
-    _chord_walks,
     build_state,
     certify_maximal,
     maximal_augment,
@@ -303,9 +303,10 @@ def test_face_merge_can_revoke_faraway_cross_flippability():
 
 
 def test_chord_walks_match_angular_sector_scan():
-    # Each dart of each chord takes the face walk of the last purple dart
-    # passed counterclockwise around its tail in the chord's own layer; the
-    # angular scan of the sectors between purple neighbours must agree.
+    # Each dart of each chord leaves its tail into the face walk of the
+    # purple dart whose clockwise turn passed it in the chord's own layer;
+    # the angular scan of the sectors between purple neighbours must agree,
+    # both at the chord's anchor and at its far end.
     rng = random.Random(29)
     graphs = []
     for _ in range(30):
@@ -319,25 +320,24 @@ def test_chord_walks_match_angular_sector_scan():
     for g in graphs:
         state = build_state(g)
         verdict = test_biplane(g)
-        t_red, t_blue = complete_layers(g.points, (verdict.layer1, verdict.layer2))
-        red = t_red.edge_set()
+        layers = complete_layers(g.points, (verdict.layer1, verdict.layer2))
+        red = layers[RED].edge_set()
         pts = g.points.points
         purple = sorted(state.purple)
         rot = brute_angular_rotation(pts, purple)
-        dart_of, walk, walks = trace_face_walks(rot, purple)
+        dart_of, walk, walks = brute_face_walks(rot, purple)
+        assert walk == state.walk
         walk_of = {d: walk[x] for d, x in dart_of.items()}
         isolated = [v for v in range(g.n) if v not in rot]
         iso_anchor = {v: len(walks) + i for i, v in enumerate(isolated)}
+        passed = [trace_face_walks(t, purple)[3] for t in layers]
         for e in sorted(state.edges - state.purple):
-            t = t_red if e in red else t_blue
-            got = [
-                _chord_walks(t, v, u, dart_of, walk, iso_anchor.get(v))[u] for v, u in (e, e[::-1])
-            ]
             want = [
                 brute_wedge_anchor(pts, rot, walk_of, iso_anchor, v, u) for v, u in (e, e[::-1])
             ]
+            far = passed[RED if e in red else BLUE].get(e[::-1])
+            got = [state.chord_anchor[e], iso_anchor[e[1]] if far is None else walk[far]]
             assert got == want, (g.points, g.edges, e)
-            assert state.chord_anchor[e] == got[0]
             assert state.faces.find(got[0])[0] == state.faces.find(got[1])[0]
             chords += 1
             no_purple += any(v in iso_anchor for v in e)

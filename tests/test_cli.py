@@ -100,6 +100,27 @@ def test_unknown_flag_exit_two(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "k4.graph", "--out", "out.txt"],
+        ["analyze", "k4.graph", "--out", "out.txt"],
+        ["oracle", "k4.pts", "--out", "out.txt"],
+        ["gap", "k4.pts", "--trials", "2", "--seed", "1", "--out", "out.txt"],
+        ["generate", "convex", "--n", "5", "--relaxed"],
+    ],
+)
+def test_flags_a_command_would_ignore_exit_two(tmp_path, monkeypatch, capsys, argv):
+    # Each subcommand takes only the flags its code reads: these commands
+    # print and never write --out, and generate reads no file to relax.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k4.graph").write_text(k4_text())
+    (tmp_path / "k4.pts").write_text(format_points(parse_graph(k4_text()).points))
+    assert run(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["generate", "convex"], "convex needs --n"),

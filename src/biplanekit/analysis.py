@@ -6,7 +6,7 @@ the crossing graph once, and each non-edge is tried by a parity check of
 the edges it crosses (non-edges through a vertex are skipped on relaxed
 point sets, found by one relaxed_edge_violations pass over all
 non-edges).  The crossings of one non-edge are found with recognition's
-exact kernel `_crossed`, the one that `crossing_pairs` runs: a y-extent test,
+exact kernel `_crossed`, the one that `crossing_graph` runs: a y-extent test,
 two signed areas against the non-edge's line per edge, and two more
 against the edge's stored line only when those do not already rule the
 crossing out.  On maximal random graphs a non-edge meets a clash after

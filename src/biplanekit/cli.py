@@ -281,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("generate", help="emit a named construction")
     sp.add_argument("family", choices=["convex", "arc-triangle", "hgon-arc", "grid"])
-    sp.add_argument("--n", type=int)
+    sp.add_argument("--n", type=int, help="number of points (hgon-arc: n <= 88)")
     sp.add_argument("--h", type=int)
     sp.add_argument("--k", type=int)
     sp.add_argument("--flips", help="comma list: corners,boundary:I")

@@ -145,6 +145,8 @@ def gen_hgon_with_arc(n: int, h: int) -> PointSet:
         raise ValueError("need h >= 4")
     if n < h:
         raise ValueError("need n >= h")
+    if n > 88:
+        raise ValueError("hgon-arc needs n <= 88: v1.y = -16(n+2)^4 - 1 must fit 2**30")
     m = n - h
     d = 4 * (n + 2) * (n + 2)
     v2 = Point(0, 0)

@@ -6,18 +6,18 @@ rejected outright; below that the crossing graph is built by pairwise
 testing behind a bounding-box sweep, which is the right trade at desk
 scale.  Each pair whose boxes overlap costs two sign tests against a line
 precomputed per edge, and two more only if those do not already rule the
-crossing out: about 0.4 us per pair on a 2-vCPU VM, so a maximal graph
-on 500 points in convex position (745,502 such pairs, 123,753
-crossings) takes about 0.3 s.
+crossing out; each crossing goes straight into both edges' adjacency lists.
+Recognizing a maximal graph on 500 points in convex position (745,502 such
+pairs, 123,753 crossings) takes about 0.25 s on a 2-vCPU VM.
 
 One kernel answers "which of these edges cross segment ab" for both
 callers: `_crossed` scans rows that each hold an edge's box, endpoints,
-line (`_edge_line`) and a payload.  `crossing_pairs` scans each row's
-x-window with edge indices as payloads; the maximality oracle in
-`analysis` scans all rows with (component, color) payloads and shares
-the coloring with its component roots (`_recognize`), so it enumerates
-the crossings once.  Relaxed graphs with a vertex inside an edge are
-rejected here, before any crossing is looked at.
+line (`_edge_line`) and a payload.  `crossing_graph` scans each row's
+x-window with edge indices as payloads (`crossing_pairs` reads its pairs
+off those lists); the maximality oracle in `analysis` scans all rows with
+(component, color) payloads and shares the coloring with its component
+roots (`_recognize`), so it enumerates the crossings once.  A relaxed
+graph with a vertex inside an edge is rejected before any crossing test.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _crossed(
     A row is (xlo, xhi, ylo, yhi, xc, yc, xd, yd, ex, ey, k, payload): the
     box of edge cd, its endpoints, its `_edge_line` and whatever the
     caller wants back; crossings come out in row order.  A row is
-    rejected when its y-extent misses ab's (`crossing_pairs` windows the
+    rejected when its y-extent misses ab's (`crossing_graph` windows the
     x-extents itself), then after two signed areas against ab's line when
     c and d lie strictly on one side of it or exactly one of them lies on
     it; c and d both on it go to segments_cross (collinear overlap); the
@@ -129,36 +129,34 @@ def _edge_rows(g: GeometricGraph, payloads: Iterable[Any]) -> list[tuple]:
     return rows
 
 
-def crossing_pairs(g: GeometricGraph) -> list[tuple[int, int]]:
-    """All pairs (i, j), i < j, of edge indices whose open segments cross, sorted.
+def crossing_graph(g: GeometricGraph) -> list[list[int]]:
+    """Adjacency lists over edge indices, each sorted; arc iff the open segments cross.
 
     Each edge becomes one `_crossed` row with its index as payload.  Rows
     are sorted by left end; each row is tested only against the later
-    rows whose left end lies within its own x-extent.  Worst case stays
-    quadratic.
+    rows whose left end lies within its own x-extent, and each crossing
+    is appended to both edges' lists.  Worst case stays quadratic.
     """
     rows = _edge_rows(g, range(g.m))
     rows.sort()
     xlos = [r[0] for r in rows]
-    pairs: list[tuple[int, int]] = []
-    for p, (_, xhi, _, _, xa, ya, xb, yb, _, _, _, i) in enumerate(rows):
-        for j in _crossed(rows, p + 1, bisect_right(xlos, xhi, p + 1), xa, ya, xb, yb):
-            pairs.append((i, j) if i < j else (j, i))
-    pairs.sort()
-    return pairs
-
-
-def crossing_graph(g: GeometricGraph) -> list[list[int]]:
-    """Adjacency lists over edge indices; arc iff the open segments cross.
-
-    Each list comes out sorted: crossing_pairs is sorted, so the smaller
-    partners of an edge arrive first, in order, and then the larger ones.
-    """
     adj: list[list[int]] = [[] for _ in range(g.m)]
-    for i, j in crossing_pairs(g):
-        adj[i].append(j)
-        adj[j].append(i)
+    for p, (_, xhi, _, _, xa, ya, xb, yb, _, _, _, i) in enumerate(rows):
+        out = adj[i]
+        for j in _crossed(rows, p + 1, bisect_right(xlos, xhi, p + 1), xa, ya, xb, yb):
+            out.append(j)
+            adj[j].append(i)
+    for out in adj:
+        out.sort()
     return adj
+
+
+def crossing_pairs(g: GeometricGraph) -> list[tuple[int, int]]:
+    """All pairs (i, j), i < j, of edge indices whose open segments cross, sorted.
+
+    Read off `crossing_graph` in index order, which is already sorted.
+    """
+    return [(i, j) for i, out in enumerate(crossing_graph(g)) for j in out if j > i]
 
 
 def _recognize(

@@ -186,6 +186,17 @@ def test_generate_families(tmp_path):
         parse_points(out.read_text())
 
 
+def test_generate_hgon_arc_stops_at_the_coordinate_cap(tmp_path, capsys):
+    # v1 = (0, -16(n+2)^4 - 1) fits |coord| <= 2**30 up to n = 88.
+    out = tmp_path / "pts.txt"
+    assert run(["generate", "hgon-arc", "--n", "88", "--h", "5", "--out", str(out)]) == 0
+    ps = parse_points(out.read_text())
+    assert len(ps) == 88 and ps[0].y == -16 * 90**4 - 1
+    capsys.readouterr()
+    assert run(["generate", "hgon-arc", "--n", "89", "--h", "5"]) == 2
+    assert "hgon-arc needs n <= 88" in capsys.readouterr().err
+
+
 def test_triangulate_and_enumerate(tmp_path, capsys):
     f = tmp_path / "c5.pts"
     assert run(["generate", "convex", "--n", "5", "--out", str(f)]) == 0

@@ -15,6 +15,7 @@ from _helpers import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from biplanekit import recognition
 from biplanekit.analysis import maximality_oracle
 from biplanekit.augmentation import maximal_augment
 from biplanekit.constructions import gen_convex
@@ -185,11 +186,14 @@ def test_crossing_pairs_match_brute_sweep():
         )
         graphs.append(random_edge_subset_graph(rng, ps))
     graphs += [maximal_augment(GeometricGraph(gen_convex(n), ())).graph for n in (8, 21, 60)]
+    # The dense input the check-convex benchmark runs at n = 500, plus one
+    # chord: maximality makes it NOT-BIPLANE.
+    graphs.append(_with_first_non_edge(graphs[-1]))
     overlaps = vertical_overlaps = 0
     for g in graphs:
         pairs = crossing_pairs(g)
         assert pairs == brute_crossing_pairs(g)
-        # The adjacency lists come out sorted without sorting them.
+        # Each edge's partners, sorted by index, whichever side found them.
         assert crossing_graph(g) == brute_crossing_adjacency(g)
         pts = g.points.points
         for i, j in pairs:
@@ -200,6 +204,42 @@ def test_crossing_pairs_match_brute_sweep():
     # The cases above reach the collinear test, including vertical edges
     # that share their x-extent exactly.
     assert overlaps and vertical_overlaps
+    g = graphs[-1]
+    res = test_biplane(g)
+    assert isinstance(res, OddCycleWitness) and len(res.cycle) % 2 == 1
+    index = {e: i for i, e in enumerate(g.edges)}
+    crossing = set(brute_crossing_pairs(g))
+    ids = [index[e] for e in res.cycle]
+    for i, j in zip(ids, ids[1:] + ids[:1]):
+        assert (min(i, j), max(i, j)) in crossing
+
+
+def _with_first_non_edge(g: GeometricGraph) -> GeometricGraph:
+    present = set(g.edges)
+    chord = next(
+        (a, b) for a in range(g.n) for b in range(a + 1, g.n) if (a, b) not in present
+    )
+    return GeometricGraph(g.points, g.edges + (chord,))
+
+
+def test_recognition_never_builds_the_pair_list(monkeypatch):
+    # test_biplane and the maximality oracle read the crossings straight off
+    # crossing_graph's adjacency lists.
+    convex = maximal_augment(GeometricGraph(gen_convex(60), ())).graph
+    chorded = _with_first_non_edge(convex)
+    ps = random_strict_points(random.Random(3), 40)
+    maximal = maximal_augment(GeometricGraph(ps, ())).graph
+    want = (test_biplane(convex), test_biplane(chorded), maximality_oracle(maximal))
+    assert isinstance(want[0], BiplaneDecomposition)
+    assert isinstance(want[1], OddCycleWitness)
+    assert want[2] is True
+
+    def no_pair_list(g):
+        raise AssertionError("recognition built the crossing pair list")
+
+    monkeypatch.setattr(recognition, "crossing_pairs", no_pair_list)
+    got = (test_biplane(convex), test_biplane(chorded), maximality_oracle(maximal))
+    assert got == want
 
 
 def test_oracle_row_test_matches_segments_cross():

@@ -425,6 +425,38 @@ def test_parse_graph_rejects_repeated_loop_and_missing_vertex(edges, line, colum
     assert (exc.value.line, exc.value.column, exc.value.reason) == (line, column, reason)
 
 
+TRIANGLE = "3\n0 0\n5 0\n0 5\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, column, reason",
+    [
+        ("", 1, 1, "unexpected end of file, expected point count"),
+        ("# only a comment\n", 1, 1, "unexpected end of file, expected point count"),
+        ("x\n", 1, 1, "expected point count, got 'x'"),
+        ("-1\n", 1, 1, "negative point count"),
+        ("12\n0 0\n", 2, 4, "unexpected end of file, expected x coordinate of point 1"),
+        ("12\n0 0\n1\n", 3, 2, "unexpected end of file, expected y coordinate of point 1"),
+        ("12\n0 0\na 1\n", 3, 1, "expected x coordinate of point 1, got 'a'"),
+        ("12\n0 0\n  7   q # c\n", 3, 7, "expected y coordinate of point 1, got 'q'"),
+        (TRIANGLE, 4, 4, "unexpected end of file, expected edge count"),
+        (TRIANGLE + "e\n", 5, 1, "expected edge count, got 'e'"),
+        (TRIANGLE + "-2\n", 5, 1, "negative edge count"),
+        (TRIANGLE + "11\n0 1\n", 6, 4, "unexpected end of file, expected first endpoint of edge 1"),
+        (TRIANGLE + "11\n0 1\n1\n", 7, 2, "unexpected end of file, expected second endpoint of edge 1"),
+        (TRIANGLE + "11\n0 1\nz 2\n", 7, 1, "expected first endpoint of edge 1, got 'z'"),
+        (TRIANGLE + "11\n0 1\n 1  2.0\n", 7, 5, "expected second endpoint of edge 1, got '2.0'"),
+    ],
+)
+def test_reader_errors_name_each_token(text, line, column, reason):
+    # Every description the reader can put in an error, in both the
+    # "expected ..., got ..." and the end-of-file form, at its position.
+    with pytest.raises(FileFormatError) as exc:
+        parse_graph(text)
+    assert (exc.value.line, exc.value.column, exc.value.reason) == (line, column, reason)
+    assert str(exc.value) == f"line {line}, column {column}: {reason}"
+
+
 def test_check_exits_2_on_repeated_edge(tmp_path, capsys):
     f = tmp_path / "repeat.graph"
     f.write_text("4\n0 0\n5 0\n5 5\n0 5\n3\n0 1\n1 0\n2 3\n")

@@ -42,19 +42,20 @@ class _Reader:
     def more(self) -> bool:
         return self.pos < len(self.toks)
 
-    def next_int(self, what: str) -> int:
+    def next_int(self, what: str, *args: int) -> int:
+        """The next token; `what.format(*args)` names it, built only for an error."""
         if not self.more():
             # Report the position just past the last token.
             tok, line, col = self.toks[-1] if self.toks else ("", 1, 1)
             raise FileFormatError(
-                line, col + len(tok), f"unexpected end of file, expected {what}"
+                line, col + len(tok), f"unexpected end of file, expected {what.format(*args)}"
             )
         tok, line, col = self.toks[self.pos]
         self.pos += 1
         try:
             return int(tok)
         except ValueError:
-            raise FileFormatError(line, col, f"expected {what}, got {tok!r}")
+            raise FileFormatError(line, col, f"expected {what.format(*args)}, got {tok!r}")
 
     def error(self, message: str, back: int = 1) -> FileFormatError:
         """An error located at the token `back` tokens before the next one."""
@@ -73,11 +74,9 @@ class _Reader:
         return k
 
     def points(self, strictness: Strictness) -> PointSet:
+        get = self.next_int
         coords = [
-            (
-                self.next_int(f"x coordinate of point {i}"),
-                self.next_int(f"y coordinate of point {i}"),
-            )
+            (get("x coordinate of point {}", i), get("y coordinate of point {}", i))
             for i in range(self.count("point count"))
         ]
         return PointSet.from_coords(coords, strictness)
@@ -86,8 +85,8 @@ class _Reader:
         """The edge block: distinct edges between distinct ones of n points."""
         first: dict[Edge, int] = {}
         for i in range(self.count("edge count")):
-            a = self.next_int(f"first endpoint of edge {i}")
-            b = self.next_int(f"second endpoint of edge {i}")
+            a = self.next_int("first endpoint of edge {}", i)
+            b = self.next_int("second endpoint of edge {}", i)
             e = (a, b) if a < b else (b, a)
             if e[0] < 0 or e[1] >= n:
                 v, back = (a, 2) if not 0 <= a < n else (b, 1)

@@ -4,14 +4,15 @@ Every predicate here works on plain Python integers, so all signs are exact.
 Point coordinates are capped at |x|, |y| <= 2**30 when a PointSet is built;
 with that bound a 3x3 orientation determinant always fits in double-width
 integer arithmetic, which matters for any port of these routines to a
-fixed-width backend (Python itself never overflows).
+fixed-width backend (Python itself never overflows).  The same cap makes
+validate()'s slope key ((yj - yi) << 64) // (xj - xi) exact: lines through
+point i with distinct slopes get keys at least 4 apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 COORD_LIMIT = 2**30
@@ -158,30 +159,30 @@ def validate(ps: PointSet) -> ValidationReport:
     """Check the general-position contract of a point set.
 
     Under STRICT this reports the lexicographically first collinear triple
-    (i, j, k), i < j < k, in O(n^2) time: for each i in turn it groups the
-    later points by their reduced direction from i, and the first i with a
-    group of two or more names the first such group's two smallest
-    members.  Under RELAXED only distinctness applies, which the
-    constructor already guarantees.
+    (i, j, k), i < j < k, in O(n^2) time; deciding whether any three points
+    are collinear is 3SUM-hard, so the bound stays.  For each i every later
+    point j gets the slope key ((yj - yi) << 64) // (xj - xi), or None when
+    xj = xi.  Equal slopes, opposite directions included, give equal keys,
+    and as |dx| <= 2**31 distinct slopes differ by at least 2**-62, so their
+    keys differ by at least 4.  A repeated key from i thus means a line
+    through i and two later points.  Only then are i's keys grouped in j
+    order, so groups come in the order of their smallest members, and the
+    first group of two or more names its two smallest members.  Under
+    RELAXED only distinctness applies, which the constructor guarantees.
     """
     if ps.strictness is Strictness.RELAXED:
         return ValidationReport(True)
-    pts = ps.points
-    n = len(pts)
-    for i in range(n):
-        xi, yi = pts[i]
-        groups: dict[tuple[int, int], list[int]] = {}
-        for j in range(i + 1, n):
-            dx, dy = pts[j][0] - xi, pts[j][1] - yi
-            g = gcd(dx, dy)
-            if dx < 0 or (dx == 0 and dy < 0):
-                g = -g
-            groups.setdefault((dx // g, dy // g), []).append(j)
-        # Groups come in the order of their smallest members.
-        for grp in groups.values():
-            if len(grp) > 1:
-                j, k = grp[0], grp[1]
-                return ValidationReport(False, (i, j, k), f"collinear points {i}, {j}, {k}")
+    xs = [p.x for p in ps.points]
+    ys64 = [p.y << 64 for p in ps.points]
+    for i, (xi, yi) in enumerate(zip(xs, ys64)):
+        later = zip(xs[i + 1 :], ys64[i + 1 :])
+        keys = [(y - yi) // (x - xi) if x != xi else None for x, y in later]
+        if len(set(keys)) < len(keys):
+            groups: dict[int | None, list[int]] = {}
+            for j, key in enumerate(keys, i + 1):
+                groups.setdefault(key, []).append(j)
+            j, k = next(grp for grp in groups.values() if len(grp) > 1)[:2]
+            return ValidationReport(False, (i, j, k), f"collinear points {i}, {j}, {k}")
     return ValidationReport(True)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -164,6 +165,35 @@ def brute_validate(ps: PointSet) -> ValidationReport:
                         (i, j, k),
                         f"collinear points {i}, {j}, {k}",
                     )
+    return ValidationReport(True)
+
+
+def gcd_validate(ps: PointSet) -> ValidationReport:
+    """The general-position check by grouping later points by reduced direction.
+
+    For each i in turn the later points are grouped by their gcd-reduced
+    direction from i, sign-normalised so that opposite directions meet;
+    the first i with a group of two or more names the first such group's
+    two smallest members.  O(n^2) with a gcd per pair.
+    """
+    if ps.strictness is Strictness.RELAXED:
+        return ValidationReport(True)
+    pts = ps.points
+    n = len(pts)
+    for i in range(n):
+        xi, yi = pts[i]
+        groups: dict[tuple[int, int], list[int]] = {}
+        for j in range(i + 1, n):
+            dx, dy = pts[j][0] - xi, pts[j][1] - yi
+            g = math.gcd(dx, dy)
+            if dx < 0 or (dx == 0 and dy < 0):
+                g = -g
+            groups.setdefault((dx // g, dy // g), []).append(j)
+        # Groups come in the order of their smallest members.
+        for grp in groups.values():
+            if len(grp) > 1:
+                j, k = grp[0], grp[1]
+                return ValidationReport(False, (i, j, k), f"collinear points {i}, {j}, {k}")
     return ValidationReport(True)
 
 

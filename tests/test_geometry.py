@@ -1,13 +1,23 @@
+import itertools
+import random
+
 import pytest
-from _helpers import brute_relaxed_edge_violations, brute_validate, point_on_open_segment
+from _helpers import (
+    brute_relaxed_edge_violations,
+    brute_validate,
+    gcd_validate,
+    point_on_open_segment,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biplanekit.constructions import gen_convex
 from biplanekit.geometry import (
     COORD_LIMIT,
     Point,
     PointSet,
     Strictness,
+    ValidationReport,
     convex_hull,
     cross,
     edge,
@@ -137,7 +147,107 @@ def test_validate_matches_triple_scan(cells, scale, shift):
     # Scaled and shifted lattice points keep their collinear triples, and
     # their directions need reducing by a common divisor.
     ps = PointSet.from_coords([(scale * x + shift[0], scale * y + shift[1]) for x, y in cells])
-    assert validate(ps) == brute_validate(ps)
+    assert validate(ps) == gcd_validate(ps) == brute_validate(ps)
+
+
+@given(
+    st.integers(min_value=2, max_value=6).flatmap(
+        lambda k: st.lists(
+            st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+            min_size=3,
+            max_size=12,
+            unique=True,
+        )
+    ),
+    st.integers(min_value=1, max_value=2 * COORD_LIMIT // 15),
+    st.integers(min_value=-1, max_value=1),
+)
+@settings(max_examples=200)
+def test_validate_matches_triple_scan_near_the_cap(cells, scale, tilt):
+    # Lattice points sheared and scaled out to the coordinate cap: the
+    # sheared y + tilt * x + 5 lies in [0, 15], so every coordinate fits.
+    ps = PointSet.from_coords(
+        [(scale * x - COORD_LIMIT, scale * (y + tilt * x + 5) - COORD_LIMIT) for x, y in cells]
+    )
+    assert validate(ps) == gcd_validate(ps) == brute_validate(ps)
+
+
+def symmetric_images(pts):
+    """The set under all 8 symmetries of the square, in every vertex order."""
+    for sx, sy, swap in itertools.product((1, -1), (1, -1), (False, True)):
+        img = [(sx * x, sy * y) for x, y in pts]
+        if swap:
+            img = [(y, x) for x, y in img]
+        yield from itertools.permutations(img)
+
+
+C = COORD_LIMIT
+
+
+@pytest.mark.parametrize(
+    "pts, collinear",
+    [
+        # Slopes (2**31 - 1) / 2**31 and (2**31 - 2) / (2**31 - 1) from the
+        # first point differ by 1 / (2**31 * (2**31 - 1)), about 2**-62.
+        ([(-C, -C), (C, C - 1), (C - 1, C - 2)], False),
+        ([(-C, -C), (C, C - 1), (C - 1, C - 2), (-C, C)], False),
+        ([(-C, -C), (C, C - 2), (0, -2)], False),
+        ([(-C, -C), (0, 0), (C, C)], True),
+        ([(-C, -C), (C, C - 2), (0, -1)], True),
+        ([(-C, C), (C, -C), (-C, -C), (C, C), (0, 0)], True),
+    ],
+)
+def test_validate_at_the_coordinate_cap(pts, collinear):
+    for img in symmetric_images(pts):
+        ps = PointSet.from_coords(img)
+        rep = validate(ps)
+        assert rep.ok is not collinear
+        assert rep == gcd_validate(ps) == brute_validate(ps)
+
+
+@pytest.mark.parametrize(
+    "pts, triple",
+    [
+        ([(0, 0), (0, 5), (0, -3)], (0, 1, 2)),
+        ([(0, 0), (5, 0), (-3, 0)], (0, 1, 2)),
+        ([(0, 0), (4, 4), (-7, -7)], (0, 1, 2)),
+        ([(0, 0), (0, 5), (5, 0)], None),
+        ([(1, 1), (4, 0), (0, 7), (0, -2), (-9, 0), (3, 9)], None),
+        # From point 0 the horizontal line holds {1, 4} and the vertical
+        # line {2, 3}; the first group by smallest member wins.
+        ([(0, 0), (4, 0), (0, 7), (0, -2), (-9, 0)], (0, 1, 4)),
+        ([(0, 0), (0, 7), (4, 0), (-9, 0), (0, -2)], (0, 1, 4)),
+        ([(3, 1), (0, 0), (0, 7), (0, -2), (-9, 0)], (1, 2, 3)),
+    ],
+)
+def test_validate_axis_lines_in_both_directions(pts, triple):
+    ps = PointSet.from_coords(pts)
+    rep = validate(ps)
+    assert rep.collinear_triple == triple and rep.ok is (triple is None)
+    assert rep == gcd_validate(ps) == brute_validate(ps)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_validate_fewer_than_three_points(n):
+    ps = PointSet.from_coords([(C, -C), (-C, C)][:n])
+    assert validate(ps) == gcd_validate(ps) == brute_validate(ps) == ValidationReport(True)
+
+
+def test_validate_matches_gcd_reference_on_large_sets():
+    ps = gen_convex(500)
+    assert validate(ps) == gcd_validate(ps) == ValidationReport(True)
+    rng = random.Random(15)
+    for _ in range(6):
+        # 297 random points and one collinear triple at random indices.
+        pts = [(rng.randrange(-(2**29), 2**29), rng.randrange(-(2**29), 2**29)) for _ in range(297)]
+        base = (rng.randrange(-(2**28), 2**28), rng.randrange(-(2**28), 2**28))
+        d = (rng.randrange(-(2**20), 2**20), rng.randrange(-(2**20), 2**20))
+        line = [(base[0] + t * d[0], base[1] + t * d[1]) for t in rng.sample(range(-50, 50), 3)]
+        for idx, p in zip(sorted(rng.sample(range(300), 3)), line):
+            pts.insert(idx, p)
+        ps = PointSet.from_coords(pts)
+        rep = validate(ps)
+        assert not rep.ok and rep == gcd_validate(ps)
 
 
 @given(

@@ -27,7 +27,12 @@ The work queue is FIFO over edge ids.  Processing order does not affect
 maximality of the result, only which maximal graph is produced.  The loop
 evaluates a popped edge's clause once: one union-find lookup per side of
 the edge gives both that side's face and its parity, and the clause found
-is handed to the flip instead of being tested again.  An edge found
+is handed to the flip, with those faces and parities, instead of being
+tested again.  Each candidate quadrilateral costs two signed areas: the
+apexes of the two triangles at the edge lie strictly on either side of
+it, so only whether their line separates the edge's ends is open.  The
+flip looks up each purple dart facing away from its quadrilateral once;
+the rim darts whose apex changes are twins of four of them.  An edge found
 unflippable is marked settled, and every re-enqueue clears the mark; by the
 locality contract a settled edge cannot have become flippable, so popping
 it again costs no test.  `certify_maximal` re-tests every live purple edge
@@ -47,7 +52,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .geometry import Edge, PointSet, edge, proper_cross
+from .geometry import Edge, PointSet, edge
 from .graphs import GeometricGraph, relaxed_edge_violations
 from .recognition import BiplaneDecomposition, BiplaneResult, test_biplane
 from .triangulation import (
@@ -203,12 +208,18 @@ def build_state(
     )
 
 
-def _clause(state: MaximalState, k: int) -> tuple[str, int] | None:
+def _clause(
+    state: MaximalState, k: int
+) -> tuple[str, int, int, int, int, int] | None:
     """Which colorblind-flip clause applies to purple edge k, if any.
 
-    Returns ("red", -1), ("blue", -1), or ("cross", side) where `side` is
-    the side whose face holds the blue triangle of the convex pair (the
-    face that gets recolored so the flip can run in the red layer).
+    Returns (clause, side, root_l, par_l, root_r, par_r) or None.  The
+    clause and side are ("red", -1), ("blue", -1), or ("cross", side) where
+    `side` is the side whose face holds the blue triangle of the convex pair
+    (the face that gets recolored so the flip can run in the red layer).
+    The roots and parities are those of the faces left and right of the
+    edge as the flip will find them: under the cross clause the recolored
+    side's parity is already flipped.
     """
     # One find per side gives both the face root and its parity; the parity
     # picks which lineage's apex is red.
@@ -221,26 +232,38 @@ def _clause(state: MaximalState, k: int) -> tuple[str, int] | None:
     apex = state.apex
     pts = state.points.points
     a, b = state.ends[k]
-    pa, pb = pts[a], pts[b]
-    prl = pts[apex[par_l][d]]
-    prr = pts[apex[par_r][d + 1]]
-    if proper_cross(pa, pb, prl, prr):
-        return ("red", -1)
-    pbl = pts[apex[par_l ^ 1][d]]
-    pbr = pts[apex[par_r ^ 1][d + 1]]
-    if proper_cross(pa, pb, pbl, pbr):
-        return ("blue", -1)
+    ax, ay = pts[a]
+    bx, by = pts[b]
+    # Each test is geometry.line_separates(l, r, a, b) for an apex l left of
+    # a -> b and an apex r right of it, written out because the flip loop
+    # runs it once per candidate quadrilateral.  Both triangles are
+    # non-degenerate, so l is strictly left and r strictly right, and the
+    # open segments ab and lr cross iff the line l -> r separates a from b.
+    # Then cross(l, r, b) - cross(l, r, a) > 0, so a separating line has a
+    # on its right and b on its left.
+    rlx, rly = pts[apex[par_l][d]]
+    rrx, rry = pts[apex[par_r][d + 1]]
+    ux, uy = rrx - rlx, rry - rly
+    if ux * (ay - rly) - uy * (ax - rlx) < 0 < ux * (by - rly) - uy * (bx - rlx):
+        return ("red", -1, root_l, par_l, root_r, par_r)
+    blx, bly = pts[apex[par_l ^ 1][d]]
+    brx, bry = pts[apex[par_r ^ 1][d + 1]]
+    ux, uy = brx - blx, bry - bly
+    if ux * (ay - bly) - uy * (ax - blx) < 0 < ux * (by - bly) - uy * (bx - blx):
+        return ("blue", -1, root_l, par_l, root_r, par_r)
     if root_l != root_r:
-        if proper_cross(pa, pb, prl, pbr):
-            return ("cross", 1)
-        if proper_cross(pa, pb, pbl, prr):
-            return ("cross", 0)
+        ux, uy = brx - rlx, bry - rly
+        if ux * (ay - rly) - uy * (ax - rlx) < 0 < ux * (by - rly) - uy * (bx - rlx):
+            return ("cross", 1, root_l, par_l, root_r, par_r ^ 1)
+        ux, uy = rrx - blx, rry - bly
+        if ux * (ay - bly) - uy * (ax - blx) < 0 < ux * (by - bly) - uy * (bx - blx):
+            return ("cross", 0, root_l, par_l ^ 1, root_r, par_r)
     return None
 
 
-def _flip(state: MaximalState, k: int, cl: tuple[str, int]) -> None:
-    """Flip purple edge k, whose clause `cl` is known: add its quadrilateral
-    diagonal as a new edge.
+def _flip(state: MaximalState, k: int, cl: tuple[str, int, int, int, int, int]) -> None:
+    """Flip purple edge k, whose clause `cl` from `_clause` is known: add its
+    quadrilateral diagonal as a new edge.
 
     The two purple faces of the edge merge; under the cross-face clause the
     face holding the blue triangle of the convex pair is recolored first so
@@ -250,37 +273,37 @@ def _flip(state: MaximalState, k: int, cl: tuple[str, int]) -> None:
     """
     faces = state.faces
     walk, apex, dart_of, alive = state.walk, state.apex, state.dart_of, state.alive
+    kind, side, root_l, par_l, root_r, par_r = cl
     d = 2 * k
     e = state.ends[k]
     a, b = e
-    wl, wr = walk[d], walk[d + 1]
 
-    # Both layers' triangles on each side, whatever the parities.
-    neighborhood: list[Dart] = []
-    for lineage in apex:
-        c, z = lineage[d], lineage[d + 1]
-        neighborhood += ((a, c), (c, b), (b, z), (z, a))
+    # The outer darts of both layers' triangles on each side, whatever the
+    # parities, per lineage: a -> c, c -> b on the left, b -> z, z -> a on
+    # the right.  Their twins are the rim darts facing the quad.
+    get = dart_of.get
+    c0, c1, z0, z1 = apex[0][d], apex[1][d], apex[0][d + 1], apex[1][d + 1]
+    outer_l = ((get((a, c0)), get((c0, b))), (get((a, c1)), get((c1, b))))
+    outer_r = ((get((b, z0)), get((z0, a))), (get((b, z1)), get((z1, a))))
 
     recolored: int | None = None
-    if cl[0] == "cross":
-        recolored = wr if cl[1] else wl
-        faces.flip_component(recolored)
+    if kind == "cross":
+        recolored = walk[d + side]
+        faces.flip_component(root_r if side else root_l)
         layer = RED
     else:
-        layer = RED if cl[0] == "red" else BLUE
+        layer = RED if kind == "red" else BLUE
 
-    root_l, par_l = faces.find(wl)
-    root_r, par_r = faces.find(wr)
-    par_l ^= faces.flip[root_l]
-    par_r ^= faces.flip[root_r]
     cap = apex[par_l ^ layer][d]
     dap = apex[par_r ^ layer][d + 1]
     f = edge(cap, dap)
     if f in state.edges:
         raise GeometryError(f"flip target {f} already present")
 
-    # union() keeps every parity, so wl keeps par_l in the merged face.
-    faces.union(wl, wr)
+    # union() keeps every parity, so the left walk keeps par_l in the merged
+    # face.
+    wl = walk[d]
+    faces.union(root_l, root_r)
     state.chord_anchor[e] = wl
     state.chord_color0[e] = (1 - layer) ^ par_l
     state.chord_anchor[f] = wl
@@ -289,30 +312,28 @@ def _flip(state: MaximalState, k: int, cl: tuple[str, int]) -> None:
     alive[k] = 0
 
     # The rim darts facing the quad a, dap, b, cap trade their apex in
-    # `layer` (see Triangulation._flip_in_place).
-    for rd, old, new in (
-        ((cap, a), b, dap),
-        ((b, cap), a, dap),
-        ((dap, b), a, cap),
-        ((a, dap), b, cap),
-    ):
-        x = dart_of.get(rd)
+    # `layer` (see Triangulation._flip_in_place).  They are cap -> a,
+    # b -> cap, dap -> b and a -> dap: the twins of the outer darts of the
+    # lineage that is `layer` on each side.
+    (x_ac, x_cb), (x_bd, x_da) = outer_l[par_l ^ layer], outer_r[par_r ^ layer]
+    for x, old, new in ((x_ac, b, dap), (x_cb, a, dap), (x_bd, a, cap), (x_da, b, cap)):
         if x is None or not alive[x >> 1]:
             continue  # rim edge is a chord; chords carry no apex storage
+        x ^= 1
         lineage = apex[faces.parity(walk[x]) ^ layer]
         if lineage[x] != old:
-            raise GeometryError(f"apex bookkeeping mismatch at {edge(*rd)}")
+            raise GeometryError(f"apex bookkeeping mismatch at {state.ends[x >> 1]}")
         lineage[x] = new
 
     hull, settled, queue = state.hull, state.settled, state.queue
-    ids = {x >> 1 for x in map(dart_of.get, neighborhood) if x is not None}
+    ids = {x >> 1 for pair in outer_l + outer_r for x in pair if x is not None}
     for j in sorted(ids):
         if alive[j] and not hull[j]:
             queue.append(j)
             settled[j] = 0
 
     if state.trace is not None:
-        state.trace.append(FlipRecord(e, cl[0], recolored, f, (root_l, root_r)))
+        state.trace.append(FlipRecord(e, kind, recolored, f, (root_l, root_r)))
 
 
 def certify_maximal(state: MaximalState) -> bool:

@@ -75,23 +75,15 @@ def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     return False
 
 
-def proper_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Open segments ab and cd cross in exactly one interior point."""
-    # cross(a, b, c), cross(a, b, d), cross(c, d, a), cross(c, d, b), written
-    # out because the flip loop calls this once per test.
-    ax, ay = a
-    bx, by = b
-    cx, cy = c
-    dx, dy = d
-    ex, ey = bx - ax, by - ay
-    s1 = ex * (cy - ay) - ey * (cx - ax)
-    s2 = ex * (dy - ay) - ey * (dx - ax)
-    if s1 == 0 or s2 == 0 or (s1 > 0) == (s2 > 0):
-        return False
-    fx, fy = dx - cx, dy - cy
-    s3 = fx * (ay - cy) - fy * (ax - cx)
-    s4 = fx * (by - cy) - fy * (bx - cx)
-    return s3 != 0 and s4 != 0 and (s3 > 0) != (s4 > 0)
+def line_separates(l: Point, r: Point, a: Point, b: Point) -> bool:
+    """Are a and b strictly on opposite sides of the line through l and r?
+
+    With l strictly left of a -> b and r strictly right of it, as the apexes
+    of the two triangles at an edge ab of a triangulation are, this says
+    whether the open segments ab and lr cross: whether ab can be flipped.
+    """
+    sa, sb = cross(l, r, a), cross(l, r, b)
+    return (sa < 0 < sb) or (sb < 0 < sa)
 
 
 def point_in_triangle_strict(p: Point, a: Point, b: Point, c: Point) -> bool:
@@ -115,13 +107,11 @@ class PointSet:
     strictness: Strictness = Strictness.STRICT
 
     def __post_init__(self) -> None:
-        pts = tuple(Point(int(p[0]), int(p[1])) for p in self.points)
+        pts = tuple([Point(int(c[0]), int(c[1])) for c in self.points])
         object.__setattr__(self, "points", pts)
-        for i, p in enumerate(pts):
-            if abs(p.x) > COORD_LIMIT or abs(p.y) > COORD_LIMIT:
-                raise ValueError(
-                    f"point {i} = ({p.x}, {p.y}) exceeds |coord| <= 2**30"
-                )
+        if pts and (min(map(min, pts)) < -COORD_LIMIT or max(map(max, pts)) > COORD_LIMIT):
+            i, p = next((i, p) for i, p in enumerate(pts) if max(map(abs, p)) > COORD_LIMIT)
+            raise ValueError(f"point {i} = ({p.x}, {p.y}) exceeds |coord| <= 2**30")
         if len(set(pts)) != len(pts):
             seen: dict[Point, int] = {}
             for i, p in enumerate(pts):
@@ -145,7 +135,8 @@ class PointSet:
         coords: Iterable[Sequence[int]],
         strictness: Strictness = Strictness.STRICT,
     ) -> "PointSet":
-        return cls(tuple(Point(int(c[0]), int(c[1])) for c in coords), strictness)
+        """The point set of `coords`; each point is built once, by the constructor."""
+        return cls(tuple(coords), strictness)
 
 
 @dataclass(frozen=True)

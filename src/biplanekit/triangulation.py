@@ -40,7 +40,7 @@ from collections import deque
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .geometry import Edge, Point, PointSet, cross, edge, proper_cross
+from .geometry import Edge, Point, PointSet, cross, edge, line_separates
 from .graphs import GeometricGraph
 from .recognition import crossing_pairs
 
@@ -135,7 +135,7 @@ class Triangulation:
         if l is None or r is None:
             return FlipStatus.HULL_EDGE
         pts = self.points.points
-        if proper_cross(pts[a], pts[b], pts[l], pts[r]):
+        if line_separates(pts[l], pts[r], pts[a], pts[b]):
             return FlipStatus.FLIPPABLE
         return FlipStatus.NOT_CONVEX
 

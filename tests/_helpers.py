@@ -197,6 +197,15 @@ def gcd_validate(ps: PointSet) -> ValidationReport:
     return ValidationReport(True)
 
 
+def proper_cross(a, b, c, d) -> bool:
+    """Open segments ab and cd cross in exactly one interior point."""
+    s1, s2 = cross(a, b, c), cross(a, b, d)
+    if s1 == 0 or s2 == 0 or (s1 > 0) == (s2 > 0):
+        return False
+    s3, s4 = cross(c, d, a), cross(c, d, b)
+    return s3 != 0 and s4 != 0 and (s3 > 0) != (s4 > 0)
+
+
 def point_on_open_segment(p, a, b) -> bool:
     """Does p lie strictly inside segment ab?"""
     if cross(a, b, p) != 0:
@@ -734,6 +743,36 @@ def is_colorblind_flippable(state: MaximalState, e: Edge) -> bool:
     if state.hull[k]:
         raise ValueError(f"{e} is a hull edge and never flippable")
     return _clause(state, k) is not None
+
+
+def reference_clause(state: MaximalState, k: int) -> tuple[str, int] | None:
+    """The colorblind-flip clause of purple edge k by four signed areas per
+    candidate quadrilateral: ("red", -1), ("blue", -1), ("cross", side) with
+    `side` the side whose face is recolored, or None."""
+    faces = state.faces
+    d = 2 * k
+    root_l, par_l = faces.find(state.walk[d])
+    root_r, par_r = faces.find(state.walk[d + 1])
+    par_l ^= faces.flip[root_l]
+    par_r ^= faces.flip[root_r]
+    apex = state.apex
+    pts = state.points.points
+    a, b = state.ends[k]
+    pa, pb = pts[a], pts[b]
+    prl = pts[apex[par_l][d]]
+    prr = pts[apex[par_r][d + 1]]
+    if proper_cross(pa, pb, prl, prr):
+        return ("red", -1)
+    pbl = pts[apex[par_l ^ 1][d]]
+    pbr = pts[apex[par_r ^ 1][d + 1]]
+    if proper_cross(pa, pb, pbl, pbr):
+        return ("blue", -1)
+    if root_l != root_r:
+        if proper_cross(pa, pb, prl, pbr):
+            return ("cross", 1)
+        if proper_cross(pa, pb, pbl, prr):
+            return ("cross", 0)
+    return None
 
 
 def apply_flip(state: MaximalState, e: Edge) -> None:

@@ -474,6 +474,21 @@ def test_augment_relaxed_collinear_points_returns_the_path(tmp_path, capsys):
     assert out == "4\n0 0\n1 1\n2 2\n3 3\n3\n0 1\n1 2\n2 3\nLAYER1 3\n0 1\n1 2\n2 3\nLAYER2 0\n"
 
 
+def test_triangulate_rejects_collinear_points_that_augment_joins(tmp_path, capsys):
+    # Points on one line span no triangle: augment returns the path through
+    # them, while triangulate has no triangulation to print.
+    f = tmp_path / "line.graph"
+    f.write_text("3\n0 0\n1 1\n2 2\n0\n")
+    assert run(["augment", "--relaxed", str(f)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "3\n0 0\n1 1\n2 2\n2\n0 1\n1 2\nLAYER1 2\n0 1\n1 2\nLAYER2 0\n"
+    assert captured.err == ""
+    assert run(["triangulate", "--relaxed", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: all points are collinear; cannot triangulate\n"
+    assert captured.out == ""
+
+
 LATTICE_SUBSETS = st.integers(min_value=1, max_value=6).flatmap(
     lambda k: st.lists(
         st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)), max_size=k * k, unique=True

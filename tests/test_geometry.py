@@ -7,6 +7,7 @@ from _helpers import (
     brute_validate,
     gcd_validate,
     point_on_open_segment,
+    proper_cross,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from biplanekit.geometry import (
     convex_hull,
     cross,
     edge,
+    line_separates,
     segments_cross,
     validate,
 )
@@ -59,6 +61,20 @@ def test_segments_cross_symmetric(a, b, c, d):
         return
     assert segments_cross(a, b, c, d) == segments_cross(c, d, a, b)
     assert segments_cross(a, b, c, d) == segments_cross(b, a, d, c)
+
+
+small = st.builds(P, st.integers(-4, 4), st.integers(-4, 4))
+
+
+@given(small, small, small, small)
+def test_line_separates_is_proper_cross_across_an_edge(a, b, l, r):
+    # With l strictly left of a -> b and r strictly right, as the apexes at
+    # a triangulation edge are, the two-area test answers proper_cross, and
+    # a separating line always has a on its right.
+    if not cross(a, b, l) > 0 > cross(a, b, r):
+        return
+    assert line_separates(l, r, a, b) == proper_cross(a, b, l, r)
+    assert line_separates(l, r, a, b) == (cross(l, r, a) < 0 < cross(l, r, b))
 
 
 def test_segments_cross_examples():
@@ -274,10 +290,13 @@ def test_relaxed_edge_violations_match_scan(cells, scale, shift, rng):
 
 
 def test_pointset_rejects_duplicates_and_huge_coords():
-    with pytest.raises(ValueError):
-        PointSet.from_coords([(0, 0), (0, 0)])
-    with pytest.raises(ValueError):
-        PointSet.from_coords([(0, 0), (COORD_LIMIT + 1, 0)])
+    with pytest.raises(ValueError, match=r"^duplicate point at indices 1 and 3$"):
+        PointSet.from_coords([(0, 0), (5, 1), (2, 2), (5, 1), (0, 0)])
+    over = [(0, 0), (0, 0), (1, -COORD_LIMIT - 1), (COORD_LIMIT + 1, 0)]
+    msg = rf"^point 2 = \(1, {-COORD_LIMIT - 1}\) exceeds \|coord\| <= 2\*\*30$"
+    for make in (PointSet.from_coords, PointSet):
+        with pytest.raises(ValueError, match=msg):
+            make(over)
     PointSet.from_coords([(COORD_LIMIT, -COORD_LIMIT), (0, 0)])  # at the cap: fine
 
 

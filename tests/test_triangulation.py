@@ -156,7 +156,7 @@ def test_scan_fill_matches_brute_fill_per_pocket(monkeypatch):
     add = triangulation._add_triangle
     predicates = (
         "cross",
-        "proper_cross",
+        "line_separates",
         "segments_cross",
         "point_in_triangle_strict",
     )

@@ -6,15 +6,16 @@ parity union-find: flipping a purple edge merges its two faces, and the
 cross-face flip clause exchanges a face's red and blue chords by toggling
 one parity bit instead of relabeling chords.
 
-The purple edges are numbered once, in sorted order: edge k = (a, b), a < b,
-has dart 2k = a -> b and dart 2k + 1 = b -> a.  Per dart the state keeps, in
-flat lists, the face walk on its left and the apex of the triangle on its
-left in each color lineage; the parity bit of that walk's face says which
-lineage is currently red.  Per edge it keeps three flags: alive (still
-purple), hull, and settled.  The apexes come from the dart maps of
-`triangulation`, so all flip tests are constant-time, and each flip
-touches only its quadrilateral neighborhood, which keeps the whole
-augmentation near-linearithmic.
+The edges keep the numbers of the red triangulation's darts: edge k = (a, b),
+a < b, has dart 2k = a -> b and dart 2k + 1 = b -> a.  Per dart the state
+keeps, in flat lists, the face walk on its left and, in each color
+lineage, the apex of the triangle on its left and that triangle's other
+two darts; the parity bit of the walk's face says which lineage is
+currently red.  Per edge it keeps three flags: alive (still purple), hull,
+and settled.  The lists start as the two triangulations' own dart lists,
+so all flip tests are constant-time, and each flip touches only its
+quadrilateral neighborhood, which keeps the whole augmentation
+near-linearithmic.
 
 Locality contract: an edge can only BECOME flippable if it lies in one of
 the up-to-four triangles containing the flipped edge, so re-enqueueing that
@@ -31,19 +32,24 @@ is handed to the flip, with those faces and parities, instead of being
 tested again.  Each candidate quadrilateral costs two signed areas: the
 apexes of the two triangles at the edge lie strictly on either side of
 it, so only whether their line separates the edge's ends is open.  The
-flip looks up each purple dart facing away from its quadrilateral once;
-the rim darts whose apex changes are twins of four of them.  An edge found
+flip reads the sides of its quadrilateral off the triangle lists by index,
+and the four whose triangle changes take their new apex and sides from
+one another.  The queue runs in sorted edge order: the edges start in it
+that way, and a flip re-enqueues its neighbours by their rank.  An edge found
 unflippable is marked settled, and every re-enqueue clears the mark; by the
 locality contract a settled edge cannot have become flippable, so popping
 it again costs no test.  `certify_maximal` re-tests every live purple edge
 at the end.
 
-Building the state completes both layers from one sweep of the bare points
-and reads the purple faces off the red triangulation's dart map: one
-clockwise turn around the head of each purple dart finds the dart that
+Building the state completes both layers from one sweep of the bare points.
+When the two completions are one triangulation, as on empty input, every
+edge is purple under the same number in both; otherwise a merge of the two
+sorted edge lists finds the purple edges and renumbers blue's darts as
+red's.  The purple faces are read off the red triangulation's dart lists:
+one clockwise turn around the head of each purple dart finds the dart that
 follows it in its face walk, and passes the red chords leaving that vertex
 into the face.  The blue chords are placed by the same turns through the
-blue dart map, which only runs when there are blue-only chords.  Neither
+blue dart lists, which only runs when there are blue-only chords.  Neither
 needs an angular sort or predicate.
 """
 
@@ -56,9 +62,10 @@ from .geometry import Edge, PointSet, edge
 from .graphs import GeometricGraph, relaxed_edge_violations
 from .recognition import BiplaneDecomposition, BiplaneResult, test_biplane
 from .triangulation import (
+    OUTER,
     CollinearError,
-    Dart,
     GeometryError,
+    Triangulation,
     complete_layers,
     face_turns,
     trace_face_walks,
@@ -92,24 +99,31 @@ class FlipRecord:
 class MaximalState:
     """Mutable augmentation state; requires exclusive access while flipping.
 
-    `ends[k]` is purple edge k, and `dart_of` maps each of its darts (u, v)
-    to its number, 2k or 2k + 1.  `walk[d]` is the face walk left of dart
-    d, and `apex[lineage][d]` the apex left of d in that color lineage.
-    `alive` (still purple), `hull` and `settled` (found unflippable, and not
-    re-enqueued since) are per-edge flags; `queue` holds edge ids.  Numbers
-    stay fixed: a flipped-away edge only loses `alive`.
+    Edges keep their numbers from the red triangulation: `head[d]` is the
+    head of dart d, and dart 2k of edge k runs from its lower vertex to its
+    higher one.  `rank[k]` is purple edge k's place in sorted edge order,
+    the order the queue follows.  `walk[d]` is the face walk left of
+    purple dart d.  In each color lineage, `apex[lineage][d]` is the apex
+    of the triangle left of d, and `nxt[lineage][d]` and
+    `prv[lineage][d]` are its darts after and before d; where such a side
+    is a chord, its number is one that is not alive.  `alive` (still
+    purple; red chords never are), `hull` and `settled` (found
+    unflippable, and not re-enqueued since) are per-edge flags; `queue`
+    holds edge ids.  Numbers stay fixed: a flipped-away edge only loses
+    `alive`.
     """
 
     points: PointSet
-    edges: set[Edge]
-    ends: list[Edge]
-    dart_of: dict[Dart, int]
+    head: list[int]
+    rank: list[int]
     alive: bytearray
     hull: bytearray
     settled: bytearray
     faces: ParityDSU
     walk: list[int]
-    apex: tuple[list[int | None], list[int | None]]
+    apex: tuple[list[int], list[int]]
+    nxt: tuple[list[int], list[int]]
+    prv: tuple[list[int], list[int]]
     chord_anchor: dict[Edge, int]
     chord_color0: dict[Edge, int]
     trace: list[FlipRecord] | None
@@ -118,7 +132,8 @@ class MaximalState:
     @property
     def purple(self) -> set[Edge]:
         """The edges that are still purple."""
-        return {e for e, live in zip(self.ends, self.alive) if live}
+        head = self.head
+        return {(head[2 * k + 1], head[2 * k]) for k, live in enumerate(self.alive) if live}
 
     def layers(self) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
         """The red and blue triangulations, each as sorted edges.
@@ -126,12 +141,12 @@ class MaximalState:
         One color lookup per chord splits the chords; each layer is the
         purple edges plus its chords.
         """
-        shared = [e for e, live in zip(self.ends, self.alive) if live]
-        layers: tuple[list[Edge], list[Edge]] = (list(shared), shared)
+        shared = sorted(self.purple)
+        chords: tuple[list[Edge], list[Edge]] = ([], [])
         color0, parity, anchor = self.chord_color0, self.faces.parity, self.chord_anchor
         for e in anchor:
-            layers[color0[e] ^ parity(anchor[e])].append(e)
-        return tuple(sorted(layers[RED])), tuple(sorted(layers[BLUE]))
+            chords[color0[e] ^ parity(anchor[e])].append(e)
+        return tuple(sorted(shared + chords[RED])), tuple(sorted(shared + chords[BLUE]))
 
 
 @dataclass(frozen=True)
@@ -152,6 +167,62 @@ class AugmentResult:
     trace: tuple[FlipRecord, ...] | None
 
 
+def _match_layers(
+    t_red: Triangulation, t_blue: Triangulation, key: list[int], n: int
+) -> tuple[bytearray, list[int], list[tuple[Edge, int, int]], list[int], list[int]]:
+    """Give blue's edges red's numbers.
+
+    Both triangulations have the same number of edges.  A merge of the two
+    edge lists in sorted order finds the purple edges, which keep their red
+    numbers; the blue chords take the red chords' numbers, so no blue
+    chord is alive.  Returns (alive, purple edges in sorted order, chords
+    as (edge, layer, number) in sorted order, blue apex and nxt lists
+    renumbered).
+    """
+    head, bhead = t_red.head, t_blue.head
+    m = len(head) // 2
+    bkey = [lo * n + hi for lo, hi in zip(bhead[1::2], bhead[::2])]
+    ro = sorted(range(m), key=key.__getitem__)
+    bo = sorted(range(m), key=bkey.__getitem__)
+    alive = bytearray(m)
+    order: list[int] = []
+    red_only: list[int] = []
+    blue_only: list[int] = []
+    num = [0] * m  # blue edge -> red number
+    i = j = 0
+    while i < m and j < m:
+        r, s = ro[i], bo[j]
+        if key[r] == bkey[s]:
+            alive[r] = 1
+            order.append(r)
+            num[s] = r
+            i += 1
+            j += 1
+        elif key[r] < bkey[s]:
+            red_only.append(r)
+            i += 1
+        else:
+            blue_only.append(s)
+            j += 1
+    red_only += ro[i:]
+    blue_only += bo[j:]
+    for s, r in zip(blue_only, red_only):
+        num[s] = r
+    chords = sorted(
+        [((head[2 * r + 1], head[2 * r]), RED, r) for r in red_only]
+        + [((bhead[2 * s + 1], bhead[2 * s]), BLUE, num[s]) for s in blue_only]
+    )
+    bapex, bnxt = t_blue.apex, t_blue.nxt
+    apex = [OUTER] * (2 * m)
+    nxt = [0] * (2 * m)
+    for c in range(2 * m):
+        d = 2 * num[c >> 1] | (c & 1)
+        apex[d] = bapex[c]
+        x = bnxt[c]
+        nxt[d] = 2 * num[x >> 1] | (x & 1)
+    return alive, order, chords, apex, nxt
+
+
 def build_state(
     g: GeometricGraph, *, collect_trace: bool = False
 ) -> MaximalState:
@@ -160,51 +231,77 @@ def build_state(
     if not isinstance(verdict, BiplaneDecomposition):
         raise NotBiplaneError(verdict)
     ps = g.points
+    n = len(ps)
     t_red, t_blue = complete_layers(ps, (verdict.layer1, verdict.layer2))
-    red_set = t_red.edge_set()
-    blue_set = t_blue.edge_set()
+    head, rapex, rnxt = t_red.head, t_red.apex, t_red.nxt
+    m = len(head) // 2
+    key = [lo * n + hi for lo, hi in zip(head[1::2], head[::2])]
+    if t_blue.head == head:
+        # One triangulation under one numbering: every edge is purple.  The
+        # two layers' lists are separate copies, so the state takes them.
+        alive = bytearray(b"\x01") * m
+        order = sorted(range(m), key=key.__getitem__)
+        chords: list[tuple[Edge, int, int]] = []
+        bapex, bnxt = t_blue.apex, t_blue.nxt
+    else:
+        alive, order, chords, bapex, bnxt = _match_layers(t_red, t_blue, key, n)
 
-    ends = sorted(red_set & blue_set)
-    dart_of, walk, walks, red_passed = trace_face_walks(t_red, ends)
-    touched = {v for e in ends for v in e}
-    isolated = [v for v in range(len(ps)) if v not in touched]
-    iso_anchor = {v: len(walks) + i for i, v in enumerate(isolated)}
+    walk, walks, red_passed = trace_face_walks(rnxt, alive, order)
+    # Every vertex of a triangulation has an edge, so a vertex without a
+    # purple one needs a chord.
+    iso = [-1] * n
+    isolated: list[int] = []
+    if chords:
+        touched = bytearray(n)
+        for k in order:
+            touched[head[2 * k]] = touched[head[2 * k + 1]] = 1
+        isolated = [v for v in range(n) if not touched[v]]
+        for i, v in enumerate(isolated):
+            iso[v] = len(walks) + i
     faces = ParityDSU(len(walks) + len(isolated))
-    red_left, blue_left = t_red.left, t_blue.left
-    apex = ([red_left[d] for d in dart_of], [blue_left[d] for d in dart_of])
 
-    # A chord dart v -> u leaves v into the face of the purple dart whose turn
-    # in the chord's layer passed it, or into v's slot if no purple edge meets v.
-    blue_passed = face_turns(t_blue, dart_of)[1] if blue_set - red_set else {}
+    # A chord dart leaves its tail into the face of the purple dart whose
+    # turn in the chord's layer passed it, or into the tail's slot if no
+    # purple edge meets it.
+    blue_passed = face_turns(bnxt, alive)[1] if any(c[1] for c in chords) else []
     chord_anchor: dict[Edge, int] = {}
     chord_color0: dict[Edge, int] = {}
-    for e in sorted(red_set ^ blue_set):
-        layer = RED if e in red_set else BLUE
-        passed = (red_passed, blue_passed)[layer]
+    for e, layer, k in chords:
+        passed = blue_passed if layer else red_passed
         anchors = [
-            walk[passed[d]] if d in passed else iso_anchor[d[0]] for d in (e, e[::-1])
+            walk[p] if p >= 0 else iso[v]
+            for p, v in ((passed[2 * k], e[0]), (passed[2 * k + 1], e[1]))
         ]
         faces.union(*anchors)
         chord_anchor[e] = anchors[0]
         chord_color0[e] = layer
 
-    hull_edges = t_red.hull_edges()
-    hull = bytearray(e in hull_edges for e in ends)
+    hull = bytearray(m)
+    d = start = rapex.index(OUTER)
+    while True:
+        hull[d >> 1] = 1
+        d = rnxt[d]
+        if d == start:
+            break
+    rank = [0] * m
+    for i, k in enumerate(order):
+        rank[k] = i
     return MaximalState(
         ps,
-        set(red_set | blue_set),
-        ends,
-        dart_of,
-        bytearray(b"\x01") * len(ends),
+        head,
+        rank,
+        alive,
         hull,
-        bytearray(len(ends)),
+        bytearray(m),
         faces,
         walk,
-        apex,
+        (rapex, bapex),
+        (rnxt, bnxt),
+        ([rnxt[c] for c in rnxt], [bnxt[c] for c in bnxt]),
         chord_anchor,
         chord_color0,
         [] if collect_trace else None,
-        deque(k for k, h in enumerate(hull) if not h),
+        deque(k for k in order if not hull[k]),
     )
 
 
@@ -231,9 +328,8 @@ def _clause(
     par_r ^= faces.flip[root_r]
     apex = state.apex
     pts = state.points.points
-    a, b = state.ends[k]
-    ax, ay = pts[a]
-    bx, by = pts[b]
+    ax, ay = pts[state.head[d + 1]]
+    bx, by = pts[state.head[d]]
     # Each test is geometry.line_separates(l, r, a, b) for an apex l left of
     # a -> b and an apex r right of it, written out because the flip loop
     # runs it once per candidate quadrilateral.  Both triangles are
@@ -272,19 +368,19 @@ def _flip(state: MaximalState, k: int, cl: tuple[str, int, int, int, int, int]) 
     flippability can change) and lose their settled mark.
     """
     faces = state.faces
-    walk, apex, dart_of, alive = state.walk, state.apex, state.dart_of, state.alive
+    walk, apex, nxt, prv, alive = state.walk, state.apex, state.nxt, state.prv, state.alive
     kind, side, root_l, par_l, root_r, par_r = cl
+    head = state.head
     d = 2 * k
-    e = state.ends[k]
+    e = (head[d + 1], head[d])
     a, b = e
 
-    # The outer darts of both layers' triangles on each side, whatever the
-    # parities, per lineage: a -> c, c -> b on the left, b -> z, z -> a on
-    # the right.  Their twins are the rim darts facing the quad.
-    get = dart_of.get
-    c0, c1, z0, z1 = apex[0][d], apex[1][d], apex[0][d + 1], apex[1][d + 1]
-    outer_l = ((get((a, c0)), get((c0, b))), (get((a, c1)), get((c1, b))))
-    outer_r = ((get((b, z0)), get((z0, a))), (get((b, z1)), get((z1, a))))
+    # The sides of both lineages' triangles at the edge, per lineage:
+    # b -> c, c -> a on the left and a -> z, z -> b on the right.
+    nl = (nxt[0][d], nxt[1][d])
+    pl = (prv[0][d], prv[1][d])
+    nr = (nxt[0][d + 1], nxt[1][d + 1])
+    pr = (prv[0][d + 1], prv[1][d + 1])
 
     recolored: int | None = None
     if kind == "cross":
@@ -294,10 +390,11 @@ def _flip(state: MaximalState, k: int, cl: tuple[str, int, int, int, int, int]) 
     else:
         layer = RED if kind == "red" else BLUE
 
-    cap = apex[par_l ^ layer][d]
-    dap = apex[par_r ^ layer][d + 1]
+    ll, lr = par_l ^ layer, par_r ^ layer
+    cap = apex[ll][d]
+    dap = apex[lr][d + 1]
     f = edge(cap, dap)
-    if f in state.edges:
+    if f in state.chord_anchor:
         raise GeometryError(f"flip target {f} already present")
 
     # union() keeps every parity, so the left walk keeps par_l in the merged
@@ -308,26 +405,32 @@ def _flip(state: MaximalState, k: int, cl: tuple[str, int, int, int, int, int]) 
     state.chord_color0[e] = (1 - layer) ^ par_l
     state.chord_anchor[f] = wl
     state.chord_color0[f] = layer ^ par_l
-    state.edges.add(f)
     alive[k] = 0
 
-    # The rim darts facing the quad a, dap, b, cap trade their apex in
-    # `layer` (see Triangulation._flip_in_place).  They are cap -> a,
-    # b -> cap, dap -> b and a -> dap: the twins of the outer darts of the
-    # lineage that is `layer` on each side.
-    (x_ac, x_cb), (x_bd, x_da) = outer_l[par_l ^ layer], outer_r[par_r ^ layer]
-    for x, old, new in ((x_ac, b, dap), (x_cb, a, dap), (x_bd, a, cap), (x_da, b, cap)):
-        if x is None or not alive[x >> 1]:
+    # The rim darts facing the quad a, dap, b, cap, which are the sides of
+    # the `layer` triangles at the edge, trade their triangles in `layer`
+    # (see Triangulation.flip): for each, its apex before and after, and
+    # its darts after and before in the new triangle, d (no longer alive)
+    # standing for the new edge.
+    x_bc, x_ca, x_ad, x_db = nl[ll], pl[ll], nr[lr], pr[lr]
+    for x, old, new, x_nxt, x_prv in (
+        (x_ca, b, dap, x_ad, d),
+        (x_bc, a, dap, d, x_db),
+        (x_ad, b, cap, d, x_ca),
+        (x_db, a, cap, x_bc, d),
+    ):
+        if not alive[x >> 1]:
             continue  # rim edge is a chord; chords carry no apex storage
-        x ^= 1
-        lineage = apex[faces.parity(walk[x]) ^ layer]
-        if lineage[x] != old:
-            raise GeometryError(f"apex bookkeeping mismatch at {state.ends[x >> 1]}")
-        lineage[x] = new
+        lineage = faces.parity(walk[x]) ^ layer
+        if apex[lineage][x] != old:
+            raise GeometryError(f"apex bookkeeping mismatch at {edge(head[x], head[x ^ 1])}")
+        apex[lineage][x] = new
+        nxt[lineage][x] = x_nxt
+        prv[lineage][x] = x_prv
 
     hull, settled, queue = state.hull, state.settled, state.queue
-    ids = {x >> 1 for pair in outer_l + outer_r for x in pair if x is not None}
-    for j in sorted(ids):
+    ids = {x >> 1 for sides in (nl, pl, nr, pr) for x in sides}
+    for j in sorted(ids, key=state.rank.__getitem__):
         if alive[j] and not hull[j]:
             queue.append(j)
             settled[j] = 0
@@ -375,9 +478,9 @@ def maximal_augment(
     if not certify_maximal(state):
         raise GeometryError("queue drained but a flippable purple edge remains")
     red, blue = state.layers()
-    purple = state.purple
-    layer2 = tuple(e for e in blue if e not in purple)
-    graph = GeometricGraph(g.points, tuple(state.edges))
+    chords = state.chord_anchor
+    layer2 = tuple(e for e in blue if e in chords)
+    graph = GeometricGraph(g.points, red + layer2)
     deco = BiplaneDecomposition(red, layer2)
     trace = tuple(state.trace) if state.trace is not None else None
     return AugmentResult(graph, deco, red, blue, state, trace)

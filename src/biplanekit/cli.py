@@ -100,14 +100,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_triangulate(args: argparse.Namespace) -> int:
     g = _load(args, args.points, parse_points_or_graph)
+    t = complete_to_triangulation(g)  # NotPlaneError when input edges cross
     if args.enumerate:
-        tris = enumerate_triangulations(g.points, cap=args.cap)
-        print(f"TRIANGULATIONS {len(tris)}")
-        for i, t in enumerate(tris):
-            print(f"TRIANGULATION {i} {t.edge_count}")
-            _print_edges(t.sorted_edges())
+        edges = set(g.edges)
+        tris = [
+            u for u in enumerate_triangulations(g.points, cap=args.cap) if edges <= u.edge_set()
+        ]
+        lines = [f"TRIANGULATIONS {len(tris)}"]
+        for i, u in enumerate(tris):
+            lines.append(f"TRIANGULATION {i} {u.edge_count}")
+            lines.extend(f"{a} {b}" for a, b in u.sorted_edges())
+        _emit(args, "\n".join(lines) + "\n")
         return 0
-    t = complete_to_triangulation(g)
     out = GeometricGraph(g.points, tuple(t.sorted_edges()))
     _emit(args, format_graph(out))
     return 0
@@ -266,7 +270,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("triangulate", help="complete a plane graph or point set")
     sp.add_argument("points")
-    sp.add_argument("--enumerate", action="store_true", help="list all triangulations")
+    sp.add_argument(
+        "--enumerate", action="store_true", help="list every triangulation holding the input edges"
+    )
     sp.add_argument("--cap", type=int, default=9, help="enumeration size cap")
     relaxed(sp)
     out(sp)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
-from .geometry import Edge, PointSet, Strictness, edge
+from .geometry import Edge, PointSet, Strictness
 
 
 @dataclass(frozen=True)
@@ -15,7 +15,9 @@ class GeometricGraph:
 
     Edges are stored sorted as (a, b) pairs with a < b.  Construction
     merges duplicate edges, (a, b) and (b, a) included, and rejects loops
-    and out-of-range indices.
+    (the first in input order) and then out-of-range indices (the first
+    edge in sorted order).  One sort does the work, so input made of a few
+    sorted runs is cheap to canonicalize.
     """
 
     points: PointSet
@@ -23,11 +25,21 @@ class GeometricGraph:
 
     def __post_init__(self) -> None:
         n = len(self.points)
-        canon = sorted({edge(int(a), int(b)) for a, b in self.edges})
-        for a, b in canon:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge ({a}, {b}) references a missing vertex")
-        object.__setattr__(self, "edges", tuple(canon))
+        canon = []
+        for a, b in self.edges:
+            a, b = int(a), int(b)
+            if a < b:
+                canon.append((a, b))
+            elif b < a:
+                canon.append((b, a))
+            else:
+                raise ValueError(f"degenerate edge ({a}, {a})")
+        canon.sort()
+        edges = tuple(dict.fromkeys(canon))
+        if edges and (edges[0][0] < 0 or max(b for _, b in edges) >= n):
+            a, b = next(e for e in edges if e[0] < 0 or e[1] >= n)
+            raise ValueError(f"edge ({a}, {b}) references a missing vertex")
+        object.__setattr__(self, "edges", edges)
 
     @property
     def n(self) -> int:

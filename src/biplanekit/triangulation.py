@@ -1,37 +1,43 @@
-"""Plane triangulations as dart maps, with exact integer flips.
+"""Plane triangulations over numbered darts, with exact integer flips.
 
-Representation: one dict over darts (directed edges).  `left[(u, v)]` is
-the apex of the triangle left of u -> v, or None where the outer face lies
-there; both darts of every edge are keys.  This is a half-edge map
-(Guibas and Stolfi, "Primitives for the manipulation of general
-subdivisions", ACM TOG 4, 1985): the triangle on a given side of an edge
-is one lookup, and so is a vertex's next neighbour counterclockwise, since
-the apex left of v -> u follows u around v.  Only building a triangle
-tests an orientation; reading, walking and flipping the map test none.
+Representation: edge k owns two darts (directed edges), 2k from its lower
+vertex to its higher one and 2k + 1 back, so `d ^ 1` is the other dart of
+d's edge.  Three int lists are indexed by dart: `head[d]`, the vertex d
+points to; `apex[d]`, the apex of the triangle left of d, or OUTER where
+the outer face lies there; and `nxt[d]`, the dart after d
+counterclockwise around that triangle, or after it clockwise around the
+hull where the outer face lies.  `out[v]` is one dart leaving vertex v.
+This is a half-edge map (Guibas and Stolfi, "Primitives for the
+manipulation of general subdivisions", ACM TOG 4, 1985): the triangle on
+a given side of an edge is one lookup, and so is a vertex's next
+neighbour, since `nxt[d ^ 1]` is the dart after d clockwise around d's
+tail.  Only building a triangle tests an orientation; reading, walking
+and flipping the map test none.
 
 Completion of a plane graph to a triangulation runs in two deterministic
 stages: a lexicographic sweep triangulates the bare point set, keeping the
-hull as a linked ring so that each point costs only the hull edges it sees,
-then each input edge is inserted as a constraint.  Several plane edge sets
-on one point set can be completed from a single sweep.  Insertion walks
-along the segment: it starts at the triangle around the endpoint of lower
-degree whose wedge holds the segment's direction and steps from triangle to
-triangle through the dart map, so it visits only the edges the segment
-crosses, already in order along it.  The crossed edges are removed and the
-two resulting pockets, each weakly visible from the segment, are
-retriangulated by one stack pass along their boundary (Toussaint and Avis,
-"On a convex hull algorithm for polygons and its application to
-triangulation problems", Pattern Recognition 15, 1982).  The walk reads each
-vertex's incident edges from a neighbour index that completion builds after
-the sweep, only when there are constraints, and that insertion keeps current
-as it removes and adds edges.  The result is deterministic, idempotent, and
-contains every input edge.
+hull as a linked ring so that each point costs only the hull edges it sees
+and appending two darts per new edge, then each input edge is inserted as
+a constraint.  Several plane edge sets on one point set can be completed
+from a single sweep.  Insertion walks along the segment: it starts at the
+triangle around the endpoint of lower degree whose wedge holds the
+segment's direction and steps from triangle to triangle through the dart
+map, so it visits only the edges the segment crosses, already in order
+along it.  The crossed edges are removed and the two resulting pockets,
+each weakly visible from the segment, are retriangulated by one stack pass
+along their boundary (Toussaint and Avis, "On a convex hull algorithm for
+polygons and its application to triangulation problems", Pattern
+Recognition 15, 1982).  A triangulation of n points with h on the hull
+always has 3n - 3 - h edges, so the constraint and the new pocket
+diagonals take over the numbers of the crossed edges, and edge numbers
+stay below 3n.  The result is deterministic, idempotent, and contains
+every input edge.
 
 The faces of a plane subgraph are traced through the map of a triangulation
-holding it: the face left of u -> v continues along v -> w, w the first
-subgraph neighbour clockwise from u around v, one lookup per step.  The
-turn also passes the other darts leaving v into that face, so all turns
-together place every dart in O(darts).
+holding it: the face left of dart d continues along the first subgraph dart
+clockwise after d's twin around d's head, found by stepping c = nxt[d],
+then c = nxt[c ^ 1].  The turn also passes the other darts leaving that
+vertex into the face, so all turns together place every dart in O(darts).
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from .geometry import Edge, Point, PointSet, cross, edge, line_separates
 from .graphs import GeometricGraph
 from .recognition import crossing_pairs
 
-Dart = tuple[int, int]  # directed edge (u, v); (v, u) is the other dart of the edge
+OUTER = -1  # apex of a dart whose left side is the outer face
 
 
 class GeometryError(RuntimeError):
@@ -70,44 +76,47 @@ class FlipStatus(Enum):
     NOT_CONVEX = "not-convex"
 
 
-def _add_triangle(
-    pts: Sequence[Point], left: dict[Dart, int | None], u: int, v: int, w: int
+def _set_triangle(
+    head: list[int], apex: list[int], nxt: list[int], x: int, y: int, z: int
 ) -> None:
-    """Record triangle uvw, given in either orientation, in the dart map."""
-    c = cross(pts[u], pts[v], pts[w])
-    if c == 0:
-        raise GeometryError(f"degenerate triangle ({u}, {v}, {w})")
-    if c < 0:
-        v, w = w, v
-    for d, z in (((u, v), w), ((v, w), u), ((w, u), v)):
-        if left.get(d) is not None:
-            raise GeometryError(f"overlapping triangles at edge {edge(*d)}")
-        left[d] = z
-        left.setdefault((d[1], d[0]), None)
+    """Link darts x, y, z, given counterclockwise, into one triangle."""
+    nxt[x] = y
+    nxt[y] = z
+    nxt[z] = x
+    apex[x] = head[y]
+    apex[y] = head[z]
+    apex[z] = head[x]
 
 
 class Triangulation:
     """Value-style triangulation; flip() returns a new object.
 
-    `left` is the dart map described in the module docstring.  Instances
-    are not thread-shared during mutation; finished values are safe to
-    share.  Hull edges refuse to flip.
+    `head`, `apex`, `nxt` and `out` are the lists described in the module
+    docstring.  Instances are not thread-shared during mutation; finished
+    values are safe to share.  Hull edges refuse to flip.
     """
 
-    __slots__ = ("points", "left", "boundary", "_hull_edges")
+    __slots__ = ("points", "head", "apex", "nxt", "out", "boundary")
 
     def __init__(
         self,
         points: PointSet,
-        left: dict[Dart, int | None],
+        head: list[int],
+        apex: list[int],
+        nxt: list[int],
+        out: list[int],
         boundary: Sequence[int],
     ) -> None:
         self.points = points
-        self.left = left
+        self.head = head
+        self.apex = apex
+        self.nxt = nxt
+        self.out = out
         self.boundary = tuple(boundary)
-        b = self.boundary
-        self._hull_edges = frozenset(
-            edge(b[i], b[(i + 1) % len(b)]) for i in range(len(b))
+
+    def copy(self) -> "Triangulation":
+        return Triangulation(
+            self.points, self.head[:], self.apex[:], self.nxt[:], self.out[:], self.boundary
         )
 
     @property
@@ -116,23 +125,33 @@ class Triangulation:
 
     @property
     def edge_count(self) -> int:
-        return len(self.left) // 2
+        return len(self.head) // 2
 
     def edge_set(self) -> frozenset[Edge]:
-        return frozenset(d for d in self.left if d[0] < d[1])
+        return frozenset(zip(self.head[1::2], self.head[::2]))
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(d for d in self.left if d[0] < d[1])
+        return sorted(zip(self.head[1::2], self.head[::2]))
 
-    def hull_edges(self) -> frozenset[Edge]:
-        return self._hull_edges
+    def dart(self, u: int, v: int) -> int:
+        """The dart u -> v, or -1 if uv is not an edge; scans u's rotation."""
+        if not 0 <= u < len(self.out):
+            return -1
+        head, nxt = self.head, self.nxt
+        d = start = self.out[u]
+        while head[d] != v:
+            d = nxt[d ^ 1]
+            if d == start:
+                return -1
+        return d
 
     def flip_status(self, e: Edge) -> FlipStatus:
         a, b = e
-        if (a, b) not in self.left:
+        d = self.dart(a, b)
+        if d < 0:
             return FlipStatus.NOT_AN_EDGE
-        l, r = self.left[(a, b)], self.left[(b, a)]
-        if l is None or r is None:
+        l, r = self.apex[d], self.apex[d ^ 1]
+        if l == OUTER or r == OUTER:
             return FlipStatus.HULL_EDGE
         pts = self.points.points
         if line_separates(pts[l], pts[r], pts[a], pts[b]):
@@ -143,34 +162,29 @@ class Triangulation:
         return self.flip_status(e) is FlipStatus.FLIPPABLE
 
     def flip(self, e: Edge) -> "Triangulation":
-        out = Triangulation(self.points, dict(self.left), self.boundary)
-        out._flip_in_place(e)
-        return out
-
-    def _flip_in_place(self, e: Edge) -> Edge:
         status = self.flip_status(e)
         if status is not FlipStatus.FLIPPABLE:
             raise ValueError(f"edge {e} is not flippable: {status.value}")
-        left = self.left
-        a, b = e
-        l, r = left[(a, b)], left[(b, a)]
-        if (l, r) in left:
-            raise GeometryError(f"flip target {edge(l, r)} already present")
-        del left[(a, b)], left[(b, a)]
+        t = self.copy()
+        head, apex, nxt, out = t.head, t.apex, t.nxt, t.out
+        d = self.dart(*e)
+        a, b, l, r = head[d ^ 1], head[d], apex[d], apex[d ^ 1]
         #           b                     b
         #         / | \                 /   \
         #        l  |  r     ->        l-----r
         #         \ | /                 \   /
         #           a                     a
-        # The new edge has a left of r -> l and b left of l -> r; the four
-        # rim darts facing the quad trade their apex.
-        left[(r, l)] = a
-        left[(l, r)] = b
-        for d, old, new in (((a, r), b, l), ((r, b), a, l), ((b, l), a, r), ((l, a), b, r)):
-            if left[d] != old:
-                raise GeometryError(f"dart map inconsistent at {d}")
-            left[d] = new
-        return edge(l, r)
+        # The edge keeps its number; its dart r -> l takes triangle a, r, l
+        # and its dart l -> r triangle r, b, l.
+        bl, la = nxt[d], nxt[nxt[d]]
+        ar, rb = nxt[d ^ 1], nxt[nxt[d ^ 1]]
+        rl = (d & ~1) | (r > l)
+        head[rl], head[rl ^ 1] = l, r
+        _set_triangle(head, apex, nxt, ar, rl, la)
+        _set_triangle(head, apex, nxt, rb, bl, rl ^ 1)
+        out[a], out[b] = ar, bl
+        return t
+
 
 # ---------------------------------------------------------------------------
 # Sweep triangulation of a bare point set
@@ -179,21 +193,28 @@ class Triangulation:
 
 def _sweep_triangulation(
     pts: Sequence[Point],
-) -> tuple[dict[Dart, int | None], list[int]]:
+) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
     """Triangulate all points, processing them in lexicographic order.
 
     Maintains the weak hull of the processed prefix as a counterclockwise
-    ring of `nxt`/`prv` links; each new point fans to the hull chain it
-    sees, found by walking from the last inserted point, and the chain is
-    unlinked.  Collinear prefixes (relaxed sets) are kept as a chain until
-    an off-line point arrives.
+    ring of `rn`/`rp` links, with `hd[u]` the dart from u to rn[u]; each
+    new point fans to the hull chain it sees, found by walking from the
+    last inserted point, and the chain is unlinked.  Collinear prefixes
+    (relaxed sets) are kept as a chain until an off-line point arrives.
+    Returns (head, apex, nxt, out, hull).
     """
     n = len(pts)
-    order = sorted(range(n), key=lambda i: pts[i])
-    left: dict[Dart, int | None] = {}
+    order = sorted(range(n), key=pts.__getitem__)
+    size = 6 * n  # more than two darts per edge of any triangulation
+    head = [0] * size
+    apex = [OUTER] * size
+    nxt = [0] * size
+    out = [-1] * n
+    m = 0  # darts in use
     chain: list[int] = order[:1]
-    nxt = [-1] * n
-    prv = [-1] * n
+    rn = [-1] * n
+    rp = [-1] * n
+    hd = [-1] * n
     last = -1
 
     for idx in range(1, n):
@@ -203,57 +224,92 @@ def _sweep_triangulation(
             if len(chain) == 1 or cross(pts[chain[0]], pts[chain[-1]], pp) == 0:
                 chain.append(p)
                 continue
-            turn = cross(pts[chain[0]], pts[chain[-1]], pp)
-            for u, v in zip(chain, chain[1:]):
-                _add_triangle(pts, left, p, u, v)
-            ring = chain + [p] if turn > 0 else chain[::-1] + [p]
+            # The chain's edges and its spokes to p, counterclockwise.
+            ring = chain if cross(pts[chain[0]], pts[chain[-1]], pp) > 0 else chain[::-1]
+            spokes = []
+            for c in ring:
+                s = m + (c > p)  # c -> p
+                head[s], head[s ^ 1] = p, c
+                m += 2
+                out[c] = s
+                spokes.append(s)
+            for i in range(len(ring) - 1):
+                u, v = ring[i], ring[i + 1]
+                x = m + (u > v)  # u -> v
+                head[x], head[x ^ 1] = v, u
+                m += 2
+                y, z = spokes[i + 1], spokes[i] ^ 1
+                nxt[x], nxt[y], nxt[z] = y, z, x
+                apex[x], apex[y], apex[z] = p, u, v
+                hd[u] = x
+            hd[ring[-1]] = spokes[-1]
+            hd[p] = out[p] = spokes[0] ^ 1
+            ring = ring + [p]
             for u, v in zip(ring, ring[1:] + ring[:1]):
-                nxt[u] = v
-                prv[v] = u
+                rn[u] = v
+                rp[v] = u
             last = p
             continue
 
         def visible(u: int) -> bool:
-            # Hull edge u -> nxt[u] has p strictly on its outer side.
-            return cross(pts[u], pts[nxt[u]], pp) < 0
+            # Hull edge u -> rn[u] has p strictly on its outer side.
+            return cross(pts[u], pts[rn[u]], pp) < 0
 
         if visible(last):
             start = last
-        elif visible(prv[last]):
-            start = prv[last]
+        elif visible(rp[last]):
+            start = rp[last]
         else:
-            start = nxt[last]
+            start = rn[last]
             while not visible(start):
-                start = nxt[start]
+                start = rn[start]
                 if start == last:
                     raise GeometryError("sweep: new point sees no hull edge")
         lo = start
-        while visible(prv[lo]):
-            lo = prv[lo]
+        while visible(rp[lo]):
+            lo = rp[lo]
             if lo == start:
                 raise GeometryError("sweep: hull fully visible")
-        hi = nxt[start]
+        hi = rn[start]
         while visible(hi):
-            hi = nxt[hi]
+            hi = rn[hi]
             if hi == start:
                 raise GeometryError("sweep: hull fully visible")
+        s = first = m + (lo > p)  # lo -> p
+        head[s], head[s ^ 1] = p, lo
+        m += 2
+        out[p] = s ^ 1
         u = lo
         while u != hi:
-            v = nxt[u]
-            _add_triangle(pts, left, p, u, v)
+            v = rn[u]
+            o = hd[u] ^ 1  # v -> u, the outer side of the hull edge p sees
+            if apex[o] != OUTER:
+                raise GeometryError(f"overlapping triangles at edge {edge(u, v)}")
+            t = m + (p > v)  # p -> v
+            head[t], head[t ^ 1] = v, p
+            m += 2
+            nxt[o], nxt[s], nxt[t] = s, t, o
+            apex[o], apex[s], apex[t] = p, v, u
+            s = t ^ 1
             u = v
-        nxt[lo] = p
-        prv[p] = lo
-        nxt[p] = hi
-        prv[hi] = p
+        hd[lo] = first
+        hd[p] = s ^ 1
+        rn[lo] = p
+        rp[p] = lo
+        rn[p] = hi
+        rp[hi] = p
         last = p
 
     if last < 0:
         raise CollinearError("all points are collinear; cannot triangulate")
-    hull = [nxt[last]]
+    hull = [rn[last]]
     while hull[-1] != last:
-        hull.append(nxt[hull[-1]])
-    return left, hull
+        hull.append(rn[hull[-1]])
+    # The outer face runs clockwise: rn[u] -> u, then u -> rp[u].
+    for u in hull:
+        nxt[hd[u] ^ 1] = hd[rp[u]] ^ 1
+    del head[m:], apex[m:], nxt[m:]
+    return head, apex, nxt, out, hull
 
 
 # ---------------------------------------------------------------------------
@@ -262,130 +318,155 @@ def _sweep_triangulation(
 
 
 def _crossed_edges(
-    pts: Sequence[Point],
-    left: dict[Dart, int | None],
-    nbrs: list[set[int]],
-    a: int,
-    b: int,
-) -> list[Dart]:
-    """Edges crossed by the absent segment ab, in order from a to b.
+    pts: Sequence[Point], t: Triangulation, a: int, b: int
+) -> list[int]:
+    """Darts of the edges crossed by the absent segment ab, from a to b.
 
-    Each comes as the dart (p, q) with p left of a -> b and q right of it,
-    so the next triangle along the segment is the one left of p -> q.
-    Finds the triangle at a whose wedge holds direction a -> b, then steps
-    through the triangle left of each crossed dart until its apex is b.
+    Each is the dart p -> q with p left of a -> b and q right of it, so
+    the next triangle along the segment is the one left of it.  Finds the
+    triangle at a whose wedge holds direction a -> b, then steps through
+    the triangle left of each crossed dart until its apex is b.
     """
+    head, apex, nxt = t.head, t.apex, t.nxt
     e = edge(a, b)
     pa, pb = pts[a], pts[b]
     dx, dy = pb.x - pa.x, pb.y - pa.y
-    first: Dart | None = None
-    for u in nbrs[a]:
+    d = start = t.out[a]
+    while True:
+        u = head[d]
         pu = pts[u]
         s = cross(pa, pb, pu)
         if s == 0 and (pu.x - pa.x) * dx + (pu.y - pa.y) * dy > 0:
             raise GeometryError(f"constraint {e} passes through vertex {u}")
         if s < 0:
             # u lies right of a -> b; w is the apex left of a -> u.
-            w = left[(a, u)]
-            if w is not None and cross(pa, pb, pts[w]) > 0:
-                first = (w, u)
+            w = apex[d]
+            if w != OUTER and cross(pa, pb, pts[w]) > 0:
+                c = nxt[d] ^ 1  # w -> u
                 break
-    if first is None:
-        raise GeometryError(f"constraint {e} crosses nothing yet is absent")
-    p, q = first
-    crossed: list[Dart] = []
+        d = nxt[d ^ 1]
+        if d == start:
+            raise GeometryError(f"constraint {e} crosses nothing yet is absent")
+    crossed: list[int] = []
     while True:
-        crossed.append((p, q))
-        v = left[(p, q)]
+        crossed.append(c)
+        v = apex[c]
         if v == b:
             return crossed
-        if v is None:
-            raise GeometryError(f"constraint {e} leaves the hull at edge {edge(p, q)}")
+        if v == OUTER:
+            raise GeometryError(
+                f"constraint {e} leaves the hull at edge {edge(head[c ^ 1], head[c])}"
+            )
         s = cross(pa, pb, pts[v])
         if s == 0:
             raise GeometryError(f"constraint {e} passes through vertex {v}")
-        if s > 0:
-            p = v
-        else:
-            q = v
+        # Left of p -> q lie q -> v and v -> p; the segment leaves through
+        # v -> q if v is left of it, else through p -> v.
+        c = (nxt[c] if s > 0 else nxt[nxt[c]]) ^ 1
 
 
 def _insert_constraint(
-    pts: Sequence[Point],
-    left: dict[Dart, int | None],
-    nbrs: list[set[int]],
-    a: int,
-    b: int,
+    pts: Sequence[Point], t: Triangulation, deg: list[int], a: int, b: int
 ) -> None:
-    """Force edge (a, b) into the triangulation held in `left` and `nbrs`."""
-    if (a, b) in left:
-        return
-    # The walk's start scans the neighbours of its first vertex, so it
-    # starts at the endpoint of lower degree; reversed, the walk from b
+    """Force edge (a, b) into t; `deg` holds t's vertex degrees."""
+    head, nxt = t.head, t.nxt
+    # Presence and the walk's start both scan the rotation of one endpoint,
+    # so that is the endpoint of lower degree; reversed, the walk from b
     # crosses the same edges.
-    if len(nbrs[b]) < len(nbrs[a]):
-        crossed = [(q, p) for p, q in reversed(_crossed_edges(pts, left, nbrs, b, a))]
+    u, v = (b, a) if deg[b] < deg[a] else (a, b)
+    if t.dart(u, v) >= 0:
+        return
+    if u == b:
+        crossed = [c ^ 1 for c in reversed(_crossed_edges(pts, t, b, a))]
     else:
-        crossed = _crossed_edges(pts, left, nbrs, a, b)
-    upper: list[int] = []
-    lower: list[int] = []
-    for p, q in crossed:
-        if not upper or upper[-1] != p:
-            upper.append(p)
-        if not lower or lower[-1] != q:
-            lower.append(q)
-        del left[(p, q)], left[(q, p)]
-        nbrs[p].discard(q)
-        nbrs[q].discard(p)
-    _fill_pocket(pts, left, nbrs, a, b, upper, True)
-    _fill_pocket(pts, left, nbrs, a, b, lower, False)
+        crossed = _crossed_edges(pts, t, a, b)
+    # The darts facing the two pockets: the upper pocket lies right of its
+    # boundary walk a, ..., b, the lower one left of it.  The first
+    # triangle, left of crossed[0] ^ 1, has one side on each; every later
+    # one has a side on the pocket of its apex, and the last on both.
+    t0 = nxt[crossed[0] ^ 1]
+    up_rims, low_rims = [t0], [nxt[t0]]
+    for c, c2 in zip(crossed, crossed[1:]):
+        n1 = nxt[c]
+        if c2 == n1 ^ 1:
+            up_rims.append(nxt[n1])
+        else:
+            low_rims.append(n1)
+    n1 = nxt[crossed[-1]]
+    up_rims.append(nxt[n1])
+    low_rims.append(n1)
+    # The crossed edges' numbers go to the constraint and the diagonals.
+    ids = [c >> 1 for c in crossed]
+    for c in crossed:
+        deg[head[c]] -= 1
+        deg[head[c ^ 1]] -= 1
+    free = ids[:]
+    base = free.pop()
+    _fill_pocket(pts, t, [a, *(head[r ^ 1] for r in up_rims)], up_rims, True, free, base)
+    _fill_pocket(pts, t, [a, *(head[r] for r in low_rims)], low_rims, False, free, base)
+    for k in ids:
+        deg[head[2 * k]] += 1
+        deg[head[2 * k + 1]] += 1
+    # Every pocket vertex keeps its rim darts.
+    out = t.out
+    for r in up_rims + low_rims:
+        out[head[r ^ 1]] = r
 
 
 def _fill_pocket(
     pts: Sequence[Point],
-    left: dict[Dart, int | None],
-    nbrs: list[set[int]],
-    base_u: int,
-    base_v: int,
-    chain: list[int],
+    t: Triangulation,
+    walk: list[int],
+    rims: list[int],
     up: bool,
+    free: list[int],
+    base: int,
 ) -> None:
-    """Triangulate the pocket bounded by segment (base_u, base_v) and chain.
+    """Triangulate the pocket bounded by its base, walk[0] to walk[-1], and
+    the chain walk[1:-1].
 
-    The chain lies left of base_u -> base_v when `up`, right of it
-    otherwise.  Every chain vertex ends an edge that crossed the base, so
+    The chain lies left of the base's direction when `up`, right of it
+    otherwise; rims[i] is the dart of walk[i], walk[i + 1] that faces the
+    pocket.  Every chain vertex ends an edge that crossed the base, so
     the pocket is weakly visible from the base and one Graham-scan-like
-    pass along the walk base_u, chain..., base_v triangulates it (Toussaint
-    and Avis, 1982): whenever the top two stack vertices and the next walk
-    vertex turn strictly toward the base, their triangle is cut off and the
-    top is popped.  Collinear turns are pushed and never cut.  The pass
-    ends with the stack [base_u, base_v], the last triangle having the base
-    as a side.  The walk's darts that face the pocket, which named
-    triangles the constraint crossed, are cleared first.
+    pass along the walk triangulates it (Toussaint and Avis, 1982):
+    whenever the top two stack vertices and the next walk vertex turn
+    strictly toward the base, their triangle is cut off and the top is
+    popped.  Collinear turns are pushed and never cut.  The pass ends with
+    the stack [walk[0], walk[-1]], the last triangle having the base, edge
+    number `base`, as a side.  Every other new edge takes its number from
+    `free`.
     """
-    if not chain:
-        return
-    walk = [base_u, *chain, base_v]
-    for u, v in zip(walk, walk[1:]):
-        # Above the base the pocket lies right of the walk, below it left.
-        d = (v, u) if up else (u, v)
-        if d not in left:
-            raise GeometryError(f"pocket boundary edge {edge(u, v)} missing")
-        left[d] = None
+    head, apex, nxt = t.head, t.apex, t.nxt
+    base_u, base_v = walk[0], walk[-1]
     stack = [base_u]
-    for v in walk[1:]:
+    links: list[int] = []  # links[i]: the pocket's dart of stack[i], stack[i + 1]
+    for i in range(1, len(walk)):
+        v = walk[i]
         pv = pts[v]
+        cur = rims[i - 1]  # the pocket's dart of stack[-1], v
         while len(stack) >= 2:
             x, y = stack[-2], stack[-1]
             c = cross(pts[x], pts[y], pv)
             if c == 0 or (c > 0) == up:
                 break
-            _add_triangle(pts, left, x, y, v)
-            nbrs[x].add(v)
-            nbrs[v].add(x)
+            k = base if x == base_u and v == base_v else free.pop()
+            # Above the base the triangle is x, v, y counterclockwise and
+            # keeps x -> v; below it is x, y, v and keeps v -> x.
+            if up:
+                dd = 2 * k + (x > v)
+                head[dd], head[dd ^ 1] = v, x
+                _set_triangle(head, apex, nxt, dd, cur, links[-1])
+            else:
+                dd = 2 * k + (v > x)
+                head[dd], head[dd ^ 1] = x, v
+                _set_triangle(head, apex, nxt, links[-1], cur, dd)
             stack.pop()
+            links.pop()
+            cur = dd ^ 1
         stack.append(v)
-    if stack != [base_u, base_v]:
+        links.append(cur)
+    if len(stack) != 2:
         raise GeometryError(
             f"pocket on ({base_u}, {base_v}) is not weakly visible from its base"
         )
@@ -427,18 +508,18 @@ def complete_layers(
     checked for crossings.  Raises CollinearError if ps spans no triangle.
     """
     pts = ps.points
-    sweep, hull = _sweep_triangulation(pts)
+    sweep = Triangulation(ps, *_sweep_triangulation(pts))
     out = []
     for i, in_edges in enumerate(layers):
-        left = sweep if i == len(layers) - 1 else dict(sweep)
+        t = sweep if i == len(layers) - 1 else sweep.copy()
         in_edges = sorted(in_edges)
         if in_edges:
-            nbrs: list[set[int]] = [set() for _ in pts]
-            for u, v in left:
-                nbrs[u].add(v)
+            deg = [0] * len(pts)
+            for v in t.head:
+                deg[v] += 1
             for a, b in in_edges:
-                _insert_constraint(pts, left, nbrs, a, b)
-        out.append(Triangulation(ps, left, hull))
+                _insert_constraint(pts, t, deg, a, b)
+        out.append(t)
     return out
 
 
@@ -470,78 +551,75 @@ def enumerate_triangulations(ps: PointSet, cap: int = 9) -> list[Triangulation]:
 
 def plane_face_walks(
     ps: PointSet, edges: Iterable[Edge]
-) -> tuple[dict[Dart, int], list[list[Dart]]]:
+) -> tuple[dict[Edge, int], list[list[Edge]]]:
     """Trace the faces of a plane graph on ps.
 
-    Returns (dart -> walk id, walks), read off a completion of the graph
-    by `trace_face_walks`.  Every dart (directed edge) belongs to exactly
-    one closed walk; bounded faces trace counterclockwise.  Faces with
-    holes give one walk per boundary component; grouping walks into faces
-    is the caller's concern.
+    Returns (dart -> walk id, walks), each dart (directed edge) written as
+    a vertex pair, read off a completion of the graph by
+    `trace_face_walks`.  Walks are started at a -> b, then b -> a, for each
+    edge (a, b) in sorted order.  Every dart belongs to exactly one closed
+    walk; bounded faces trace counterclockwise.  Faces with holes give one
+    walk per boundary component; grouping walks into faces is the caller's
+    concern.
     """
-    edges = sorted(edges)
-    t = complete_to_triangulation(GeometricGraph(ps, tuple(edges)))
-    dart_of, walk, walks, _ = trace_face_walks(t, edges)
-    darts = list(dart_of)
-    return dict(zip(darts, walk)), [[darts[d] for d in w] for w in walks]
+    g = GeometricGraph(ps, tuple(edges))
+    t = complete_to_triangulation(g)
+    head = t.head
+    ids = [t.dart(a, b) >> 1 for a, b in g.edges]
+    member = bytearray(t.edge_count)
+    for k in ids:
+        member[k] = 1
+    walk, walks, _ = trace_face_walks(t.nxt, member, ids)
+    darts = [d for k in ids for d in (2 * k, 2 * k + 1)]
+    return (
+        {(head[d ^ 1], head[d]): walk[d] for d in darts},
+        [[(head[d ^ 1], head[d]) for d in w] for w in walks],
+    )
 
 
-def face_turns(
-    t: Triangulation, dart_of: dict[Dart, int]
-) -> tuple[list[int], dict[Dart, int]]:
-    """One clockwise turn around the head of each numbered dart of t.
+def face_turns(nxt: list[int], member: bytearray) -> tuple[list[int], list[int]]:
+    """One clockwise turn around the head of each dart of a subgraph.
 
-    The numbered darts are those of a subgraph of t.  The turn for u -> v
-    steps x = left[(x, v)] from x = u, one neighbour clockwise around v, or
-    to v's boundary predecessor where the outer face lies left of x -> v.
-    It stops at the first numbered v -> w, the dart after u -> v in the
-    face walk on its left.  Returns (the successor's number for each
-    number; for each unnumbered dart of t that a turn passes, and so leaves
-    v into that face, the number of the dart whose turn passed it).
+    `nxt` is a triangulation's dart list, and `member[k]` marks the edges k
+    of the subgraph.  The turn for subgraph dart d steps c = nxt[d], then
+    c = nxt[c ^ 1], one neighbour clockwise around d's head each step (the
+    outer face included), and stops at the first subgraph dart: the dart
+    after d in the face walk on its left.  Returns (each subgraph dart's
+    successor, -1 elsewhere; for each other dart that a turn passes, and
+    so leaves its tail into that face, the dart whose turn passed it, -1
+    for darts no turn passes).
     """
-    left, b = t.left, t.boundary
-    before = dict(zip(b, b[-1:] + b[:-1]))
-    succ = [0] * len(dart_of)
-    passed: dict[Dart, int] = {}
-    for (u, v), d in dart_of.items():
-        x = u
-        while True:
-            x = left[(x, v)]
-            if x is None:
-                x = before[v]
-            nxt = dart_of.get((v, x))
-            if nxt is not None:
-                break
-            passed[(v, x)] = d
-        succ[d] = nxt
+    succ = [-1] * len(nxt)
+    passed = [-1] * len(nxt)
+    for d, c in enumerate(nxt):
+        if member[d >> 1]:
+            while not member[c >> 1]:
+                passed[c] = d
+                c = nxt[c ^ 1]
+            succ[d] = c
     return succ, passed
 
 
 def trace_face_walks(
-    t: Triangulation, edges: Iterable[Edge]
-) -> tuple[dict[Dart, int], list[int], list[list[int]], dict[Dart, int]]:
-    """Trace the closed walks of a plane subgraph `edges` of t.
+    nxt: list[int], member: bytearray, order: Iterable[int]
+) -> tuple[list[int], list[list[int]], list[int]]:
+    """Trace the closed walks of the subgraph `member` of a triangulation.
 
-    The k-th edge (a, b) of `edges` gets dart 2k for a -> b and 2k + 1 for
-    b -> a, and walks are started in dart order.  Returns (dart -> number,
-    listed in number order; walk id of each dart; walks as lists of dart
-    numbers; the passed darts of `face_turns`); the walk of a dart traces
+    Walks are started at dart 2k, then 2k + 1, for each edge k in `order`.
+    Returns (walk id of each subgraph dart, -1 elsewhere; walks as lists
+    of darts; the passed darts of `face_turns`); the walk of a dart traces
     the face on its left.
     """
-    dart_of: dict[Dart, int] = {}
-    for k, (a, b) in enumerate(edges):
-        dart_of[(a, b)] = 2 * k
-        dart_of[(b, a)] = 2 * k + 1
-    succ, passed = face_turns(t, dart_of)
+    succ, passed = face_turns(nxt, member)
     walk = [-1] * len(succ)
     walks: list[list[int]] = []
-    for start in range(len(succ)):
-        d = start
-        path = []
-        while walk[d] < 0:  # succ is a permutation: the walk closes at start
-            walk[d] = len(walks)
-            path.append(d)
-            d = succ[d]
-        if path:
-            walks.append(path)
-    return dart_of, walk, walks, passed
+    for k in order:
+        for d in (2 * k, 2 * k + 1):
+            path = []
+            while walk[d] < 0:  # succ is a permutation: the walk closes at start
+                walk[d] = len(walks)
+                path.append(d)
+                d = succ[d]
+            if path:
+                walks.append(path)
+    return walk, walks, passed

@@ -3,7 +3,6 @@ independent re-checks that deliberately avoid the library's fast paths."""
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import random
@@ -36,7 +35,94 @@ from biplanekit.geometry import (
 )
 from biplanekit.graphs import GeometricGraph
 from biplanekit.recognition import BiplaneDecomposition, crossing_pairs, test_biplane
-from biplanekit.triangulation import GeometryError, Triangulation, _add_triangle
+from biplanekit.triangulation import OUTER, GeometryError, Triangulation, face_turns
+
+
+def dict_add_triangle(pts, left, u, v, w) -> None:
+    """Record triangle uvw, given in either orientation, in a dart dict
+    {(u, v): apex left of u -> v, or None}, as the brute references keep
+    their triangulations."""
+    c = cross(pts[u], pts[v], pts[w])
+    if c == 0:
+        raise GeometryError(f"degenerate triangle ({u}, {v}, {w})")
+    if c < 0:
+        v, w = w, v
+    for d, z in (((u, v), w), ((v, w), u), ((w, u), v)):
+        if left.get(d) is not None:
+            raise GeometryError(f"overlapping triangles at edge {edge(*d)}")
+        left[d] = z
+        left.setdefault((d[1], d[0]), None)
+
+
+def dart_dict(t: Triangulation) -> dict[tuple[int, int], int | None]:
+    """t as a dart dict {(u, v): apex left of u -> v, or None}, the form
+    the brute references read."""
+    head = t.head
+    return {
+        (head[d ^ 1], head[d]): (None if w == OUTER else w) for d, w in enumerate(t.apex)
+    }
+
+
+def boundary_edges(t: Triangulation) -> frozenset[Edge]:
+    """The hull edges of t, read off its boundary cycle."""
+    b = t.boundary
+    return frozenset(edge(u, v) for u, v in zip(b, b[1:] + b[:1]))
+
+
+def turn_passed(t: Triangulation, edges) -> dict[tuple[int, int], int]:
+    """face_turns' passed darts for the subgraph `edges` of t, as
+    {(tail, head): number of the dart whose turn passed it}, with the k-th
+    edge (a, b) numbered 2k as a -> b and 2k + 1 as b -> a."""
+    member = bytearray(t.edge_count)
+    num = {}
+    for k, (a, b) in enumerate(edges):
+        d = t.dart(a, b)
+        member[d >> 1] = 1
+        num[d], num[d ^ 1] = 2 * k, 2 * k + 1
+    head = t.head
+    _, passed = face_turns(t.nxt, member)
+    return {(head[c ^ 1], head[c]): num[p] for c, p in enumerate(passed) if p >= 0}
+
+
+def check_dart_lists(t: Triangulation) -> None:
+    """Raise GeometryError unless t's dart lists are consistent: the darts
+    of edge k run lower -> higher vertex (2k) and back (2k + 1); `nxt` has
+    order 3 on inner darts, whose apex is the head of their next dart, and
+    runs once around the h hull vertices on the outer darts; `out[v]`
+    leaves v; and there are exactly 3n - 3 - h edge ids."""
+    head, apex, nxt, out = t.head, t.apex, t.nxt, t.out
+    n, h = t.n, len(t.boundary)
+    if len(head) != 2 * (3 * n - 3 - h) or len(apex) != len(head) or len(nxt) != len(head):
+        raise GeometryError(f"{len(head)} darts, not 2(3n - 3 - h) = {2 * (3 * n - 3 - h)}")
+    for k in range(len(head) // 2):
+        if not head[2 * k + 1] < head[2 * k]:
+            raise GeometryError(f"edge {k} darts {head[2 * k + 1]}, {head[2 * k]} out of order")
+    outer = []
+    for d, w in enumerate(apex):
+        x = nxt[d]
+        if w == OUTER:
+            outer.append(d)
+            if apex[x] != OUTER or head[x ^ 1] != head[d]:
+                raise GeometryError(f"outer dart {d} is not followed by the next outer dart")
+            continue
+        if nxt[nxt[x]] != d:
+            raise GeometryError(f"nxt does not have order 3 at dart {d}")
+        if head[x ^ 1] != head[d]:
+            raise GeometryError(f"dart {x} after {d} does not start at its head")
+        if w != head[x]:
+            raise GeometryError(f"apex {w} of dart {d} is not the head {head[x]} of the next")
+    if len(outer) != h:
+        raise GeometryError(f"{len(outer)} outer darts, {h} hull vertices")
+    d, steps = outer[0], 0
+    while True:
+        d, steps = nxt[d], steps + 1
+        if d == outer[0]:
+            break
+    if steps != h:
+        raise GeometryError(f"outer face walk has {steps} darts, not {h}")
+    for v in range(n):
+        if head[out[v] ^ 1] != v:
+            raise GeometryError(f"out[{v}] = {out[v]} does not leave {v}")
 
 
 def random_strict_points(rng: random.Random, n: int, span: int = 10**6) -> PointSet:
@@ -471,7 +557,7 @@ def brute_fill_pocket(pts, apex, nbrs, base_u, base_v, chain) -> None:
         if pick < 0:
             raise GeometryError("pocket retriangulation found no valid vertex")
         c = chain[pick]
-        _add_triangle(pts, apex, x, y, c)
+        dict_add_triangle(pts, apex, x, y, c)
         for u, v in ((x, y), (y, c), (c, x)):
             nbrs[u].add(v)
             nbrs[v].add(u)
@@ -548,7 +634,7 @@ def brute_sweep_triangulation(pts):
                 continue
             turn = cross(pts[chain[0]], pts[chain[-1]], pts[p])
             for u, v in zip(chain, chain[1:]):
-                _add_triangle(pts, apex, p, u, v)
+                dict_add_triangle(pts, apex, p, u, v)
             hull = chain + [p] if turn > 0 else chain[::-1] + [p]
             last = len(hull) - 1
             continue
@@ -584,7 +670,7 @@ def brute_sweep_triangulation(pts):
                 break
             i = (i + 1) % h
         for u, v in zip(span, span[1:]):
-            _add_triangle(pts, apex, p, u, v)
+            dict_add_triangle(pts, apex, p, u, v)
         keep = []
         i = hi
         while True:
@@ -604,10 +690,11 @@ def brute_sweep_triangulation(pts):
 def validate_triangulation(t: Triangulation) -> None:
     """Raise GeometryError if a dart-map invariant is broken, the edge or
     triangle count is not the one Euler's formula gives, or two edges cross."""
+    check_dart_lists(t)
     pts = t.points.points
     n, h = t.n, len(t.boundary)
-    hull = t.hull_edges()
-    left = t.left
+    hull = boundary_edges(t)
+    left = dart_dict(t)
     triangles = set()
     for (a, b), w in left.items():
         if (b, a) not in left:
@@ -686,39 +773,61 @@ def assert_grid_degree_classes(grid: GridGraph) -> None:
 # ---------------------------------------------------------------------------
 
 
+def edge_of(state: MaximalState, k: int) -> Edge:
+    """Edge number k of the state, as (lower, higher) vertex."""
+    return state.head[2 * k + 1], state.head[2 * k]
+
+
 def purple_id(state: MaximalState, e: Edge) -> int:
-    """Number of purple edge e; ValueError if e is not purple."""
-    k = bisect.bisect_left(state.ends, e)
-    if k == len(state.ends) or state.ends[k] != e or not state.alive[k]:
-        raise ValueError(f"{e} is not a purple edge")
-    return k
+    """Number of purple edge e; ValueError if e is not purple.  Scans the
+    darts into e's higher vertex."""
+    head = state.head
+    d = -1
+    while True:
+        try:
+            d = head.index(e[1], d + 1)
+        except ValueError:
+            raise ValueError(f"{e} is not a purple edge") from None
+        if d % 2 == 0 and head[d + 1] == e[0] and state.alive[d // 2]:
+            return d // 2
+
+
+def state_edges(state: MaximalState) -> set[Edge]:
+    """Every edge of the state: the purple edges and the chords."""
+    return state.purple | state.chord_anchor.keys()
 
 
 def hull_edges(state: MaximalState) -> set[Edge]:
     """The purple edges on the convex hull."""
-    return {e for e, h in zip(state.ends, state.hull) if h}
+    return {edge_of(state, k) for k, h in enumerate(state.hull) if h}
 
 
 def queued_edges(state: MaximalState) -> list[Edge]:
     """The queue, front first, as edges."""
-    return [state.ends[k] for k in state.queue]
+    return [edge_of(state, k) for k in state.queue]
 
 
 def pop_edge(state: MaximalState) -> Edge:
     """Pop the front of the queue, as an edge."""
-    return state.ends[state.queue.popleft()]
+    return edge_of(state, state.queue.popleft())
 
 
-def eff_apex(state: MaximalState, e: Edge, side: int, layer: int) -> int | None:
+def purple_dart(state: MaximalState, u: int, v: int) -> int:
+    """Number of the dart u -> v of a purple edge."""
+    return 2 * purple_id(state, edge(u, v)) + (u > v)
+
+
+def eff_apex(state: MaximalState, e: Edge, side: int, layer: int) -> int:
     """Apex of the triangle in `layer` left (side 0) or right (side 1) of
-    purple edge e."""
-    d = state.dart_of[(e[1], e[0]) if side else e]
+    purple edge e, directed from e[0] to e[1]."""
+    d = purple_dart(state, *e) ^ side
     return state.apex[state.faces.parity(state.walk[d]) ^ layer][d]
 
 
 def face_of(state: MaximalState, e: Edge, side: int) -> int:
-    """Purple face left (side 0) or right (side 1) of purple edge e."""
-    d = state.dart_of[(e[1], e[0]) if side else e]
+    """Purple face left (side 0) or right (side 1) of purple edge e,
+    directed from e[0] to e[1]."""
+    d = purple_dart(state, *e) ^ side
     return state.faces.find(state.walk[d])[0]
 
 
@@ -757,7 +866,7 @@ def reference_clause(state: MaximalState, k: int) -> tuple[str, int] | None:
     par_r ^= faces.flip[root_r]
     apex = state.apex
     pts = state.points.points
-    a, b = state.ends[k]
+    a, b = edge_of(state, k)
     pa, pb = pts[a], pts[b]
     prl = pts[apex[par_l][d]]
     prr = pts[apex[par_r][d + 1]]
@@ -792,7 +901,7 @@ def purple_faces(state: MaximalState) -> dict[int, tuple[list[Edge], list[Edge]]
     find = state.faces.find
     hull = convex_hull(state.points)
     outer = face_of(state, (hull[0], hull[1]), 1)
-    live = [state.walk[state.dart_of[d]] for e in state.purple for d in (e, e[::-1])]
+    live = [state.walk[d] for d in range(len(state.walk)) if state.alive[d // 2]]
     faces = {root: ([], []) for root in sorted({find(w)[0] for w in live})}
     del faces[outer]
     for c in sorted(state.chord_anchor):
@@ -891,7 +1000,7 @@ def reference_augment(g: GeometricGraph, *, collect_trace: bool = False) -> Augm
     state = build_state(g, collect_trace=collect_trace)
     while state.queue:
         k = state.queue.popleft()
-        e = state.ends[k]
+        e = edge_of(state, k)
         if not state.alive[k]:
             continue
         if not is_colorblind_flippable(state, e):
@@ -901,6 +1010,6 @@ def reference_augment(g: GeometricGraph, *, collect_trace: bool = False) -> Augm
         raise GeometryError("queue drained but a flippable purple edge remains")
     red, blue = state.layers()
     layer2 = tuple(e for e in blue if e not in state.purple)
-    graph = GeometricGraph(g.points, tuple(sorted(state.edges)))
+    graph = GeometricGraph(g.points, tuple(sorted(state_edges(state))))
     trace = tuple(state.trace) if state.trace is not None else None
     return AugmentResult(graph, BiplaneDecomposition(red, layer2), red, blue, state, trace)

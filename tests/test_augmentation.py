@@ -9,13 +9,16 @@ from _helpers import (
     brute_angular_rotation,
     brute_face_walks,
     brute_wedge_anchor,
+    check_dart_lists,
     checked_flips,
+    edge_of,
     eff_apex,
     flip_neighborhood,
     hull_edges,
     is_colorblind_flippable,
     layer_is_plane,
     pop_edge,
+    purple_dart,
     purple_faces,
     queued_edges,
     random_biplane_graph,
@@ -24,6 +27,8 @@ from _helpers import (
     random_strict_points,
     reference_augment,
     reference_clause,
+    state_edges,
+    turn_passed,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,7 +47,7 @@ from biplanekit.constructions import gen_arc_in_triangle, gen_convex, gen_grid
 from biplanekit.geometry import PointSet, Strictness, convex_hull, cross, edge, segments_cross
 from biplanekit.graphs import GeometricGraph, relaxed_edge_violations
 from biplanekit.recognition import test_biplane
-from biplanekit.triangulation import complete_layers, complete_to_triangulation, trace_face_walks
+from biplanekit.triangulation import complete_layers, complete_to_triangulation
 
 
 def empty_graph(ps: PointSet) -> GeometricGraph:
@@ -98,7 +103,7 @@ def test_build_state_purple_equals_uncrossed():
         ps = random_strict_points(rng, n)
         g = random_biplane_graph(rng, ps, rng.randint(0, 2 * n))
         state = build_state(g)
-        union = GeometricGraph(ps, tuple(sorted(state.edges)))
+        union = GeometricGraph(ps, tuple(sorted(state_edges(state))))
         assert state.purple == uncrossed_edges(union)
 
 
@@ -119,10 +124,10 @@ def test_each_flip_decreases_purple_by_one_and_adds_an_edge():
             continue
         if not is_colorblind_flippable(state, e):
             continue
-        p0, m0 = len(state.purple), len(state.edges)
+        p0, m0 = len(state.purple), len(state_edges(state))
         apply_flip(state, e)
         assert len(state.purple) == p0 - 1
-        assert len(state.edges) == m0 + 1
+        assert len(state_edges(state)) == m0 + 1
 
 
 def test_flips_never_remove_input_edges():
@@ -199,7 +204,7 @@ def test_output_decomposes_into_two_triangulations():
             # stored per-edge apex slots agree with the rebuilt triangulation
             for a, b in purple_nonhull(res.state):
                 got = (eff_apex(res.state, (a, b), 0, layer), eff_apex(res.state, (a, b), 1, layer))
-                assert got == (t.left[(a, b)], t.left[(b, a)])
+                assert got == (t.apex[t.dart(a, b)], t.apex[t.dart(b, a)])
 
 
 def test_decomposition_layers_disjoint_partition_and_plane():
@@ -299,7 +304,7 @@ def test_face_merge_can_revoke_faraway_cross_flippability():
     observed = checked_flips(state)[1]
     assert observed, "expected at least one merge-induced revocation"
     assert certify_maximal(state)
-    final = GeometricGraph(ps, tuple(sorted(state.edges)))
+    final = GeometricGraph(ps, tuple(sorted(state_edges(state))))
     assert maximality_oracle(final)
 
 
@@ -322,17 +327,19 @@ def test_chord_walks_match_angular_sector_scan():
         state = build_state(g)
         verdict = test_biplane(g)
         layers = complete_layers(g.points, (verdict.layer1, verdict.layer2))
+        for t in layers:
+            check_dart_lists(t)
         red = layers[RED].edge_set()
         pts = g.points.points
         purple = sorted(state.purple)
         rot = brute_angular_rotation(pts, purple)
         dart_of, walk, walks = brute_face_walks(rot, purple)
-        assert walk == state.walk
+        assert [state.walk[purple_dart(state, *d)] for d in dart_of] == walk
         walk_of = {d: walk[x] for d, x in dart_of.items()}
         isolated = [v for v in range(g.n) if v not in rot]
         iso_anchor = {v: len(walks) + i for i, v in enumerate(isolated)}
-        passed = [trace_face_walks(t, purple)[3] for t in layers]
-        for e in sorted(state.edges - state.purple):
+        passed = [turn_passed(t, purple) for t in layers]
+        for e in sorted(state_edges(state) - state.purple):
             want = [
                 brute_wedge_anchor(pts, rot, walk_of, iso_anchor, v, u) for v, u in (e, e[::-1])
             ]
@@ -519,7 +526,7 @@ def test_two_area_clause_matches_four_area_reference():
         def compare(k):
             cl = augmentation._clause(state, k)
             ref = reference_clause(state, k)
-            assert (cl[:2] if cl else None) == ref, (state.ends[k], cl, ref)
+            assert (cl[:2] if cl else None) == ref, (edge_of(state, k), cl, ref)
             kinds.add(ref and ref[0])
 
         drain(state, at_pop=compare)
@@ -529,9 +536,10 @@ def test_two_area_clause_matches_four_area_reference():
 def test_apexes_lie_strictly_on_their_side_of_every_purple_dart():
     def check(state):
         pts = state.points.points
-        for k, (a, b) in enumerate(state.ends):
+        for k in range(len(state.alive)):
             if not state.alive[k] or state.hull[k]:
                 continue
+            a, b = edge_of(state, k)
             for d, (u, v) in ((2 * k, (a, b)), (2 * k + 1, (b, a))):
                 for lineage in state.apex:
                     assert cross(pts[u], pts[v], pts[lineage[d]]) > 0, ((u, v), lineage[d])

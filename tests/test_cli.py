@@ -208,6 +208,47 @@ def test_triangulate_and_enumerate(tmp_path, capsys):
     assert lines[0] == "TRIANGULATIONS 5"
 
 
+def test_enumerate_lists_triangulations_holding_the_input_edges(tmp_path, capsys):
+    # A convex pentagon has 5 triangulations; 2 of them hold the chord
+    # (0, 2).  The listing goes through --out like every other artifact.
+    pts = tmp_path / "c5.pts"
+    assert run(["generate", "convex", "--n", "5", "--out", str(pts)]) == 0
+    g = tmp_path / "chord.graph"
+    g.write_text(pts.read_text() + "1\n0 2\n")
+    capsys.readouterr()
+    assert run(["triangulate", str(g), "--enumerate"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "TRIANGULATIONS 2"
+    blocks = [i for i, line in enumerate(lines) if line.startswith("TRIANGULATION ")]
+    assert len(blocks) == 2
+    for i in blocks:
+        assert lines[i].endswith(f" {3 * 5 - 5 - 3}")
+        assert "0 2" in lines[i + 1 : i + 1 + 3 * 5 - 5 - 3]
+    listing = tmp_path / "tris.txt"
+    assert run(["triangulate", str(g), "--enumerate", "--out", str(listing)]) == 0
+    assert capsys.readouterr().out == ""
+    assert listing.read_text().splitlines() == lines
+
+
+def test_enumerate_rejects_crossing_input_edges(tmp_path, capsys):
+    # Edges (0, 2) and (1, 3) of a convex pentagon cross: both forms of
+    # triangulate exit 2 with the same message, and write nothing.
+    pts = tmp_path / "c5.pts"
+    assert run(["generate", "convex", "--n", "5", "--out", str(pts)]) == 0
+    g = tmp_path / "cross.graph"
+    g.write_text(pts.read_text() + "2\n0 2\n1 3\n")
+    capsys.readouterr()
+    errors = []
+    for extra in ([], ["--enumerate"]):
+        out = tmp_path / "out.txt"
+        assert run(["triangulate", str(g), *extra, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: input not plane: edges (0, 2) and (1, 3) cross")
+
+
 def test_analyze_outputs_sections(tmp_path, capsys):
     f = tmp_path / "k4.graph"
     f.write_text(k4_text())
@@ -353,6 +394,38 @@ def test_edge_through_vertex_exit_two(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert "error: edge (0, 2) passes through vertex 1" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=12, unique=True),
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 3), (-1, 2)]),
+    st.integers(2, 4),
+    st.randoms(use_true_random=False),
+)
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_edge_through_vertex_exit_two_on_random_lattices(
+    tmp_path, capsys, cells, start, step, k, rng
+):
+    # The lattice edge from `start` to k primitive steps along `step`
+    # skips the k - 1 lattice points between; the ones in the file lie
+    # strictly inside it.  Every command that reads edges exits 2 naming
+    # the edge and the lowest-numbered vertex inside it.
+    on_edge = [(start[0] + i * step[0], start[1] + i * step[1]) for i in range(k + 1)]
+    coords = list(dict.fromkeys([on_edge[0], on_edge[1], on_edge[-1], *cells]))
+    rng.shuffle(coords)
+    e = tuple(sorted((coords.index(on_edge[0]), coords.index(on_edge[-1]))))
+    inside = min(i for i, c in enumerate(coords) if c in on_edge[1:-1])
+    f = tmp_path / "through.graph"
+    ps = PointSet.from_coords(coords, Strictness.RELAXED)
+    f.write_text(format_graph(GeometricGraph(ps, (e,))))
+    for command in ("augment", "triangulate", "check", "analyze", "render"):
+        assert run([command, "--relaxed", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: edge {e} passes through vertex {inside}\n", command
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from _helpers import (
@@ -304,6 +305,28 @@ def test_edge_canonicalization():
     assert edge(5, 2) == (2, 5)
     with pytest.raises(ValueError):
         edge(3, 3)
+
+
+def test_graph_canonicalizes_and_merges_duplicate_edges():
+    ps = PointSet.from_coords([(0, 0), (4, 0), (0, 4), (3, 3)])
+    g = GeometricGraph(ps, ((2, 3), (0, 2), (1, 0), (3, 2), (0, 1), (1, 3)))
+    assert g.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
+
+
+def test_graph_errors_name_the_first_loop_then_the_first_missing_vertex():
+    # Loops are found in input order, before any range check; a missing
+    # vertex is reported at the first offending edge in sorted order.
+    ps = PointSet.from_coords([(0, 0), (4, 0), (0, 4)])
+    cases = [
+        (((0, 7), (2, 2), (1, 1)), "degenerate edge (2, 2)"),
+        (((5, -1), (0, 1), (0, 0)), "degenerate edge (0, 0)"),
+        (((1, 9), (5, 0), (2, 1)), "edge (0, 5) references a missing vertex"),
+        (((0, 5), (2, -1), (0, 1)), "edge (-1, 2) references a missing vertex"),
+        (((2, 3), (0, 1)), "edge (2, 3) references a missing vertex"),
+    ]
+    for edges, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GeometricGraph(ps, edges)
 
 
 def test_point_on_open_segment():

@@ -2,14 +2,18 @@ import random
 
 import pytest
 from _helpers import (
+    boundary_edges,
     brute_angular_rotation,
     brute_crossed_edges,
     brute_face_walks,
     brute_fill_pocket,
     brute_sweep_triangulation,
+    check_dart_lists,
+    dart_dict,
     random_lattice_points,
     random_plane_graph,
     random_strict_points,
+    turn_passed,
     validate_triangulation,
 )
 
@@ -20,13 +24,14 @@ from biplanekit.geometry import PointSet, Strictness, convex_hull, cross, edge
 from biplanekit.graphs import GeometricGraph
 from biplanekit.recognition import test_biplane
 from biplanekit.triangulation import (
+    OUTER,
     FlipStatus,
     NotPlaneError,
+    Triangulation,
     complete_layers,
     complete_to_triangulation,
     enumerate_triangulations,
     plane_face_walks,
-    trace_face_walks,
 )
 
 
@@ -48,6 +53,7 @@ def test_completion_of_triangulation_is_identity():
         again = complete_to_triangulation(
             GeometricGraph(ps, tuple(t.sorted_edges()))
         )
+        check_dart_lists(again)
         assert again.edge_set() == t.edge_set()
 
 
@@ -84,11 +90,12 @@ def test_walk_matches_brute_crossed_edges(monkeypatch):
     walk = triangulation._crossed_edges
     lengths = []
 
-    def checked(pts, left, nbrs, a, b):
-        got = walk(pts, left, nbrs, a, b)
-        assert [edge(p, q) for p, q in got] == brute_crossed_edges(pts, left, a, b)
+    def checked(pts, t, a, b):
+        got = walk(pts, t, a, b)
+        darts = [(t.head[c ^ 1], t.head[c]) for c in got]
+        assert [edge(p, q) for p, q in darts] == brute_crossed_edges(pts, dart_dict(t), a, b)
         pa, pb = pts[a], pts[b]
-        assert all(cross(pa, pb, pts[p]) > 0 > cross(pa, pb, pts[q]) for p, q in got)
+        assert all(cross(pa, pb, pts[p]) > 0 > cross(pa, pb, pts[q]) for p, q in darts)
         lengths.append(len(got))
         return got
 
@@ -99,6 +106,7 @@ def test_walk_matches_brute_crossed_edges(monkeypatch):
         blue = maximal_augment(GeometricGraph(ps, ())).blue_layer
         subset = tuple(e for e in blue if rng.random() < 0.6)
         t = complete_to_triangulation(GeometricGraph(ps, subset))
+        check_dart_lists(t)
         assert set(subset) <= t.edge_set()
     assert len(lengths) > 100 and max(lengths) > 2
 
@@ -153,7 +161,7 @@ def test_scan_fill_matches_brute_fill_per_pocket(monkeypatch):
     # geometry predicates are counted: one linear pass makes at most
     # 2 * len(chain) + 1 turn tests plus three per triangle.
     fill = triangulation._fill_pocket
-    add = triangulation._add_triangle
+    add = triangulation._set_triangle
     predicates = (
         "cross",
         "line_separates",
@@ -165,8 +173,8 @@ def test_scan_fill_matches_brute_fill_per_pocket(monkeypatch):
     family = ["strict"]
     collinear = [0]
 
-    def checked(pts, left, nbrs, a, b, chain, up):
-        walk = [a, *chain, b]
+    def checked(pts, t, walk, rims, up, free, base):
+        a, chain, b = walk[0], walk[1:-1], walk[-1]
         collinear[0] += sum(
             cross(pts[u], pts[v], pts[w]) == 0
             for u, v, w in zip(walk, walk[1:], walk[2:])
@@ -181,15 +189,15 @@ def test_scan_fill_matches_brute_fill_per_pocket(monkeypatch):
 
             return wrapper
 
-        def recording(pts_, left_, u, v, w):
-            added.append((u, v, w))
-            add(pts_, left_, u, v, w)
+        def recording(head, apex, nxt, x, y, z):
+            added.append((head[x], head[y], head[z]))
+            add(head, apex, nxt, x, y, z)
 
         with monkeypatch.context() as m:
             for name in names:
                 m.setattr(triangulation, name, counting(getattr(triangulation, name)))
-            m.setattr(triangulation, "_add_triangle", recording)
-            fill(pts, left, nbrs, a, b, chain, up)
+            m.setattr(triangulation, "_set_triangle", recording)
+            fill(pts, t, walk, rims, up, free, base)
         assert calls[0] <= 6 * (len(chain) + 1), (len(chain), calls[0])
 
         scratch = {}
@@ -207,18 +215,18 @@ def test_scan_fill_matches_brute_fill_per_pocket(monkeypatch):
         ps = random_strict_points(rng, rng.randint(6, 50))
         blue = maximal_augment(GeometricGraph(ps, ())).blue_layer
         subset = tuple(e for e in blue if rng.random() < 0.6)
-        complete_to_triangulation(GeometricGraph(ps, subset))
+        check_dart_lists(complete_to_triangulation(GeometricGraph(ps, subset)))
     family[0] = "lattice"
     for _ in range(60):
         ps = random_lattice_points(rng, rng.randint(4, 9), 10)
         g = random_plane_graph(rng, ps, rng.randint(1, 3 * len(ps)))
-        complete_to_triangulation(g)
+        check_dart_lists(complete_to_triangulation(g))
     family[0] = "grid"
     for k in range(5, 11):
         res = maximal_augment(gen_grid(k).graph)
         for layer in (res.red_layer, res.blue_layer):
             subset = tuple(e for e in layer if rng.random() < 0.5)
-            complete_to_triangulation(GeometricGraph(res.graph.points, subset))
+            check_dart_lists(complete_to_triangulation(GeometricGraph(res.graph.points, subset)))
     assert min(pockets.values()) > 50, pockets
     assert collinear[0] > 0
 
@@ -233,19 +241,19 @@ def test_grid_reaugmentation_returns_the_grid():
 
 def test_flip_of_quad_diagonal():
     t = complete_to_triangulation(convex4())
-    diag = next(e for e in t.sorted_edges() if e not in t.hull_edges())
+    diag = next(e for e in t.sorted_edges() if e not in boundary_edges(t))
     assert t.is_flippable(diag)
     t2 = t.flip(diag)
-    other = next(e for e in t2.sorted_edges() if e not in t2.hull_edges())
+    other = next(e for e in t2.sorted_edges() if e not in boundary_edges(t2))
     assert {diag, other} == {(0, 2), (1, 3)}
     assert t2.edge_count == t.edge_count
 
 
 def test_flip_is_involution():
     t = complete_to_triangulation(convex4())
-    diag = next(e for e in t.sorted_edges() if e not in t.hull_edges())
+    diag = next(e for e in t.sorted_edges() if e not in boundary_edges(t))
     back = t.flip(diag).flip(next(
-        e for e in t.flip(diag).sorted_edges() if e not in t.hull_edges() and e != diag
+        e for e in t.flip(diag).sorted_edges() if e not in boundary_edges(t) and e != diag
     ))
     assert back.edge_set() == t.edge_set()
 
@@ -299,7 +307,7 @@ def test_separating_chord_always_flippable():
         if len(hull) == n:
             continue
         for e in t.sorted_edges():
-            if e in t.hull_edges() or e[0] not in hull or e[1] not in hull:
+            if e in boundary_edges(t) or e[0] not in hull or e[1] not in hull:
                 continue
             found += 1
             assert t.is_flippable(e), f"separating chord {e} not flippable"
@@ -320,28 +328,31 @@ def test_sweep_boundary_is_convex_hull_up_to_rotation():
             hull = convex_hull(ps)
         except ValueError:
             continue  # all points collinear
-        b = list(complete_to_triangulation(ps).boundary)
+        t = complete_to_triangulation(ps)
+        check_dart_lists(t)
+        b = list(t.boundary)
         k = b.index(hull[0])
         assert b[k:] + b[:k] == hull
 
 
 def test_ring_sweep_matches_brute_sweep():
-    # Same apex map (in insertion order) and the same boundary list.
+    # Same apex map and the same boundary list, and consistent dart lists.
     rng = random.Random(23)
-    sets = [gen_convex(40).points, gen_grid(6).graph.points]
+    sets = [gen_convex(40), gen_grid(6).graph.points]
     for m in (3, 7):
         line = [(3 * i, 2 - i) for i in range(m)]
-        sets.append(PointSet.from_coords(line, Strictness.RELAXED).points)
-        sets.append(PointSet.from_coords(line + [(1, 5)], Strictness.RELAXED).points)
+        sets.append(PointSet.from_coords(line, Strictness.RELAXED))
+        sets.append(PointSet.from_coords(line + [(1, 5)], Strictness.RELAXED))
     for _ in range(100):
-        sets.append(random_strict_points(rng, rng.randint(3, 60)).points)
+        sets.append(random_strict_points(rng, rng.randint(3, 60)))
     for _ in range(100):
         k = rng.randint(2, 8)
         cells = [(x, y) for x in range(k) for y in range(k)]
         coords = rng.sample(cells, rng.randint(3, k * k))
-        sets.append(PointSet.from_coords(coords, Strictness.RELAXED).points)
+        sets.append(PointSet.from_coords(coords, Strictness.RELAXED))
     collinear = 0
-    for pts in sets:
+    for ps in sets:
+        pts = ps.points
         try:
             want = brute_sweep_triangulation(pts)
         except ValueError:
@@ -349,9 +360,10 @@ def test_ring_sweep_matches_brute_sweep():
             with pytest.raises(ValueError):
                 triangulation._sweep_triangulation(pts)
             continue
-        apex, hull = triangulation._sweep_triangulation(pts)
-        assert list(apex.items()) == list(want[0].items())
-        assert hull == want[1]
+        t = Triangulation(ps, *triangulation._sweep_triangulation(pts))
+        check_dart_lists(t)
+        assert dart_dict(t) == want[0]
+        assert list(t.boundary) == want[1]
     assert collinear == 2
 
 
@@ -371,6 +383,7 @@ def test_apex_rotation_matches_angular_rotation():
             t = complete_to_triangulation(ps)
         except ValueError:
             continue  # all points collinear
+        check_dart_lists(t)
         b = t.boundary
         for density in (1.0, 0.6, 0.3, 0.1):
             sub = [e for e in t.sorted_edges() if rng.random() < density]
@@ -386,7 +399,7 @@ def test_apex_rotation_matches_angular_rotation():
             # A turn that passes the hull dart v -> next(v), missing from
             # sub, next steps across the outer face.  sub lies in t, so its
             # completion is t and these are plane_face_walks' own turns.
-            passed = trace_face_walks(t, sub)[3]
+            passed = turn_passed(t, sub)
             outer_steps += sum(d in passed for d in zip(b, b[1:] + b[:1]))
     assert hull_multi > 100 and degree_one > 20 and outer_steps > 20
 
@@ -420,6 +433,8 @@ def test_flip_graph_connected_same_set_from_any_start():
     rng = random.Random(21)
     ps = random_strict_points(rng, 7)
     tris = enumerate_triangulations(ps)
+    for t in tris:
+        check_dart_lists(t)
     keys = {t.edge_set() for t in tris}
     # restart the BFS from a different triangulation: same reachable set
     from collections import deque
@@ -446,7 +461,7 @@ def test_euler_and_count_invariants_random():
         t = complete_to_triangulation(ps)
         h = len(convex_hull(ps))
         assert t.edge_count == 3 * n - h - 3
-        faces = sum(w is not None for w in t.left.values()) // 3 + 1  # plus the outer face
+        faces = sum(w != OUTER for w in t.apex) // 3 + 1  # plus the outer face
         assert n - t.edge_count + faces == 2
 
 

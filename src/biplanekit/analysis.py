@@ -19,17 +19,24 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .augmentation import maximal_augment
-from .geometry import Edge, PointSet, Strictness, edge
+from .geometry import Edge, PointSet, Strictness, _typed_eq, edge
 from .graphs import GeometricGraph, relaxed_edge_violations
-from .recognition import _crossed, _edge_rows, _recognize, exceeds_edge_cap
+from .recognition import (
+    OddCycleWitness,
+    TooManyEdges,
+    _crossed,
+    _edge_rows,
+    _recognize,
+    exceeds_edge_cap,
+)
 from .triangulation import enumerate_triangulations
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+@_typed_eq
+class ConnectivityReport(NamedTuple):
     kappa: int
     min_degree: int
     witness_cut: tuple[int, ...]  # empty when kappa == 0 or the graph is complete
@@ -152,7 +159,7 @@ def maximality_oracle(g: GeometricGraph) -> bool:
     relaxed contract.
     """
     coloring = _recognize(g)
-    if not isinstance(coloring, tuple):
+    if isinstance(coloring, (OddCycleWitness, TooManyEdges)):
         raise ValueError("input graph is not biplane")
     if exceeds_edge_cap(g.n, g.m + 1):
         return True
@@ -187,8 +194,8 @@ def maximality_oracle(g: GeometricGraph) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OracleResult:
+@_typed_eq
+class OracleResult(NamedTuple):
     maximum_edges: int
     witness: GeometricGraph
     triangulation_count: int
@@ -227,8 +234,8 @@ def brute_force_maximum(ps: PointSet, cap: int = 9) -> OracleResult:
     return OracleResult(best, GeometricGraph(ps, union_edges), k)
 
 
-@dataclass(frozen=True)
-class GapReport:
+@_typed_eq
+class GapReport(NamedTuple):
     smallest: int
     largest: int
     smallest_graph: GeometricGraph

@@ -56,9 +56,9 @@ needs an angular sort or predicate.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .geometry import Edge, PointSet, edge
+from .geometry import Edge, PointSet, _typed_eq, edge
 from .graphs import GeometricGraph, relaxed_edge_violations
 from .recognition import BiplaneDecomposition, BiplaneResult, test_biplane
 from .triangulation import (
@@ -84,8 +84,8 @@ class NotBiplaneError(ValueError):
         self.verdict = verdict
 
 
-@dataclass(frozen=True)
-class FlipRecord:
+@_typed_eq
+class FlipRecord(NamedTuple):
     """One flip: which edge, which clause fired, and what changed."""
 
     edge: Edge
@@ -95,7 +95,6 @@ class FlipRecord:
     merged_faces: tuple[int, int]
 
 
-@dataclass(slots=True, eq=False, repr=False)
 class MaximalState:
     """Mutable augmentation state; requires exclusive access while flipping.
 
@@ -128,6 +127,12 @@ class MaximalState:
     chord_color0: dict[Edge, int]
     trace: list[FlipRecord] | None
     queue: deque[int]
+    __slots__ = tuple(__annotations__)
+
+    def __init__(self, *fields: object) -> None:
+        # The fields in the order declared above; none is ever rebound.
+        for name, value in zip(self.__slots__, fields, strict=True):
+            setattr(self, name, value)
 
     @property
     def purple(self) -> set[Edge]:
@@ -149,8 +154,8 @@ class MaximalState:
         return tuple(sorted(shared + chords[RED])), tuple(sorted(shared + chords[BLUE]))
 
 
-@dataclass(frozen=True)
-class AugmentResult:
+@_typed_eq
+class AugmentResult(NamedTuple):
     """Maximal biplane supergraph plus its layer witnesses.
 
     `decomposition` is a disjoint split (layer1 is the full red

@@ -9,13 +9,14 @@ visibility, separation, and uncrossable forced edges).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import (
     Edge,
     Point,
     PointSet,
     Strictness,
+    _typed_eq,
     convex_hull,
     cross,
     edge,
@@ -37,8 +38,8 @@ class ConstructionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
+@_typed_eq
+class BoundReport(NamedTuple):
     """Edge-count bounds for biplane graphs on n points with hull size h."""
 
     n: int
@@ -209,8 +210,8 @@ _RED_OFFSETS = ((1, 0), (1, 1), (2, 1))      # horizontals, up-diagonals, long
 _BLUE_OFFSETS = ((0, 1), (1, -1), (1, -2))   # verticals, down-diagonals, long
 
 
-@dataclass(frozen=True)
-class GridFlip:
+@_typed_eq
+class GridFlip(NamedTuple):
     """One applied local transformation: removed and added edges."""
 
     kind: str  # "corner" | "boundary"
@@ -219,8 +220,8 @@ class GridFlip:
     added: tuple[Edge, ...]
 
 
-@dataclass(frozen=True)
-class GridGraph:
+@_typed_eq
+class GridGraph(NamedTuple):
     """k x k grid with the 12-neighbor adjacency and its two-layer witness."""
 
     k: int

@@ -11,8 +11,8 @@ point i with distinct slopes get keys at least 4 apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
 COORD_LIMIT = 2**30
@@ -94,21 +94,101 @@ def point_in_triangle_strict(p: Point, a: Point, b: Point, c: Point) -> bool:
     return (s1 > 0 and s2 > 0 and s3 > 0) or (s1 < 0 and s2 < 0 and s3 < 0)
 
 
-@dataclass(frozen=True)
-class PointSet:
+def _typed_eq(cls: type) -> type:
+    """Make a NamedTuple class equal only to instances of itself.
+
+    A tuple equals every tuple with equal items, so a verdict would equal
+    the bare tuple of its fields or a result of another type with the same
+    fields.  The library's result types compare as frozen dataclasses do;
+    their hash stays the tuple hash of their fields.
+    """
+    cls.__eq__ = _same_type_eq  # type: ignore[method-assign]
+    cls.__ne__ = _same_type_ne  # type: ignore[method-assign]
+    return cls
+
+
+def _same_type_eq(self: tuple, other: object) -> bool:
+    if other.__class__ is self.__class__:
+        return tuple.__eq__(self, other)
+    # Returning NotImplemented would let a bare tuple compare item by item.
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _same_type_ne(self: tuple, other: object) -> bool:
+    eq = _same_type_eq(self, other)
+    return eq if eq is NotImplemented else not eq
+
+
+class _Frozen:
+    """Base of the immutable __slots__ classes.
+
+    Compares, hashes and prints by the slots, in order, as a frozen
+    dataclass does by its fields, and rejects assignment; constructors
+    fill the slots through object.__setattr__.  Pickling and copying go
+    through the constructor, with the slots as its arguments.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _not_integer_pair(kind: str, items: Sequence) -> TypeError:
+    """The error naming the first of `items` whose entries 0 and 1 are not
+    both integers (int, bool, or anything with __index__)."""
+    for i, item in enumerate(items):
+        try:
+            index(item[0]), index(item[1])
+        except TypeError:
+            return TypeError(f"{kind} {i} = {item!r} is not a pair of integers")
+    return TypeError(f"every {kind} must be a pair of integers")
+
+
+class PointSet(_Frozen):
     """Ordered, validated set of integer points.
 
-    Immutable; safe to share between threads.  Distinctness and the
-    coordinate cap are enforced at construction.  Collinearity checks are
-    deferred to validate() because they are quadratic.
+    Immutable; safe to share between threads.  Integer coordinates (a
+    float, even an integral one, is rejected, not truncated), distinctness
+    and the coordinate cap are enforced at construction.  Collinearity
+    checks are deferred to validate() because they are quadratic.
     """
 
     points: tuple[Point, ...]
-    strictness: Strictness = Strictness.STRICT
+    strictness: Strictness
+    __slots__ = ("points", "strictness")
 
-    def __post_init__(self) -> None:
-        pts = tuple([Point(int(c[0]), int(c[1])) for c in self.points])
-        object.__setattr__(self, "points", pts)
+    def __init__(
+        self,
+        points: Iterable[Sequence[int]],
+        strictness: Strictness = Strictness.STRICT,
+    ) -> None:
+        points = tuple(points)
+        try:
+            pts = tuple([Point(index(c[0]), index(c[1])) for c in points])
+        except TypeError as exc:
+            raise _not_integer_pair("point", points) from exc
         if pts and (min(map(min, pts)) < -COORD_LIMIT or max(map(max, pts)) > COORD_LIMIT):
             i, p = next((i, p) for i, p in enumerate(pts) if max(map(abs, p)) > COORD_LIMIT)
             raise ValueError(f"point {i} = ({p.x}, {p.y}) exceeds |coord| <= 2**30")
@@ -118,6 +198,8 @@ class PointSet:
                 if p in seen:
                     raise ValueError(f"duplicate point at indices {seen[p]} and {i}")
                 seen[p] = i
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "strictness", strictness)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -139,8 +221,8 @@ class PointSet:
         return cls(tuple(coords), strictness)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+@_typed_eq
+class ValidationReport(NamedTuple):
     ok: bool
     collinear_triple: tuple[int, int, int] | None = None
     message: str = "ok"

@@ -2,43 +2,48 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from operator import index
 from typing import Iterable
 
-from .geometry import Edge, PointSet, Strictness
+from .geometry import Edge, PointSet, Strictness, _Frozen, _not_integer_pair
 
 
-@dataclass(frozen=True)
-class GeometricGraph:
+class GeometricGraph(_Frozen):
     """Immutable straight-line graph: a point set plus canonical edges.
 
     Edges are stored sorted as (a, b) pairs with a < b.  Construction
-    merges duplicate edges, (a, b) and (b, a) included, and rejects loops
-    (the first in input order) and then out-of-range indices (the first
-    edge in sorted order).  One sort does the work, so input made of a few
-    sorted runs is cheap to canonicalize.
+    merges duplicate edges, (a, b) and (b, a) included, and rejects, in
+    input order, non-integer vertex indices and loops, and then
+    out-of-range indices (the first edge in sorted order).  One sort does
+    the work, so input made of a few sorted runs is cheap to canonicalize.
     """
 
     points: PointSet
     edges: tuple[Edge, ...]
+    __slots__ = ("points", "edges")
 
-    def __post_init__(self) -> None:
-        n = len(self.points)
+    def __init__(self, points: PointSet, edges: Iterable[Edge]) -> None:
+        edges = tuple(edges)
+        n = len(points)
         canon = []
-        for a, b in self.edges:
-            a, b = int(a), int(b)
-            if a < b:
-                canon.append((a, b))
-            elif b < a:
-                canon.append((b, a))
-            else:
-                raise ValueError(f"degenerate edge ({a}, {a})")
+        try:
+            for a, b in edges:
+                a, b = index(a), index(b)
+                if a < b:
+                    canon.append((a, b))
+                elif b < a:
+                    canon.append((b, a))
+                else:
+                    raise ValueError(f"degenerate edge ({a}, {a})")
+        except TypeError as exc:
+            raise _not_integer_pair("edge", edges) from exc
         canon.sort()
         edges = tuple(dict.fromkeys(canon))
         if edges and (edges[0][0] < 0 or max(b for _, b in edges) >= n):
             a, b = next(e for e in edges if e[0] < 0 or e[1] >= n)
             raise ValueError(f"edge ({a}, {b}) references a missing vertex")
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "edges", edges)
 
     @property

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
-from .geometry import Edge, segments_cross
+from .geometry import Edge, _typed_eq, segments_cross
 from .graphs import GeometricGraph, check_relaxed_edges
 
 
@@ -41,23 +40,23 @@ def exceeds_edge_cap(n: int, m: int) -> bool:
     return n >= 8 and m > biplane_edge_cap(n)
 
 
-@dataclass(frozen=True)
-class BiplaneDecomposition:
+@_typed_eq
+class BiplaneDecomposition(NamedTuple):
     """Disjoint split of the edges into two crossing-free layers."""
 
     layer1: tuple[Edge, ...]
     layer2: tuple[Edge, ...]
 
 
-@dataclass(frozen=True)
-class OddCycleWitness:
+@_typed_eq
+class OddCycleWitness(NamedTuple):
     """Odd cycle in the crossing graph: consecutive edges pairwise cross."""
 
     cycle: tuple[Edge, ...]
 
 
-@dataclass(frozen=True)
-class TooManyEdges:
+@_typed_eq
+class TooManyEdges(NamedTuple):
     """Rejected without building the crossing graph: m > 6n - 18, n >= 8."""
 
     n: int
@@ -206,7 +205,7 @@ def test_biplane(g: GeometricGraph) -> BiplaneResult:
     with a vertex inside an edge.
     """
     verdict = _recognize(g)
-    if not isinstance(verdict, tuple):
+    if isinstance(verdict, (OddCycleWitness, TooManyEdges)):
         return verdict
     color = verdict[0]
     layer1 = tuple(e for e, c in zip(g.edges, color) if c == 0)

@@ -142,7 +142,7 @@ def test_maximality_oracles_reject_graph_over_edge_cap():
     ps = random_strict_points(random.Random(26), 10)
     k10 = GeometricGraph(ps, tuple((a, b) for a in range(10) for b in range(a + 1, 10)))
     assert k10.m == 45 > 6 * 10 - 18
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^input graph is not biplane$"):
         maximality_oracle(k10)
     with pytest.raises(ValueError):
         brute_maximality_oracle(k10)
@@ -179,7 +179,7 @@ def test_oracle_rejects_non_biplane_input():
     ]
     ps = PointSet.from_coords(pts)
     k5 = GeometricGraph(ps, tuple((a, b) for a in range(5) for b in range(a + 1, 5)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^input graph is not biplane$"):
         maximality_oracle(k5)
 
 

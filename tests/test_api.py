@@ -3,12 +3,23 @@ the library defines nothing it does not use, and every function the
 benchmark wraps exists."""
 
 import ast
+import copy
 import importlib
+import pickle
 import re
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import biplanekit
+from biplanekit.analysis import ConnectivityReport, GapReport, OracleResult
+from biplanekit.augmentation import AugmentResult, FlipRecord
+from biplanekit.constructions import BoundReport, GridFlip, GridGraph
+from biplanekit.geometry import Point, PointSet, Strictness, ValidationReport
+from biplanekit.graphs import GeometricGraph
+from biplanekit.recognition import BiplaneDecomposition, OddCycleWitness, TooManyEdges
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -127,3 +138,96 @@ def test_perfbench_trace_targets_exist(monkeypatch):
     # renamed or deleted one would fail every benchmark operation.
     targets = perfbench_run(monkeypatch).trace_targets(biplanekit)
     assert targets and all(callable(fn) for _, fn, _ in targets)
+
+
+# The library's value types: each with the keyword arguments of one instance.
+_PS = PointSet.from_coords([(0, 0), (4, 0), (0, 4)])
+_G = GeometricGraph(_PS, ((0, 1), (0, 2)))
+_DECO = BiplaneDecomposition(((0, 1),), ((0, 2),))
+VALUE_TYPES = [
+    (PointSet, dict(points=((0, 0), (4, 0), (0, 4)), strictness=Strictness.RELAXED)),
+    (GeometricGraph, dict(points=_PS, edges=((0, 1), (0, 2)))),
+    (ValidationReport, dict(ok=False, collinear_triple=(0, 1, 2), message="collinear")),
+    (BiplaneDecomposition, dict(layer1=((0, 1),), layer2=((0, 2),))),
+    (OddCycleWitness, dict(cycle=((0, 2), (1, 3), (2, 4)))),
+    (TooManyEdges, dict(n=10, m=45, cap=42)),
+    (FlipRecord, dict(edge=(0, 1), clause="cross", recolored_anchor=3, new_edge=(2, 5),
+                      merged_faces=(3, 4))),
+    (AugmentResult, dict(graph=_G, decomposition=_DECO, red_layer=((0, 1),),
+                         blue_layer=((0, 2),), state=None, trace=None)),
+    (ConnectivityReport, dict(kappa=1, min_degree=1, witness_cut=(0,))),
+    (OracleResult, dict(maximum_edges=2, witness=_G, triangulation_count=1)),
+    (GapReport, dict(smallest=2, largest=2, smallest_graph=_G, largest_graph=_G, sizes=(2, 2))),
+    (BoundReport, dict(n=8, h=3, min_maximal=20, max_edges_hull=33, max_edges_abs=30,
+                       maximum_lower=23)),
+    (GridFlip, dict(kind="corner", position=(1, 1), removed=((0, 1),), added=((0, 2),))),
+    (GridGraph, dict(k=5, graph=_G, red_edges=frozenset({(0, 1)}),
+                     blue_edges=frozenset({(0, 2)}), flips=())),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs", VALUE_TYPES, ids=[c.__name__ for c, _ in VALUE_TYPES])
+def test_value_types_compare_hash_and_print_by_their_fields(cls, kwargs):
+    # Equal only to an instance of the same type with equal fields, hashed
+    # as the tuple of its fields, printed with every field named,
+    # immutable, and pickled and copied whole: the contract of a frozen
+    # dataclass.
+    x = cls(**kwargs)
+    fields = tuple(getattr(x, name) for name in kwargs)
+    assert x == cls(*kwargs.values()) and not x != cls(**kwargs)
+    assert x != fields and fields != x
+    assert hash(x) == hash(fields)
+    named = ", ".join(f"{name}={value!r}" for name, value in zip(kwargs, fields))
+    assert repr(x) == f"{cls.__name__}({named})"
+    with pytest.raises(AttributeError):
+        setattr(x, next(iter(kwargs)), fields[0])
+    assert pickle.loads(pickle.dumps(x)) == x == copy.copy(x) == copy.deepcopy(x)
+
+
+def test_value_type_defaults_and_containers():
+    assert ValidationReport(True) == ValidationReport(ok=True, collinear_triple=None, message="ok")
+    red = frozenset({(0, 1)})
+    assert GridGraph(5, _G, red, red).flips == ()
+    assert TooManyEdges(10, 45, 42) != TooManyEdges(10, 45, 43)
+    assert repr(_PS) == (
+        "PointSet(points=(Point(x=0, y=0), Point(x=4, y=0), Point(x=0, y=4)), "
+        "strictness=<Strictness.STRICT: 'strict'>)"
+    )
+    assert repr(_G) == f"GeometricGraph(points={_PS!r}, edges=((0, 1), (0, 2)))"
+    # A point set indexes and counts its points; a graph is no sequence.
+    assert len(_PS) == _PS.n == 3 and _PS[1] == Point(4, 0)
+    with pytest.raises(TypeError):
+        len(_G)  # type: ignore[arg-type]
+    with pytest.raises(TypeError):
+        _G[0]  # type: ignore[index]
+
+
+IMPORT_PROBE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import biplanekit
+package = set(sys.modules) - before
+import biplanekit.cli
+print(" ".join(sorted(package)))
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # `dataclasses` loads `inspect`, `ast`, `dis` and `tokenize`, and its
+    # decorations took two thirds of the import.  The child diffs
+    # sys.modules, so a module that site has already loaded does not count.
+    # The package imports all its modules up front: none is deferred.
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", IMPORT_PROBE, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    package, loaded = (set(line.split()) for line in proc.stdout.splitlines())
+    own = {m.removeprefix("biplanekit.") for m in package if m.startswith("biplanekit")}
+    assert own == {
+        "biplanekit", "analysis", "augmentation", "constructions", "fileio", "geometry",
+        "graphs", "recognition", "triangulation", "unionfind",
+    }
+    assert {"biplanekit.cli", "biplanekit.svgrender"} <= loaded
+    assert not {"dataclasses", "inspect"} & loaded

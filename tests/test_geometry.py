@@ -329,6 +329,32 @@ def test_graph_errors_name_the_first_loop_then_the_first_missing_vertex():
             GeometricGraph(ps, edges)
 
 
+@pytest.mark.parametrize("bad", [1.7, 2.0, "3", None])
+def test_constructors_reject_non_integer_input(bad):
+    # Coordinates and vertex indices are exact integers: a float, even an
+    # integral one, or a numeric string is rejected, not truncated.
+    with pytest.raises(TypeError, match=rf"^point 1 = \(10, {re.escape(repr(bad))}\) "):
+        PointSet.from_coords([(0, 0), (10, bad), (0, 10)])
+    with pytest.raises(TypeError, match=r"^point 0 = "):
+        PointSet([(bad, 0)])
+    ps = PointSet.from_coords([(0, 0), (4, 0), (0, 4)])
+    with pytest.raises(TypeError, match=rf"^edge 1 = \({re.escape(repr(bad))}, 2\) "):
+        GeometricGraph(ps, ((0, 1), (bad, 2)))
+    # The loop at edge 0 comes first in input order.
+    with pytest.raises(ValueError, match=r"^degenerate edge \(1, 1\)$"):
+        GeometricGraph(ps, ((1, 1), (0, bad)))
+
+
+def test_constructors_accept_bools_and_numpy_integers():
+    np = pytest.importorskip("numpy")
+    ps = PointSet.from_coords([(np.int64(0), False), (np.int32(4), 0), (0, np.uint8(4))])
+    assert ps.points == ((0, 0), (4, 0), (0, 4))
+    assert all(type(c) is int for p in ps.points for c in p)
+    g = GeometricGraph(ps, ((np.int64(2), True), (False, np.int16(1))))
+    assert g.edges == ((0, 1), (1, 2))
+    assert all(type(v) is int for e in g.edges for v in e)
+
+
 def test_point_on_open_segment():
     assert point_on_open_segment(P(1, 1), P(0, 0), P(2, 2))
     assert not point_on_open_segment(P(0, 0), P(0, 0), P(2, 2))

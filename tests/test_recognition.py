@@ -117,7 +117,7 @@ def test_too_many_edges_returned_without_crossing_graph():
     g = k_complete(ps)  # 45 > 6*10 - 18 = 42
     res = test_biplane(g)
     assert isinstance(res, TooManyEdges)
-    assert (res.n, res.m, res.cap) == (10, 45, 42)
+    assert res == TooManyEdges(10, 45, 42)
 
 
 def test_decomposition_deterministic_and_canonical():

@@ -2,15 +2,17 @@
 
 The state tracks two triangulations (red and blue) sharing the purple edges
 P = R intersect B.  Faces of the purple plane graph (S, P) are held in a
-parity union-find: flipping a purple edge merges its two faces, and the
-cross-face flip clause exchanges a face's red and blue chords by toggling
-one parity bit instead of relabeling chords.
+quick-find table over the face walks: each walk carries its face's label
+and a parity relative to it, and each label a flip bit.  Flipping a purple
+edge merges its two faces by relabeling the walks of the smaller-ranked
+one, and the cross-face flip clause exchanges a face's red and blue chords
+by toggling its label's flip bit instead of relabeling chords.
 
 The edges keep the numbers of the red triangulation's darts: edge k = (a, b),
 a < b, has dart 2k = a -> b and dart 2k + 1 = b -> a.  Per dart the state
 keeps, in flat lists, the face walk on its left and, in each color
 lineage, the apex of the triangle on its left and that triangle's other
-two darts; the parity bit of the walk's face says which lineage is
+two darts; the walk's parity in the face table says which lineage is
 currently red.  Per edge it keeps three flags: alive (still purple), hull,
 and settled.  The lists start as the two triangulations' own dart lists,
 so all flip tests are constant-time, and each flip touches only its
@@ -26,8 +28,8 @@ time.  Exchanging a face's chord colors changes no edge's flippability.
 
 The work queue is FIFO over edge ids.  Processing order does not affect
 maximality of the result, only which maximal graph is produced.  The loop
-evaluates a popped edge's clause once: one union-find lookup per side of
-the edge gives both that side's face and its parity, and the clause found
+evaluates a popped edge's clause once: two table reads per side of the
+edge give both that side's face and its parity, and the clause found
 is handed to the flip, with those faces and parities, instead of being
 tested again.  Each candidate quadrilateral costs two signed areas: the
 apexes of the two triangles at the edge lie strictly on either side of
@@ -70,7 +72,6 @@ from .triangulation import (
     face_turns,
     trace_face_walks,
 )
-from .unionfind import ParityDSU
 
 RED = 0
 BLUE = 1
@@ -86,7 +87,11 @@ class NotBiplaneError(ValueError):
 
 @_typed_eq
 class FlipRecord(NamedTuple):
-    """One flip: which edge, which clause fired, and what changed."""
+    """One flip: which edge, which clause fired, and what changed.
+
+    `merged_faces` are the labels of the faces left and right of the edge:
+    walk ids, picked at each earlier merge by union by rank.
+    """
 
     edge: Edge
     clause: str  # "red" | "blue" | "cross"
@@ -105,11 +110,17 @@ class MaximalState:
     purple dart d.  In each color lineage, `apex[lineage][d]` is the apex
     of the triangle left of d, and `nxt[lineage][d]` and
     `prv[lineage][d]` are its darts after and before d; where such a side
-    is a chord, its number is one that is not alive.  `alive` (still
-    purple; red chords never are), `hull` and `settled` (found
-    unflippable, and not re-enqueued since) are per-edge flags; `queue`
-    holds edge ids.  Numbers stay fixed: a flipped-away edge only loses
-    `alive`.
+    is a chord, its number is one that is not alive.  The purple faces are
+    a table over walk ids: `face[w]` is the label (itself a walk id) of
+    walk w's face and `face_par[w]` w's parity relative to it; per label,
+    `face_flip[f]` toggles the parity of the whole face and `face_rank[f]`
+    is its union-by-rank rank; `face_link[w]` is the next walk of w's
+    face, in one circle per face.  The parity of walk w is
+    `face_par[w] ^ face_flip[face[w]]`, and it says which lineage is red
+    there.  `alive` (still purple; red chords never are), `hull` and
+    `settled` (found unflippable, and not re-enqueued since) are per-edge
+    flags; `queue` holds edge ids.  Numbers stay fixed: a flipped-away
+    edge only loses `alive`.
     """
 
     points: PointSet
@@ -118,7 +129,11 @@ class MaximalState:
     alive: bytearray
     hull: bytearray
     settled: bytearray
-    faces: ParityDSU
+    face: list[int]
+    face_par: list[int]
+    face_flip: list[int]
+    face_rank: list[int]
+    face_link: list[int]
     walk: list[int]
     apex: tuple[list[int], list[int]]
     nxt: tuple[list[int], list[int]]
@@ -148,9 +163,10 @@ class MaximalState:
         """
         shared = sorted(self.purple)
         chords: tuple[list[Edge], list[Edge]] = ([], [])
-        color0, parity, anchor = self.chord_color0, self.faces.parity, self.chord_anchor
-        for e in anchor:
-            chords[color0[e] ^ parity(anchor[e])].append(e)
+        color0, anchor = self.chord_color0, self.chord_anchor
+        face, par, flip = self.face, self.face_par, self.face_flip
+        for e, w in anchor.items():
+            chords[color0[e] ^ par[w] ^ flip[face[w]]].append(e)
         return tuple(sorted(shared + chords[RED])), tuple(sorted(shared + chords[BLUE]))
 
 
@@ -263,24 +279,6 @@ def build_state(
         isolated = [v for v in range(n) if not touched[v]]
         for i, v in enumerate(isolated):
             iso[v] = len(walks) + i
-    faces = ParityDSU(len(walks) + len(isolated))
-
-    # A chord dart leaves its tail into the face of the purple dart whose
-    # turn in the chord's layer passed it, or into the tail's slot if no
-    # purple edge meets it.
-    blue_passed = face_turns(bnxt, alive)[1] if any(c[1] for c in chords) else []
-    chord_anchor: dict[Edge, int] = {}
-    chord_color0: dict[Edge, int] = {}
-    for e, layer, k in chords:
-        passed = blue_passed if layer else red_passed
-        anchors = [
-            walk[p] if p >= 0 else iso[v]
-            for p, v in ((passed[2 * k], e[0]), (passed[2 * k + 1], e[1]))
-        ]
-        faces.union(*anchors)
-        chord_anchor[e] = anchors[0]
-        chord_color0[e] = layer
-
     hull = bytearray(m)
     d = start = rapex.index(OUTER)
     while True:
@@ -291,23 +289,71 @@ def build_state(
     rank = [0] * m
     for i, k in enumerate(order):
         rank[k] = i
-    return MaximalState(
+    nw = len(walks) + len(isolated)
+    state = MaximalState(
         ps,
         head,
         rank,
         alive,
         hull,
         bytearray(m),
-        faces,
+        list(range(nw)),
+        [0] * nw,
+        [0] * nw,
+        [0] * nw,
+        list(range(nw)),
         walk,
         (rapex, bapex),
         (rnxt, bnxt),
         ([rnxt[c] for c in rnxt], [bnxt[c] for c in bnxt]),
-        chord_anchor,
-        chord_color0,
+        {},
+        {},
         [] if collect_trace else None,
         deque(k for k in order if not hull[k]),
     )
+
+    # A chord dart leaves its tail into the face of the purple dart whose
+    # turn in the chord's layer passed it, or into the tail's slot if no
+    # purple edge meets it.
+    blue_passed = face_turns(bnxt, alive)[1] if any(c[1] for c in chords) else []
+    face = state.face
+    for e, layer, k in chords:
+        passed = blue_passed if layer else red_passed
+        pu, pv = passed[2 * k], passed[2 * k + 1]
+        u = walk[pu] if pu >= 0 else iso[e[0]]
+        v = walk[pv] if pv >= 0 else iso[e[1]]
+        _merge_faces(state, face[u], face[v])
+        state.chord_anchor[e] = u
+        state.chord_color0[e] = layer
+    return state
+
+
+def _merge_faces(state: MaximalState, f: int, g: int) -> None:
+    """Merge the faces labeled f and g, keeping every walk's parity.
+
+    Union by rank picks the surviving label, f on a tie, so a face of rank
+    r has at least 2 ** r walks.  The other face's walks take the
+    survivor's label, and its circle of walks is spliced into the
+    survivor's.  A walk is relabeled only into a face of higher rank, so at
+    most log2 W times over a run on W walks.
+    """
+    if f == g:
+        return
+    rank = state.face_rank
+    if rank[f] < rank[g]:
+        f, g = g, f
+    elif rank[f] == rank[g]:
+        rank[f] += 1
+    face, par, link = state.face, state.face_par, state.face_link
+    x = state.face_flip[f] ^ state.face_flip[g]
+    w = g
+    while True:
+        face[w] = f
+        par[w] ^= x
+        w = link[w]
+        if w == g:
+            break
+    link[f], link[g] = link[g], link[f]
 
 
 def _clause(
@@ -315,22 +361,22 @@ def _clause(
 ) -> tuple[str, int, int, int, int, int] | None:
     """Which colorblind-flip clause applies to purple edge k, if any.
 
-    Returns (clause, side, root_l, par_l, root_r, par_r) or None.  The
+    Returns (clause, side, face_l, par_l, face_r, par_r) or None.  The
     clause and side are ("red", -1), ("blue", -1), or ("cross", side) where
     `side` is the side whose face holds the blue triangle of the convex pair
     (the face that gets recolored so the flip can run in the red layer).
-    The roots and parities are those of the faces left and right of the
-    edge as the flip will find them: under the cross clause the recolored
-    side's parity is already flipped.
+    The face labels and parities are those of the walks left and right of
+    the edge as the flip will find them: under the cross clause the
+    recolored side's parity is already flipped.
     """
-    # One find per side gives both the face root and its parity; the parity
-    # picks which lineage's apex is red.
-    faces = state.faces
+    # Each side's walk indexes its face label and parity; the parity picks
+    # which lineage's apex is red.
+    face, par, flip = state.face, state.face_par, state.face_flip
     d = 2 * k
-    root_l, par_l = faces.find(state.walk[d])
-    root_r, par_r = faces.find(state.walk[d + 1])
-    par_l ^= faces.flip[root_l]
-    par_r ^= faces.flip[root_r]
+    wl, wr = state.walk[d], state.walk[d + 1]
+    face_l, face_r = face[wl], face[wr]
+    par_l = par[wl] ^ flip[face_l]
+    par_r = par[wr] ^ flip[face_r]
     apex = state.apex
     pts = state.points.points
     ax, ay = pts[state.head[d + 1]]
@@ -346,19 +392,19 @@ def _clause(
     rrx, rry = pts[apex[par_r][d + 1]]
     ux, uy = rrx - rlx, rry - rly
     if ux * (ay - rly) - uy * (ax - rlx) < 0 < ux * (by - rly) - uy * (bx - rlx):
-        return ("red", -1, root_l, par_l, root_r, par_r)
+        return ("red", -1, face_l, par_l, face_r, par_r)
     blx, bly = pts[apex[par_l ^ 1][d]]
     brx, bry = pts[apex[par_r ^ 1][d + 1]]
     ux, uy = brx - blx, bry - bly
     if ux * (ay - bly) - uy * (ax - blx) < 0 < ux * (by - bly) - uy * (bx - blx):
-        return ("blue", -1, root_l, par_l, root_r, par_r)
-    if root_l != root_r:
+        return ("blue", -1, face_l, par_l, face_r, par_r)
+    if face_l != face_r:
         ux, uy = brx - rlx, bry - rly
         if ux * (ay - rly) - uy * (ax - rlx) < 0 < ux * (by - rly) - uy * (bx - rlx):
-            return ("cross", 1, root_l, par_l, root_r, par_r ^ 1)
+            return ("cross", 1, face_l, par_l, face_r, par_r ^ 1)
         ux, uy = rrx - blx, rry - bly
         if ux * (ay - bly) - uy * (ax - blx) < 0 < ux * (by - bly) - uy * (bx - blx):
-            return ("cross", 0, root_l, par_l ^ 1, root_r, par_r)
+            return ("cross", 0, face_l, par_l ^ 1, face_r, par_r)
     return None
 
 
@@ -372,9 +418,9 @@ def _flip(state: MaximalState, k: int, cl: tuple[str, int, int, int, int, int]) 
     triangles that contained the edge are re-enqueued (only their
     flippability can change) and lose their settled mark.
     """
-    faces = state.faces
     walk, apex, nxt, prv, alive = state.walk, state.apex, state.nxt, state.prv, state.alive
-    kind, side, root_l, par_l, root_r, par_r = cl
+    face, par, flip = state.face, state.face_par, state.face_flip
+    kind, side, face_l, par_l, face_r, par_r = cl
     head = state.head
     d = 2 * k
     e = (head[d + 1], head[d])
@@ -390,7 +436,7 @@ def _flip(state: MaximalState, k: int, cl: tuple[str, int, int, int, int, int]) 
     recolored: int | None = None
     if kind == "cross":
         recolored = walk[d + side]
-        faces.flip_component(root_r if side else root_l)
+        flip[face_r if side else face_l] ^= 1
         layer = RED
     else:
         layer = RED if kind == "red" else BLUE
@@ -402,10 +448,10 @@ def _flip(state: MaximalState, k: int, cl: tuple[str, int, int, int, int, int]) 
     if f in state.chord_anchor:
         raise GeometryError(f"flip target {f} already present")
 
-    # union() keeps every parity, so the left walk keeps par_l in the merged
-    # face.
+    # The merge keeps every walk's parity, so the left walk keeps par_l in
+    # the merged face.
     wl = walk[d]
-    faces.union(root_l, root_r)
+    _merge_faces(state, face_l, face_r)
     state.chord_anchor[e] = wl
     state.chord_color0[e] = (1 - layer) ^ par_l
     state.chord_anchor[f] = wl
@@ -426,7 +472,8 @@ def _flip(state: MaximalState, k: int, cl: tuple[str, int, int, int, int, int]) 
     ):
         if not alive[x >> 1]:
             continue  # rim edge is a chord; chords carry no apex storage
-        lineage = faces.parity(walk[x]) ^ layer
+        w = walk[x]
+        lineage = par[w] ^ flip[face[w]] ^ layer
         if apex[lineage][x] != old:
             raise GeometryError(f"apex bookkeeping mismatch at {edge(head[x], head[x ^ 1])}")
         apex[lineage][x] = new
@@ -441,7 +488,7 @@ def _flip(state: MaximalState, k: int, cl: tuple[str, int, int, int, int, int]) 
             settled[j] = 0
 
     if state.trace is not None:
-        state.trace.append(FlipRecord(e, kind, recolored, f, (root_l, root_r)))
+        state.trace.append(FlipRecord(e, kind, recolored, f, (face_l, face_r)))
 
 
 def certify_maximal(state: MaximalState) -> bool:

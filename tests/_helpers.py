@@ -10,6 +10,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cmp_to_key
 
+from biplanekit.analysis import maximality_oracle
 from biplanekit.augmentation import (
     BLUE,
     RED,
@@ -35,7 +36,13 @@ from biplanekit.geometry import (
 )
 from biplanekit.graphs import GeometricGraph
 from biplanekit.recognition import BiplaneDecomposition, crossing_pairs, test_biplane
-from biplanekit.triangulation import OUTER, GeometryError, Triangulation, face_turns
+from biplanekit.triangulation import (
+    OUTER,
+    GeometryError,
+    Triangulation,
+    enumerate_triangulations,
+    face_turns,
+)
 
 
 def dict_add_triangle(pts, left, u, v, w) -> None:
@@ -583,6 +590,20 @@ def brute_maximality_oracle(g: GeometricGraph) -> bool:
     return True
 
 
+def maximal_size_range(ps: PointSet) -> tuple[int, int]:
+    """Smallest and largest size of a maximal biplane graph on ps.
+
+    Every maximal biplane graph is the union of two triangulations, so the
+    distinct pairwise unions that pass maximality_oracle are all of them.
+    """
+    tris = [t.edge_set() for t in enumerate_triangulations(ps)]
+    unions = {a | b for i, a in enumerate(tris) for b in tris[i:]}
+    sizes = [
+        len(u) for u in unions if maximality_oracle(GeometricGraph(ps, tuple(sorted(u))))
+    ]
+    return min(sizes), max(sizes)
+
+
 def random_lattice_points(rng: random.Random, k: int, lo: int) -> PointSet:
     """At least lo distinct cells of the k x k lattice, as a RELAXED set.
 
@@ -817,18 +838,23 @@ def purple_dart(state: MaximalState, u: int, v: int) -> int:
     return 2 * purple_id(state, edge(u, v)) + (u > v)
 
 
+def parity_of(state: MaximalState, w: int) -> int:
+    """Parity of walk w: which lineage is red in its face."""
+    return state.face_par[w] ^ state.face_flip[state.face[w]]
+
+
 def eff_apex(state: MaximalState, e: Edge, side: int, layer: int) -> int:
     """Apex of the triangle in `layer` left (side 0) or right (side 1) of
     purple edge e, directed from e[0] to e[1]."""
     d = purple_dart(state, *e) ^ side
-    return state.apex[state.faces.parity(state.walk[d]) ^ layer][d]
+    return state.apex[parity_of(state, state.walk[d]) ^ layer][d]
 
 
 def face_of(state: MaximalState, e: Edge, side: int) -> int:
     """Purple face left (side 0) or right (side 1) of purple edge e,
     directed from e[0] to e[1]."""
     d = purple_dart(state, *e) ^ side
-    return state.faces.find(state.walk[d])[0]
+    return state.face[state.walk[d]]
 
 
 def flip_neighborhood(state: MaximalState, e: Edge) -> set[Edge]:
@@ -858,12 +884,9 @@ def reference_clause(state: MaximalState, k: int) -> tuple[str, int] | None:
     """The colorblind-flip clause of purple edge k by four signed areas per
     candidate quadrilateral: ("red", -1), ("blue", -1), ("cross", side) with
     `side` the side whose face is recolored, or None."""
-    faces = state.faces
     d = 2 * k
-    root_l, par_l = faces.find(state.walk[d])
-    root_r, par_r = faces.find(state.walk[d + 1])
-    par_l ^= faces.flip[root_l]
-    par_r ^= faces.flip[root_r]
+    wl, wr = state.walk[d], state.walk[d + 1]
+    par_l, par_r = parity_of(state, wl), parity_of(state, wr)
     apex = state.apex
     pts = state.points.points
     a, b = edge_of(state, k)
@@ -876,7 +899,7 @@ def reference_clause(state: MaximalState, k: int) -> tuple[str, int] | None:
     pbr = pts[apex[par_r ^ 1][d + 1]]
     if proper_cross(pa, pb, pbl, pbr):
         return ("blue", -1)
-    if root_l != root_r:
+    if state.face[wl] != state.face[wr]:
         if proper_cross(pa, pb, prl, pbr):
             return ("cross", 1)
         if proper_cross(pa, pb, pbl, prr):
@@ -896,19 +919,35 @@ def apply_flip(state: MaximalState, e: Edge) -> None:
 
 
 def purple_faces(state: MaximalState) -> dict[int, tuple[list[Edge], list[Edge]]]:
-    """Each bounded face of the purple graph, keyed by its union-find root,
-    with its red and blue chords."""
-    find = state.faces.find
+    """Each bounded face of the purple graph, keyed by its label, with its
+    red and blue chords."""
+    face = state.face
     hull = convex_hull(state.points)
     outer = face_of(state, (hull[0], hull[1]), 1)
     live = [state.walk[d] for d in range(len(state.walk)) if state.alive[d // 2]]
-    faces = {root: ([], []) for root in sorted({find(w)[0] for w in live})}
+    faces = {label: ([], []) for label in sorted({face[w] for w in live})}
     del faces[outer]
     for c in sorted(state.chord_anchor):
         anchor = state.chord_anchor[c]
-        color = state.chord_color0[c] ^ state.faces.parity(anchor)
-        faces.setdefault(find(anchor)[0], ([], []))[color].append(c)
+        color = state.chord_color0[c] ^ parity_of(state, anchor)
+        faces.setdefault(face[anchor], ([], []))[color].append(c)
     return faces
+
+
+def assert_face_table(state: MaximalState) -> None:
+    """Following face_link from each label visits exactly the walks that
+    carry that label, and a label of rank r has at least 2 ** r walks, so
+    no rank exceeds log2 of the walk count."""
+    face, link, rank = state.face, state.face_link, state.face_rank
+    members: dict[int, list[int]] = {}
+    for w, f in enumerate(face):
+        members.setdefault(f, []).append(w)
+    for f, walks in members.items():
+        circle = [f]
+        while link[circle[-1]] != f and len(circle) <= len(face):
+            circle.append(link[circle[-1]])
+        assert sorted(circle) == walks, (f, circle, walks)
+        assert 1 << rank[f] <= len(walks), (f, rank[f], len(walks))
 
 
 def assert_face_chords_bipartite(state: MaximalState) -> None:
@@ -948,11 +987,11 @@ def assert_flippability_ignores_face_exchanges(state: MaximalState) -> bool:
     for r in range(1, len(faces) + 1):
         for subset in itertools.combinations(faces, r):
             for f in subset:
-                state.faces.flip_component(f)
+                state.face_flip[f] ^= 1
             for p, verdict in baseline.items():
                 assert is_colorblind_flippable(state, p) == verdict
             for f in subset:
-                state.faces.flip_component(f)
+                state.face_flip[f] ^= 1
     return True
 
 

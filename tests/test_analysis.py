@@ -5,6 +5,7 @@ from _helpers import (
     brute_maximality_oracle,
     drop_edges_through_vertices,
     graph_is_connected_after_removal,
+    maximal_size_range,
     random_biplane_graph,
     random_lattice_points,
     random_strict_points,
@@ -19,8 +20,14 @@ from biplanekit.analysis import (
     vertex_connectivity,
 )
 from biplanekit.augmentation import maximal_augment
-from biplanekit.constructions import gen_arc_in_triangle, gen_convex, gen_grid, gen_hgon_with_arc
-from biplanekit.geometry import PointSet, Strictness
+from biplanekit.constructions import (
+    bounds,
+    gen_arc_in_triangle,
+    gen_convex,
+    gen_grid,
+    gen_hgon_with_arc,
+)
+from biplanekit.geometry import PointSet, Strictness, convex_hull
 from biplanekit.graphs import GeometricGraph
 from biplanekit.triangulation import complete_to_triangulation
 
@@ -230,6 +237,23 @@ def test_gap_reproducible_per_seed():
     a = find_maximal_gap(ps, trials=8, seed=99)
     b = find_maximal_gap(ps, trials=8, seed=99)
     assert a.sizes == b.sizes
+
+
+def test_maximal_sizes_lie_in_the_exact_range():
+    # The exact range comes from all triangulation pairs, independent of
+    # the augmentation; augmentation from any start and the gap search
+    # must land inside it.
+    rng = random.Random(24)
+    for n in (7, 7, 7, 8, 8, 8):
+        ps = random_strict_points(rng, n)
+        lo, hi = maximal_size_range(ps)
+        assert hi == brute_force_maximum(ps).maximum_edges
+        assert lo >= bounds(n, len(convex_hull(ps))).min_maximal
+        starts = [GeometricGraph(ps, ())]
+        starts += [random_biplane_graph(rng, ps, rng.randint(1, 2 * n)) for _ in range(4)]
+        sizes = [maximal_augment(g).graph.m for g in starts]
+        sizes += find_maximal_gap(ps, trials=8, seed=rng.randrange(1000)).sizes
+        assert all(lo <= m <= hi for m in sizes), (ps, lo, hi, sizes)
 
 
 # Two maximal biplane graphs of 22 and 23 edges on

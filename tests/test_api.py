@@ -57,7 +57,7 @@ def perfbench_run(monkeypatch):
 
 
 # Classes whose methods and fields are checked one by one.
-MEMBER_CHECKED = {"GeometricGraph", "MaximalState", "ParityDSU", "PointSet", "Triangulation"}
+MEMBER_CHECKED = {"GeometricGraph", "MaximalState", "PointSet", "Triangulation"}
 
 
 def names_in(nodes) -> set[str]:
@@ -229,7 +229,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     own = {m.removeprefix("biplanekit.") for m in package if m.startswith("biplanekit")}
     assert own == {
         "biplanekit", "analysis", "augmentation", "constructions", "fileio", "geometry",
-        "graphs", "recognition", "triangulation", "unionfind",
+        "graphs", "recognition", "triangulation",
     }
     assert {"biplanekit.cli", "biplanekit.svgrender"} <= loaded
     assert not {"dataclasses", "inspect"} & loaded

@@ -5,6 +5,7 @@ import pytest
 from _helpers import (
     apply_flip,
     assert_face_chords_bipartite,
+    assert_face_table,
     assert_flippability_ignores_face_exchanges,
     brute_angular_rotation,
     brute_face_walks,
@@ -346,7 +347,7 @@ def test_chord_walks_match_angular_sector_scan():
             far = passed[RED if e in red else BLUE].get(e[::-1])
             got = [state.chord_anchor[e], iso_anchor[e[1]] if far is None else walk[far]]
             assert got == want, (g.points, g.edges, e)
-            assert state.faces.find(got[0])[0] == state.faces.find(got[1])[0]
+            assert state.face[got[0]] == state.face[got[1]]
             chords += 1
             no_purple += any(v in iso_anchor for v in e)
             # Two different boundary walks of one purple face.
@@ -382,7 +383,7 @@ def test_exchanged_decomposition_is_still_two_triangulations():
     g = random_biplane_graph(rng, ps, 10)
     state = build_state(g)
     for f in purple_faces(state):
-        state.faces.flip_component(f)
+        state.face_flip[f] ^= 1
         for layer in state.layers():
             t = complete_to_triangulation(GeometricGraph(ps, layer))
             assert t.edge_count == len(layer)
@@ -548,6 +549,13 @@ def test_apexes_lie_strictly_on_their_side_of_every_purple_dart():
         state = build_state(g)
         check(state)
         drain(state, after_flip=lambda: check(state))
+
+
+def test_face_table_circles_match_labels_and_ranks_stay_logarithmic():
+    for g in loop_families():
+        state = build_state(g)
+        assert_face_table(state)
+        drain(state, after_flip=lambda: assert_face_table(state))
 
 
 def test_flip_loop_clause_calls_are_linear(monkeypatch):

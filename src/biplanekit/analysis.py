@@ -6,13 +6,14 @@ the crossing graph once, and each non-edge is tried by a parity check of
 the edges it crosses (non-edges through a vertex are skipped on relaxed
 point sets, found by one relaxed_edge_violations pass over all
 non-edges).  The crossings of one non-edge are found with recognition's
-exact kernel `_crossed`, the one that `crossing_graph` runs: a y-extent test,
-two signed areas against the non-edge's line per edge, and two more
-against the edge's stored line only when those do not already rule the
-crossing out.  On maximal random graphs a non-edge meets a clash after
-about 30 edges, so n = 200 (18,926 non-edges) takes about 0.5 s on a
-2-vCPU VM.  Maximum size is found by enumerating all triangulation
-pairs.  They exist to verify the fast algorithms on desk-scale instances.
+exact kernel `_crossed` over recognition's rows, which leave out the hull
+sides: a y-extent test, two signed areas against the non-edge's line per
+edge, and two more against the edge's stored line only when those do not
+already rule the crossing out.  On maximal random graphs a non-edge
+meets a clash after about 30 edges, so n = 200 (18,926 non-edges) takes
+about 0.5 s on a 2-vCPU VM.  Maximum size is found by enumerating all
+triangulation pairs.  They exist to verify the fast algorithms on
+desk-scale instances.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .graphs import GeometricGraph, relaxed_edge_violations
 from .recognition import (
     OddCycleWitness,
     TooManyEdges,
+    _crossable,
     _crossed,
     _edge_rows,
     _recognize,
@@ -164,7 +166,7 @@ def maximality_oracle(g: GeometricGraph) -> bool:
     if exceeds_edge_cap(g.n, g.m + 1):
         return True
     color, root = coloring
-    rows = _edge_rows(g, zip(root, color))
+    rows = _edge_rows(g, _crossable(g), list(zip(root, color)))
     # Longest edges first: they cross the most non-edges, so a clash is
     # found early, and the scan's length depends on the geometry alone,
     # not on how the vertices are labelled.

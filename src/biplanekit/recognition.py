@@ -2,22 +2,29 @@
 
 A geometric graph is biplane exactly when its segment crossing graph is
 bipartite.  Graphs with n >= 8 vertices and more than 6n - 18 edges are
-rejected outright; below that the crossing graph is built by pairwise
+rejected outright; below that the crossings are found by pairwise
 testing behind a bounding-box sweep, which is the right trade at desk
 scale.  Each pair whose boxes overlap costs two sign tests against a line
 precomputed per edge, and two more only if those do not already rule the
-crossing out; each crossing goes straight into both edges' adjacency lists.
-Recognizing a maximal graph on 500 points in convex position (745,502 such
-pairs, 123,753 crossings) takes about 0.25 s on a 2-vCPU VM.
+crossing out.  Recognition colors as it sweeps: each crossing goes
+straight into a quick-find parity table over edges, and the first
+crossing between two edges of one class and one color ends the sweep with
+an odd cycle.  No crossing is stored.  Edges joining consecutive hull
+vertices get no row, since no other edge can cross them.  Recognizing a
+maximal graph on 500 points in convex position (994 rows of 1,494 edges,
+493,521 box-overlapping pairs, 123,753 crossings) takes about 0.15 s on a
+2-vCPU VM.
 
-One kernel answers "which of these edges cross segment ab" for both
-callers: `_crossed` scans rows that each hold an edge's box, endpoints,
-line (`_edge_line`) and a payload.  `crossing_graph` scans each row's
-x-window with edge indices as payloads (`crossing_pairs` reads its pairs
-off those lists); the maximality oracle in `analysis` scans all rows with
-(component, color) payloads and shares the coloring with its component
-roots (`_recognize`), so it enumerates the crossings once.  A relaxed
-graph with a vertex inside an edge is rejected before any crossing test.
+One kernel answers "which of these edges cross segment ab" for every
+caller: `_crossed` scans rows that each hold an edge's box, endpoints,
+line (`_edge_line`) and a payload.  `_recognize` and `crossing_graph`
+scan each row's x-window with edge indices as payloads; `crossing_graph`
+keeps a row for every edge and fills adjacency lists, for
+`crossing_pairs` and the SVG renderer.  The maximality oracle in
+`analysis` scans all rows but the hull sides with (component, color)
+payloads, taken from `_recognize`, so it enumerates the crossings once.
+A relaxed graph with a vertex inside an edge is rejected before any
+crossing test.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from bisect import bisect_right
 from collections import deque
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
-from .geometry import Edge, _typed_eq, segments_cross
+from .geometry import Edge, _typed_eq, convex_hull, edge, segments_cross
 from .graphs import GeometricGraph, check_relaxed_edges
 
 
@@ -115,17 +122,42 @@ def _crossed(
             yield payload
 
 
-def _edge_rows(g: GeometricGraph, payloads: Iterable[Any]) -> list[tuple]:
-    """One `_crossed` row per edge of g, in edge order, with its payload."""
+def _edge_rows(
+    g: GeometricGraph, keep: Iterable[int], payloads: Sequence[Any]
+) -> list[tuple]:
+    """One `_crossed` row for each edge index i in keep, with payloads[i]."""
     pts = g.points.points
+    edges = g.edges
     rows = []
-    for (a, b), payload in zip(g.edges, payloads):
+    for i in keep:
+        a, b = edges[i]
         (xa, ya), (xb, yb) = pts[a], pts[b]
         xlo, xhi = (xa, xb) if xa < xb else (xb, xa)
         ylo, yhi = (ya, yb) if ya < yb else (yb, ya)
         line = _edge_line(xa, ya, xb, yb)
-        rows.append((xlo, xhi, ylo, yhi, xa, ya, xb, yb, *line, payload))
+        rows.append((xlo, xhi, ylo, yhi, xa, ya, xb, yb, *line, payloads[i]))
     return rows
+
+
+def _crossable(g: GeometricGraph) -> Sequence[int]:
+    """Indices of the edges of g that another edge of g may cross, in order.
+
+    An edge joining two consecutive vertices of the weak convex hull holds
+    no point of S and has every point of S on one side, so only a segment
+    along it that runs through one of its ends can cross it.  Such a
+    segment is no edge once check_relaxed_edges has passed, so callers run
+    that check first.  A graph with no edges skips the hull, which would
+    cost more than it saves; a hull that convex_hull rejects (n < 3, all
+    points collinear) keeps every edge.
+    """
+    if g.m == 0:
+        return ()
+    try:
+        hull = convex_hull(g.points)
+    except ValueError:
+        return range(g.m)
+    sides = {edge(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
+    return [i for i, e in enumerate(g.edges) if e not in sides]
 
 
 def crossing_graph(g: GeometricGraph) -> list[list[int]]:
@@ -136,7 +168,7 @@ def crossing_graph(g: GeometricGraph) -> list[list[int]]:
     rows whose left end lies within its own x-extent, and each crossing
     is appended to both edges' lists.  Worst case stays quadratic.
     """
-    rows = _edge_rows(g, range(g.m))
+    rows = _edge_rows(g, range(g.m), range(g.m))
     rows.sort()
     xlos = [r[0] for r in rows]
     adj: list[list[int]] = [[] for _ in range(g.m)]
@@ -161,46 +193,98 @@ def crossing_pairs(g: GeometricGraph) -> list[tuple[int, int]]:
 def _recognize(
     g: GeometricGraph,
 ) -> tuple[list[int], list[int]] | OddCycleWitness | TooManyEdges:
-    """Two-color g's crossing graph by BFS in edge index order.
+    """Two-color g's crossing graph while sweeping for its crossings.
 
-    Returns (color, root): edge i's color, 0 or 1, and the edge whose BFS
-    reached it, the lowest-index edge of its crossing-graph component,
-    which has color 0.  An odd cycle or the edge cap stops it instead.
-    Raises ValueError on a relaxed graph with a vertex inside an edge.
+    Returns (color, root): edge i's color, 0 or 1, and the lowest-index
+    edge of its crossing-graph component, which has color 0.  An odd
+    cycle or the edge cap stops it instead.  Raises ValueError on a
+    relaxed graph with a vertex inside an edge.
+
+    The sweep is `crossing_graph`'s over the `_crossable` edges.  Each
+    crossing (i, j) goes straight into a quick-find parity table: per edge
+    its class label and its parity relative to the label, per label its
+    size, and a `link` circle through each class.  Edges of different
+    classes merge, the smaller class taking the other's label, and (i, j)
+    joins the spanning forest; edges of one class and one parity close an
+    odd cycle through that forest, and the sweep stops.
     """
     check_relaxed_edges(g)
     n, m = g.n, g.m
     if exceeds_edge_cap(n, m):
         return TooManyEdges(n, m, biplane_edge_cap(n))
-    adj = crossing_graph(g)
-    color = [-1] * m
-    parent = [-1] * m
-    root = [-1] * m
-    for r in range(m):
-        if color[r] != -1:
-            continue
-        color[r] = 0
-        root[r] = r
-        queue = deque([r])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
-                    parent[v] = u
-                    root[v] = r
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return OddCycleWitness(_odd_cycle(g, parent, u, v))
-    return color, root
+    rows = _edge_rows(g, _crossable(g), range(m))
+    rows.sort()
+    xlos = [r[0] for r in rows]
+    label = list(range(m))
+    par = [0] * m
+    size = [1] * m
+    link = list(range(m))
+    forest: list[tuple[int, int]] = []
+    for p, (_, xhi, _, _, xa, ya, xb, yb, _, _, _, i) in enumerate(rows):
+        for j in _crossed(rows, p + 1, bisect_right(xlos, xhi, p + 1), xa, ya, xb, yb):
+            # A merge can relabel i itself, so its label is read afresh.
+            f, h = label[i], label[j]
+            if f != h:
+                forest.append((i, j))
+                x = par[i] ^ par[j] ^ 1
+                if size[f] < size[h]:
+                    f, h = h, f
+                size[f] += size[h]
+                w = h
+                while True:
+                    label[w] = f
+                    par[w] ^= x
+                    w = link[w]
+                    if w == h:
+                        break
+                link[f], link[h] = link[h], link[f]
+            elif par[i] == par[j]:
+                return OddCycleWitness(_forest_cycle(g, forest, i, j))
+    # Colors relative to each class's lowest-index edge, its root.
+    first = [-1] * m
+    root = [0] * m
+    for i, f in enumerate(label):
+        if first[f] == -1:
+            first[f] = i
+        root[i] = first[f]
+    return [p ^ par[r] for p, r in zip(par, root)], root
+
+
+def _forest_cycle(
+    g: GeometricGraph, forest: list[tuple[int, int]], i: int, j: int
+) -> tuple[Edge, ...]:
+    """Close the forest path from j to i, two edges of one color, by the arc ij.
+
+    Colors alternate along the path, so it has an even number of arcs and
+    the cycle an odd number of edges.
+    """
+    adj: dict[int, list[int]] = {}
+    for u, v in forest:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    parent = {i: i}
+    queue = deque([i])
+    while j not in parent:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    nodes = [j]
+    while nodes[-1] != i:
+        nodes.append(parent[nodes[-1]])
+    assert len(nodes) % 2 == 1 and len(nodes) >= 3
+    return tuple(g.edges[k] for k in nodes)
 
 
 def test_biplane(g: GeometricGraph) -> BiplaneResult:
     """Decide biplanarity.
 
     Returns a BiplaneDecomposition, an OddCycleWitness, or TooManyEdges.
-    Deterministic: BFS two-coloring in edge index order, and within each
-    crossing-graph component the lowest-index edge lands in layer1.
+    Deterministic: within each crossing-graph component the lowest-index
+    edge lands in layer1.  The witness is the first odd cycle the sweep
+    closes: the crossing of two edges that are already joined, with one
+    color, by a path of earlier crossings, followed by that path.
     Raises ValueError, naming the edge and the vertex, on a relaxed graph
     with a vertex inside an edge.
     """
@@ -216,19 +300,3 @@ def test_biplane(g: GeometricGraph) -> BiplaneResult:
 # Keep pytest from collecting the library function as a test.
 test_biplane.__test__ = False  # type: ignore[attr-defined]
 
-
-def _odd_cycle(
-    g: GeometricGraph, parent: list[int], u: int, v: int
-) -> tuple[Edge, ...]:
-    """Close the BFS tree paths of u and v (same color) with the arc uv."""
-    path_u = [u]
-    while parent[path_u[-1]] != -1:
-        path_u.append(parent[path_u[-1]])
-    on_u = {node: i for i, node in enumerate(path_u)}
-    path_v = [v]
-    while path_v[-1] not in on_u:
-        path_v.append(parent[path_v[-1]])
-    lca = path_v[-1]
-    nodes = path_u[: on_u[lca] + 1] + path_v[-2::-1]
-    assert len(nodes) % 2 == 1 and len(nodes) >= 3
-    return tuple(g.edges[i] for i in nodes)

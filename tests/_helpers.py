@@ -34,8 +34,17 @@ from biplanekit.geometry import (
     segments_cross,
     validate,
 )
-from biplanekit.graphs import GeometricGraph
-from biplanekit.recognition import BiplaneDecomposition, crossing_pairs, test_biplane
+from biplanekit.graphs import GeometricGraph, check_relaxed_edges
+from biplanekit.recognition import (
+    BiplaneDecomposition,
+    OddCycleWitness,
+    TooManyEdges,
+    biplane_edge_cap,
+    crossing_graph,
+    crossing_pairs,
+    exceeds_edge_cap,
+    test_biplane,
+)
 from biplanekit.triangulation import (
     OUTER,
     GeometryError,
@@ -445,6 +454,57 @@ def brute_crossing_adjacency(g: GeometricGraph) -> list[list[int]]:
                 adj[i].append(j)
                 adj[j].append(i)
     return adj
+
+
+def reference_recognize(
+    g: GeometricGraph,
+) -> tuple[list[int], list[int]] | OddCycleWitness | TooManyEdges:
+    """Reference recognition: the whole crossing graph, then a BFS.
+
+    `crossing_graph`'s adjacency lists over every edge, hull sides
+    included, then a BFS two-coloring in edge index order.  Returns
+    (color, root) as `recognition._recognize` does, or an odd cycle that
+    closes the BFS tree paths of two same-colored crossing edges.
+    """
+    check_relaxed_edges(g)
+    n, m = g.n, g.m
+    if exceeds_edge_cap(n, m):
+        return TooManyEdges(n, m, biplane_edge_cap(n))
+    adj = crossing_graph(g)
+    color = [-1] * m
+    parent = [-1] * m
+    root = [-1] * m
+    for r in range(m):
+        if color[r] != -1:
+            continue
+        color[r] = 0
+        root[r] = r
+        queue = deque([r])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if color[v] == -1:
+                    color[v] = color[u] ^ 1
+                    parent[v] = u
+                    root[v] = r
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    return OddCycleWitness(_bfs_odd_cycle(g, parent, u, v))
+    return color, root
+
+
+def _bfs_odd_cycle(g: GeometricGraph, parent: list[int], u: int, v: int) -> tuple[Edge, ...]:
+    """Close the BFS tree paths of u and v (same color) with the arc uv."""
+    path_u = [u]
+    while parent[path_u[-1]] != -1:
+        path_u.append(parent[path_u[-1]])
+    on_u = {node: i for i, node in enumerate(path_u)}
+    path_v = [v]
+    while path_v[-1] not in on_u:
+        path_v.append(parent[path_v[-1]])
+    lca = path_v[-1]
+    nodes = path_u[: on_u[lca] + 1] + path_v[-2::-1]
+    return tuple(g.edges[i] for i in nodes)
 
 
 def layer_is_plane(g: GeometricGraph, layer) -> bool:

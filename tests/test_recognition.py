@@ -6,24 +6,30 @@ from _helpers import (
     brute_crossing_adjacency,
     brute_crossing_pairs,
     crossing_adjacency_is_bipartite,
+    drop_edges_through_vertices,
     layer_is_plane,
     point_on_open_segment,
+    random_biplane_graph,
     random_edge_subset_graph,
+    random_lattice_points,
     random_strict_points,
+    reference_recognize,
     witness_cycle_is_valid,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biplanekit import recognition
+from biplanekit import analysis, recognition
 from biplanekit.analysis import maximality_oracle
 from biplanekit.augmentation import maximal_augment
-from biplanekit.constructions import gen_convex
+from biplanekit.constructions import gen_convex, gen_grid
 from biplanekit.geometry import (
     Point,
     PointSet,
     Strictness,
+    convex_hull,
     cross,
+    edge,
     segments_cross,
 )
 from biplanekit.graphs import GeometricGraph
@@ -33,6 +39,7 @@ from biplanekit.recognition import (
     TooManyEdges,
     _crossed,
     _edge_line,
+    _recognize,
     crossing_graph,
     crossing_pairs,
     exceeds_edge_cap,
@@ -223,8 +230,8 @@ def _with_first_non_edge(g: GeometricGraph) -> GeometricGraph:
 
 
 def test_recognition_never_builds_the_pair_list(monkeypatch):
-    # test_biplane and the maximality oracle read the crossings straight off
-    # crossing_graph's adjacency lists.
+    # test_biplane and the maximality oracle color the crossings as the
+    # sweep finds them; neither the pair list nor the adjacency lists exist.
     convex = maximal_augment(GeometricGraph(gen_convex(60), ())).graph
     chorded = _with_first_non_edge(convex)
     ps = random_strict_points(random.Random(3), 40)
@@ -237,9 +244,123 @@ def test_recognition_never_builds_the_pair_list(monkeypatch):
     def no_pair_list(g):
         raise AssertionError("recognition built the crossing pair list")
 
+    def no_adjacency(g):
+        raise AssertionError("recognition built the crossing adjacency lists")
+
     monkeypatch.setattr(recognition, "crossing_pairs", no_pair_list)
+    monkeypatch.setattr(recognition, "crossing_graph", no_adjacency)
     got = (test_biplane(convex), test_biplane(chorded), maximality_oracle(maximal))
     assert got == want
+
+
+def _hull_sides(ps: PointSet) -> set[tuple[int, int]]:
+    hull = convex_hull(ps)
+    return {edge(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
+
+
+def test_hull_sides_get_no_kernel_row(monkeypatch):
+    # Recognition scans one x-window per edge that is not a hull side, and
+    # stops at the first odd cycle; the oracle scans every such edge, and
+    # no hull side, for each non-edge.
+    ps = gen_convex(60)
+    convex = maximal_augment(GeometricGraph(ps, ())).graph
+    inner = len([e for e in convex.edges if e not in _hull_sides(ps)])
+    assert (convex.m, inner) == (174, 114)
+    calls = []
+
+    def counted(rows, lo, hi, *segment):
+        calls.append(hi - lo)
+        return _crossed(rows, lo, hi, *segment)
+
+    monkeypatch.setattr(recognition, "_crossed", counted)
+    assert isinstance(test_biplane(convex), BiplaneDecomposition)
+    assert len(calls) == inner
+    calls.clear()
+    assert isinstance(test_biplane(_with_first_non_edge(convex)), OddCycleWitness)
+    assert 0 < len(calls) < inner
+    monkeypatch.undo()
+    monkeypatch.setattr(analysis, "_crossed", counted)
+    rng = random.Random(4)
+    for ps in (random_strict_points(rng, 30), random_lattice_points(rng, 6, 20)):
+        maximal = maximal_augment(GeometricGraph(ps, ())).graph
+        inner = len([e for e in maximal.edges if e not in _hull_sides(ps)])
+        calls.clear()
+        assert maximality_oracle(maximal) is True
+        assert calls and set(calls) == {inner} and inner < maximal.m
+
+
+def test_hull_rule_needs_edges_and_a_hull(monkeypatch):
+    # An empty graph computes no hull (at n = 4000 it would cost more than
+    # the rest of its recognition); where convex_hull rejects the points,
+    # every edge keeps its row.
+    def no_hull(ps):
+        raise AssertionError("recognition computed a hull for an empty graph")
+
+    monkeypatch.setattr(recognition, "convex_hull", no_hull)
+    empty = GeometricGraph(random_strict_points(random.Random(5), 50), ())
+    assert test_biplane(empty) == BiplaneDecomposition((), ())
+    monkeypatch.undo()
+    line = PointSet.from_coords([(0, 0), (1, 0), (2, 0), (3, 0)], Strictness.RELAXED)
+    pair = PointSet.from_coords([(0, 0), (1, 1)])
+    for g in (GeometricGraph(line, ((0, 1), (1, 2), (2, 3))), GeometricGraph(pair, ((0, 1),))):
+        with pytest.raises(ValueError):
+            convex_hull(g.points)
+        assert list(recognition._crossable(g)) == list(range(g.m))
+        assert test_biplane(g) == BiplaneDecomposition(g.edges, ())
+
+
+def _lattice_graph_with_hull_sides(rng: random.Random) -> GeometricGraph:
+    # A random biplane graph on lattice cells plus every side of their weak
+    # hull, without edges through vertices; the hull sides cross nothing.
+    ps = random_lattice_points(rng, rng.randint(3, 6), 4)
+    g = random_biplane_graph(rng, ps, rng.randint(1, 3 * len(ps)))
+    g = GeometricGraph(ps, tuple(sorted(set(g.edges) | _hull_sides(ps))))
+    return drop_edges_through_vertices(g)
+
+
+def _hull_side_holds_a_point(ps: PointSet) -> bool:
+    hull = convex_hull(ps)
+    pts = [ps.points[v] for v in hull]
+    return any(cross(pts[k - 2], pts[k - 1], pts[k]) == 0 for k in range(len(pts)))
+
+
+def test_recognition_matches_the_bfs_reference():
+    # The sweep's coloring against crossing_graph plus BFS: the same
+    # verdict, the same (color, root) and decomposition, and an odd cycle
+    # of distinct edges whenever the reference finds one.
+    rng = random.Random(20)
+    graphs = []
+    for _ in range(60):
+        ps = random_strict_points(rng, rng.randint(3, 12))
+        graphs.append(random_edge_subset_graph(rng, ps))
+        graphs.append(random_biplane_graph(rng, ps, rng.randint(1, 4 * len(ps))))
+    lattice = [_lattice_graph_with_hull_sides(rng) for _ in range(80)]
+    # Some hull sides hold a point between two corners, and the graphs
+    # keep the weak hull's sides on either side of it.
+    assert any(_hull_side_holds_a_point(g.points) for g in lattice)
+    graphs += lattice
+    graphs += [gen_grid(k).graph for k in (5, 6, 9)]
+    for n in (8, 21, 60):
+        maximal = maximal_augment(GeometricGraph(gen_convex(n), ())).graph
+        graphs += [maximal, _with_first_non_edge(maximal)]
+    kinds = set()
+    for g in graphs:
+        want = reference_recognize(g)
+        got = _recognize(g)
+        assert type(got) is type(want)
+        kinds.add(type(got).__name__)
+        if isinstance(want, OddCycleWitness):
+            assert witness_cycle_is_valid(g, got.cycle)
+            assert len(set(got.cycle)) == len(got.cycle)
+        else:
+            assert got == want
+        if type(want) is tuple:
+            color = want[0]
+            assert test_biplane(g) == BiplaneDecomposition(
+                tuple(e for e, c in zip(g.edges, color) if c == 0),
+                tuple(e for e, c in zip(g.edges, color) if c == 1),
+            )
+    assert kinds == {"tuple", "OddCycleWitness", "TooManyEdges"}
 
 
 def test_oracle_row_test_matches_segments_cross():

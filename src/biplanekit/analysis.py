@@ -11,8 +11,9 @@ sides: a y-extent test, two signed areas against the non-edge's line per
 edge, and two more against the edge's stored line only when those do not
 already rule the crossing out.  On maximal random graphs a non-edge
 meets a clash after about 30 edges, so n = 200 (18,926 non-edges) takes
-about 0.5 s on a 2-vCPU VM.  Maximum size is found by enumerating all
-triangulation pairs.  They exist to verify the fast algorithms on
+about 0.5 s on a 2-vCPU VM.  Maximum size is the largest union of two
+triangulations, each a bitmask over the segments, so every pair costs one
+OR and a bit count.  They exist to verify the fast algorithms on
 desk-scale instances.
 """
 
@@ -34,7 +35,7 @@ from .recognition import (
     _recognize,
     exceeds_edge_cap,
 )
-from .triangulation import enumerate_triangulations
+from .triangulation import _triangulation_masks
 
 
 @_typed_eq
@@ -209,31 +210,15 @@ def brute_force_maximum(ps: PointSet, cap: int = 9) -> OracleResult:
     Every maximal (hence every maximum) biplane graph is a union of two
     triangulations, so maximizing |E1 union E2| over all pairs is exact.
     """
-    tris = enumerate_triangulations(ps, cap=cap)
-    universe: dict[Edge, int] = {}
-    masks = []
-    edge_lists = []
-    for t in tris:
-        es = t.sorted_edges()
-        mask = 0
-        for e in es:
-            bit = universe.setdefault(e, len(universe))
-            mask |= 1 << bit
-        masks.append(mask)
-        edge_lists.append(es)
-    best = -1
-    best_pair = (0, 0)
-    k = len(masks)
-    for i in range(k):
-        mi = masks[i]
-        for j in range(i, k):
-            size = (mi | masks[j]).bit_count()
+    segments, _, masks, _ = _triangulation_masks(ps, cap)
+    best, union = -1, 0
+    for i, mi in enumerate(masks):
+        for mj in masks[i:]:
+            size = (mi | mj).bit_count()
             if size > best:
-                best = size
-                best_pair = (i, j)
-    i, j = best_pair
-    union_edges = tuple(sorted(set(edge_lists[i]) | set(edge_lists[j])))
-    return OracleResult(best, GeometricGraph(ps, union_edges), k)
+                best, union = size, mi | mj
+    edges = tuple(e for k, e in enumerate(segments) if union >> k & 1)
+    return OracleResult(best, GeometricGraph(ps, edges), len(masks))
 
 
 @_typed_eq

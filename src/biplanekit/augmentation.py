@@ -381,13 +381,13 @@ def _clause(
     pts = state.points.points
     ax, ay = pts[state.head[d + 1]]
     bx, by = pts[state.head[d]]
-    # Each test is geometry.line_separates(l, r, a, b) for an apex l left of
-    # a -> b and an apex r right of it, written out because the flip loop
-    # runs it once per candidate quadrilateral.  Both triangles are
-    # non-degenerate, so l is strictly left and r strictly right, and the
-    # open segments ab and lr cross iff the line l -> r separates a from b.
-    # Then cross(l, r, b) - cross(l, r, a) > 0, so a separating line has a
-    # on its right and b on its left.
+    # Each test asks whether the line through an apex l left of a -> b and
+    # an apex r right of it separates a from b, in two signed areas written
+    # out because the flip loop runs it once per candidate quadrilateral.
+    # Both triangles are non-degenerate, so l is strictly left and r
+    # strictly right, and the open segments ab and lr cross iff the line
+    # l -> r separates a from b.  Then cross(l, r, b) - cross(l, r, a) > 0,
+    # so a separating line has a on its right and b on its left.
     rlx, rly = pts[apex[par_l][d]]
     rrx, rry = pts[apex[par_r][d + 1]]
     ux, uy = rrx - rlx, rry - rly

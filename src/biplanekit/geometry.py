@@ -75,17 +75,6 @@ def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     return False
 
 
-def line_separates(l: Point, r: Point, a: Point, b: Point) -> bool:
-    """Are a and b strictly on opposite sides of the line through l and r?
-
-    With l strictly left of a -> b and r strictly right of it, as the apexes
-    of the two triangles at an edge ab of a triangulation are, this says
-    whether the open segments ab and lr cross: whether ab can be flipped.
-    """
-    sa, sb = cross(l, r, a), cross(l, r, b)
-    return (sa < 0 < sb) or (sb < 0 < sa)
-
-
 def point_in_triangle_strict(p: Point, a: Point, b: Point, c: Point) -> bool:
     """Is p strictly inside triangle abc (either orientation)?"""
     s1 = cross(a, b, p)

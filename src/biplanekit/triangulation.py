@@ -1,4 +1,4 @@
-"""Plane triangulations over numbered darts, with exact integer flips.
+"""Plane triangulations over numbered darts.
 
 Representation: edge k owns two darts (directed edges), 2k from its lower
 vertex to its higher one and 2k + 1 back, so `d ^ 1` is the other dart of
@@ -11,8 +11,8 @@ This is a half-edge map (Guibas and Stolfi, "Primitives for the
 manipulation of general subdivisions", ACM TOG 4, 1985): the triangle on
 a given side of an edge is one lookup, and so is a vertex's next
 neighbour, since `nxt[d ^ 1]` is the dart after d clockwise around d's
-tail.  Only building a triangle tests an orientation; reading, walking
-and flipping the map test none.
+tail.  Only building a triangle tests an orientation; reading and
+walking the map test none.
 
 Completion of a plane graph to a triangulation runs in two deterministic
 stages: a lexicographic sweep triangulates the bare point set, keeping the
@@ -42,12 +42,10 @@ vertex into the face, so all turns together place every dart in O(darts).
 
 from __future__ import annotations
 
-from collections import deque
-from enum import Enum
 from typing import Iterable, Sequence
 
-from .geometry import Edge, Point, PointSet, cross, edge, line_separates
-from .graphs import GeometricGraph
+from .geometry import Edge, Point, PointSet, cross, edge, segments_cross
+from .graphs import GeometricGraph, relaxed_edge_violations
 from .recognition import crossing_pairs
 
 OUTER = -1  # apex of a dart whose left side is the outer face
@@ -69,13 +67,6 @@ class NotPlaneError(ValueError):
         self.pair = pair
 
 
-class FlipStatus(Enum):
-    FLIPPABLE = "flippable"
-    NOT_AN_EDGE = "not-an-edge"
-    HULL_EDGE = "hull-edge"
-    NOT_CONVEX = "not-convex"
-
-
 def _set_triangle(
     head: list[int], apex: list[int], nxt: list[int], x: int, y: int, z: int
 ) -> None:
@@ -89,11 +80,11 @@ def _set_triangle(
 
 
 class Triangulation:
-    """Value-style triangulation; flip() returns a new object.
+    """Value-style triangulation.
 
     `head`, `apex`, `nxt` and `out` are the lists described in the module
     docstring.  Instances are not thread-shared during mutation; finished
-    values are safe to share.  Hull edges refuse to flip.
+    values are safe to share.
     """
 
     __slots__ = ("points", "head", "apex", "nxt", "out", "boundary")
@@ -144,46 +135,6 @@ class Triangulation:
             if d == start:
                 return -1
         return d
-
-    def flip_status(self, e: Edge) -> FlipStatus:
-        a, b = e
-        d = self.dart(a, b)
-        if d < 0:
-            return FlipStatus.NOT_AN_EDGE
-        l, r = self.apex[d], self.apex[d ^ 1]
-        if l == OUTER or r == OUTER:
-            return FlipStatus.HULL_EDGE
-        pts = self.points.points
-        if line_separates(pts[l], pts[r], pts[a], pts[b]):
-            return FlipStatus.FLIPPABLE
-        return FlipStatus.NOT_CONVEX
-
-    def is_flippable(self, e: Edge) -> bool:
-        return self.flip_status(e) is FlipStatus.FLIPPABLE
-
-    def flip(self, e: Edge) -> "Triangulation":
-        status = self.flip_status(e)
-        if status is not FlipStatus.FLIPPABLE:
-            raise ValueError(f"edge {e} is not flippable: {status.value}")
-        t = self.copy()
-        head, apex, nxt, out = t.head, t.apex, t.nxt, t.out
-        d = self.dart(*e)
-        a, b, l, r = head[d ^ 1], head[d], apex[d], apex[d ^ 1]
-        #           b                     b
-        #         / | \                 /   \
-        #        l  |  r     ->        l-----r
-        #         \ | /                 \   /
-        #           a                     a
-        # The edge keeps its number; its dart r -> l takes triangle a, r, l
-        # and its dart l -> r triangle r, b, l.
-        bl, la = nxt[d], nxt[nxt[d]]
-        ar, rb = nxt[d ^ 1], nxt[nxt[d ^ 1]]
-        rl = (d & ~1) | (r > l)
-        head[rl], head[rl ^ 1] = l, r
-        _set_triangle(head, apex, nxt, ar, rl, la)
-        _set_triangle(head, apex, nxt, rb, bl, rl ^ 1)
-        out[a], out[b] = ar, bl
-        return t
 
 
 # ---------------------------------------------------------------------------
@@ -523,25 +474,73 @@ def complete_layers(
     return out
 
 
-def enumerate_triangulations(ps: PointSet, cap: int = 9) -> list[Triangulation]:
-    """All triangulations of ps, by breadth-first search over edge flips."""
+def _triangulation_masks(
+    ps: PointSet, cap: int
+) -> tuple[list[Edge], list[int], list[int], list[int]]:
+    """All triangulations of ps as bit masks, by breadth-first search over
+    edge flips, which reaches them all (Lawson, Discrete Math. 3, 1972).
+
+    Returns (segments, crossing, masks, parents).  Bit k of a mask stands
+    for segments[k], and the segments are the point pairs with no point
+    inside them, in sorted order.  crossing[k] masks the segments that
+    cross segment k, collinear overlaps included.  masks[0] is the
+    completion of the bare points, and masks[j + 1] was flipped from
+    masks[parents[j]].  The edges of each triangulation T are tried in
+    sorted order; edge e flips to the segment that crosses e and no other
+    edge of T.  Raises ValueError when ps has more than `cap` points.
+    """
     if len(ps) > cap:
         raise ValueError(f"point set size {len(ps)} exceeds cap {cap}")
     start = complete_to_triangulation(ps)
-    seen = {start.edge_set()}
-    out = [start]
-    queue = deque([start])
-    while queue:
-        t = queue.popleft()
-        for e in t.sorted_edges():
-            if t.is_flippable(e):
-                t2 = t.flip(e)
-                key = t2.edge_set()
-                if key not in seen:
-                    seen.add(key)
-                    out.append(t2)
-                    queue.append(t2)
-    return out
+    pts = ps.points
+    pairs = [(a, b) for a in range(len(pts)) for b in range(a + 1, len(pts))]
+    inside = {e for _, e in relaxed_edge_violations(GeometricGraph(ps, pairs))}
+    segments = [e for e in pairs if e not in inside]
+    crossing = [0] * len(segments)
+    for i, (a, b) in enumerate(segments):
+        for j, (c, d) in enumerate(segments[:i]):
+            if segments_cross(pts[a], pts[b], pts[c], pts[d]):
+                crossing[i] |= 1 << j
+                crossing[j] |= 1 << i
+    crossers = [
+        [(1 << j, crossing[j]) for j in range(len(crossing)) if c >> j & 1] for c in crossing
+    ]
+    bit = {e: 1 << k for k, e in enumerate(segments)}
+    masks = [sum(bit[e] for e in start.edge_set())]
+    parents: list[int] = []
+    seen = set(masks)
+    for i, t in enumerate(masks):  # masks grows as the search finds triangulations
+        rest = t
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for f, across in crossers[low.bit_length() - 1]:
+                if across & t == low:
+                    t2 = t ^ low | f
+                    if t2 not in seen:
+                        seen.add(t2)
+                        masks.append(t2)
+                        parents.append(i)
+                    break
+    return segments, crossing, masks, parents
+
+
+def enumerate_triangulations(ps: PointSet, cap: int = 9) -> list[Triangulation]:
+    """All triangulations of ps, in the order of `_triangulation_masks`:
+    each later one is a copy of the one it was flipped from, with its new
+    edge inserted as a constraint that crosses only the edge it replaces."""
+    segments, _, masks, parents = _triangulation_masks(ps, cap)
+    pts = ps.points
+    tris = [complete_to_triangulation(ps)]
+    for m, i in zip(masks[1:], parents):
+        t = tris[i].copy()
+        deg = [0] * len(pts)
+        for v in t.head:
+            deg[v] += 1
+        a, b = segments[(m & ~masks[i]).bit_length() - 1]
+        _insert_constraint(pts, t, deg, a, b)
+        tris.append(t)
+    return tris
 
 
 # ---------------------------------------------------------------------------

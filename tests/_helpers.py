@@ -7,10 +7,10 @@ import itertools
 import math
 import random
 from collections import deque
+from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
 
-from biplanekit.analysis import maximality_oracle
 from biplanekit.augmentation import (
     BLUE,
     RED,
@@ -49,7 +49,9 @@ from biplanekit.triangulation import (
     OUTER,
     GeometryError,
     Triangulation,
-    enumerate_triangulations,
+    _set_triangle,
+    _triangulation_masks,
+    complete_to_triangulation,
     face_turns,
 )
 
@@ -306,6 +308,17 @@ def proper_cross(a, b, c, d) -> bool:
         return False
     s3, s4 = cross(c, d, a), cross(c, d, b)
     return s3 != 0 and s4 != 0 and (s3 > 0) != (s4 > 0)
+
+
+def line_separates(l, r, a, b) -> bool:
+    """Are a and b strictly on opposite sides of the line through l and r?
+
+    With l strictly left of a -> b and r strictly right of it, as the apexes
+    of the two triangles at an edge ab of a triangulation are, this says
+    whether the open segments ab and lr cross: whether ab can be flipped.
+    """
+    sa, sb = cross(l, r, a), cross(l, r, b)
+    return (sa < 0 < sb) or (sb < 0 < sa)
 
 
 def point_on_open_segment(p, a, b) -> bool:
@@ -650,17 +663,148 @@ def brute_maximality_oracle(g: GeometricGraph) -> bool:
     return True
 
 
+class FlipStatus(Enum):
+    FLIPPABLE = "flippable"
+    NOT_AN_EDGE = "not-an-edge"
+    HULL_EDGE = "hull-edge"
+    NOT_CONVEX = "not-convex"
+
+
+def flip_status(t: Triangulation, e: Edge) -> FlipStatus:
+    """Whether edge e of t can be flipped, and why not: hull edges and
+    edges whose quadrilateral is not strictly convex cannot."""
+    a, b = e
+    d = t.dart(a, b)
+    if d < 0:
+        return FlipStatus.NOT_AN_EDGE
+    l, r = t.apex[d], t.apex[d ^ 1]
+    if l == OUTER or r == OUTER:
+        return FlipStatus.HULL_EDGE
+    pts = t.points.points
+    if line_separates(pts[l], pts[r], pts[a], pts[b]):
+        return FlipStatus.FLIPPABLE
+    return FlipStatus.NOT_CONVEX
+
+
+def is_flippable(t: Triangulation, e: Edge) -> bool:
+    return flip_status(t, e) is FlipStatus.FLIPPABLE
+
+
+def flip(t: Triangulation, e: Edge) -> Triangulation:
+    """A copy of t with edge e replaced by the other diagonal of its
+    quadrilateral, which keeps e's edge number."""
+    status = flip_status(t, e)
+    if status is not FlipStatus.FLIPPABLE:
+        raise ValueError(f"edge {e} is not flippable: {status.value}")
+    d = t.dart(*e)
+    t = t.copy()
+    head, apex, nxt, out = t.head, t.apex, t.nxt, t.out
+    a, b, l, r = head[d ^ 1], head[d], apex[d], apex[d ^ 1]
+    #           b                     b
+    #         / | \                 /   \
+    #        l  |  r     ->        l-----r
+    #         \ | /                 \   /
+    #           a                     a
+    # The edge keeps its number; its dart r -> l takes triangle a, r, l
+    # and its dart l -> r triangle r, b, l.
+    bl, la = nxt[d], nxt[nxt[d]]
+    ar, rb = nxt[d ^ 1], nxt[nxt[d ^ 1]]
+    rl = (d & ~1) | (r > l)
+    head[rl], head[rl ^ 1] = l, r
+    _set_triangle(head, apex, nxt, ar, rl, la)
+    _set_triangle(head, apex, nxt, rb, bl, rl ^ 1)
+    out[a], out[b] = ar, bl
+    return t
+
+
+def reference_enumerate_triangulations(ps: PointSet, cap: int = 9) -> list[Triangulation]:
+    """All triangulations of ps, by breadth-first search over dart-list
+    flips from the completion of the bare points, each triangulation's
+    edges tried in sorted order."""
+    if len(ps) > cap:
+        raise ValueError(f"point set size {len(ps)} exceeds cap {cap}")
+    start = complete_to_triangulation(ps)
+    seen = {start.edge_set()}
+    out = [start]
+    queue = deque([start])
+    while queue:
+        t = queue.popleft()
+        for e in t.sorted_edges():
+            if is_flippable(t, e):
+                t2 = flip(t, e)
+                key = t2.edge_set()
+                if key not in seen:
+                    seen.add(key)
+                    out.append(t2)
+                    queue.append(t2)
+    return out
+
+
+def reference_brute_force_maximum(ps: PointSet) -> tuple[int, tuple[Edge, ...], int]:
+    """(maximum size, the first largest union in pair order, triangulation
+    count) over the pairs of reference_enumerate_triangulations."""
+    tris = [t.edge_set() for t in reference_enumerate_triangulations(ps, cap=len(ps))]
+    best = max(
+        (len(a | b), -i, -j) for i, a in enumerate(tris) for j, b in enumerate(tris) if i <= j
+    )
+    size, i, j = best
+    return size, tuple(sorted(tris[-i] | tris[-j])), len(tris)
+
+
+def union_is_maximal(crossing: list[int], union: int) -> bool:
+    """Is the union of segment masks `union` a maximal biplane graph?
+
+    The union is two-colored by a breadth-first search over the crossing
+    masks, one pair of color masks per component.  An absent segment is
+    blocked when it crosses both colors of one component; the union is
+    maximal when every absent segment is blocked.  It shares no code with
+    recognition: the crossing masks come from segments_cross.
+    """
+    comps = []
+    left = union
+    while left:
+        frontier = left & -left
+        left ^= frontier
+        colors, side = [frontier, 0], 0
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= crossing[low.bit_length() - 1]
+            if reach & colors[side]:
+                raise ValueError("union is not biplane")
+            side ^= 1
+            frontier = reach & left
+            colors[side] |= frontier
+            left ^= frontier
+        comps.append(colors)
+    absent = ~union & ((1 << len(crossing)) - 1)
+    while absent:
+        low = absent & -absent
+        absent ^= low
+        c = crossing[low.bit_length() - 1]
+        if not any(c & red and c & blue for red, blue in comps):
+            return False
+    return True
+
+
+def maximal_unions(ps: PointSet) -> tuple[list[Edge], list[int], dict[int, bool]]:
+    """(segments, crossing masks, {distinct union of two triangulations:
+    union_is_maximal}) over the triangulations of ps."""
+    segments, crossing, masks, _ = _triangulation_masks(ps, len(ps))
+    unions = {a | b for i, a in enumerate(masks) for b in masks[i:]}
+    return segments, crossing, {u: union_is_maximal(crossing, u) for u in unions}
+
+
 def maximal_size_range(ps: PointSet) -> tuple[int, int]:
     """Smallest and largest size of a maximal biplane graph on ps.
 
     Every maximal biplane graph is the union of two triangulations, so the
-    distinct pairwise unions that pass maximality_oracle are all of them.
+    distinct pairwise unions that union_is_maximal accepts are all of them.
     """
-    tris = [t.edge_set() for t in enumerate_triangulations(ps)]
-    unions = {a | b for i, a in enumerate(tris) for b in tris[i:]}
-    sizes = [
-        len(u) for u in unions if maximality_oracle(GeometricGraph(ps, tuple(sorted(u))))
-    ]
+    _, _, verdicts = maximal_unions(ps)
+    sizes = [u.bit_count() for u, maximal in verdicts.items() if maximal]
     return min(sizes), max(sizes)
 
 

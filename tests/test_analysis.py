@@ -6,9 +6,11 @@ from _helpers import (
     drop_edges_through_vertices,
     graph_is_connected_after_removal,
     maximal_size_range,
+    maximal_unions,
     random_biplane_graph,
     random_lattice_points,
     random_strict_points,
+    union_is_maximal,
 )
 
 from biplanekit.analysis import (
@@ -244,7 +246,7 @@ def test_maximal_sizes_lie_in_the_exact_range():
     # the augmentation; augmentation from any start and the gap search
     # must land inside it.
     rng = random.Random(24)
-    for n in (7, 7, 7, 8, 8, 8):
+    for n in (7, 7, 7, 8, 8, 8, 9, 9):
         ps = random_strict_points(rng, n)
         lo, hi = maximal_size_range(ps)
         assert hi == brute_force_maximum(ps).maximum_edges
@@ -254,6 +256,31 @@ def test_maximal_sizes_lie_in_the_exact_range():
         sizes = [maximal_augment(g).graph.m for g in starts]
         sizes += find_maximal_gap(ps, trials=8, seed=rng.randrange(1000)).sizes
         assert all(lo <= m <= hi for m in sizes), (ps, lo, hi, sizes)
+
+
+def test_maximality_oracle_agrees_with_the_mask_check():
+    # union_is_maximal two-colors each union over segment masks and shares
+    # only segments_cross with the library, so it checks maximality_oracle
+    # apart from recognition.  A maximal union less any one edge is not
+    # maximal: that edge can come back.
+    rng = random.Random(31)
+    sets = [random_strict_points(rng, 7), random_strict_points(rng, 8)]
+    sets.append(random_lattice_points(rng, 3, 8))
+    for ps in sets:
+        segments, crossing, verdicts = maximal_unions(ps)
+
+        def graph(mask):
+            return GeometricGraph(ps, [e for k, e in enumerate(segments) if mask >> k & 1])
+
+        for union, maximal in verdicts.items():
+            assert maximality_oracle(graph(union)) == maximal
+            if maximal:
+                for k in range(len(segments)):
+                    if union >> k & 1:
+                        rest = union ^ 1 << k
+                        assert not union_is_maximal(crossing, rest)
+                        assert not maximality_oracle(graph(rest))
+        assert 0 < sum(verdicts.values()) < len(verdicts)
 
 
 # Two maximal biplane graphs of 22 and 23 edges on

@@ -7,6 +7,7 @@ from _helpers import (
     brute_relaxed_edge_violations,
     brute_validate,
     gcd_validate,
+    line_separates,
     point_on_open_segment,
     proper_cross,
 )
@@ -23,7 +24,6 @@ from biplanekit.geometry import (
     convex_hull,
     cross,
     edge,
-    line_separates,
     segments_cross,
     validate,
 )

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from _helpers import (
+    FlipStatus,
     boundary_edges,
     brute_angular_rotation,
     brute_crossed_edges,
@@ -10,14 +11,20 @@ from _helpers import (
     brute_sweep_triangulation,
     check_dart_lists,
     dart_dict,
+    flip,
+    flip_status,
+    is_flippable,
     random_lattice_points,
     random_plane_graph,
     random_strict_points,
+    reference_brute_force_maximum,
+    reference_enumerate_triangulations,
     turn_passed,
     validate_triangulation,
 )
 
 from biplanekit import triangulation
+from biplanekit.analysis import brute_force_maximum
 from biplanekit.augmentation import maximal_augment
 from biplanekit.constructions import gen_convex, gen_grid
 from biplanekit.geometry import PointSet, Strictness, convex_hull, cross, edge
@@ -25,7 +32,6 @@ from biplanekit.graphs import GeometricGraph
 from biplanekit.recognition import test_biplane
 from biplanekit.triangulation import (
     OUTER,
-    FlipStatus,
     NotPlaneError,
     Triangulation,
     complete_layers,
@@ -164,7 +170,6 @@ def test_scan_fill_matches_brute_fill_per_pocket(monkeypatch):
     add = triangulation._set_triangle
     predicates = (
         "cross",
-        "line_separates",
         "segments_cross",
         "point_in_triangle_strict",
     )
@@ -242,8 +247,8 @@ def test_grid_reaugmentation_returns_the_grid():
 def test_flip_of_quad_diagonal():
     t = complete_to_triangulation(convex4())
     diag = next(e for e in t.sorted_edges() if e not in boundary_edges(t))
-    assert t.is_flippable(diag)
-    t2 = t.flip(diag)
+    assert is_flippable(t, diag)
+    t2 = flip(t, diag)
     other = next(e for e in t2.sorted_edges() if e not in boundary_edges(t2))
     assert {diag, other} == {(0, 2), (1, 3)}
     assert t2.edge_count == t.edge_count
@@ -252,8 +257,9 @@ def test_flip_of_quad_diagonal():
 def test_flip_is_involution():
     t = complete_to_triangulation(convex4())
     diag = next(e for e in t.sorted_edges() if e not in boundary_edges(t))
-    back = t.flip(diag).flip(next(
-        e for e in t.flip(diag).sorted_edges() if e not in boundary_edges(t) and e != diag
+    once = flip(t, diag)
+    back = flip(once, next(
+        e for e in once.sorted_edges() if e not in boundary_edges(t) and e != diag
     ))
     assert back.edge_set() == t.edge_set()
 
@@ -263,9 +269,9 @@ def test_flip_preserves_edge_count_randomly():
     for _ in range(10):
         ps = random_strict_points(rng, rng.randint(5, 9))
         t = complete_to_triangulation(ps)
-        flippable = [e for e in t.sorted_edges() if t.is_flippable(e)]
+        flippable = [e for e in t.sorted_edges() if is_flippable(t, e)]
         for e in flippable[:3]:
-            t2 = t.flip(e)
+            t2 = flip(t, e)
             assert t2.edge_count == t.edge_count
             validate_triangulation(t2)
 
@@ -274,14 +280,14 @@ def test_spoke_to_interior_point_not_flippable():
     ps = PointSet.from_coords([(0, 0), (6, 0), (3, 5), (3, 2)])
     t = complete_to_triangulation(ps)
     for c in range(3):
-        assert t.flip_status(edge(c, 3)) is FlipStatus.NOT_CONVEX
+        assert flip_status(t, edge(c, 3)) is FlipStatus.NOT_CONVEX
 
 
 def test_hull_edge_flip_status_reported_distinctly():
     t = complete_to_triangulation(convex4())
-    assert t.flip_status((0, 1)) is FlipStatus.HULL_EDGE
-    assert not t.is_flippable((0, 1))
-    assert t.flip_status((0, 4)) is FlipStatus.NOT_AN_EDGE
+    assert flip_status(t, (0, 1)) is FlipStatus.HULL_EDGE
+    assert not is_flippable(t, (0, 1))
+    assert flip_status(t, (0, 4)) is FlipStatus.NOT_AN_EDGE
 
 
 def test_flippable_count_lower_bound():
@@ -292,7 +298,7 @@ def test_flippable_count_lower_bound():
         ps = random_strict_points(rng, n)
         t = complete_to_triangulation(ps)
         h = len(convex_hull(ps))
-        count = sum(1 for e in t.sorted_edges() if t.is_flippable(e))
+        count = sum(1 for e in t.sorted_edges() if is_flippable(t, e))
         assert count >= max(n / 2 - 2, h - 3)
 
 
@@ -310,7 +316,7 @@ def test_separating_chord_always_flippable():
             if e in boundary_edges(t) or e[0] not in hull or e[1] not in hull:
                 continue
             found += 1
-            assert t.is_flippable(e), f"separating chord {e} not flippable"
+            assert is_flippable(t, e), f"separating chord {e} not flippable"
     assert found > 0
 
 
@@ -429,6 +435,39 @@ def test_enumeration_cap():
         enumerate_triangulations(ps, cap=9)
 
 
+def test_mask_enumeration_matches_the_flip_reference():
+    # The library flips bit masks; the reference flips dart lists.  Both
+    # search breadth first from the completion of the bare points, so they
+    # list the same triangulations in the same order.  A flip and a
+    # constraint that crosses one edge both give the new edge the old one's
+    # number, so the dart lists match too; only the dart kept per vertex
+    # may differ.  On lattice sets the segments leave out every point pair
+    # with a point inside it, and collinear overlaps count as crossings.
+    rng = random.Random(47)
+    sets = [gen_convex(6)]
+    sets += [random_strict_points(rng, n) for n in (7, 8, 9)]
+    sets += [random_lattice_points(rng, 3, 7) for _ in range(6)]
+    collinear_hull = interior = 0
+    for ps in sets:
+        want = reference_enumerate_triangulations(ps)
+        got = enumerate_triangulations(ps)
+        assert [t.sorted_edges() for t in got] == [t.sorted_edges() for t in want]
+        assert [(t.head, t.apex, t.nxt) for t in got] == [(t.head, t.apex, t.nxt) for t in want]
+        for t in got:
+            check_dart_lists(t)
+        res = brute_force_maximum(ps)
+        best = (res.maximum_edges, res.witness.edges, res.triangulation_count)
+        assert best == reference_brute_force_maximum(ps)
+        if ps.strictness is Strictness.RELAXED:
+            hull = convex_hull(ps)
+            pts = [ps.points[v] for v in hull]
+            collinear_hull += any(
+                cross(p, q, r) == 0 for p, q, r in zip(pts, pts[1:] + pts[:1], pts[2:] + pts[:2])
+            )
+            interior += len(hull) < len(ps)
+    assert collinear_hull >= 3 and interior >= 3
+
+
 def test_flip_graph_connected_same_set_from_any_start():
     rng = random.Random(21)
     ps = random_strict_points(rng, 7)
@@ -445,8 +484,8 @@ def test_flip_graph_connected_same_set_from_any_start():
     while queue:
         t = queue.popleft()
         for e in t.sorted_edges():
-            if t.is_flippable(e):
-                t2 = t.flip(e)
+            if is_flippable(t, e):
+                t2 = flip(t, e)
                 if t2.edge_set() not in seen:
                     seen.add(t2.edge_set())
                     queue.append(t2)

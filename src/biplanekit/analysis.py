@@ -5,34 +5,34 @@ path.  Maximality is checked against its definition: recognition colors
 the crossing graph once, and each non-edge is tried by a parity check of
 the edges it crosses (non-edges through a vertex are skipped on relaxed
 point sets, found by one relaxed_edge_violations pass over all
-non-edges).  The crossings of one non-edge are found with recognition's
-exact kernel `_crossed` over recognition's rows, which leave out the hull
-sides: a y-extent test, two signed areas against the non-edge's line per
-edge, and two more against the edge's stored line only when those do not
-already rule the crossing out.  On maximal random graphs a non-edge
-meets a clash after about 30 edges, so n = 200 (18,926 non-edges) takes
-about 0.5 s on a 2-vCPU VM.  Maximum size is the largest union of two
-triangulations, each a bitmask over the segments, so every pair costs one
-OR and a bit count.  They exist to verify the fast algorithms on
-desk-scale instances.
+non-edges).  A non-edge uv first tests the edges filed under the angular
+gap at u that holds v, then at v: each edge xy joining two neighbours of
+u is filed under the gaps its wedge at u spans, and uv crosses it
+exactly when v lies strictly across line xy from u, one signed area.
+Only when those show no clash does it scan every row with recognition's
+exact kernel `_crossed`, longest edge first.  On a maximal random graph
+at n = 1000 (494,494 non-edges) the ends settle all but 6,892 and the
+oracle takes about 1.1 s on a 2-vCPU VM.  Maximum size is the largest
+union of two triangulations, each a bitmask over the segments, so every
+pair costs one OR and a bit count.  They exist to verify the fast
+algorithms on desk-scale instances.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import Counter, deque
 from typing import NamedTuple
 
 from .augmentation import maximal_augment
-from .geometry import Edge, PointSet, Strictness, _typed_eq, edge
+from .geometry import COORD_LIMIT, Edge, PointSet, Strictness, _typed_eq, edge
 from .graphs import GeometricGraph, relaxed_edge_violations
 from .recognition import (
     OddCycleWitness,
     TooManyEdges,
-    _crossable,
     _crossed,
-    _edge_rows,
-    _recognize,
+    _recognize_rows,
     exceeds_edge_cap,
 )
 from .triangulation import _triangulation_masks
@@ -151,23 +151,102 @@ def vertex_connectivity(g: GeometricGraph) -> ConnectivityReport:
     return ConnectivityReport(best, min(deg), tuple(sorted(best_cut)))
 
 
+# Coordinate differences are at most D = 2 * COORD_LIMIT, and 2**_SHIFT > 2 * D**2.
+_SHIFT = 2 * (2 * COORD_LIMIT).bit_length() + 1
+
+
+def _angle_key(dx: int, dy: int) -> tuple[bool, bool, int]:
+    """Exact sort key of direction (dx, dy), counterclockwise from (1, 0).
+
+    The half plane (y > 0, or y = 0 and x > 0, first), then -dx/dy, which
+    grows with the angle inside either half, scaled by 2**_SHIFT and
+    floored.  Two slopes with denominators of at most D differ by at least
+    1/D**2, so the floors keep their order and only equal directions tie.
+    """
+    if dy == 0:
+        return dx < 0, False, 0
+    return dy < 0, True, (-dx << _SHIFT) // dy
+
+
+def _gap_index(
+    g: GeometricGraph, adj: list[set[int]], payload: dict[Edge, tuple[int, int]]
+) -> tuple[list[list[tuple[bool, bool, int]]], list[list[list[tuple]]]]:
+    """Per vertex u, its neighbours' `_angle_key`s and the edges in each gap.
+
+    The neighbours w_0 .. w_{d-1} of u are sorted by angle around u; gap
+    i is the open wedge from w_i counterclockwise to w_{i+1}, the last
+    one wrapping round to w_0, so the gap of a direction with key q is
+    bisect_right(keys, q) - 1.  Each edge xy in payload, and each common
+    neighbour u of x and y, is filed under every gap that the wedge x-u-y
+    (less than pi) spans, as (ex, ey, k, *payload[xy]) with
+    ex*py - ey*px > k exactly for the points p strictly across line xy
+    from u.  A vertex with no neighbours has one empty gap.
+    """
+    pts = g.points.points
+    angles: list[list[tuple[bool, bool, int]]] = []
+    gaps: list[list[list[tuple]]] = []
+    pos: list[dict[int, int]] = []
+    for u, nbrs in enumerate(adj):
+        ux, uy = pts[u]
+        keyed = sorted((_angle_key(pts[w][0] - ux, pts[w][1] - uy), w) for w in nbrs)
+        angles.append([q for q, _ in keyed])
+        gaps.append([[] for _ in range(max(len(keyed), 1))])
+        pos.append({w: i for i, (_, w) in enumerate(keyed)})
+    for (x, y), pay in payload.items():
+        (x0, y0), (x1, y1) = pts[x], pts[y]
+        ex, ey = x1 - x0, y1 - y0
+        k = ex * y0 - ey * x0
+        for u in adj[x] & adj[y]:
+            ux, uy = pts[u]
+            i, j = pos[u][x], pos[u][y]
+            if ex * uy - ey * ux > k:  # u left of x -> y: y follows x around u
+                entry = (-ex, -ey, -k, *pay)
+            else:
+                entry = (ex, ey, k, *pay)
+                i, j = j, i
+            at = gaps[u]
+            while i != j:
+                at[i].append(entry)
+                i += 1
+                if i == len(at):
+                    i = 0
+    return angles, gaps
+
+
 def maximality_oracle(g: GeometricGraph) -> bool:
     """Definition-level maximality: every non-edge insertion breaks biplanarity.
 
     g + e is biplane exactly when, inside each component of g's crossing
     graph, all the edges e crosses have the same color, so one recognition
-    of g decides every non-edge in a pass over the edges.  On relaxed point
-    sets a non-edge with a vertex on its open segment is not a valid edge
-    and is skipped.  Raises ValueError when g is not biplane or breaks the
-    relaxed contract.
+    of g decides every non-edge.  On relaxed point sets a non-edge with a
+    vertex on its open segment is not a valid edge and is skipped.  Raises
+    ValueError when g is not biplane or breaks the relaxed contract.
+
+    A non-edge uv first tries the edges filed under the gap at u that
+    holds v's direction, then those at v (`_gap_index`): in each
+    triangulation of a maximal g = T1 + T2, the first edge uv crosses next
+    to u joins two neighbours of u and spans v's direction.  The ray from
+    u towards v meets such an edge xy inside it, so uv crosses xy exactly
+    when v lies strictly across line xy from u, and a clash found there
+    is two real crossings.  (That needs v off the lines ux, uy and xy,
+    which holds for every non-edge tried: a vertex inside an edge is
+    rejected, and a non-edge with one inside it is skipped.)  Only a
+    non-edge with no clash there gets the scan over every row.
     """
-    coloring = _recognize(g)
+    coloring, rows = _recognize_rows(g)
     if isinstance(coloring, (OddCycleWitness, TooManyEdges)):
         raise ValueError("input graph is not biplane")
     if exceeds_edge_cap(g.n, g.m + 1):
         return True
     color, root = coloring
-    rows = _edge_rows(g, _crossable(g), list(zip(root, color)))
+    edges = g.edges
+    payload: dict[Edge, tuple[int, int]] = {}
+    for k, r in enumerate(rows):
+        i = r[11]
+        payload[edges[i]] = pay = root[i], color[i]
+        rows[k] = r[:11] + (pay,)
+    adj = [set(nbrs) for nbrs in g.adjacency()]
+    angles, gaps = _gap_index(g, adj, payload)
     # Longest edges first: they cross the most non-edges, so a clash is
     # found early, and the scan's length depends on the geometry alone,
     # not on how the vertices are labelled.
@@ -178,22 +257,35 @@ def maximality_oracle(g: GeometricGraph) -> bool:
             max(r[4:6], r[6:8]),
         )
     )
-    non_edges = g.complement_edges()
     through_vertex: set[Edge] = set()
     if g.points.strictness is Strictness.RELAXED:
-        blocked = relaxed_edge_violations(GeometricGraph(g.points, tuple(non_edges)))
-        through_vertex = {e for _, e in blocked}
+        non_edges = GeometricGraph(g.points, tuple(g.complement_edges()))
+        through_vertex = {e for _, e in relaxed_edge_violations(non_edges)}
     pts = g.points.points
-    for e in non_edges:
-        if e in through_vertex:
-            continue
-        seen: dict[int, int] = {}
-        (xa, ya), (xb, yb) = pts[e[0]], pts[e[1]]
-        for comp, side in _crossed(rows, 0, len(rows), xa, ya, xb, yb):
-            if seen.setdefault(comp, side) != side:
-                break
-        else:
-            return False
+    n = g.n
+    for a in range(n):
+        xa, ya = pts[a]
+        keys, at, linked = angles[a], gaps[a], adj[a]
+        for b in range(a + 1, n):
+            if b in linked or (a, b) in through_vertex:
+                continue
+            xb, yb = pts[b]
+            seen: dict[int, int] = {}
+            near = at[bisect_right(keys, _angle_key(xb - xa, yb - ya)) - 1]
+            for ex, ey, k, comp, side in near:
+                if ex * yb - ey * xb > k and seen.setdefault(comp, side) != side:
+                    break
+            else:
+                near = gaps[b][bisect_right(angles[b], _angle_key(xa - xb, ya - yb)) - 1]
+                for ex, ey, k, comp, side in near:
+                    if ex * ya - ey * xa > k and seen.setdefault(comp, side) != side:
+                        break
+                else:
+                    for comp, side in _crossed(rows, 0, len(rows), xa, ya, xb, yb):
+                        if seen.setdefault(comp, side) != side:
+                            break
+                    else:
+                        return False
     return True
 
 

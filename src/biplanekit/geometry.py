@@ -264,9 +264,11 @@ def convex_hull(ps: PointSet) -> list[int]:
     def build(seq: Sequence[int]) -> list[int]:
         chain: list[int] = []
         for i in seq:
+            x, y = pts[i]
             while len(chain) >= 2:
-                c = cross(pts[chain[-2]], pts[chain[-1]], pts[i])
-                if c < 0:
+                (ox, oy), (ax, ay) = pts[chain[-2]], pts[chain[-1]]
+                # cross(o, a, (x, y)) < 0: a clockwise turn pops a.
+                if (ax - ox) * (y - oy) < (ay - oy) * (x - ox):
                     chain.pop()
                 else:
                     break

@@ -16,15 +16,16 @@ maximal graph on 500 points in convex position (994 rows of 1,494 edges,
 2-vCPU VM.
 
 One kernel answers "which of these edges cross segment ab" for every
-caller: `_crossed` scans rows that each hold an edge's box, endpoints,
+scan: `_crossed` scans rows that each hold an edge's box, endpoints,
 line (`_edge_line`) and a payload.  `_recognize` and `crossing_graph`
 scan each row's x-window with edge indices as payloads; `crossing_graph`
 keeps a row for every edge and fills adjacency lists, for
 `crossing_pairs` and the SVG renderer.  The maximality oracle in
-`analysis` scans all rows but the hull sides with (component, color)
-payloads, taken from `_recognize`, so it enumerates the crossings once.
-A relaxed graph with a vertex inside an edge is rejected before any
-crossing test.
+`analysis` takes `_recognize_rows`'s rows, so one hull and one row per
+edge serve both, swaps their payloads for (component, color), and scans
+them only for a non-edge whose ends show no clash; the edges around the
+ends it tests itself, by one signed area each.  A relaxed graph with a
+vertex inside an edge is rejected before any crossing test.
 """
 
 from __future__ import annotations
@@ -199,6 +200,17 @@ def _recognize(
     edge of its crossing-graph component, which has color 0.  An odd
     cycle or the edge cap stops it instead.  Raises ValueError on a
     relaxed graph with a vertex inside an edge.
+    """
+    return _recognize_rows(g)[0]
+
+
+def _recognize_rows(
+    g: GeometricGraph,
+) -> tuple[tuple[list[int], list[int]] | OddCycleWitness | TooManyEdges, list[tuple]]:
+    """`_recognize`'s verdict and the rows it swept, sorted by left end.
+
+    The rows are those of the `_crossable` edges, edge indices as
+    payloads; none are built when the edge cap rejects g.
 
     The sweep is `crossing_graph`'s over the `_crossable` edges.  Each
     crossing (i, j) goes straight into a quick-find parity table: per edge
@@ -211,7 +223,7 @@ def _recognize(
     check_relaxed_edges(g)
     n, m = g.n, g.m
     if exceeds_edge_cap(n, m):
-        return TooManyEdges(n, m, biplane_edge_cap(n))
+        return TooManyEdges(n, m, biplane_edge_cap(n)), []
     rows = _edge_rows(g, _crossable(g), range(m))
     rows.sort()
     xlos = [r[0] for r in rows]
@@ -239,7 +251,7 @@ def _recognize(
                         break
                 link[f], link[h] = link[h], link[f]
             elif par[i] == par[j]:
-                return OddCycleWitness(_forest_cycle(g, forest, i, j))
+                return OddCycleWitness(_forest_cycle(g, forest, i, j)), rows
     # Colors relative to each class's lowest-index edge, its root.
     first = [-1] * m
     root = [0] * m
@@ -247,7 +259,7 @@ def _recognize(
         if first[f] == -1:
             first[f] = i
         root[i] = first[f]
-    return [p ^ par[r] for p, r in zip(par, root)], root
+    return ([p ^ par[r] for p, r in zip(par, root)], root), rows
 
 
 def _forest_cycle(

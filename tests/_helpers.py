@@ -34,11 +34,15 @@ from biplanekit.geometry import (
     segments_cross,
     validate,
 )
-from biplanekit.graphs import GeometricGraph, check_relaxed_edges
+from biplanekit.graphs import GeometricGraph, check_relaxed_edges, relaxed_edge_violations
 from biplanekit.recognition import (
     BiplaneDecomposition,
     OddCycleWitness,
     TooManyEdges,
+    _crossable,
+    _crossed,
+    _edge_rows,
+    _recognize,
     biplane_edge_cap,
     crossing_graph,
     crossing_pairs,
@@ -661,6 +665,71 @@ def brute_maximality_oracle(g: GeometricGraph) -> bool:
         if isinstance(test_biplane(g.with_edges([e])), BiplaneDecomposition):
             return False
     return True
+
+
+def reference_maximality_oracle(g: GeometricGraph) -> bool:
+    """The maximality oracle as it was before it tried each non-edge's ends
+    first: every non-edge scans the rows of all edges but the hull sides,
+    longest first, until two crossed edges of one component clash.
+
+    g + e is biplane exactly when, inside each component of g's crossing
+    graph, all the edges e crosses have the same color, so one recognition
+    of g decides every non-edge in a pass over the edges.  On relaxed point
+    sets a non-edge with a vertex on its open segment is not a valid edge
+    and is skipped.  Raises ValueError when g is not biplane or breaks the
+    relaxed contract.
+    """
+    coloring = _recognize(g)
+    if isinstance(coloring, (OddCycleWitness, TooManyEdges)):
+        raise ValueError("input graph is not biplane")
+    if exceeds_edge_cap(g.n, g.m + 1):
+        return True
+    color, root = coloring
+    rows = _edge_rows(g, _crossable(g), list(zip(root, color)))
+    # Longest edges first: they cross the most non-edges, so a clash is
+    # found early, and the scan's length depends on the geometry alone,
+    # not on how the vertices are labelled.
+    rows.sort(
+        key=lambda r: (
+            -((r[4] - r[6]) ** 2 + (r[5] - r[7]) ** 2),
+            min(r[4:6], r[6:8]),
+            max(r[4:6], r[6:8]),
+        )
+    )
+    non_edges = g.complement_edges()
+    through_vertex: set[Edge] = set()
+    if g.points.strictness is Strictness.RELAXED:
+        blocked = relaxed_edge_violations(GeometricGraph(g.points, tuple(non_edges)))
+        through_vertex = {e for _, e in blocked}
+    pts = g.points.points
+    for e in non_edges:
+        if e in through_vertex:
+            continue
+        seen: dict[int, int] = {}
+        (xa, ya), (xb, yb) = pts[e[0]], pts[e[1]]
+        for comp, side in _crossed(rows, 0, len(rows), xa, ya, xb, yb):
+            if seen.setdefault(comp, side) != side:
+                break
+        else:
+            return False
+    return True
+
+
+def reference_convex_hull(ps: PointSet) -> list[int]:
+    """Monotone-chain weak hull through geometry.cross, as `convex_hull` was
+    before its turn test was written out on the coordinates."""
+    pts = ps.points
+    order = sorted(range(len(pts)), key=lambda i: pts[i])
+
+    def build(seq: list[int]) -> list[int]:
+        chain: list[int] = []
+        for i in seq:
+            while len(chain) >= 2 and cross(pts[chain[-2]], pts[chain[-1]], pts[i]) < 0:
+                chain.pop()
+            chain.append(i)
+        return chain
+
+    return build(order)[:-1] + build(order[::-1])[:-1]
 
 
 class FlipStatus(Enum):

@@ -117,6 +117,16 @@ def test_criterion_02_maximality(augmented_corpus):
     _report(2, f"maximality-200-instances ({elapsed:.1f}s)")
 
 
+def test_criterion_02_maximality_at_n1000():
+    ps = random_strict_points(random.Random(20261019), 1000)
+    res = maximal_augment(GeometricGraph(ps, ()))
+    t0 = time.perf_counter()
+    assert maximality_oracle(res.graph), "augmented graph is not maximal"
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10.0, f"maximality check at n = 1000 took {elapsed:.1f}s"
+    _report(2, f"maximality-n1000 ({res.graph.m} edges, {elapsed:.1f}s)")
+
+
 def test_criterion_03_edge_count_bounds(augmented_corpus):
     for g, res in augmented_corpus:
         n = res.graph.n

@@ -10,9 +10,11 @@ from _helpers import (
     random_biplane_graph,
     random_lattice_points,
     random_strict_points,
+    reference_maximality_oracle,
     union_is_maximal,
 )
 
+from biplanekit import analysis
 from biplanekit.analysis import (
     ConnectivityReport,
     brute_force_maximum,
@@ -31,6 +33,7 @@ from biplanekit.constructions import (
 )
 from biplanekit.geometry import PointSet, Strictness, convex_hull
 from biplanekit.graphs import GeometricGraph
+from biplanekit.recognition import _crossed
 from biplanekit.triangulation import complete_to_triangulation
 
 
@@ -145,6 +148,55 @@ def test_maximality_oracle_matches_brute_reference():
             assert verdict == brute_maximality_oracle(g)
             verdicts.add(verdict)
         assert verdicts == {True, False}, strictness
+
+
+def _maximal_graphs(rng: random.Random) -> list[GeometricGraph]:
+    # Random strict, convex and relaxed lattice maximal graphs, and the
+    # relaxed grid construction, which is maximal as built.
+    graphs = []
+    for n in (6, 12, 30, 80):
+        graphs.append(GeometricGraph(random_strict_points(rng, n), ()))
+    graphs += [GeometricGraph(gen_convex(k), ()) for k in (5, 9, 16, 40)]
+    for k in (3, 5, 7, 10):
+        graphs.append(GeometricGraph(random_lattice_points(rng, k, k + 1), ()))
+    return [maximal_augment(g).graph for g in graphs] + [gen_grid(k).graph for k in (5, 7, 10)]
+
+
+def test_maximality_oracle_matches_reference_oracle():
+    # The oracle settles most non-edges by the edges around their ends;
+    # the reference scans every row for each non-edge.  Each graph is
+    # compared as it is and with one edge removed, and the small ones with
+    # each of their edges removed in turn, so a clash wrongly found near
+    # the ends of the one edge that fits again would show.
+    rng = random.Random(27)
+    for g in _maximal_graphs(rng):
+        drops = g.edges if g.m <= 60 else [rng.choice(g.edges)]
+        for drop in (None, *drops):
+            h = GeometricGraph(g.points, tuple(e for e in g.edges if e != drop))
+            assert maximality_oracle(h) == reference_maximality_oracle(h) == (drop is None)
+
+
+def test_maximality_oracle_scans_every_row_only_for_few_non_edges(monkeypatch):
+    # The full scan hands every row to _crossed; the edges around a
+    # non-edge's ends are tested without it.  Scanning every row for each
+    # non-edge would hand over about 460 rows per non-edge of the random
+    # graph.
+    handed = []
+
+    def counted(rows, lo, hi, *segment):
+        handed.append(hi - lo)
+        return _crossed(rows, lo, hi, *segment)
+
+    monkeypatch.setattr(analysis, "_crossed", counted)
+    convex = maximal_augment(GeometricGraph(gen_convex(60), ())).graph
+    assert maximality_oracle(convex) is True
+    assert handed == []
+    ps = random_strict_points(random.Random(28), 100)
+    maximal = maximal_augment(GeometricGraph(ps, ())).graph
+    assert maximality_oracle(maximal) is True
+    non_edges = len(maximal.complement_edges())
+    assert 0 < len(handed) < non_edges / 50
+    assert sum(handed) < 10 * non_edges
 
 
 def test_maximality_oracles_reject_graph_over_edge_cap():

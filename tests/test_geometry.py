@@ -10,11 +10,14 @@ from _helpers import (
     line_separates,
     point_on_open_segment,
     proper_cross,
+    random_lattice_points,
+    random_strict_points,
+    reference_convex_hull,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biplanekit.constructions import gen_convex
+from biplanekit.constructions import gen_convex, gen_grid
 from biplanekit.geometry import (
     COORD_LIMIT,
     Point,
@@ -129,6 +132,24 @@ def test_weak_hull_keeps_collinear_boundary_points():
     ps = PointSet.from_coords(grid, Strictness.RELAXED)
     hull = convex_hull(ps)
     assert len(hull) == 16  # 4(k-1) boundary points for k=5
+
+
+def test_hull_matches_reference_hull():
+    # The turn test is written out on the coordinates; the reference calls
+    # cross.  Lattice sets and the grid keep collinear weak-hull points.
+    rng = random.Random(31)
+    sets = [random_strict_points(rng, n) for n in (3, 4, 10, 60, 500)]
+    sets += [random_lattice_points(rng, k, k + 1) for k in (3, 4, 6, 9) for _ in range(5)]
+    sets += [gen_convex(40), gen_grid(6).graph.points]
+    weak = 0
+    for ps in sets:
+        hull = convex_hull(ps)
+        assert hull == reference_convex_hull(ps)
+        pts = ps.points
+        k = len(hull)
+        turns = [cross(pts[hull[i - 1]], pts[hull[i]], pts[hull[(i + 1) % k]]) for i in range(k)]
+        weak += 0 in turns
+    assert weak >= 5
 
 
 def test_validate_collinear_strict():

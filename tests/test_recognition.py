@@ -31,6 +31,7 @@ from biplanekit.geometry import (
     cross,
     edge,
     segments_cross,
+    validate,
 )
 from biplanekit.graphs import GeometricGraph
 from biplanekit.recognition import (
@@ -260,8 +261,8 @@ def _hull_sides(ps: PointSet) -> set[tuple[int, int]]:
 
 def test_hull_sides_get_no_kernel_row(monkeypatch):
     # Recognition scans one x-window per edge that is not a hull side, and
-    # stops at the first odd cycle; the oracle scans every such edge, and
-    # no hull side, for each non-edge.
+    # stops at the first odd cycle; the oracle's full scan, for a non-edge
+    # whose ends show no clash, covers every such edge and no hull side.
     ps = gen_convex(60)
     convex = maximal_augment(GeometricGraph(ps, ())).graph
     inner = len([e for e in convex.edges if e not in _hull_sides(ps)])
@@ -307,6 +308,35 @@ def test_hull_rule_needs_edges_and_a_hull(monkeypatch):
             convex_hull(g.points)
         assert list(recognition._crossable(g)) == list(range(g.m))
         assert test_biplane(g) == BiplaneDecomposition(g.edges, ())
+
+
+def test_merges_relabel_the_smaller_class(monkeypatch):
+    # k stacked near-horizontal edges each cross one near-vertical edge
+    # whose left end lies to the right of theirs, so the sweep meets the k
+    # crossings one by one, each joining a lone edge to the class that
+    # holds all the earlier ones.  Relabelling the smaller class writes
+    # one label and two links per merge; relabelling the other class
+    # would write about k**2 / 2 labels.
+    k = 200
+    coords = [(-(10**6) - t**3, 1000 * t) for t in range(k)]
+    coords += [(10**6 + t**3, 1000 * t + 1) for t in range(k)]
+    coords += [(0, -5), (1, 1000 * k + 5)]
+    assert validate(PointSet.from_coords(coords)).ok
+    edges = tuple((t, k + t) for t in range(k)) + ((2 * k, 2 * k + 1),)
+    g = GeometricGraph(PointSet.from_coords(coords), edges)
+    writes = 0
+
+    class CountedList(list):
+        # _recognize_rows builds its label and link tables with list().
+        def __setitem__(self, i, v):
+            nonlocal writes
+            writes += 1
+            super().__setitem__(i, v)
+
+    monkeypatch.setattr(recognition, "list", CountedList, raising=False)
+    color, root = _recognize(g)
+    assert root == [0] * g.m and color == [0] * k + [1]
+    assert 0 < writes <= g.m * math.log2(g.m)
 
 
 def _lattice_graph_with_hull_sides(rng: random.Random) -> GeometricGraph:

@@ -1,4 +1,5 @@
-"""Golden output digests: the identity contract of the augmentation.
+"""Golden output digests: the identity contract of the augmentation and
+of recognition.
 
 Each digest is the SHA-256 of the repr of plain tuples of ints and
 strings, so it does not depend on hash order or on how the library stores
@@ -10,7 +11,9 @@ import hashlib
 import random
 
 from _helpers import (
+    drop_edges_through_vertices,
     random_biplane_graph,
+    random_edge_subset_graph,
     random_lattice_points,
     random_plane_graph,
     random_strict_points,
@@ -19,7 +22,12 @@ from _helpers import (
 from biplanekit.augmentation import maximal_augment
 from biplanekit.constructions import gen_convex, gen_grid
 from biplanekit.graphs import GeometricGraph
-from biplanekit.recognition import test_biplane
+from biplanekit.recognition import (
+    BiplaneDecomposition,
+    OddCycleWitness,
+    TooManyEdges,
+    test_biplane,
+)
 from biplanekit.triangulation import complete_layers, enumerate_triangulations
 
 
@@ -141,3 +149,80 @@ def test_enumeration_matches_golden_digest():
     ps = random_strict_points(random.Random(88), 8)
     tris = enumerate_triangulations(ps)
     assert digest(tuple(tuple(t.sorted_edges()) for t in tris)) == GOLDEN_ENUMERATION
+
+
+def verdict_key(res) -> tuple:
+    """A test_biplane verdict as plain tuples, witness cycle included."""
+    if isinstance(res, BiplaneDecomposition):
+        return ("biplane", res.layer1, res.layer2)
+    if isinstance(res, OddCycleWitness):
+        return ("odd", res.cycle)
+    assert isinstance(res, TooManyEdges)
+    return ("cap", res.n, res.m, res.cap)
+
+
+def _with_first_non_edge(g: GeometricGraph) -> GeometricGraph:
+    present = set(g.edges)
+    chord = next(
+        (a, b) for a in range(g.n) for b in range(a + 1, g.n) if (a, b) not in present
+    )
+    return GeometricGraph(g.points, g.edges + (chord,))
+
+
+def recognition_inputs() -> dict[str, list[GeometricGraph]]:
+    """Groups of graphs whose verdicts, odd cycles included, follow the
+    order in which recognition's sweep meets the crossings."""
+    rng = random.Random(2323)
+    out: dict[str, list[GeometricGraph]] = {}
+    strict = [random_strict_points(rng, rng.randint(6, 30)) for _ in range(30)]
+    out["strict-biplane"] = [random_biplane_graph(rng, ps, 4 * len(ps)) for ps in strict]
+    out["strict-non-biplane"] = [
+        random_edge_subset_graph(rng, ps, rng.uniform(0.05, 0.3)) for ps in strict
+    ]
+    # Lattice cells share columns and rows, and their graphs hold
+    # vertical edges and edges that meet along one line.
+    lattice = [random_lattice_points(rng, rng.randint(3, 7), 6) for _ in range(30)]
+    out["lattice-biplane"] = [
+        drop_edges_through_vertices(random_biplane_graph(rng, ps, 3 * len(ps)))
+        for ps in lattice
+    ]
+    out["lattice-non-biplane"] = [
+        drop_edges_through_vertices(random_edge_subset_graph(rng, ps, rng.uniform(0.1, 0.5)))
+        for ps in lattice
+    ]
+    out["grid-8"] = [gen_grid(8).graph]
+    for n in (21, 60):
+        maximal = maximal_augment(GeometricGraph(gen_convex(n), ())).graph
+        out[f"convex-{n}-maximal"] = [maximal]
+        out[f"convex-{n}-chord"] = [_with_first_non_edge(maximal)]
+    return out
+
+
+GOLDEN_RECOGNITION = {
+    "strict-biplane": "d7c01450ef4350695745f4b4b484176a77d42169a810e7b5a5ff66e12e859f6a",
+    "strict-non-biplane": "28636525c2b6ad2aae31ef9878b858908ea2e7cb5c973e11b31a9f5eff3ecd2b",
+    "lattice-biplane": "a1b7099d287bb0cb3e49d87e90fb366f91436ecb333df1c79e27ee6eba7cb649",
+    "lattice-non-biplane": "2e880d5bdca11f2db9e49cbbbb8b3db431bfcd714a5b41b9355e54f7484d272c",
+    "grid-8": "86bf53c7debe0e3d8abe7d0e686e40fde19f1bb978f3e18f820e960c474e675f",
+    "convex-21-maximal": "1e96e87ab37012c21a3b80a329699188ba888e3107fae2984b15f2f5e02f2413",
+    "convex-21-chord": "e2c1338c7ebb9868e2cc5cbe6c19e1b8aae90cd6dda8e64a4356ea9a4b289450",
+    "convex-60-maximal": "3ce7cf627ee47091e7df2057946f51b582a72d9a19a294e99f6d020036546acd",
+    "convex-60-chord": "e2c1338c7ebb9868e2cc5cbe6c19e1b8aae90cd6dda8e64a4356ea9a4b289450",
+}
+
+
+def test_recognition_verdicts_match_golden_digests():
+    inputs = recognition_inputs()
+    verdicts = {name: [test_biplane(g) for g in gs] for name, gs in inputs.items()}
+    kinds = {name: {type(v).__name__ for v in vs} for name, vs in verdicts.items()}
+    # Each group reaches the verdicts it is named for, so the digests
+    # cover witnesses on strict and on relaxed point sets.
+    for name in ("strict-biplane", "lattice-biplane", "grid-8"):
+        assert kinds[name] == {"BiplaneDecomposition"}
+    for name in ("strict-non-biplane", "lattice-non-biplane"):
+        assert "OddCycleWitness" in kinds[name]
+    for n in (21, 60):
+        assert kinds[f"convex-{n}-maximal"] == {"BiplaneDecomposition"}
+        assert kinds[f"convex-{n}-chord"] == {"OddCycleWitness"}
+    got = {name: digest(tuple(map(verdict_key, vs))) for name, vs in verdicts.items()}
+    assert got == GOLDEN_RECOGNITION

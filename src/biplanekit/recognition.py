@@ -10,18 +10,20 @@ crossing out.  Recognition colors as it sweeps: each crossing goes
 straight into a quick-find parity table over edges, and the first
 crossing between two edges of one class and one color ends the sweep with
 an odd cycle.  No crossing is stored.  Edges joining consecutive hull
-vertices get no row, since no other edge can cross them.  Recognizing a
-maximal graph on 500 points in convex position (994 rows of 1,494 edges,
-493,521 box-overlapping pairs, 123,753 crossings) takes about 0.15 s on a
-2-vCPU VM.
+vertices get no row, since no other edge can cross them, and a row's
+window leaves out the rows that can meet it only at a shared endpoint.
+Recognizing a maximal graph on 500 points in convex position (994 rows
+of 1,494 edges, 247,009 rows handed to the kernel, 123,753 crossings)
+takes about 0.10 s on a 2-vCPU VM; with the rows that share an endpoint
+in the windows it handed the kernel 493,521 and took about 0.19 s.
 
 One kernel answers "which of these edges cross segment ab" for every
 scan: `_crossed` scans rows that each hold an edge's box, endpoints,
 line (`_edge_line`) and a payload.  `_recognize` and `crossing_graph`
 scan each row's x-window with edge indices as payloads; `crossing_graph`
-keeps a row for every edge and fills adjacency lists, for
-`crossing_pairs` and the SVG renderer.  The maximality oracle in
-`analysis` takes `_recognize_rows`'s rows, so one hull and one row per
+keeps a row for every edge and the full window, and fills adjacency
+lists, for `crossing_pairs` and the SVG renderer.  The maximality oracle
+in `analysis` takes `_recognize_rows`'s rows, so one hull and one row per
 edge serve both, swaps their payloads for (component, color), and scans
 them only for a non-edge whose ends show no clash; the edges around the
 ends it tests itself, by one signed area each.  A relaxed graph with a
@@ -30,7 +32,7 @@ vertex inside an edge is rejected before any crossing test.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
@@ -93,12 +95,12 @@ def _crossed(
     A row is (xlo, xhi, ylo, yhi, xc, yc, xd, yd, ex, ey, k, payload): the
     box of edge cd, its endpoints, its `_edge_line` and whatever the
     caller wants back; crossings come out in row order.  A row is
-    rejected when its y-extent misses ab's (`crossing_graph` windows the
-    x-extents itself), then after two signed areas against ab's line when
-    c and d lie strictly on one side of it or exactly one of them lies on
-    it; c and d both on it go to segments_cross (collinear overlap); the
-    rest cross exactly when a and b lie strictly on opposite sides of the
-    row's own line.
+    rejected when its y-extent misses ab's (the callers window the
+    x-extents themselves), then after two signed areas against ab's line
+    when c and d lie strictly on one side of it or exactly one of them
+    lies on it; c and d both on it go to segments_cross (collinear
+    overlap); the rest cross exactly when a and b lie strictly on
+    opposite sides of the row's own line.
     """
     dx, dy, k = _edge_line(xa, ya, xb, yb)
     low, high = (ya, yb) if ya < yb else (yb, ya)
@@ -168,6 +170,13 @@ def crossing_graph(g: GeometricGraph) -> list[list[int]]:
     are sorted by left end; each row is tested only against the later
     rows whose left end lies within its own x-extent, and each crossing
     is appended to both edges' lists.  Worst case stays quadratic.
+
+    The window keeps the rows that start at the row's right end's x or
+    at its left end, which `_recognize_rows` leaves out: g need not pass
+    check_relaxed_edges here, and in a graph that breaks the relaxed
+    contract such a row can be a collinear crossing, an edge along
+    another from their shared end, or an overlapping vertical edge in
+    the same column.
     """
     rows = _edge_rows(g, range(g.m), range(g.m))
     rows.sort()
@@ -212,13 +221,35 @@ def _recognize_rows(
     The rows are those of the `_crossable` edges, edge indices as
     payloads; none are built when the edge cap rejects g.
 
-    The sweep is `crossing_graph`'s over the `_crossable` edges.  Each
-    crossing (i, j) goes straight into a quick-find parity table: per edge
-    its class label and its parity relative to the label, per label its
-    size, and a `link` circle through each class.  Edges of different
-    classes merge, the smaller class taking the other's label, and (i, j)
-    joins the spanning forest; edges of one class and one parity close an
-    odd cycle through that forest, and the sweep stops.
+    The sweep is `crossing_graph`'s over the `_crossable` edges, with
+    narrower windows.  Row p, whose edge spans xlo <= x <= xhi, is
+    tested against rows[lo:hi]: hi is the first later row that starts at
+    x >= xhi, and lo is the first later row that starts right of xlo
+    when the vertical line x = xlo holds no point of S but p's left end,
+    p + 1 otherwise.  Both cuts drop only rows that cannot cross p, once
+    check_relaxed_edges has passed, which rules out collinear overlaps:
+
+    - A row q that starts at x = xhi lies in x >= xhi and p in x <= xhi,
+      so they can meet only on that line.  If p is not vertical, its open
+      segment does not reach the line.  If p is vertical, q is either
+      vertical in p's column, where they could cross only by overlapping,
+      or q's open segment lies right of the line.
+    - If the line x = xlo holds one point, p is not vertical and every
+      later row that starts at x = xlo starts at p's left end.  Two edges
+      from one point cross only by overlapping.
+
+    A vertical row's window is therefore empty: what crosses it starts
+    left of its column and tests it from there.  The rows keep
+    `crossing_graph`'s order and only rows that do not cross are cut,
+    so the crossings come out in the same order; every row still makes
+    one `_crossed` call, with an empty window if it has nothing to test.
+
+    Each crossing (i, j) goes straight into a quick-find parity table:
+    per edge its class label and its parity relative to the label, per
+    label its size, and a `link` circle through each class.  Edges of
+    different classes merge, the smaller class taking the other's label,
+    and (i, j) joins the spanning forest; edges of one class and one
+    parity close an odd cycle through that forest, and the sweep stops.
     """
     check_relaxed_edges(g)
     n, m = g.n, g.m
@@ -227,13 +258,16 @@ def _recognize_rows(
     rows = _edge_rows(g, _crossable(g), range(m))
     rows.sort()
     xlos = [r[0] for r in rows]
+    xs = sorted(x for x, _ in g.points.points)
+    shared = {x for x, y in zip(xs, xs[1:]) if x == y}
     label = list(range(m))
     par = [0] * m
     size = [1] * m
     link = list(range(m))
     forest: list[tuple[int, int]] = []
-    for p, (_, xhi, _, _, xa, ya, xb, yb, _, _, _, i) in enumerate(rows):
-        for j in _crossed(rows, p + 1, bisect_right(xlos, xhi, p + 1), xa, ya, xb, yb):
+    for p, (xlo, xhi, _, _, xa, ya, xb, yb, _, _, _, i) in enumerate(rows):
+        lo = p + 1 if xlo in shared else bisect_right(xlos, xlo, p + 1)
+        for j in _crossed(rows, lo, bisect_left(xlos, xhi, lo), xa, ya, xb, yb):
             # A merge can relabel i itself, so its label is read afresh.
             f, h = label[i], label[j]
             if f != h:

@@ -886,6 +886,16 @@ def random_lattice_points(rng: random.Random, k: int, lo: int) -> PointSet:
     return PointSet.from_coords(rng.sample(cells, rng.randint(lo, k * k)), Strictness.RELAXED)
 
 
+def with_first_non_edge(g: GeometricGraph) -> GeometricGraph:
+    """g plus its first absent vertex pair in (a, b) order; on a maximal
+    graph it makes the graph NOT-BIPLANE."""
+    present = set(g.edges)
+    chord = next(
+        (a, b) for a in range(g.n) for b in range(a + 1, g.n) if (a, b) not in present
+    )
+    return GeometricGraph(g.points, g.edges + (chord,))
+
+
 def drop_edges_through_vertices(g: GeometricGraph) -> GeometricGraph:
     """g without the edges that have a vertex strictly inside them."""
     bad = {e for _, e in brute_relaxed_edge_violations(g)}

@@ -17,6 +17,7 @@ from _helpers import (
     random_lattice_points,
     random_plane_graph,
     random_strict_points,
+    with_first_non_edge,
 )
 
 from biplanekit.augmentation import maximal_augment
@@ -161,14 +162,6 @@ def verdict_key(res) -> tuple:
     return ("cap", res.n, res.m, res.cap)
 
 
-def _with_first_non_edge(g: GeometricGraph) -> GeometricGraph:
-    present = set(g.edges)
-    chord = next(
-        (a, b) for a in range(g.n) for b in range(a + 1, g.n) if (a, b) not in present
-    )
-    return GeometricGraph(g.points, g.edges + (chord,))
-
-
 def recognition_inputs() -> dict[str, list[GeometricGraph]]:
     """Groups of graphs whose verdicts, odd cycles included, follow the
     order in which recognition's sweep meets the crossings."""
@@ -194,7 +187,7 @@ def recognition_inputs() -> dict[str, list[GeometricGraph]]:
     for n in (21, 60):
         maximal = maximal_augment(GeometricGraph(gen_convex(n), ())).graph
         out[f"convex-{n}-maximal"] = [maximal]
-        out[f"convex-{n}-chord"] = [_with_first_non_edge(maximal)]
+        out[f"convex-{n}-chord"] = [with_first_non_edge(maximal)]
     return out
 
 

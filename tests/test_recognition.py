@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from _helpers import (
@@ -15,6 +16,7 @@ from _helpers import (
     random_strict_points,
     reference_recognize,
     witness_cycle_is_valid,
+    with_first_non_edge,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -196,7 +198,7 @@ def test_crossing_pairs_match_brute_sweep():
     graphs += [maximal_augment(GeometricGraph(gen_convex(n), ())).graph for n in (8, 21, 60)]
     # The dense input the check-convex benchmark runs at n = 500, plus one
     # chord: maximality makes it NOT-BIPLANE.
-    graphs.append(_with_first_non_edge(graphs[-1]))
+    graphs.append(with_first_non_edge(graphs[-1]))
     overlaps = vertical_overlaps = 0
     for g in graphs:
         pairs = crossing_pairs(g)
@@ -222,19 +224,11 @@ def test_crossing_pairs_match_brute_sweep():
         assert (min(i, j), max(i, j)) in crossing
 
 
-def _with_first_non_edge(g: GeometricGraph) -> GeometricGraph:
-    present = set(g.edges)
-    chord = next(
-        (a, b) for a in range(g.n) for b in range(a + 1, g.n) if (a, b) not in present
-    )
-    return GeometricGraph(g.points, g.edges + (chord,))
-
-
 def test_recognition_never_builds_the_pair_list(monkeypatch):
     # test_biplane and the maximality oracle color the crossings as the
     # sweep finds them; neither the pair list nor the adjacency lists exist.
     convex = maximal_augment(GeometricGraph(gen_convex(60), ())).graph
-    chorded = _with_first_non_edge(convex)
+    chorded = with_first_non_edge(convex)
     ps = random_strict_points(random.Random(3), 40)
     maximal = maximal_augment(GeometricGraph(ps, ())).graph
     want = (test_biplane(convex), test_biplane(chorded), maximality_oracle(maximal))
@@ -277,17 +271,75 @@ def test_hull_sides_get_no_kernel_row(monkeypatch):
     assert isinstance(test_biplane(convex), BiplaneDecomposition)
     assert len(calls) == inner
     calls.clear()
-    assert isinstance(test_biplane(_with_first_non_edge(convex)), OddCycleWitness)
+    assert isinstance(test_biplane(with_first_non_edge(convex)), OddCycleWitness)
     assert 0 < len(calls) < inner
     monkeypatch.undo()
-    monkeypatch.setattr(analysis, "_crossed", counted)
+    scanned = []
+
+    def recorded(rows, lo, hi, *segment):
+        scanned.append(rows[lo:hi])
+        return _crossed(rows, lo, hi, *segment)
+
+    monkeypatch.setattr(analysis, "_crossed", recorded)
     rng = random.Random(4)
     for ps in (random_strict_points(rng, 30), random_lattice_points(rng, 6, 20)):
         maximal = maximal_augment(GeometricGraph(ps, ())).graph
-        inner = len([e for e in maximal.edges if e not in _hull_sides(ps)])
-        calls.clear()
+        sides = _hull_sides(ps)
+        inner = len([e for e in maximal.edges if e not in sides])
+        assert inner < maximal.m
+        pts = ps.points
+        side_ends = {frozenset((pts[a], pts[b])) for a, b in sides}
+        scanned.clear()
         assert maximality_oracle(maximal) is True
-        assert calls and set(calls) == {inner} and inner < maximal.m
+        # The ends may settle every non-edge, so a scan is not required.
+        for window in scanned:
+            assert len(window) == inner
+            assert not any(frozenset((r[4:6], r[6:8])) in side_ends for r in window)
+
+
+def test_windows_leave_out_edges_that_meet_at_an_end(monkeypatch):
+    # Recognition tests a row against no row that starts at its right
+    # end's x, and, where its left end is alone in its column, against no
+    # row from that end; neither can cross it once edges through vertices
+    # are rejected.  The grid's columns hold many points each.
+    convex = maximal_augment(GeometricGraph(gen_convex(60), ())).graph
+    ps = random_strict_points(random.Random(23), 40)
+    maximal = maximal_augment(GeometricGraph(ps, ())).graph
+    grid = gen_grid(6).graph
+    windows = []
+
+    def recorded(rows, lo, hi, xa, ya, xb, yb):
+        windows.append((rows[lo:hi], min((xa, ya), (xb, yb)), max(xa, xb)))
+        return _crossed(rows, lo, hi, xa, ya, xb, yb)
+
+    monkeypatch.setattr(recognition, "_crossed", recorded)
+    totals = []
+    lone_ends = 0
+    for g in (convex, maximal, grid):
+        windows.clear()
+        assert isinstance(test_biplane(g), BiplaneDecomposition)
+        column = Counter(x for x, _ in g.points.points)
+        for window, left, right_x in windows:
+            assert all(r[0] != right_x for r in window)
+            if column[left[0]] == 1:
+                lone_ends += 1
+                assert all(left not in (r[4:6], r[6:8]) for r in window)
+        totals.append(sum(len(window) for window, _, _ in windows))
+    assert lone_ends
+    assert totals == [3249, 2404, 1700]
+
+
+def test_crossing_graph_keeps_pairs_that_meet_at_an_end():
+    # Graphs that break the relaxed contract: an edge along another from
+    # their shared end, and two overlapping vertical edges in one column.
+    # Recognition rejects both, but crossing_graph windows every row in
+    # full and reports each overlap as a crossing.
+    along = PointSet.from_coords([(0, 0), (2, 0), (1, 0)], Strictness.RELAXED)
+    column = PointSet.from_coords([(1, 0), (1, 2), (1, 1), (1, 3)], Strictness.RELAXED)
+    for g in (GeometricGraph(along, ((0, 1), (0, 2))), GeometricGraph(column, ((0, 1), (2, 3)))):
+        assert crossing_pairs(g) == brute_crossing_pairs(g) == [(0, 1)]
+        with pytest.raises(ValueError):
+            test_biplane(g)
 
 
 def test_hull_rule_needs_edges_and_a_hull(monkeypatch):
@@ -372,7 +424,7 @@ def test_recognition_matches_the_bfs_reference():
     graphs += [gen_grid(k).graph for k in (5, 6, 9)]
     for n in (8, 21, 60):
         maximal = maximal_augment(GeometricGraph(gen_convex(n), ())).graph
-        graphs += [maximal, _with_first_non_edge(maximal)]
+        graphs += [maximal, with_first_non_edge(maximal)]
     kinds = set()
     for g in graphs:
         want = reference_recognize(g)

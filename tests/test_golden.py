@@ -1,10 +1,11 @@
-"""Golden output digests: the identity contract of the augmentation and
-of recognition.
+"""Golden output digests: the identity contract of the augmentation, of
+recognition and of the SVG renderer.
 
 Each digest is the SHA-256 of the repr of plain tuples of ints and
 strings, so it does not depend on hash order or on how the library stores
-its triangulations.  A change that keeps outputs identical keeps every
-digest; a change that means to alter outputs must say so and update them.
+its triangulations; an SVG digest is the SHA-256 of the document.  A
+change that keeps outputs identical keeps every digest; a change that
+means to alter outputs must say so and update them.
 """
 
 import hashlib
@@ -29,6 +30,7 @@ from biplanekit.recognition import (
     TooManyEdges,
     test_biplane,
 )
+from biplanekit.svgrender import render_svg
 from biplanekit.triangulation import complete_layers, enumerate_triangulations
 
 
@@ -219,3 +221,36 @@ def test_recognition_verdicts_match_golden_digests():
         assert kinds[f"convex-{n}-chord"] == {"OddCycleWitness"}
     got = {name: digest(tuple(map(verdict_key, vs))) for name, vs in verdicts.items()}
     assert got == GOLDEN_RECOGNITION
+
+
+def svg_inputs() -> dict[str, GeometricGraph]:
+    """Biplane graphs whose drawings mix uncrossed edges with both layers:
+    a grid, a maximal convex graph, and random strict and lattice graphs."""
+    rng = random.Random(2424)
+    lattice = random_lattice_points(rng, 7, 30)
+    return {
+        "grid-8": gen_grid(8).graph,
+        "convex-21-maximal": maximal_augment(GeometricGraph(gen_convex(21), ())).graph,
+        "strict-40-biplane": random_biplane_graph(rng, random_strict_points(rng, 40), 120),
+        "lattice-biplane": drop_edges_through_vertices(
+            random_biplane_graph(rng, lattice, 3 * len(lattice))
+        ),
+    }
+
+
+GOLDEN_SVG = {
+    "grid-8": "f8750e609d7807b98c73c391f663991a133ca6a89928d6fcfaebfb1471c30cf7",
+    "convex-21-maximal": "50c10545e3d7efaa4f772c3758bfaa4a28d623c932da6528196a8bfcfe70440e",
+    "strict-40-biplane": "81dca893ed136d7c93ab43a5cdbfee76d176ef729cd8e93ce99b44c7feff8172",
+    "lattice-biplane": "fa22ea3432fb2b005f80dcf2e90aa8dddb6214b63ed7aac9a00ca1ce884932ec",
+}
+
+
+def test_svg_drawings_match_golden_digests():
+    got = {}
+    for name, g in svg_inputs().items():
+        verdict = test_biplane(g)
+        assert isinstance(verdict, BiplaneDecomposition)
+        svg = render_svg(g, verdict.layer1, verdict.layer2)
+        got[name] = hashlib.sha256(svg.encode()).hexdigest()
+    assert got == GOLDEN_SVG

@@ -3,10 +3,13 @@
 The state tracks two triangulations (red and blue) sharing the purple edges
 P = R intersect B.  Faces of the purple plane graph (S, P) are held in a
 quick-find table over the face walks: each walk carries its face's label
-and a parity relative to it, and each label a flip bit.  Flipping a purple
-edge merges its two faces by relabeling the walks of the smaller-ranked
-one, and the cross-face flip clause exchanges a face's red and blue chords
-by toggling its label's flip bit instead of relabeling chords.
+and a parity relative to it, and each label a flip bit and a rank.
+Flipping a purple edge merges its two faces by `recognition._merge`, the
+quick-find merge recognition colors with: union by rank relabels the
+walks of the face of lower rank, so a walk is relabeled at most log2 W
+times over a run on W walks.  The cross-face flip clause exchanges a
+face's red and blue chords by toggling its label's flip bit instead of
+relabeling chords.
 
 The edges keep the numbers of the red triangulation's darts: edge k = (a, b),
 a < b, has dart 2k = a -> b and dart 2k + 1 = b -> a.  Per dart the state
@@ -62,7 +65,7 @@ from typing import NamedTuple
 
 from .geometry import Edge, PointSet, _typed_eq, edge
 from .graphs import GeometricGraph, relaxed_edge_violations
-from .recognition import BiplaneDecomposition, BiplaneResult, test_biplane
+from .recognition import BiplaneDecomposition, BiplaneResult, _merge, test_biplane
 from .triangulation import (
     OUTER,
     CollinearError,
@@ -331,29 +334,12 @@ def build_state(
 def _merge_faces(state: MaximalState, f: int, g: int) -> None:
     """Merge the faces labeled f and g, keeping every walk's parity.
 
-    Union by rank picks the surviving label, f on a tie, so a face of rank
-    r has at least 2 ** r walks.  The other face's walks take the
-    survivor's label, and its circle of walks is spliced into the
-    survivor's.  A walk is relabeled only into a face of higher rank, so at
-    most log2 W times over a run on W walks.
+    `_merge` relabels the walks of the face of lower rank, f surviving on
+    a tie, and toggles their parities by the two labels' flip bits.
     """
-    if f == g:
-        return
-    rank = state.face_rank
-    if rank[f] < rank[g]:
-        f, g = g, f
-    elif rank[f] == rank[g]:
-        rank[f] += 1
-    face, par, link = state.face, state.face_par, state.face_link
-    x = state.face_flip[f] ^ state.face_flip[g]
-    w = g
-    while True:
-        face[w] = f
-        par[w] ^= x
-        w = link[w]
-        if w == g:
-            break
-    link[f], link[g] = link[g], link[f]
+    if f != g:
+        x = state.face_flip[f] ^ state.face_flip[g]
+        _merge(state.face, state.face_par, state.face_rank, state.face_link, f, g, x)
 
 
 def _clause(

@@ -7,27 +7,29 @@ testing behind a bounding-box sweep, which is the right trade at desk
 scale.  Each pair whose boxes overlap costs two sign tests against a line
 precomputed per edge, and two more only if those do not already rule the
 crossing out.  Recognition colors as it sweeps: each crossing goes
-straight into a quick-find parity table over edges, and the first
-crossing between two edges of one class and one color ends the sweep with
-an odd cycle.  No crossing is stored.  Edges joining consecutive hull
-vertices get no row, since no other edge can cross them, and a row's
-window leaves out the rows that can meet it only at a shared endpoint.
+straight into a quick-find parity table over edges (`_merge`, which the
+augmentation's face table shares), and the first crossing between two
+edges of one class and one color ends the sweep with an odd cycle.  No
+crossing is stored.  Edges joining consecutive hull vertices get no row,
+since no other edge can cross them, and a row's window leaves out the
+rows that can meet it only at a shared endpoint.
 Recognizing a maximal graph on 500 points in convex position (994 rows
 of 1,494 edges, 247,009 rows handed to the kernel, 123,753 crossings)
-takes about 0.10 s on a 2-vCPU VM; with the rows that share an endpoint
-in the windows it handed the kernel 493,521 and took about 0.19 s.
+takes about 0.10 s on a 2-vCPU VM.
 
 One kernel answers "which of these edges cross segment ab" for every
 scan: `_crossed` scans rows that each hold an edge's box, endpoints,
-line (`_edge_line`) and a payload.  `_recognize` and `crossing_graph`
-scan each row's x-window with edge indices as payloads; `crossing_graph`
-keeps a row for every edge and the full window, and fills adjacency
-lists, for `crossing_pairs` and the SVG renderer.  The maximality oracle
-in `analysis` takes `_recognize_rows`'s rows, so one hull and one row per
-edge serve both, swaps their payloads for (component, color), and scans
-them only for a non-edge whose ends show no clash; the edges around the
-ends it tests itself, by one signed area each.  A relaxed graph with a
-vertex inside an edge is rejected before any crossing test.
+line (`_edge_line`) and a payload.  `_recognize_rows` and
+`crossing_pairs` scan each row's x-window with edge indices as payloads;
+`crossing_pairs` keeps a row for every edge and the full window, and
+returns the sorted pairs, for the SVG renderer, the plane check before
+completion and the segment masks of triangulation enumeration.  The
+maximality oracle in `analysis` takes `_recognize_rows`'s rows, so one
+hull and one row per edge serve both, swaps their payloads for
+(component, color), and scans them only for a non-edge whose ends show
+no clash; the edges around the ends it tests itself, by one signed area
+each.  A relaxed graph with a vertex inside an edge is rejected before
+any crossing test.
 """
 
 from __future__ import annotations
@@ -125,10 +127,8 @@ def _crossed(
             yield payload
 
 
-def _edge_rows(
-    g: GeometricGraph, keep: Iterable[int], payloads: Sequence[Any]
-) -> list[tuple]:
-    """One `_crossed` row for each edge index i in keep, with payloads[i]."""
+def _edge_rows(g: GeometricGraph, keep: Iterable[int]) -> list[tuple]:
+    """One `_crossed` row for each edge index i in keep, with payload i."""
     pts = g.points.points
     edges = g.edges
     rows = []
@@ -138,7 +138,7 @@ def _edge_rows(
         xlo, xhi = (xa, xb) if xa < xb else (xb, xa)
         ylo, yhi = (ya, yb) if ya < yb else (yb, ya)
         line = _edge_line(xa, ya, xb, yb)
-        rows.append((xlo, xhi, ylo, yhi, xa, ya, xb, yb, *line, payloads[i]))
+        rows.append((xlo, xhi, ylo, yhi, xa, ya, xb, yb, *line, i))
     return rows
 
 
@@ -163,13 +163,13 @@ def _crossable(g: GeometricGraph) -> Sequence[int]:
     return [i for i, e in enumerate(g.edges) if e not in sides]
 
 
-def crossing_graph(g: GeometricGraph) -> list[list[int]]:
-    """Adjacency lists over edge indices, each sorted; arc iff the open segments cross.
+def crossing_pairs(g: GeometricGraph) -> list[tuple[int, int]]:
+    """All pairs (i, j), i < j, of edge indices whose open segments cross, sorted.
 
     Each edge becomes one `_crossed` row with its index as payload.  Rows
     are sorted by left end; each row is tested only against the later
-    rows whose left end lies within its own x-extent, and each crossing
-    is appended to both edges' lists.  Worst case stays quadratic.
+    rows whose left end lies within its own x-extent, so each crossing
+    is found once.  Worst case stays quadratic.
 
     The window keeps the rows that start at the row's right end's x or
     at its left end, which `_recognize_rows` leaves out: g need not pass
@@ -178,50 +178,59 @@ def crossing_graph(g: GeometricGraph) -> list[list[int]]:
     another from their shared end, or an overlapping vertical edge in
     the same column.
     """
-    rows = _edge_rows(g, range(g.m), range(g.m))
+    rows = _edge_rows(g, range(g.m))
     rows.sort()
     xlos = [r[0] for r in rows]
-    adj: list[list[int]] = [[] for _ in range(g.m)]
+    pairs = []
     for p, (_, xhi, _, _, xa, ya, xb, yb, _, _, _, i) in enumerate(rows):
-        out = adj[i]
         for j in _crossed(rows, p + 1, bisect_right(xlos, xhi, p + 1), xa, ya, xb, yb):
-            out.append(j)
-            adj[j].append(i)
-    for out in adj:
-        out.sort()
-    return adj
+            pairs.append((i, j) if i < j else (j, i))
+    pairs.sort()
+    return pairs
 
 
-def crossing_pairs(g: GeometricGraph) -> list[tuple[int, int]]:
-    """All pairs (i, j), i < j, of edge indices whose open segments cross, sorted.
+def _merge(
+    label: list[int], par: list[int], rank: list[int], link: list[int], f: int, g: int, x: int
+) -> None:
+    """Merge the classes labeled f and g of a quick-find parity table.
 
-    Read off `crossing_graph` in index order, which is already sorted.
+    Each member w has a class label[w] and a parity par[w] relative to it;
+    a label is a member of its own class, and link threads each class in
+    a circle.  Union by rank picks the surviving label, f on a tie, so a
+    class of rank r has at least 2 ** r members.  The other class's
+    members take the survivor's label and have their parities toggled by
+    x, and its circle is spliced into the survivor's.  A member is
+    relabeled only into a class of higher rank, so at most log2 N times
+    over a run on N members.
     """
-    return [(i, j) for i, out in enumerate(crossing_graph(g)) for j in out if j > i]
-
-
-def _recognize(
-    g: GeometricGraph,
-) -> tuple[list[int], list[int]] | OddCycleWitness | TooManyEdges:
-    """Two-color g's crossing graph while sweeping for its crossings.
-
-    Returns (color, root): edge i's color, 0 or 1, and the lowest-index
-    edge of its crossing-graph component, which has color 0.  An odd
-    cycle or the edge cap stops it instead.  Raises ValueError on a
-    relaxed graph with a vertex inside an edge.
-    """
-    return _recognize_rows(g)[0]
+    if rank[f] < rank[g]:
+        f, g = g, f
+    elif rank[f] == rank[g]:
+        rank[f] += 1
+    w = g
+    while True:
+        label[w] = f
+        par[w] ^= x
+        w = link[w]
+        if w == g:
+            break
+    link[f], link[g] = link[g], link[f]
 
 
 def _recognize_rows(
     g: GeometricGraph,
 ) -> tuple[tuple[list[int], list[int]] | OddCycleWitness | TooManyEdges, list[tuple]]:
-    """`_recognize`'s verdict and the rows it swept, sorted by left end.
+    """Two-color g's crossing graph while sweeping for its crossings.
 
-    The rows are those of the `_crossable` edges, edge indices as
-    payloads; none are built when the edge cap rejects g.
+    Returns the verdict and the rows it swept, sorted by left end.  The
+    verdict is (color, root): edge i's color, 0 or 1, and the
+    lowest-index edge of its crossing-graph component, which has color 0;
+    an odd cycle or the edge cap stops it instead.  Raises ValueError on
+    a relaxed graph with a vertex inside an edge.  The rows are those of
+    the `_crossable` edges, edge indices as payloads; none are built when
+    the edge cap rejects g.
 
-    The sweep is `crossing_graph`'s over the `_crossable` edges, with
+    The sweep is `crossing_pairs`' over the `_crossable` edges, with
     narrower windows.  Row p, whose edge spans xlo <= x <= xhi, is
     tested against rows[lo:hi]: hi is the first later row that starts at
     x >= xhi, and lo is the first later row that starts right of xlo
@@ -240,29 +249,31 @@ def _recognize_rows(
 
     A vertical row's window is therefore empty: what crosses it starts
     left of its column and tests it from there.  The rows keep
-    `crossing_graph`'s order and only rows that do not cross are cut,
-    so the crossings come out in the same order; every row still makes
-    one `_crossed` call, with an empty window if it has nothing to test.
+    `crossing_pairs`' order and only rows that do not cross are cut, so
+    the crossings are met in the order `crossing_pairs` finds them
+    before it sorts them; every row still makes one `_crossed` call,
+    with an empty window if it has nothing to test.
 
-    Each crossing (i, j) goes straight into a quick-find parity table:
-    per edge its class label and its parity relative to the label, per
-    label its size, and a `link` circle through each class.  Edges of
-    different classes merge, the smaller class taking the other's label,
-    and (i, j) joins the spanning forest; edges of one class and one
-    parity close an odd cycle through that forest, and the sweep stops.
+    Each crossing (i, j) goes straight into a quick-find parity table
+    (`_merge`): per edge its class label and its parity relative to the
+    label, per label its rank, and a `link` circle through each class.
+    Edges of different classes merge, the class of lower rank taking the
+    other's label, and (i, j) joins the spanning forest; edges of one
+    class and one parity close an odd cycle through that forest, and the
+    sweep stops.
     """
     check_relaxed_edges(g)
     n, m = g.n, g.m
     if exceeds_edge_cap(n, m):
         return TooManyEdges(n, m, biplane_edge_cap(n)), []
-    rows = _edge_rows(g, _crossable(g), range(m))
+    rows = _edge_rows(g, _crossable(g))
     rows.sort()
     xlos = [r[0] for r in rows]
     xs = sorted(x for x, _ in g.points.points)
     shared = {x for x, y in zip(xs, xs[1:]) if x == y}
     label = list(range(m))
     par = [0] * m
-    size = [1] * m
+    rank = [0] * m
     link = list(range(m))
     forest: list[tuple[int, int]] = []
     for p, (xlo, xhi, _, _, xa, ya, xb, yb, _, _, _, i) in enumerate(rows):
@@ -272,18 +283,7 @@ def _recognize_rows(
             f, h = label[i], label[j]
             if f != h:
                 forest.append((i, j))
-                x = par[i] ^ par[j] ^ 1
-                if size[f] < size[h]:
-                    f, h = h, f
-                size[f] += size[h]
-                w = h
-                while True:
-                    label[w] = f
-                    par[w] ^= x
-                    w = link[w]
-                    if w == h:
-                        break
-                link[f], link[h] = link[h], link[f]
+                _merge(label, par, rank, link, f, h, par[i] ^ par[j] ^ 1)
             elif par[i] == par[j]:
                 return OddCycleWitness(_forest_cycle(g, forest, i, j)), rows
     # Colors relative to each class's lowest-index edge, its root.
@@ -334,7 +334,7 @@ def test_biplane(g: GeometricGraph) -> BiplaneResult:
     Raises ValueError, naming the edge and the vertex, on a relaxed graph
     with a vertex inside an edge.
     """
-    verdict = _recognize(g)
+    verdict = _recognize_rows(g)[0]
     if isinstance(verdict, (OddCycleWitness, TooManyEdges)):
         return verdict
     color = verdict[0]

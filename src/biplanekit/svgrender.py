@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .geometry import Edge
 from .graphs import GeometricGraph
-from .recognition import crossing_graph
+from .recognition import crossing_pairs
 
 SHARED_COLOR = "#5b2d86"
 LAYER1_COLOR = "#c22727"
@@ -51,10 +51,10 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{height}" viewBox="0 0 {WIDTH} {height}">',
     ]
-    crossed = crossing_graph(g)
+    crossed = {i for pair in crossing_pairs(g) for i in pair}
     for i, e in enumerate(g.edges):
         a, b = pts[e[0]], pts[e[1]]
-        if not crossed[i]:
+        if i not in crossed:
             color, dash = SHARED_COLOR, ""
         elif e in set1:
             color, dash = LAYER1_COLOR, ' stroke-dasharray="7,4"'

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .geometry import Edge, Point, PointSet, cross, edge, segments_cross
+from .geometry import Edge, Point, PointSet, cross, edge
 from .graphs import GeometricGraph, relaxed_edge_violations
 from .recognition import crossing_pairs
 
@@ -483,7 +483,7 @@ def _triangulation_masks(
     Returns (segments, crossing, masks, parents).  Bit k of a mask stands
     for segments[k], and the segments are the point pairs with no point
     inside them, in sorted order.  crossing[k] masks the segments that
-    cross segment k, collinear overlaps included.  masks[0] is the
+    cross segment k, read off `crossing_pairs`.  masks[0] is the
     completion of the bare points, and masks[j + 1] was flipped from
     masks[parents[j]].  The edges of each triangulation T are tried in
     sorted order; edge e flips to the segment that crosses e and no other
@@ -492,16 +492,14 @@ def _triangulation_masks(
     if len(ps) > cap:
         raise ValueError(f"point set size {len(ps)} exceeds cap {cap}")
     start = complete_to_triangulation(ps)
-    pts = ps.points
-    pairs = [(a, b) for a in range(len(pts)) for b in range(a + 1, len(pts))]
+    n = len(ps)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     inside = {e for _, e in relaxed_edge_violations(GeometricGraph(ps, pairs))}
     segments = [e for e in pairs if e not in inside]
     crossing = [0] * len(segments)
-    for i, (a, b) in enumerate(segments):
-        for j, (c, d) in enumerate(segments[:i]):
-            if segments_cross(pts[a], pts[b], pts[c], pts[d]):
-                crossing[i] |= 1 << j
-                crossing[j] |= 1 << i
+    for i, j in crossing_pairs(GeometricGraph(ps, segments)):
+        crossing[i] |= 1 << j
+        crossing[j] |= 1 << i
     crossers = [
         [(1 << j, crossing[j]) for j in range(len(crossing)) if c >> j & 1] for c in crossing
     ]

@@ -42,9 +42,8 @@ from biplanekit.recognition import (
     _crossable,
     _crossed,
     _edge_rows,
-    _recognize,
+    _recognize_rows,
     biplane_edge_cap,
-    crossing_graph,
     crossing_pairs,
     exceeds_edge_cap,
     test_biplane,
@@ -256,6 +255,16 @@ def brute_crossing_pairs(g: GeometricGraph) -> list[tuple[int, int]]:
         active = keep
     pairs.sort()
     return pairs
+
+
+def brute_crossing_masks(ps: PointSet, segments: list[Edge]) -> list[int]:
+    """Per segment of a sorted list, the bit mask of the segments that
+    cross it, read off brute_crossing_pairs."""
+    crossing = [0] * len(segments)
+    for i, j in brute_crossing_pairs(GeometricGraph(ps, segments)):
+        crossing[i] |= 1 << j
+        crossing[j] |= 1 << i
+    return crossing
 
 
 def brute_validate(ps: PointSet) -> ValidationReport:
@@ -478,16 +487,22 @@ def reference_recognize(
 ) -> tuple[list[int], list[int]] | OddCycleWitness | TooManyEdges:
     """Reference recognition: the whole crossing graph, then a BFS.
 
-    `crossing_graph`'s adjacency lists over every edge, hull sides
-    included, then a BFS two-coloring in edge index order.  Returns
-    (color, root) as `recognition._recognize` does, or an odd cycle that
-    closes the BFS tree paths of two same-colored crossing edges.
+    Sorted adjacency lists over every edge, hull sides included, built
+    from `crossing_pairs`, then a BFS two-coloring in edge index order.
+    Returns (color, root) as `recognition._recognize_rows` does, or an odd
+    cycle that closes the BFS tree paths of two same-colored crossing
+    edges.
     """
     check_relaxed_edges(g)
     n, m = g.n, g.m
     if exceeds_edge_cap(n, m):
         return TooManyEdges(n, m, biplane_edge_cap(n))
-    adj = crossing_graph(g)
+    # The pairs are sorted, so each list comes out sorted: the partners
+    # below an edge arrive before the partners above it.
+    adj: list[list[int]] = [[] for _ in range(m)]
+    for i, j in crossing_pairs(g):
+        adj[i].append(j)
+        adj[j].append(i)
     color = [-1] * m
     parent = [-1] * m
     root = [-1] * m
@@ -679,13 +694,13 @@ def reference_maximality_oracle(g: GeometricGraph) -> bool:
     and is skipped.  Raises ValueError when g is not biplane or breaks the
     relaxed contract.
     """
-    coloring = _recognize(g)
+    coloring = _recognize_rows(g)[0]
     if isinstance(coloring, (OddCycleWitness, TooManyEdges)):
         raise ValueError("input graph is not biplane")
     if exceeds_edge_cap(g.n, g.m + 1):
         return True
     color, root = coloring
-    rows = _edge_rows(g, _crossable(g), list(zip(root, color)))
+    rows = [r[:11] + ((root[r[11]], color[r[11]]),) for r in _edge_rows(g, _crossable(g))]
     # Longest edges first: they cross the most non-edges, so a clash is
     # found early, and the scan's length depends on the geometry alone,
     # not on how the vertices are labelled.
@@ -827,7 +842,7 @@ def union_is_maximal(crossing: list[int], union: int) -> bool:
     masks, one pair of color masks per component.  An absent segment is
     blocked when it crosses both colors of one component; the union is
     maximal when every absent segment is blocked.  It shares no code with
-    recognition: the crossing masks come from segments_cross.
+    recognition: the crossing masks come from brute_crossing_masks.
     """
     comps = []
     left = union
@@ -861,7 +876,8 @@ def union_is_maximal(crossing: list[int], union: int) -> bool:
 def maximal_unions(ps: PointSet) -> tuple[list[Edge], list[int], dict[int, bool]]:
     """(segments, crossing masks, {distinct union of two triangulations:
     union_is_maximal}) over the triangulations of ps."""
-    segments, crossing, masks, _ = _triangulation_masks(ps, len(ps))
+    segments, _, masks, _ = _triangulation_masks(ps, len(ps))
+    crossing = brute_crossing_masks(ps, segments)
     unions = {a | b for i, a in enumerate(masks) for b in masks[i:]}
     return segments, crossing, {u: union_is_maximal(crossing, u) for u in unions}
 

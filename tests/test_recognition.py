@@ -42,8 +42,7 @@ from biplanekit.recognition import (
     TooManyEdges,
     _crossed,
     _edge_line,
-    _recognize,
-    crossing_graph,
+    _recognize_rows,
     crossing_pairs,
     exceeds_edge_cap,
     test_biplane,
@@ -74,7 +73,10 @@ def test_quad_with_diagonals_single_crossing_arc():
 
 def test_pentagon_k5_crossing_graph_is_five_cycle_plus_isolated_sides():
     g = k_complete(convex_polygon(5))
-    adj = crossing_graph(g)
+    adj: list[list[int]] = [[] for _ in range(g.m)]
+    for i, j in crossing_pairs(g):
+        adj[i].append(j)
+        adj[j].append(i)
     degs = sorted(len(lst) for lst in adj)
     assert degs == [0] * 5 + [2] * 5
     # derived check: the degree-2 nodes form one cycle of length 5
@@ -203,8 +205,6 @@ def test_crossing_pairs_match_brute_sweep():
     for g in graphs:
         pairs = crossing_pairs(g)
         assert pairs == brute_crossing_pairs(g)
-        # Each edge's partners, sorted by index, whichever side found them.
-        assert crossing_graph(g) == brute_crossing_adjacency(g)
         pts = g.points.points
         for i, j in pairs:
             (a, b), (c, d) = g.edges[i], g.edges[j]
@@ -226,7 +226,7 @@ def test_crossing_pairs_match_brute_sweep():
 
 def test_recognition_never_builds_the_pair_list(monkeypatch):
     # test_biplane and the maximality oracle color the crossings as the
-    # sweep finds them; neither the pair list nor the adjacency lists exist.
+    # sweep finds them; the pair list never exists.
     convex = maximal_augment(GeometricGraph(gen_convex(60), ())).graph
     chorded = with_first_non_edge(convex)
     ps = random_strict_points(random.Random(3), 40)
@@ -239,11 +239,7 @@ def test_recognition_never_builds_the_pair_list(monkeypatch):
     def no_pair_list(g):
         raise AssertionError("recognition built the crossing pair list")
 
-    def no_adjacency(g):
-        raise AssertionError("recognition built the crossing adjacency lists")
-
     monkeypatch.setattr(recognition, "crossing_pairs", no_pair_list)
-    monkeypatch.setattr(recognition, "crossing_graph", no_adjacency)
     got = (test_biplane(convex), test_biplane(chorded), maximality_oracle(maximal))
     assert got == want
 
@@ -329,10 +325,10 @@ def test_windows_leave_out_edges_that_meet_at_an_end(monkeypatch):
     assert totals == [3249, 2404, 1700]
 
 
-def test_crossing_graph_keeps_pairs_that_meet_at_an_end():
+def test_crossing_pairs_keeps_pairs_that_meet_at_an_end():
     # Graphs that break the relaxed contract: an edge along another from
     # their shared end, and two overlapping vertical edges in one column.
-    # Recognition rejects both, but crossing_graph windows every row in
+    # Recognition rejects both, but crossing_pairs windows every row in
     # full and reports each overlap as a crossing.
     along = PointSet.from_coords([(0, 0), (2, 0), (1, 0)], Strictness.RELAXED)
     column = PointSet.from_coords([(1, 0), (1, 2), (1, 1), (1, 3)], Strictness.RELAXED)
@@ -362,13 +358,13 @@ def test_hull_rule_needs_edges_and_a_hull(monkeypatch):
         assert test_biplane(g) == BiplaneDecomposition(g.edges, ())
 
 
-def test_merges_relabel_the_smaller_class(monkeypatch):
+def test_merges_relabel_the_class_of_lower_rank(monkeypatch):
     # k stacked near-horizontal edges each cross one near-vertical edge
     # whose left end lies to the right of theirs, so the sweep meets the k
     # crossings one by one, each joining a lone edge to the class that
-    # holds all the earlier ones.  Relabelling the smaller class writes
-    # one label and two links per merge; relabelling the other class
-    # would write about k**2 / 2 labels.
+    # holds all the earlier ones.  Relabelling the class of lower rank,
+    # the lone edge, writes one label and two links per merge;
+    # relabelling the other class would write about k**2 / 2 labels.
     k = 200
     coords = [(-(10**6) - t**3, 1000 * t) for t in range(k)]
     coords += [(10**6 + t**3, 1000 * t + 1) for t in range(k)]
@@ -386,7 +382,7 @@ def test_merges_relabel_the_smaller_class(monkeypatch):
             super().__setitem__(i, v)
 
     monkeypatch.setattr(recognition, "list", CountedList, raising=False)
-    color, root = _recognize(g)
+    color, root = _recognize_rows(g)[0]
     assert root == [0] * g.m and color == [0] * k + [1]
     assert 0 < writes <= g.m * math.log2(g.m)
 
@@ -407,7 +403,7 @@ def _hull_side_holds_a_point(ps: PointSet) -> bool:
 
 
 def test_recognition_matches_the_bfs_reference():
-    # The sweep's coloring against crossing_graph plus BFS: the same
+    # The sweep's coloring against crossing_pairs plus BFS: the same
     # verdict, the same (color, root) and decomposition, and an odd cycle
     # of distinct edges whenever the reference finds one.
     rng = random.Random(20)
@@ -428,7 +424,7 @@ def test_recognition_matches_the_bfs_reference():
     kinds = set()
     for g in graphs:
         want = reference_recognize(g)
-        got = _recognize(g)
+        got = _recognize_rows(g)[0]
         assert type(got) is type(want)
         kinds.add(type(got).__name__)
         if isinstance(want, OddCycleWitness):

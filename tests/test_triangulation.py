@@ -6,6 +6,7 @@ from _helpers import (
     boundary_edges,
     brute_angular_rotation,
     brute_crossed_edges,
+    brute_crossing_masks,
     brute_face_walks,
     brute_fill_pocket,
     brute_sweep_triangulation,
@@ -34,6 +35,7 @@ from biplanekit.triangulation import (
     OUTER,
     NotPlaneError,
     Triangulation,
+    _triangulation_masks,
     complete_layers,
     complete_to_triangulation,
     enumerate_triangulations,
@@ -443,12 +445,22 @@ def test_mask_enumeration_matches_the_flip_reference():
     # number, so the dart lists match too; only the dart kept per vertex
     # may differ.  On lattice sets the segments leave out every point pair
     # with a point inside it, and collinear overlaps count as crossings.
+    # The segment crossing masks match the brute sweep's pairs, also where
+    # lattice segments lie on one line, touching or apart.
     rng = random.Random(47)
     sets = [gen_convex(6)]
     sets += [random_strict_points(rng, n) for n in (7, 8, 9)]
     sets += [random_lattice_points(rng, 3, 7) for _ in range(6)]
-    collinear_hull = interior = 0
+    collinear_hull = interior = collinear_segments = 0
     for ps in sets:
+        segments, crossing, _, _ = _triangulation_masks(ps, len(ps))
+        assert crossing == brute_crossing_masks(ps, segments)
+        pts = ps.points
+        collinear_segments += sum(
+            cross(pts[a], pts[b], pts[c]) == 0 == cross(pts[a], pts[b], pts[d])
+            for k, (a, b) in enumerate(segments)
+            for c, d in segments[:k]
+        )
         want = reference_enumerate_triangulations(ps)
         got = enumerate_triangulations(ps)
         assert [t.sorted_edges() for t in got] == [t.sorted_edges() for t in want]
@@ -465,7 +477,7 @@ def test_mask_enumeration_matches_the_flip_reference():
                 cross(p, q, r) == 0 for p, q, r in zip(pts, pts[1:] + pts[:1], pts[2:] + pts[:2])
             )
             interior += len(hull) < len(ps)
-    assert collinear_hull >= 3 and interior >= 3
+    assert collinear_hull >= 3 and interior >= 3 and collinear_segments
 
 
 def test_flip_graph_connected_same_set_from_any_start():

@@ -22,7 +22,9 @@ from _helpers import (
 )
 
 from biplanekit.augmentation import maximal_augment
+from biplanekit.cli import run
 from biplanekit.constructions import gen_convex, gen_grid
+from biplanekit.fileio import format_graph, format_points
 from biplanekit.graphs import GeometricGraph
 from biplanekit.recognition import (
     BiplaneDecomposition,
@@ -152,6 +154,42 @@ def test_enumeration_matches_golden_digest():
     ps = random_strict_points(random.Random(88), 8)
     tris = enumerate_triangulations(ps)
     assert digest(tuple(tuple(t.sorted_edges()) for t in tris)) == GOLDEN_ENUMERATION
+
+
+def enumerate_listing_inputs() -> dict[str, tuple[str, list[str]]]:
+    """Files for `triangulate --enumerate`, each with its flags: convex
+    points, a strict set with two input edges, and a lattice set with one
+    input edge, read as a relaxed set."""
+    rng = random.Random(2525)
+    strict = random_strict_points(rng, 8)
+    lattice = random_lattice_points(rng, 3, 8)
+    return {
+        "convex-9": (format_points(gen_convex(9)), []),
+        "strict-8-two-edges": (format_graph(random_plane_graph(rng, strict, 2)), []),
+        "lattice-one-edge": (
+            format_graph(random_plane_graph(rng, lattice, 1)),
+            ["--relaxed"],
+        ),
+    }
+
+
+GOLDEN_ENUMERATE_LISTINGS = {
+    "convex-9": "b4fb8a1dd20b10527c81d612d3c7a54051feeb667deb80d3099458ee5593bb7f",
+    "strict-8-two-edges": "0cfa358ff099ba3ee4a026a6dcd449e9391560429b3bf6c2ac7ba6fe324ccd2e",
+    "lattice-one-edge": "ba360c060b5eaba11aa288260766fd1254152856d7cc21574b53ebd2e61db18a",
+}
+
+
+def test_enumerate_listings_match_golden_digests(tmp_path, capsys):
+    got = {}
+    for name, (text, flags) in enumerate_listing_inputs().items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        capsys.readouterr()
+        assert run(["triangulate", str(path), "--enumerate", *flags]) == 0
+        out = capsys.readouterr().out
+        got[name] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == GOLDEN_ENUMERATE_LISTINGS
 
 
 def verdict_key(res) -> tuple:

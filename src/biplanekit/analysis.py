@@ -302,7 +302,7 @@ def brute_force_maximum(ps: PointSet, cap: int = 9) -> OracleResult:
     Every maximal (hence every maximum) biplane graph is a union of two
     triangulations, so maximizing |E1 union E2| over all pairs is exact.
     """
-    segments, _, masks, _ = _triangulation_masks(ps, cap)
+    segments, _, masks = _triangulation_masks(ps, cap)
     best, union = -1, 0
     for i, mi in enumerate(masks):
         for mj in masks[i:]:
@@ -326,17 +326,22 @@ def find_maximal_gap(ps: PointSet, trials: int, seed: int) -> GapReport:
     """Hunt for maximal biplane graphs of different sizes on one point set.
 
     Runs the augmentation from the empty graph and then repeatedly from a
-    single random edge absent from the previous maximal graph.  Reproducible
-    for a fixed seed.
+    single random edge absent from the previous maximal graph.  On relaxed
+    point sets a pair with a point inside it is no edge, so it is never
+    drawn.  Reproducible for a fixed seed.
     """
     rng = random.Random(seed)
-    n = len(ps)
     results = []
     res = maximal_augment(GeometricGraph(ps, ()))
     results.append(res.graph)
+    through_vertex: set[Edge] = set()
+    if ps.strictness is Strictness.RELAXED:
+        # Such a pair is missing from every graph, the first one included.
+        non_edges = GeometricGraph(ps, res.graph.complement_edges())
+        through_vertex = {e for _, e in relaxed_edge_violations(non_edges)}
     for _ in range(max(0, trials - 1)):
         prev = results[-1]
-        missing = prev.complement_edges()
+        missing = [e for e in prev.complement_edges() if e not in through_vertex]
         if not missing:
             break
         start = rng.choice(missing)

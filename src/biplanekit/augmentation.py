@@ -48,8 +48,8 @@ at the end.
 
 Building the state completes both layers from one sweep of the bare points.
 When the two completions are one triangulation, as on empty input, every
-edge is purple under the same number in both; otherwise a merge of the two
-sorted edge lists finds the purple edges and renumbers blue's darts as
+edge is purple under the same number in both; otherwise one dict lookup
+per blue edge finds the purple edges, and blue's darts are renumbered as
 red's.  The purple faces are read off the red triangulation's dart lists:
 one clockwise turn around the head of each purple dart finds the dart that
 follows it in its face walk, and passes the red chords leaving that vertex
@@ -196,42 +196,30 @@ def _match_layers(
 ) -> tuple[bytearray, list[int], list[tuple[Edge, int, int]], list[int], list[int]]:
     """Give blue's edges red's numbers.
 
-    Both triangulations have the same number of edges.  A merge of the two
-    edge lists in sorted order finds the purple edges, which keep their red
-    numbers; the blue chords take the red chords' numbers, so no blue
-    chord is alive.  Returns (alive, purple edges in sorted order, chords
-    as (edge, layer, number) in sorted order, blue apex and nxt lists
-    renumbered).
+    Both triangulations have the same number of edges.  One dict lookup
+    per blue edge finds the purple edges, which keep their red numbers;
+    the blue chords take the red chords' numbers, both in number order, so
+    no blue chord is alive.  Returns (alive, purple edges in sorted order,
+    chords as (edge, layer, number) in sorted order, blue apex and nxt
+    lists renumbered).
     """
     head, bhead = t_red.head, t_blue.head
     m = len(head) // 2
-    bkey = [lo * n + hi for lo, hi in zip(bhead[1::2], bhead[::2])]
-    ro = sorted(range(m), key=key.__getitem__)
-    bo = sorted(range(m), key=bkey.__getitem__)
+    red_of = dict(zip(key, range(m)))
     alive = bytearray(m)
-    order: list[int] = []
-    red_only: list[int] = []
-    blue_only: list[int] = []
     num = [0] * m  # blue edge -> red number
-    i = j = 0
-    while i < m and j < m:
-        r, s = ro[i], bo[j]
-        if key[r] == bkey[s]:
-            alive[r] = 1
-            order.append(r)
-            num[s] = r
-            i += 1
-            j += 1
-        elif key[r] < bkey[s]:
-            red_only.append(r)
-            i += 1
-        else:
+    blue_only: list[int] = []
+    for s, (lo, hi) in enumerate(zip(bhead[1::2], bhead[::2])):
+        r = red_of.get(lo * n + hi)
+        if r is None:
             blue_only.append(s)
-            j += 1
-    red_only += ro[i:]
-    blue_only += bo[j:]
+        else:
+            alive[r] = 1
+            num[s] = r
+    red_only = [r for r in range(m) if not alive[r]]
     for s, r in zip(blue_only, red_only):
         num[s] = r
+    order = sorted((r for r in range(m) if alive[r]), key=key.__getitem__)
     chords = sorted(
         [((head[2 * r + 1], head[2 * r]), RED, r) for r in red_only]
         + [((bhead[2 * s + 1], bhead[2 * s]), BLUE, num[s]) for s in blue_only]

@@ -42,8 +42,8 @@ from .svgrender import render_svg
 from .triangulation import (
     GeometryError,
     NotPlaneError,
+    _triangulation_masks,
     complete_to_triangulation,
-    enumerate_triangulations,
 )
 
 
@@ -102,14 +102,16 @@ def _cmd_triangulate(args: argparse.Namespace) -> int:
     g = _load(args, args.points, parse_points_or_graph)
     t = complete_to_triangulation(g)  # NotPlaneError when input edges cross
     if args.enumerate:
+        # Every input edge is a segment: _load rejected any with a point
+        # inside it.  Segments are sorted, so each listing is too.
+        segments, _, masks = _triangulation_masks(g.points, args.cap)
         edges = set(g.edges)
-        tris = [
-            u for u in enumerate_triangulations(g.points, cap=args.cap) if edges <= u.edge_set()
-        ]
+        need = sum(1 << k for k, e in enumerate(segments) if e in edges)
+        tris = [mask for mask in masks if mask & need == need]
         lines = [f"TRIANGULATIONS {len(tris)}"]
-        for i, u in enumerate(tris):
-            lines.append(f"TRIANGULATION {i} {u.edge_count}")
-            lines.extend(f"{a} {b}" for a, b in u.sorted_edges())
+        for i, mask in enumerate(tris):
+            lines.append(f"TRIANGULATION {i} {mask.bit_count()}")
+            lines.extend(f"{a} {b}" for k, (a, b) in enumerate(segments) if mask >> k & 1)
         _emit(args, "\n".join(lines) + "\n")
         return 0
     out = GeometricGraph(g.points, tuple(t.sorted_edges()))

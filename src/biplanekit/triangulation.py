@@ -476,16 +476,15 @@ def complete_layers(
 
 def _triangulation_masks(
     ps: PointSet, cap: int
-) -> tuple[list[Edge], list[int], list[int], list[int]]:
+) -> tuple[list[Edge], list[int], list[int]]:
     """All triangulations of ps as bit masks, by breadth-first search over
     edge flips, which reaches them all (Lawson, Discrete Math. 3, 1972).
 
-    Returns (segments, crossing, masks, parents).  Bit k of a mask stands
-    for segments[k], and the segments are the point pairs with no point
-    inside them, in sorted order.  crossing[k] masks the segments that
-    cross segment k, read off `crossing_pairs`.  masks[0] is the
-    completion of the bare points, and masks[j + 1] was flipped from
-    masks[parents[j]].  The edges of each triangulation T are tried in
+    Returns (segments, crossing, masks).  Bit k of a mask stands for
+    segments[k], and the segments are the point pairs with no point inside
+    them, in sorted order.  crossing[k] masks the segments that cross
+    segment k, read off `crossing_pairs`.  masks[0] is the completion of
+    the bare points.  The edges of each triangulation T are tried in
     sorted order; edge e flips to the segment that crosses e and no other
     edge of T.  Raises ValueError when ps has more than `cap` points.
     """
@@ -505,9 +504,8 @@ def _triangulation_masks(
     ]
     bit = {e: 1 << k for k, e in enumerate(segments)}
     masks = [sum(bit[e] for e in start.edge_set())]
-    parents: list[int] = []
     seen = set(masks)
-    for i, t in enumerate(masks):  # masks grows as the search finds triangulations
+    for t in masks:  # masks grows as the search finds triangulations
         rest = t
         while rest:
             low = rest & -rest
@@ -518,27 +516,8 @@ def _triangulation_masks(
                     if t2 not in seen:
                         seen.add(t2)
                         masks.append(t2)
-                        parents.append(i)
                     break
-    return segments, crossing, masks, parents
-
-
-def enumerate_triangulations(ps: PointSet, cap: int = 9) -> list[Triangulation]:
-    """All triangulations of ps, in the order of `_triangulation_masks`:
-    each later one is a copy of the one it was flipped from, with its new
-    edge inserted as a constraint that crosses only the edge it replaces."""
-    segments, _, masks, parents = _triangulation_masks(ps, cap)
-    pts = ps.points
-    tris = [complete_to_triangulation(ps)]
-    for m, i in zip(masks[1:], parents):
-        t = tris[i].copy()
-        deg = [0] * len(pts)
-        for v in t.head:
-            deg[v] += 1
-        a, b = segments[(m & ~masks[i]).bit_length() - 1]
-        _insert_constraint(pts, t, deg, a, b)
-        tris.append(t)
-    return tris
+    return segments, crossing, masks
 
 
 # ---------------------------------------------------------------------------

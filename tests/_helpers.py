@@ -876,7 +876,7 @@ def union_is_maximal(crossing: list[int], union: int) -> bool:
 def maximal_unions(ps: PointSet) -> tuple[list[Edge], list[int], dict[int, bool]]:
     """(segments, crossing masks, {distinct union of two triangulations:
     union_is_maximal}) over the triangulations of ps."""
-    segments, _, masks, _ = _triangulation_masks(ps, len(ps))
+    segments, _, masks = _triangulation_masks(ps, len(ps))
     crossing = brute_crossing_masks(ps, segments)
     unions = {a | b for i, a in enumerate(masks) for b in masks[i:]}
     return segments, crossing, {u: union_is_maximal(crossing, u) for u in unions}

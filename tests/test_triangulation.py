@@ -38,7 +38,6 @@ from biplanekit.triangulation import (
     _triangulation_masks,
     complete_layers,
     complete_to_triangulation,
-    enumerate_triangulations,
     plane_face_walks,
 )
 
@@ -412,38 +411,43 @@ def test_apex_rotation_matches_angular_rotation():
     assert hull_multi > 100 and degree_one > 20 and outer_steps > 20
 
 
+def mask_edge_lists(ps: PointSet) -> list[list[tuple[int, int]]]:
+    """The sorted edge list of each triangulation `_triangulation_masks`
+    finds, in its order."""
+    segments, _, masks = _triangulation_masks(ps, len(ps))
+    return [[e for k, e in enumerate(segments) if mask >> k & 1] for mask in masks]
+
+
 def test_enumerate_convex4_two():
-    assert len(enumerate_triangulations(convex4())) == 2
+    assert len(_triangulation_masks(convex4(), 9)[2]) == 2
 
 
 def test_enumerate_convex5_catalan():
     ps = PointSet.from_coords([(x, x * x) for x in range(5)])
-    assert len(enumerate_triangulations(ps)) == 5
+    assert len(_triangulation_masks(ps, 9)[2]) == 5
 
 
 def test_enumerate_convex6_catalan():
     ps = PointSet.from_coords([(x, x * x) for x in range(6)])
-    assert len(enumerate_triangulations(ps)) == 14
+    assert len(_triangulation_masks(ps, 9)[2]) == 14
 
 
 def test_enumerate_wheel_unique():
     ps = PointSet.from_coords([(0, 0), (6, 0), (3, 5), (3, 2)])
-    assert len(enumerate_triangulations(ps)) == 1
+    assert len(_triangulation_masks(ps, 9)[2]) == 1
 
 
 def test_enumeration_cap():
     ps = PointSet.from_coords([(x, x * x) for x in range(10)])
     with pytest.raises(ValueError):
-        enumerate_triangulations(ps, cap=9)
+        _triangulation_masks(ps, 9)
 
 
 def test_mask_enumeration_matches_the_flip_reference():
     # The library flips bit masks; the reference flips dart lists.  Both
     # search breadth first from the completion of the bare points, so they
-    # list the same triangulations in the same order.  A flip and a
-    # constraint that crosses one edge both give the new edge the old one's
-    # number, so the dart lists match too; only the dart kept per vertex
-    # may differ.  On lattice sets the segments leave out every point pair
+    # list the same triangulations in the same order.  On lattice sets the
+    # segments leave out every point pair
     # with a point inside it, and collinear overlaps count as crossings.
     # The segment crossing masks match the brute sweep's pairs, also where
     # lattice segments lie on one line, touching or apart.
@@ -453,7 +457,7 @@ def test_mask_enumeration_matches_the_flip_reference():
     sets += [random_lattice_points(rng, 3, 7) for _ in range(6)]
     collinear_hull = interior = collinear_segments = 0
     for ps in sets:
-        segments, crossing, _, _ = _triangulation_masks(ps, len(ps))
+        segments, crossing, _ = _triangulation_masks(ps, len(ps))
         assert crossing == brute_crossing_masks(ps, segments)
         pts = ps.points
         collinear_segments += sum(
@@ -462,11 +466,7 @@ def test_mask_enumeration_matches_the_flip_reference():
             for c, d in segments[:k]
         )
         want = reference_enumerate_triangulations(ps)
-        got = enumerate_triangulations(ps)
-        assert [t.sorted_edges() for t in got] == [t.sorted_edges() for t in want]
-        assert [(t.head, t.apex, t.nxt) for t in got] == [(t.head, t.apex, t.nxt) for t in want]
-        for t in got:
-            check_dart_lists(t)
+        assert mask_edge_lists(ps) == [t.sorted_edges() for t in want]
         res = brute_force_maximum(ps)
         best = (res.maximum_edges, res.witness.edges, res.triangulation_count)
         assert best == reference_brute_force_maximum(ps)
@@ -483,14 +483,11 @@ def test_mask_enumeration_matches_the_flip_reference():
 def test_flip_graph_connected_same_set_from_any_start():
     rng = random.Random(21)
     ps = random_strict_points(rng, 7)
-    tris = enumerate_triangulations(ps)
-    for t in tris:
-        check_dart_lists(t)
-    keys = {t.edge_set() for t in tris}
+    keys = {frozenset(edges) for edges in mask_edge_lists(ps)}
     # restart the BFS from a different triangulation: same reachable set
     from collections import deque
 
-    start = tris[-1]
+    start = reference_enumerate_triangulations(ps)[-1]
     seen = {start.edge_set()}
     queue = deque([start])
     while queue:

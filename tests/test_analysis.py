@@ -285,6 +285,13 @@ def test_gap_on_triangle():
     assert (rep.smallest, rep.largest) == (3, 3)
 
 
+def test_gap_on_collinear_points_stops_at_the_path():
+    # Every pair missing from the path has a point inside it, so no start
+    # edge is left after the first augmentation.
+    ps = PointSet.from_coords([(i, i) for i in range(4)], Strictness.RELAXED)
+    assert find_maximal_gap(ps, trials=4, seed=1).sizes == (3,)
+
+
 def test_gap_reproducible_per_seed():
     rng = random.Random(23)
     ps = random_strict_points(rng, 9)

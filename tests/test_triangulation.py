@@ -447,8 +447,8 @@ def test_mask_enumeration_matches_the_flip_reference():
     # The library flips bit masks; the reference flips dart lists.  Both
     # search breadth first from the completion of the bare points, so they
     # list the same triangulations in the same order.  On lattice sets the
-    # segments leave out every point pair
-    # with a point inside it, and collinear overlaps count as crossings.
+    # segments leave out every point pair with a point inside it, and
+    # collinear overlaps count as crossings.
     # The segment crossing masks match the brute sweep's pairs, also where
     # lattice segments lie on one line, touching or apart.
     rng = random.Random(47)

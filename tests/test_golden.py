@@ -25,6 +25,7 @@ from biplanekit.augmentation import maximal_augment
 from biplanekit.cli import run
 from biplanekit.constructions import gen_convex, gen_grid
 from biplanekit.fileio import format_graph, format_points
+from biplanekit.geometry import PointSet, Strictness
 from biplanekit.graphs import GeometricGraph
 from biplanekit.recognition import (
     BiplaneDecomposition,
@@ -33,7 +34,14 @@ from biplanekit.recognition import (
     test_biplane,
 )
 from biplanekit.svgrender import render_svg
-from biplanekit.triangulation import _triangulation_masks, complete_layers
+from biplanekit.triangulation import (
+    CollinearError,
+    GeometryError,
+    NotPlaneError,
+    _triangulation_masks,
+    complete_layers,
+    complete_to_triangulation,
+)
 
 
 def digest(obj) -> str:
@@ -191,6 +199,55 @@ def test_enumerate_listings_match_golden_digests(tmp_path, capsys):
         out = capsys.readouterr().out
         got[name] = hashlib.sha256(out.encode()).hexdigest()
     assert got == GOLDEN_ENUMERATE_LISTINGS
+
+
+def completion_inputs() -> list[GeometricGraph | PointSet]:
+    """Inputs to `complete_to_triangulation` that reach every outcome:
+    strict edge subsets (crossing or not), strict plane graphs, relaxed
+    lattice subsets whose edges may pass through a vertex or overlap along
+    a line, collinear point sets with and without edges, and bare points."""
+    rng = random.Random(2626)
+    out: list[GeometricGraph | PointSet] = []
+    for _ in range(200):
+        ps = random_strict_points(rng, rng.randint(3, 12), 60)
+        out.append(random_edge_subset_graph(rng, ps, rng.uniform(0.0, 0.2)))
+        out.append(random_plane_graph(rng, ps, rng.randint(1, 2 * len(ps))))
+        if rng.random() < 0.2:
+            out.append(ps)
+    for _ in range(300):
+        ps = random_lattice_points(rng, rng.randint(3, 5), 4)
+        out.append(random_edge_subset_graph(rng, ps, rng.uniform(0.0, 0.2)))
+    for n in range(8):
+        out.append(PointSet.from_coords([(i, 2 * i) for i in range(n)], Strictness.RELAXED))
+    for _ in range(80):
+        dx, dy = rng.choice([(1, 0), (0, 1), (1, 1), (2, -1)])
+        cells = rng.sample(range(-5, 6), rng.randint(2, 7))
+        ps = PointSet.from_coords([(i * dx, i * dy) for i in cells], Strictness.RELAXED)
+        out.append(random_edge_subset_graph(rng, ps, rng.uniform(0.0, 0.6)))
+    return out
+
+
+def completion_outcome(source: GeometricGraph | PointSet) -> tuple:
+    try:
+        return ("ok", tuple(complete_to_triangulation(source).sorted_edges()))
+    except (NotPlaneError, CollinearError, GeometryError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+GOLDEN_COMPLETION = "95feaf0953e91df76cc4c68daf82e815e498335e01005e9c5c0ec935a0dc7a08"
+
+
+def test_completion_outcomes_match_golden_digest():
+    outcomes = [completion_outcome(source) for source in completion_inputs()]
+    # The corpus reaches every outcome, so the digest pins completions,
+    # the named crossing pairs and the messages of both other errors.
+    assert {kind for kind, _ in outcomes} == {
+        "ok",
+        "NotPlaneError",
+        "CollinearError",
+        "GeometryError",
+    }
+    assert digest(outcomes) == GOLDEN_COMPLETION
 
 
 def verdict_key(res) -> tuple:

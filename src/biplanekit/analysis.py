@@ -35,7 +35,7 @@ from .recognition import (
     _recognize_rows,
     exceeds_edge_cap,
 )
-from .triangulation import _triangulation_masks
+from .triangulation import CollinearError, _triangulation_masks
 
 
 @_typed_eq
@@ -301,16 +301,17 @@ def brute_force_maximum(ps: PointSet, cap: int = 9) -> OracleResult:
 
     Every maximal (hence every maximum) biplane graph is a union of two
     triangulations, so maximizing |E1 union E2| over all pairs is exact.
+    Points that span no triangle have no triangulation; their maximum is
+    the path that `maximal_augment` returns.
     """
-    segments, _, masks = _triangulation_masks(ps, cap)
-    best, union = -1, 0
-    for i, mi in enumerate(masks):
-        for mj in masks[i:]:
-            size = (mi | mj).bit_count()
-            if size > best:
-                best, union = size, mi | mj
+    try:
+        segments, _, masks = _triangulation_masks(ps, cap)
+    except CollinearError:
+        path = maximal_augment(GeometricGraph(ps, ())).graph
+        return OracleResult(path.m, path, 0)
+    union = max((mi | mj for i, mi in enumerate(masks) for mj in masks[i:]), key=int.bit_count)
     edges = tuple(e for k, e in enumerate(segments) if union >> k & 1)
-    return OracleResult(best, GeometricGraph(ps, edges), len(masks))
+    return OracleResult(union.bit_count(), GeometricGraph(ps, edges), len(masks))
 
 
 @_typed_eq
@@ -328,35 +329,28 @@ def find_maximal_gap(ps: PointSet, trials: int, seed: int) -> GapReport:
     Runs the augmentation from the empty graph and then repeatedly from a
     single random edge absent from the previous maximal graph.  On relaxed
     point sets a pair with a point inside it is no edge, so it is never
-    drawn.  Reproducible for a fixed seed.
+    drawn.  Reproducible for a fixed seed; raises ValueError if trials < 1.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = random.Random(seed)
-    results = []
     res = maximal_augment(GeometricGraph(ps, ()))
-    results.append(res.graph)
+    results = [res.graph]
     through_vertex: set[Edge] = set()
     if ps.strictness is Strictness.RELAXED:
         # Such a pair is missing from every graph, the first one included.
         non_edges = GeometricGraph(ps, res.graph.complement_edges())
         through_vertex = {e for _, e in relaxed_edge_violations(non_edges)}
-    for _ in range(max(0, trials - 1)):
+    for _ in range(trials - 1):
         prev = results[-1]
         missing = [e for e in prev.complement_edges() if e not in through_vertex]
         if not missing:
             break
         start = rng.choice(missing)
-        res = maximal_augment(GeometricGraph(ps, (start,)))
-        results.append(res.graph)
-    sizes = tuple(g.m for g in results)
-    smallest = min(range(len(results)), key=lambda i: sizes[i])
-    largest = max(range(len(results)), key=lambda i: sizes[i])
-    return GapReport(
-        sizes[smallest],
-        sizes[largest],
-        results[smallest],
-        results[largest],
-        sizes,
-    )
+        results.append(maximal_augment(GeometricGraph(ps, (start,))).graph)
+    small = min(results, key=lambda g: g.m)
+    large = max(results, key=lambda g: g.m)
+    return GapReport(small.m, large.m, small, large, tuple(g.m for g in results))
 
 
 def degree_histogram(g: GeometricGraph) -> dict[int, int]:

@@ -123,7 +123,8 @@ class MaximalState:
     there.  `alive` (still purple; red chords never are), `hull` and
     `settled` (found unflippable, and not re-enqueued since) are per-edge
     flags; `queue` holds edge ids.  Numbers stay fixed: a flipped-away
-    edge only loses `alive`.
+    edge only loses `alive`.  `chords` maps each chord to (anchor walk,
+    color when made); its color is that xor the anchor's parity.
     """
 
     points: PointSet
@@ -141,8 +142,7 @@ class MaximalState:
     apex: tuple[list[int], list[int]]
     nxt: tuple[list[int], list[int]]
     prv: tuple[list[int], list[int]]
-    chord_anchor: dict[Edge, int]
-    chord_color0: dict[Edge, int]
+    chords: dict[Edge, tuple[int, int]]
     trace: list[FlipRecord] | None
     queue: deque[int]
     __slots__ = tuple(__annotations__)
@@ -165,12 +165,11 @@ class MaximalState:
         purple edges plus its chords.
         """
         shared = sorted(self.purple)
-        chords: tuple[list[Edge], list[Edge]] = ([], [])
-        color0, anchor = self.chord_color0, self.chord_anchor
+        split: tuple[list[Edge], list[Edge]] = ([], [])
         face, par, flip = self.face, self.face_par, self.face_flip
-        for e, w in anchor.items():
-            chords[color0[e] ^ par[w] ^ flip[face[w]]].append(e)
-        return tuple(sorted(shared + chords[RED])), tuple(sorted(shared + chords[BLUE]))
+        for e, (w, color0) in self.chords.items():
+            split[color0 ^ par[w] ^ flip[face[w]]].append(e)
+        return tuple(sorted(shared + split[RED])), tuple(sorted(shared + split[BLUE]))
 
 
 @_typed_eq
@@ -298,7 +297,6 @@ def build_state(
         (rnxt, bnxt),
         ([rnxt[c] for c in rnxt], [bnxt[c] for c in bnxt]),
         {},
-        {},
         [] if collect_trace else None,
         deque(k for k in order if not hull[k]),
     )
@@ -314,8 +312,7 @@ def build_state(
         u = walk[pu] if pu >= 0 else iso[e[0]]
         v = walk[pv] if pv >= 0 else iso[e[1]]
         _merge_faces(state, face[u], face[v])
-        state.chord_anchor[e] = u
-        state.chord_color0[e] = layer
+        state.chords[e] = (u, layer)
     return state
 
 
@@ -419,17 +416,16 @@ def _flip(state: MaximalState, k: int, cl: tuple[str, int, int, int, int, int]) 
     cap = apex[ll][d]
     dap = apex[lr][d + 1]
     f = edge(cap, dap)
-    if f in state.chord_anchor:
+    chords = state.chords
+    if f in chords:
         raise GeometryError(f"flip target {f} already present")
 
     # The merge keeps every walk's parity, so the left walk keeps par_l in
     # the merged face.
     wl = walk[d]
     _merge_faces(state, face_l, face_r)
-    state.chord_anchor[e] = wl
-    state.chord_color0[e] = (1 - layer) ^ par_l
-    state.chord_anchor[f] = wl
-    state.chord_color0[f] = layer ^ par_l
+    chords[e] = (wl, (1 - layer) ^ par_l)
+    chords[f] = (wl, layer ^ par_l)
     alive[k] = 0
 
     # The rim darts facing the quad a, dap, b, cap, which are the sides of
@@ -504,8 +500,7 @@ def maximal_augment(
     if not certify_maximal(state):
         raise GeometryError("queue drained but a flippable purple edge remains")
     red, blue = state.layers()
-    chords = state.chord_anchor
-    layer2 = tuple(e for e in blue if e in chords)
+    layer2 = tuple(e for e in blue if e in state.chords)
     graph = GeometricGraph(g.points, red + layer2)
     deco = BiplaneDecomposition(red, layer2)
     trace = tuple(state.trace) if state.trace is not None else None

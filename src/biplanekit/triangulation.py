@@ -149,7 +149,7 @@ def _sweep_triangulation(
 
     Maintains the weak hull of the processed prefix as a counterclockwise
     ring of `rn`/`rp` links, with `hd[u]` the dart from u to rn[u]; each
-    new point fans to the hull chain it sees, found by walking from the
+    new point fans to the hull chain it sees, which holds a side of the
     last inserted point, and the chain is unlinked.  Collinear prefixes
     (relaxed sets) are kept as a chain until an off-line point arrives.
     Returns (head, apex, nxt, out, hull).
@@ -206,16 +206,15 @@ def _sweep_triangulation(
             # Hull edge u -> rn[u] has p strictly on its outer side.
             return cross(pts[u], pts[rn[u]], pp) < 0
 
+        # last is the largest point so far: both ring neighbours lie below
+        # it in lexicographic order, so it is a strict hull corner whose cone
+        # holds only lower directions.  p lies above last, so it sees a side.
         if visible(last):
             start = last
         elif visible(rp[last]):
             start = rp[last]
         else:
-            start = rn[last]
-            while not visible(start):
-                start = rn[start]
-                if start == last:
-                    raise GeometryError("sweep: new point sees no hull edge")
+            raise GeometryError("sweep: new point sees neither hull edge at the last point")
         lo = start
         while visible(rp[lo]):
             lo = rp[lo]
@@ -433,20 +432,28 @@ def complete_to_triangulation(source: GeometricGraph | PointSet) -> Triangulatio
 
     Idempotent (a triangulation comes back unchanged) and monotone (every
     input edge appears in the output).  Raises NotPlaneError if two input
-    edges cross, and CollinearError if the points span no triangle.
+    edges cross, and CollinearError if the points span no triangle.  A
+    triangulation is plane, so a completion that keeps every input edge
+    proves the input plane; only one that loses an edge or raises lists
+    the crossings, to name the first pair.
     """
     if isinstance(source, PointSet):
-        ps = source
-        in_edges: tuple[Edge, ...] = ()
-    else:
-        ps = source.points
-        in_edges = source.edges
-    if in_edges:
+        return complete_layers(source, [()])[0]
+    edges = source.edges
+    try:
+        t = complete_layers(source.points, [edges])[0]
+    except (GeometryError, CollinearError):
         pairs = crossing_pairs(source)
-        if pairs:
-            i, j = pairs[0]
-            raise NotPlaneError((in_edges[i], in_edges[j]))
-    return complete_layers(ps, [in_edges])[0]
+        if not pairs:
+            raise
+    else:
+        if t.edge_set().issuperset(edges):
+            return t
+        pairs = crossing_pairs(source)
+        if not pairs:
+            return t
+    i, j = pairs[0]
+    raise NotPlaneError((edges[i], edges[j]))
 
 
 def complete_layers(

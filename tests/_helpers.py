@@ -1114,7 +1114,7 @@ def purple_id(state: MaximalState, e: Edge) -> int:
 
 def state_edges(state: MaximalState) -> set[Edge]:
     """Every edge of the state: the purple edges and the chords."""
-    return state.purple | state.chord_anchor.keys()
+    return state.purple | state.chords.keys()
 
 
 def hull_edges(state: MaximalState) -> set[Edge]:
@@ -1226,9 +1226,8 @@ def purple_faces(state: MaximalState) -> dict[int, tuple[list[Edge], list[Edge]]
     live = [state.walk[d] for d in range(len(state.walk)) if state.alive[d // 2]]
     faces = {label: ([], []) for label in sorted({face[w] for w in live})}
     del faces[outer]
-    for c in sorted(state.chord_anchor):
-        anchor = state.chord_anchor[c]
-        color = state.chord_color0[c] ^ parity_of(state, anchor)
+    for c, (anchor, color0) in sorted(state.chords.items()):
+        color = color0 ^ parity_of(state, anchor)
         faces.setdefault(face[anchor], ([], []))[color].append(c)
     return faces
 

@@ -292,6 +292,32 @@ def test_gap_on_collinear_points_stops_at_the_path():
     assert find_maximal_gap(ps, trials=4, seed=1).sizes == (3,)
 
 
+def test_gap_needs_one_trial():
+    ps = PointSet.from_coords([(0, 0), (4, 0), (0, 4)])
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            find_maximal_gap(ps, trials=trials, seed=1)
+    assert find_maximal_gap(ps, trials=1, seed=1).sizes == (3,)
+
+
+def test_oracle_on_points_spanning_no_triangle_returns_the_path():
+    # The cap is checked first; below it the maximum is the path that
+    # maximal_augment returns, over no triangulation.
+    sets = [PointSet.from_coords([(3, 1), (0, 0)][:n]) for n in range(3)]
+    rng = random.Random(26)
+    for _ in range(6):
+        dx, dy = rng.choice([(1, 0), (0, 1), (1, 1), (3, -2)])
+        cells = rng.sample(range(-6, 7), rng.randint(3, 8))
+        sets.append(PointSet.from_coords([(i * dx, i * dy) for i in cells], Strictness.RELAXED))
+    for ps in sets:
+        path = maximal_augment(GeometricGraph(ps, ())).graph
+        res = brute_force_maximum(ps)
+        assert res.maximum_edges == max(len(ps) - 1, 0) == path.m
+        assert (res.witness, res.triangulation_count) == (path, 0)
+    with pytest.raises(ValueError, match="exceeds cap 2"):
+        brute_force_maximum(sets[-1], cap=2)
+
+
 def test_gap_reproducible_per_seed():
     rng = random.Random(23)
     ps = random_strict_points(rng, 9)

@@ -345,7 +345,7 @@ def test_chord_walks_match_angular_sector_scan():
                 brute_wedge_anchor(pts, rot, walk_of, iso_anchor, v, u) for v, u in (e, e[::-1])
             ]
             far = passed[RED if e in red else BLUE].get(e[::-1])
-            got = [state.chord_anchor[e], iso_anchor[e[1]] if far is None else walk[far]]
+            got = [state.chords[e][0], iso_anchor[e[1]] if far is None else walk[far]]
             assert got == want, (g.points, g.edges, e)
             assert state.face[got[0]] == state.face[got[1]]
             chords += 1

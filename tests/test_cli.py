@@ -306,6 +306,44 @@ def test_gap_command_requires_seed(tmp_path, capsys):
     assert "GAP min=9 max=9" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_gap_rejects_fewer_than_one_trial(tmp_path, capsys, trials):
+    f = tmp_path / "k4.pts"
+    f.write_text("4\n0 0\n5 0\n5 5\n0 5\n")
+    assert run(["gap", str(f), "--trials", trials, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trials must be at least 1\n"
+
+
+@pytest.mark.parametrize(
+    "coords, flags",
+    [
+        ([], []),
+        ([(4, 4)], []),
+        ([(5, 2), (0, 0)], []),
+        ([(0, 0), (1, 1), (2, 2)], ["--relaxed"]),
+        ([(3, 0), (0, 0), (2, 0), (1, 0)], ["--relaxed"]),
+    ],
+    ids=["no-points", "one-point", "two-points", "collinear", "collinear-unsorted"],
+)
+def test_oracle_prints_the_path_on_points_spanning_no_triangle(tmp_path, capsys, coords, flags):
+    # The path through the points is their only maximal graph, as augment
+    # reports it.
+    ps = PointSet.from_coords(coords, Strictness.RELAXED)
+    g = tmp_path / "in.graph"
+    g.write_text(format_graph(GeometricGraph(ps, ())))
+    assert run(["augment", *flags, str(g)]) == 0
+    path = parse_graph(capsys.readouterr().out.split("LAYER1")[0]).edges
+    f = tmp_path / "in.pts"
+    f.write_text(format_points(ps))
+    assert run(["oracle", *flags, str(f)]) == 0
+    captured = capsys.readouterr()
+    lines = [f"MAXIMUM {max(len(coords) - 1, 0)} triangulations=0"]
+    assert captured.out.splitlines() == lines + [f"{a} {b}" for a, b in path]
+    assert captured.err == ""
+
+
 def test_bounds_command(capsys):
     assert run(["bounds", "--n", "10", "--h", "3"]) == 0
     out = capsys.readouterr().out

@@ -79,6 +79,41 @@ def test_completion_rejects_crossing_input():
         complete_to_triangulation(g)
 
 
+def test_completion_of_plane_input_never_lists_crossings(monkeypatch):
+    # A completion that keeps every input edge proves the input plane, so
+    # the crossing enumeration runs only after a completion loses an edge
+    # or raises.
+    convex = maximal_augment(GeometricGraph(gen_convex(60), ()))
+    ps = random_strict_points(random.Random(26), 80)
+    rand = maximal_augment(GeometricGraph(ps, ()))
+    grid = gen_grid(8)
+    lattice = random_plane_graph(
+        random.Random(27), random_lattice_points(random.Random(28), 6, 30), 60
+    )
+    pts = lattice.points.points
+    # Two lattice edges that share an end and lie on one line.
+    assert any(
+        len({a, b, c, d}) == 3 and cross(pts[a], pts[b], pts[c]) == cross(pts[a], pts[b], pts[d]) == 0
+        for i, (a, b) in enumerate(lattice.edges)
+        for c, d in lattice.edges[i + 1 :]
+    )
+    graphs = [
+        GeometricGraph(convex.graph.points, convex.red_layer),
+        GeometricGraph(ps, rand.red_layer),
+        GeometricGraph(grid.graph.points, sorted(grid.red_edges)),
+        lattice,
+    ]
+    want = [complete_to_triangulation(g).sorted_edges() for g in graphs]
+
+    def no_pair_list(g):
+        raise AssertionError("completion listed the crossings of a plane input")
+
+    monkeypatch.setattr(triangulation, "crossing_pairs", no_pair_list)
+    for g, edges in zip(graphs, want):
+        assert complete_to_triangulation(g).sorted_edges() == edges
+        assert set(g.edges) <= set(edges)
+
+
 def test_completion_monotone_contains_input():
     rng = random.Random(3)
     for _ in range(20):

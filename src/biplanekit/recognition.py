@@ -22,14 +22,14 @@ scan: `_crossed` scans rows that each hold an edge's box, endpoints,
 line (`_edge_line`) and a payload.  `_recognize_rows` and
 `crossing_pairs` scan each row's x-window with edge indices as payloads;
 `crossing_pairs` keeps a row for every edge and the full window, and
-returns the sorted pairs, for the SVG renderer, the plane check before
-completion and the segment masks of triangulation enumeration.  The
-maximality oracle in `analysis` takes `_recognize_rows`'s rows, so one
-hull and one row per edge serve both, swaps their payloads for
-(component, color), and scans them only for a non-edge whose ends show
-no clash; the edges around the ends it tests itself, by one signed area
-each.  A relaxed graph with a vertex inside an edge is rejected before
-any crossing test.
+returns the sorted pairs, for the SVG renderer, to name the pair when a
+completion loses an input edge, and for the segment masks of
+triangulation enumeration.  The maximality oracle in `analysis` takes
+`_recognize_rows`'s rows, so one hull and one row per edge serve both,
+swaps their payloads for (component, color), and scans them only for a
+non-edge whose ends show no clash; the edges around the ends it tests
+itself, by one signed area each.  A relaxed graph with a vertex inside
+an edge is rejected before any crossing test.
 """
 
 from __future__ import annotations

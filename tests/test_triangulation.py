@@ -93,9 +93,9 @@ def test_completion_of_plane_input_never_lists_crossings(monkeypatch):
     pts = lattice.points.points
     # Two lattice edges that share an end and lie on one line.
     assert any(
-        len({a, b, c, d}) == 3 and cross(pts[a], pts[b], pts[c]) == cross(pts[a], pts[b], pts[d]) == 0
-        for i, (a, b) in enumerate(lattice.edges)
-        for c, d in lattice.edges[i + 1 :]
+        len({*e, *f}) == 3 and all(cross(pts[e[0]], pts[e[1]], pts[v]) == 0 for v in f)
+        for i, e in enumerate(lattice.edges)
+        for f in lattice.edges[i + 1 :]
     )
     graphs = [
         GeometricGraph(convex.graph.points, convex.red_layer),

@@ -43,6 +43,7 @@ from biplanekit.recognition import (
     _crossed,
     _edge_rows,
     _recognize_rows,
+    _weak_hull,
     biplane_edge_cap,
     crossing_pairs,
     exceeds_edge_cap,
@@ -146,15 +147,26 @@ def check_dart_lists(t: Triangulation) -> None:
             raise GeometryError(f"out[{v}] = {out[v]} does not leave {v}")
 
 
-def random_strict_points(rng: random.Random, n: int, span: int = 10**6) -> PointSet:
-    """Random distinct integer points with no collinear triple."""
-    while True:
+def random_strict_points(
+    rng: random.Random, n: int, span: int = 10**6, draws: int = 1000
+) -> PointSet:
+    """Random distinct integer points in [0, span)^2 with no collinear triple.
+
+    Redraws all n points until they qualify, and raises ValueError after
+    `draws` failed draws: a box too small for n such points would
+    otherwise keep the caller drawing forever.  A box of side span holds
+    at most 2 * span of them (two per row), so larger sizes raise at once.
+    """
+    if n > 2 * span:
+        raise ValueError(f"no {n} points without a collinear triple fit in span {span}")
+    for _ in range(draws):
         coords = [(rng.randrange(span), rng.randrange(span)) for _ in range(n)]
         if len(set(coords)) < n:
             continue
         ps = PointSet.from_coords(coords)
         if validate(ps).ok:
             return ps
+    raise ValueError(f"no {n} points without a collinear triple in span {span} after {draws} draws")
 
 
 def random_edge_subset_graph(
@@ -700,7 +712,8 @@ def reference_maximality_oracle(g: GeometricGraph) -> bool:
     if exceeds_edge_cap(g.n, g.m + 1):
         return True
     color, root = coloring
-    rows = [r[:11] + ((root[r[11]], color[r[11]]),) for r in _edge_rows(g, _crossable(g))]
+    keep = _crossable(g, _weak_hull(g))
+    rows = [r[:11] + ((root[r[11]], color[r[11]]),) for r in _edge_rows(g, keep)]
     # Longest edges first: they cross the most non-edges, so a clash is
     # found early, and the scan's length depends on the geometry alone,
     # not on how the vertices are labelled.
@@ -900,6 +913,16 @@ def random_lattice_points(rng: random.Random, k: int, lo: int) -> PointSet:
     """
     cells = [(x, y) for x in range(k) for y in range(k)]
     return PointSet.from_coords(rng.sample(cells, rng.randint(lo, k * k)), Strictness.RELAXED)
+
+
+def rectangle_boundary(rng: random.Random, w: int, h: int) -> PointSet:
+    """The 2 * (w + h) lattice points on the boundary of a w x h rectangle,
+    shuffled, as a RELAXED set: all on the weak hull, with w - 1 and h - 1
+    points between the corners of its sides."""
+    cells = [(x, 0) for x in range(w)] + [(w, y) for y in range(h)]
+    cells += [(x, h) for x in range(w, 0, -1)] + [(0, y) for y in range(h, 0, -1)]
+    rng.shuffle(cells)
+    return PointSet.from_coords(cells, Strictness.RELAXED)
 
 
 def with_first_non_edge(g: GeometricGraph) -> GeometricGraph:

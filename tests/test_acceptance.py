@@ -313,3 +313,23 @@ def test_criterion_10_scaling_convex_empty_input():
     assert slope < 1.5, f"fitted exponent {slope:.2f}"
     assert times[4000] < 60.0, f"n=4000 took {times[4000]:.1f}s"
     _report(10, f"scaling-convex (exponent {slope:.2f}, t4000 {times[4000]:.2f}s)")
+
+
+def test_criterion_10_scaling_convex_nonempty_input():
+    # A maximal convex graph has Theta(n^2) crossings, so recognition must
+    # not meet them one by one: it colors them in one sweep over the hull
+    # order.  Timed as the fastest of three runs, as above.
+    times = {}
+    for n in (1000, 2000, 4000):
+        graph = maximal_augment(GeometricGraph(gen_convex(n), ())).graph
+        runs = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            res = maximal_augment(graph)
+            runs.append(time.perf_counter() - t0)
+            assert set(res.graph.edges) == set(graph.edges)
+        times[n] = min(runs)
+    slope = _fitted_exponent(times)
+    assert slope < 1.5, f"fitted exponent {slope:.2f}"
+    assert times[4000] < 60.0, f"n=4000 took {times[4000]:.1f}s"
+    _report(10, f"scaling-convex-nonempty (exponent {slope:.2f}, t4000 {times[4000]:.2f}s)")

@@ -288,6 +288,22 @@ def test_validate_matches_gcd_reference_on_large_sets():
         assert not rep.ok and rep == gcd_validate(ps)
 
 
+def test_random_strict_points_gives_up_on_a_box_too_small():
+    # A span x span box holds at most two such points per row, so 7 points
+    # with span 3 raise before any draw; 6 fit only in a few placements,
+    # and a bounded number of draws gives up instead of drawing forever.
+    class NoDraws(random.Random):
+        def randrange(self, *args):
+            raise AssertionError("drew points for an impossible size")
+
+    with pytest.raises(ValueError, match=r"\b7 points\b.*\bspan 3\b"):
+        random_strict_points(NoDraws(), 7, 3)
+    with pytest.raises(ValueError, match=r"\b6 points\b.*\bspan 3 after 5 draws"):
+        random_strict_points(random.Random(1), 6, 3, draws=5)
+    ps = random_strict_points(random.Random(1), 4, 3)
+    assert len(ps) == 4 and validate(ps).ok
+
+
 @given(
     st.lists(
         st.tuples(st.integers(0, 5), st.integers(0, 5)),

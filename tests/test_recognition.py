@@ -14,6 +14,7 @@ from _helpers import (
     random_edge_subset_graph,
     random_lattice_points,
     random_strict_points,
+    rectangle_boundary,
     reference_recognize,
     witness_cycle_is_valid,
     with_first_non_edge,
@@ -251,12 +252,16 @@ def _hull_sides(ps: PointSet) -> set[tuple[int, int]]:
 
 def test_hull_sides_get_no_kernel_row(monkeypatch):
     # Recognition scans one x-window per edge that is not a hull side, and
-    # stops at the first odd cycle; the oracle's full scan, for a non-edge
-    # whose ends show no clash, covers every such edge and no hull side.
+    # stops at the first odd cycle; a biplane graph in convex position is
+    # colored in hull order and reaches no window at all.  The oracle's full
+    # scan, for a non-edge whose ends show no clash, covers every such edge
+    # and no hull side.
     ps = gen_convex(60)
     convex = maximal_augment(GeometricGraph(ps, ())).graph
     inner = len([e for e in convex.edges if e not in _hull_sides(ps)])
     assert (convex.m, inner) == (174, 114)
+    strict = random_strict_points(random.Random(6), 30)
+    swept = [maximal_augment(GeometricGraph(strict, ())).graph, gen_grid(6).graph]
     calls = []
 
     def counted(rows, lo, hi, *segment):
@@ -265,10 +270,18 @@ def test_hull_sides_get_no_kernel_row(monkeypatch):
 
     monkeypatch.setattr(recognition, "_crossed", counted)
     assert isinstance(test_biplane(convex), BiplaneDecomposition)
-    assert len(calls) == inner
-    calls.clear()
+    assert calls == []
+    # One chord more and the hull order finds an odd cycle, and the sweep
+    # names it.
     assert isinstance(test_biplane(with_first_non_edge(convex)), OddCycleWitness)
     assert 0 < len(calls) < inner
+    counts = []
+    for g in swept:
+        calls.clear()
+        assert isinstance(test_biplane(g), BiplaneDecomposition)
+        counts.append((g.m, len(calls)))
+        assert len(calls) == len([e for e in g.edges if e not in _hull_sides(g.points)])
+    assert counts == [(137, 131), (150, 130)]
     monkeypatch.undo()
     scanned = []
 
@@ -297,7 +310,9 @@ def test_windows_leave_out_edges_that_meet_at_an_end(monkeypatch):
     # Recognition tests a row against no row that starts at its right
     # end's x, and, where its left end is alone in its column, against no
     # row from that end; neither can cross it once edges through vertices
-    # are rejected.  The grid's columns hold many points each.
+    # are rejected.  The grid's columns hold many points each.  A biplane
+    # graph in convex position is colored in hull order and scans no
+    # window; one chord more makes it sweep until the odd cycle.
     convex = maximal_augment(GeometricGraph(gen_convex(60), ())).graph
     ps = random_strict_points(random.Random(23), 40)
     maximal = maximal_augment(GeometricGraph(ps, ())).graph
@@ -309,11 +324,17 @@ def test_windows_leave_out_edges_that_meet_at_an_end(monkeypatch):
         return _crossed(rows, lo, hi, xa, ya, xb, yb)
 
     monkeypatch.setattr(recognition, "_crossed", recorded)
+    assert isinstance(test_biplane(convex), BiplaneDecomposition)
+    assert windows == []
     totals = []
     lone_ends = 0
-    for g in (convex, maximal, grid):
+    for g, verdict in (
+        (with_first_non_edge(convex), OddCycleWitness),
+        (maximal, BiplaneDecomposition),
+        (grid, BiplaneDecomposition),
+    ):
         windows.clear()
-        assert isinstance(test_biplane(g), BiplaneDecomposition)
+        assert isinstance(test_biplane(g), verdict)
         column = Counter(x for x, _ in g.points.points)
         for window, left, right_x in windows:
             assert all(r[0] != right_x for r in window)
@@ -322,7 +343,7 @@ def test_windows_leave_out_edges_that_meet_at_an_end(monkeypatch):
                 assert all(left not in (r[4:6], r[6:8]) for r in window)
         totals.append(sum(len(window) for window, _, _ in windows))
     assert lone_ends
-    assert totals == [3249, 2404, 1700]
+    assert totals == [3306, 2404, 1700]
 
 
 def test_crossing_pairs_keeps_pairs_that_meet_at_an_end():
@@ -354,7 +375,8 @@ def test_hull_rule_needs_edges_and_a_hull(monkeypatch):
     for g in (GeometricGraph(line, ((0, 1), (1, 2), (2, 3))), GeometricGraph(pair, ((0, 1),))):
         with pytest.raises(ValueError):
             convex_hull(g.points)
-        assert list(recognition._crossable(g)) == list(range(g.m))
+        assert recognition._weak_hull(g) is None
+        assert list(recognition._crossable(g, None)) == list(range(g.m))
         assert test_biplane(g) == BiplaneDecomposition(g.edges, ())
 
 
@@ -439,6 +461,47 @@ def test_recognition_matches_the_bfs_reference():
                 tuple(e for e, c in zip(g.edges, color) if c == 1),
             )
     assert kinds == {"tuple", "OddCycleWitness", "TooManyEdges"}
+
+
+def test_convex_position_coloring_matches_the_bfs_reference(monkeypatch):
+    # Every point on the weak hull: shuffled convex polygons, and lattice
+    # rectangle boundaries with points between the corners.  Recognition
+    # colors these in hull order, and falls back to the sweep for the
+    # witness exactly when the reference finds an odd cycle.
+    coloring = recognition._convex_coloring
+    routed = []
+
+    def recorded(g, hull, keep):
+        res = coloring(g, hull, keep)
+        routed.append(res is not None)
+        return res
+
+    monkeypatch.setattr(recognition, "_convex_coloring", recorded)
+    rng = random.Random(27)
+    graphs = []
+    for _ in range(300):
+        coords = list(gen_convex(rng.randint(4, 13)).points)
+        rng.shuffle(coords)
+        ps = PointSet.from_coords(coords)
+        graphs.append(random_edge_subset_graph(rng, ps))
+        ps = rectangle_boundary(rng, rng.randint(1, 4), rng.randint(1, 4))
+        graphs.append(drop_edges_through_vertices(random_edge_subset_graph(rng, ps)))
+    kinds = Counter()
+    for g in graphs:
+        routed.clear()
+        want = reference_recognize(g)
+        got = _recognize_rows(g)[0]
+        assert type(got) is type(want)
+        kinds[type(got).__name__] += 1
+        if isinstance(want, OddCycleWitness):
+            assert routed == [False]
+            assert witness_cycle_is_valid(g, got.cycle)
+        elif isinstance(want, TooManyEdges):
+            assert routed == [] and got == want
+        else:
+            assert routed == ([True] if g.m else [])
+            assert got == want
+    assert kinds["tuple"] > 100 and kinds["OddCycleWitness"] > 100
 
 
 def test_oracle_row_test_matches_segments_cross():

@@ -13,6 +13,8 @@ from _helpers import (
     random_edge_subset_graph,
     random_lattice_points,
     random_strict_points,
+    rectangle_boundary,
+    with_first_non_edge,
 )
 
 from biplanekit.analysis import brute_force_maximum, maximality_oracle, vertex_connectivity
@@ -83,11 +85,18 @@ def verdicts(g: GeometricGraph) -> tuple:
 
 def symmetry_inputs() -> list[GeometricGraph]:
     """A maximal graph, its red layer, half of it and a random edge set on
-    each of strict, lattice, convex and grid point sets."""
+    each of strict, lattice, convex, weakly convex and grid point sets, and
+    a maximal convex graph plus one chord.
+
+    The convex and weakly convex sets take recognition's hull-order route,
+    under reflections in reversed hull order; the chord makes it find an
+    odd cycle and fall back to the sweep.
+    """
     rng = random.Random(2606)
     sets = [random_strict_points(rng, n, span) for n, span in ((7, 50), (8, 10**6), (20, 50))]
     sets += [random_lattice_points(rng, 4, 7), random_lattice_points(rng, 5, 12)]
     sets += [gen_convex(8), gen_convex(14), gen_grid(5).graph.points]
+    sets.append(rectangle_boundary(random.Random(27), 3, 2))
     graphs = []
     for ps in sets:
         res = maximal_augment(GeometricGraph(ps, ()))
@@ -95,6 +104,7 @@ def symmetry_inputs() -> list[GeometricGraph]:
         graphs += [maximal, GeometricGraph(ps, res.red_layer)]
         graphs.append(GeometricGraph(ps, maximal.edges[::2]))
         graphs.append(drop_edges_through_vertices(random_edge_subset_graph(rng, ps, 0.3)))
+    graphs.append(with_first_non_edge(maximal_augment(GeometricGraph(gen_convex(14), ())).graph))
     return graphs
 
 

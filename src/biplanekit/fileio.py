@@ -38,6 +38,9 @@ class _Reader:
                 self.toks.append((tok, line_no, col))
                 col += len(tok) - 1
         self.pos = 0
+        # int() also reads "1_0" and non-ASCII digits; a token of ASCII
+        # without "_" can only be read as an optional sign and digits.
+        self.plain = text.isascii() and "_" not in text
 
     def more(self) -> bool:
         return self.pos < len(self.toks)
@@ -52,10 +55,12 @@ class _Reader:
             )
         tok, line, col = self.toks[self.pos]
         self.pos += 1
-        try:
-            return int(tok)
-        except ValueError:
-            raise FileFormatError(line, col, f"expected {what.format(*args)}, got {tok!r}")
+        if self.plain or (tok.isascii() and "_" not in tok):
+            try:
+                return int(tok)
+            except ValueError:
+                pass
+        raise FileFormatError(line, col, f"expected {what.format(*args)}, got {tok!r}")
 
     def error(self, message: str, back: int = 1) -> FileFormatError:
         """An error located at the token `back` tokens before the next one."""

@@ -161,7 +161,8 @@ class PointSet(_Frozen):
     Immutable; safe to share between threads.  Integer coordinates (a
     float, even an integral one, is rejected, not truncated), distinctness
     and the coordinate cap are enforced at construction.  Collinearity
-    checks are deferred to validate() because they are quadratic.
+    checks are deferred to validate(), which is quadratic on any set that
+    is not in strictly convex position.
     """
 
     points: tuple[Point, ...]
@@ -221,11 +222,16 @@ def validate(ps: PointSet) -> ValidationReport:
     """Check the general-position contract of a point set.
 
     Under STRICT this reports the lexicographically first collinear triple
-    (i, j, k), i < j < k, in O(n^2) time; deciding whether any three points
-    are collinear is 3SUM-hard, so the bound stays.  For each i every later
-    point j gets the slope key ((yj - yi) << 64) // (xj - xi), or None when
-    xj = xi.  Equal slopes, opposite directions included, give equal keys,
-    and as |dx| <= 2**31 distinct slopes differ by at least 2**-62, so their
+    (i, j, k), i < j < k.  Points in strictly convex position have none: a
+    line meets the boundary of a strictly convex polygon in at most two
+    points.  So when the weak hull holds every point and turns at each of
+    its vertices, the answer is ok after O(n log n) work.  Every other set,
+    weakly convex ones included, gets the O(n^2) slope scan; deciding
+    whether any three points of a general set are collinear is 3SUM-hard,
+    so that bound stays.  For each i every later point j gets the slope
+    key ((yj - yi) << 64) // (xj - xi), or None when xj = xi.  Equal
+    slopes, opposite directions included, give equal keys, and as
+    |dx| <= 2**31 distinct slopes differ by at least 2**-62, so their
     keys differ by at least 4.  A repeated key from i thus means a line
     through i and two later points.  Only then are i's keys grouped in j
     order, so groups come in the order of their smallest members, and the
@@ -234,8 +240,18 @@ def validate(ps: PointSet) -> ValidationReport:
     """
     if ps.strictness is Strictness.RELAXED:
         return ValidationReport(True)
-    xs = [p.x for p in ps.points]
-    ys64 = [p.y << 64 for p in ps.points]
+    pts = ps.points
+    try:
+        hull = convex_hull(ps)
+    except ValueError:  # fewer than three points, or all on one line
+        hull = []
+    ring = [pts[h] for h in hull]
+    if len(ring) == len(pts) and all(
+        map(cross, ring[-2:] + ring[:-2], ring[-1:] + ring[:-1], ring)
+    ):
+        return ValidationReport(True)
+    xs = [p.x for p in pts]
+    ys64 = [p.y << 64 for p in pts]
     for i, (xi, yi) in enumerate(zip(xs, ys64)):
         later = zip(xs[i + 1 :], ys64[i + 1 :])
         keys = [(y - yi) // (x - xi) if x != xi else None for x, y in later]

@@ -32,6 +32,7 @@ from biplanekit.analysis import (
     vertex_connectivity,
 )
 from biplanekit.augmentation import build_state, maximal_augment
+from biplanekit.cli import run
 from biplanekit.constructions import (
     apply_boundary_flips,
     apply_corner_flips,
@@ -40,6 +41,7 @@ from biplanekit.constructions import (
     gen_grid,
     gen_hgon_with_arc,
 )
+from biplanekit.fileio import format_graph
 from biplanekit.geometry import PointSet, convex_hull
 from biplanekit.graphs import GeometricGraph
 from biplanekit.recognition import (
@@ -333,3 +335,25 @@ def test_criterion_10_scaling_convex_nonempty_input():
     assert slope < 1.5, f"fitted exponent {slope:.2f}"
     assert times[4000] < 60.0, f"n=4000 took {times[4000]:.1f}s"
     _report(10, f"scaling-convex-nonempty (exponent {slope:.2f}, t4000 {times[4000]:.2f}s)")
+
+
+def test_criterion_10_scaling_convex_strict_check(tmp_path, capsys):
+    # `biplanekit check` on a maximal convex graph: recognition colors it
+    # in one sweep, and the STRICT general-position check must not scan
+    # the Theta(n^2) point pairs either.  Timed as the fastest of three
+    # runs, as above.
+    times = {}
+    for n in (1000, 2000, 4000):
+        path = tmp_path / f"convex-{n}.graph"
+        path.write_text(format_graph(maximal_augment(GeometricGraph(gen_convex(n), ())).graph))
+        runs = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            code = run(["check", str(path)])
+            runs.append(time.perf_counter() - t0)
+            assert code == 0 and capsys.readouterr().out.startswith("BIPLANE\n")
+        times[n] = min(runs)
+    slope = _fitted_exponent(times)
+    assert slope < 1.5, f"fitted exponent {slope:.2f}"
+    assert times[4000] < 60.0, f"n=4000 took {times[4000]:.1f}s"
+    _report(10, f"scaling-convex-check (exponent {slope:.2f}, t4000 {times[4000]:.2f}s)")

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -566,6 +569,50 @@ def test_reader_errors_name_each_token(text, line, column, reason):
         parse_graph(text)
     assert (exc.value.line, exc.value.column, exc.value.reason) == (line, column, reason)
     assert str(exc.value) == f"line {line}, column {column}: {reason}"
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661"])
+@pytest.mark.parametrize(
+    "comment", ["", "  # plain", "  # caf\u00e9"], ids=["bare", "ascii-comment", "other-comment"]
+)
+def test_triangulate_rejects_tokens_that_are_not_decimal_integers(
+    tmp_path, capsys, token, comment
+):
+    # int() reads "1_0" as 10 and the Arabic-Indic digit one as 1; a
+    # coordinate is ASCII digits with an optional sign, whatever else the
+    # file holds.
+    f = tmp_path / "points.txt"
+    f.write_text(f"3\n0 0{comment}\n0 5\n  {token} 0\n")
+    assert run(["triangulate", str(f)]) == 2
+    reason = f"expected x coordinate of point 2, got {token!r}"
+    assert capsys.readouterr().err == f"error: line 4, column 3: {reason}\n"
+
+
+@pytest.mark.parametrize("comment", ["", "# caf\u00e9 1_0\n"])
+def test_reader_accepts_signed_ascii_digits(comment):
+    ps = parse_points(f"{comment}3\n+0 -0\n+15 007\n-3 +4\n")
+    assert ps.points == ((0, 0), (15, 7), (-3, 4))
+
+
+@pytest.mark.parametrize("module", ["biplanekit", "biplanekit.cli"])
+def test_python_m_runs_the_command_line_from_a_checkout(tmp_path, module):
+    # PYTHONPATH=src python -m biplanekit check FILE, without installing.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    cases = [
+        (k4_text(), 0, "BIPLANE\n", ""),
+        (k5_text(), 1, "NOT-BIPLANE\n", ""),
+        ("3\n0 0\noops 1\n2 2\n0\n", 2, "", "error: line 3, column 1: "),
+    ]
+    for i, (text, code, out, err) in enumerate(cases):
+        f = tmp_path / f"{i}.graph"
+        f.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "check", str(f)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == code
+        assert proc.stdout.startswith(out) and proc.stderr.startswith(err)
+        assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_check_exits_2_on_repeated_edge(tmp_path, capsys):

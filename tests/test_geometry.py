@@ -12,6 +12,7 @@ from _helpers import (
     proper_cross,
     random_lattice_points,
     random_strict_points,
+    rectangle_boundary,
     reference_convex_hull,
 )
 from hypothesis import given, settings
@@ -271,9 +272,83 @@ def test_validate_fewer_than_three_points(n):
     assert validate(ps) == gcd_validate(ps) == brute_validate(ps) == ValidationReport(True)
 
 
+def parabola(k: int, scale: int = 1, shift: int = 0) -> list[tuple[int, int]]:
+    """k strictly convex points (scale * x + shift, scale * x * x + shift)."""
+    return [(scale * x + shift, scale * x * x + shift) for x in range(k)]
+
+
+def shuffled(rng: random.Random, coords) -> PointSet:
+    """A STRICT point set of `coords` in random order."""
+    coords = list(coords)
+    rng.shuffle(coords)
+    return PointSet.from_coords(coords)
+
+
+def convex_position_sets(rng: random.Random):
+    """(point set, whether it has no collinear triple), every point on or
+    near the weak hull, in shuffled order."""
+    octagon = [(-C, 1 - C), (1 - C, -C), (C - 1, -C), (C, 1 - C)]
+    octagon += [(-x, -y) for x, y in octagon]
+    yield shuffled(rng, octagon), True
+    # A point on the octagon's long bottom side; one inside, on the line
+    # through two corners; and one just inside, on no such line.
+    yield shuffled(rng, [*octagon, (0, -C)]), False
+    yield shuffled(rng, [*octagon, (0, 1 - C)]), False
+    yield shuffled(rng, [*octagon, (0, 2 - C)]), True
+    for _ in range(40):
+        k = rng.randint(3, 12)
+        yield shuffled(rng, gen_convex(k).points), True
+        # Strictly convex out to the coordinate cap, reflected at random.
+        scale = 2 * C // (k - 1) ** 2
+        sx, sy = rng.choice((1, -1)), rng.choice((1, -1))
+        arc = [(sx * x, sy * y) for x, y in parabola(k, scale, -C)]
+        yield shuffled(rng, arc if rng.random() < 0.5 else [(y, x) for x, y in arc]), True
+        # Weakly convex: rectangle boundaries, with collinear sides unless
+        # the rectangle is a unit square.
+        w, h = rng.randint(1, 4), rng.randint(1, 4)
+        yield shuffled(rng, rectangle_boundary(rng, w, h).points), w == h == 1
+        if k < 4:
+            continue
+        # One point strictly inside the hull y <= (k - 1) x of the arc.
+        x = rng.randint(1, k - 2)
+        inner = (x, rng.randint(x * x + 1, (k - 1) * x - 1))
+        yield shuffled(rng, parabola(k) + [inner]), None
+        # Arc point i moved onto the side between its neighbours, or
+        # point 1 moved onto the long side from 0 to k - 1.
+        pts = parabola(k)
+        i = rng.randint(1, k - 2)
+        pts[i] = (i, i * i + 1)
+        yield shuffled(rng, pts), False
+        pts = parabola(k)
+        pts[1] = (1, k - 1)
+        yield shuffled(rng, pts), False
+
+
+def test_validate_on_convex_position_sets():
+    # Strictly convex sets end at the hull; the rest, weakly convex ones
+    # and convex sets with an interior point, need the full scan, whose
+    # first triple must be the same.
+    kinds = set()
+    for ps, ok in convex_position_sets(random.Random(28)):
+        assert len(convex_hull(ps)) >= len(ps) - 1
+        rep = validate(ps)
+        assert rep == gcd_validate(ps) == brute_validate(ps)
+        assert ok is None or rep.ok is ok
+        kinds.add(rep.ok)
+    assert kinds == {True, False}
+
+
 def test_validate_matches_gcd_reference_on_large_sets():
     ps = gen_convex(500)
     assert validate(ps) == gcd_validate(ps) == ValidationReport(True)
+    coords = list(ps.points)
+    random.Random(28).shuffle(coords)
+    ps = PointSet.from_coords(coords)
+    assert validate(ps) == gcd_validate(ps) == ValidationReport(True)
+    # The middle arc point moved onto the side between its neighbours.
+    coords[coords.index((250, 250**2))] = (250, 250**2 + 1)
+    ps = PointSet.from_coords(coords)
+    assert validate(ps) == gcd_validate(ps) != ValidationReport(True)
     rng = random.Random(15)
     for _ in range(6):
         # 297 random points and one collinear triple at random indices.

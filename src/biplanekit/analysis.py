@@ -9,10 +9,11 @@ non-edges).  A non-edge uv first tests the edges filed under the angular
 gap at u that holds v, then at v: each edge xy joining two neighbours of
 u is filed under the gaps its wedge at u spans, and uv crosses it
 exactly when v lies strictly across line xy from u, one signed area.
-Only when those show no clash does it scan every row with recognition's
-exact kernel `_crossed`, longest edge first.  On a maximal random graph
-at n = 1000 (494,494 non-edges) the ends settle all but 6,892 and the
-oracle takes about 1.1 s on a 2-vCPU VM.  Maximum size is the largest
+Only when those show no clash does it scan a row of every edge but the
+hull sides, built here and sorted longest edge first, with recognition's
+exact kernel `_crossed`.  On a maximal random graph at n = 1000 (494,494
+non-edges) the ends settle all but 6,892 and the oracle takes about
+1.1 s on a 2-vCPU VM.  Maximum size is the largest
 union of two triangulations, each a bitmask over the segments, so every
 pair costs one OR and a bit count.  They exist to verify the fast
 algorithms on desk-scale instances.
@@ -26,13 +27,16 @@ from collections import Counter, deque
 from typing import NamedTuple
 
 from .augmentation import maximal_augment
-from .geometry import COORD_LIMIT, Edge, PointSet, Strictness, _typed_eq, edge
+from .geometry import COORD_LIMIT, Edge, Point, PointSet, Strictness, _typed_eq, edge
 from .graphs import GeometricGraph, relaxed_edge_violations
 from .recognition import (
     OddCycleWitness,
     TooManyEdges,
+    _crossable,
     _crossed,
-    _recognize_rows,
+    _edge_rows,
+    _recognize,
+    _weak_hull,
     exceeds_edge_cap,
 )
 from .triangulation import CollinearError, _triangulation_masks
@@ -231,37 +235,35 @@ def maximality_oracle(g: GeometricGraph) -> bool:
     is two real crossings.  (That needs v off the lines ux, uy and xy,
     which holds for every non-edge tried: a vertex inside an edge is
     rejected, and a non-edge with one inside it is skipped.)  Only a
-    non-edge with no clash there gets the scan over every row.
+    non-edge with no clash there gets the scan over every row, one
+    `_edge_rows` row per `_crossable` edge, and reads the (root, color)
+    of each edge it crosses.
     """
-    coloring, rows = _recognize_rows(g)
-    if isinstance(coloring, (OddCycleWitness, TooManyEdges)):
+    verdict = _recognize(g)
+    if isinstance(verdict, (OddCycleWitness, TooManyEdges)):
         raise ValueError("input graph is not biplane")
     if exceeds_edge_cap(g.n, g.m + 1):
         return True
-    color, root = coloring
+    color, root = verdict
+    pts = g.points.points
     edges = g.edges
-    payload: dict[Edge, tuple[int, int]] = {}
-    for k, r in enumerate(rows):
-        i = r[11]
-        payload[edges[i]] = pay = root[i], color[i]
-        rows[k] = r[:11] + (pay,)
+    keep = _crossable(g, _weak_hull(g))
     adj = [set(nbrs) for nbrs in g.adjacency()]
-    angles, gaps = _gap_index(g, adj, payload)
-    # Longest edges first: they cross the most non-edges, so a clash is
-    # found early, and the scan's length depends on the geometry alone,
-    # not on how the vertices are labelled.
-    rows.sort(
-        key=lambda r: (
-            -((r[4] - r[6]) ** 2 + (r[5] - r[7]) ** 2),
-            min(r[4:6], r[6:8]),
-            max(r[4:6], r[6:8]),
-        )
-    )
+    angles, gaps = _gap_index(g, adj, {edges[i]: (root[i], color[i]) for i in keep})
+
+    def longest_first(i: int) -> tuple[int, Point, Point]:
+        # Longest edges first: they cross the most non-edges, so a clash is
+        # found early, and the scan's length depends on the geometry alone,
+        # not on how the vertices are labelled.
+        a, b = edges[i]
+        p, q = (pts[a], pts[b]) if pts[a] < pts[b] else (pts[b], pts[a])
+        return -((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2), p, q
+
+    rows = _edge_rows(g, sorted(keep, key=longest_first))
     through_vertex: set[Edge] = set()
     if g.points.strictness is Strictness.RELAXED:
         non_edges = GeometricGraph(g.points, tuple(g.complement_edges()))
         through_vertex = {e for _, e in relaxed_edge_violations(non_edges)}
-    pts = g.points.points
     n = g.n
     for a in range(n):
         xa, ya = pts[a]
@@ -281,8 +283,8 @@ def maximality_oracle(g: GeometricGraph) -> bool:
                     if ex * ya - ey * xa > k and seen.setdefault(comp, side) != side:
                         break
                 else:
-                    for comp, side in _crossed(rows, 0, len(rows), xa, ya, xb, yb):
-                        if seen.setdefault(comp, side) != side:
+                    for i in _crossed(rows, 0, len(rows), xa, ya, xb, yb):
+                        if seen.setdefault(root[i], color[i]) != color[i]:
                             break
                     else:
                         return False

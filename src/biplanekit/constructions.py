@@ -290,6 +290,8 @@ def _transform(
 
     The base exchanges replace axis-parallel edges of the vertical family;
     odd rotations land in the horizontal family, so the layer swaps.
+    Raises ValueError when an edge to remove is not in the layer or an
+    edge to add is already present, as when a flip is applied twice.
     """
     k = grid.k
     red = set(grid.red_edges)
@@ -305,11 +307,11 @@ def _transform(
     added = tuple(sorted(map_edge(a, b) for a, b in added_coords))
     for e in removed:
         if e not in layer:
-            raise ConstructionError(f"edge {e} to remove is not in the layer")
+            raise ValueError(f"edge {e} to remove is not in the layer")
         layer.discard(e)
     for e in added:
         if e in red or e in blue:
-            raise ConstructionError(f"edge {e} to add already exists")
+            raise ValueError(f"edge {e} to add already exists")
         layer.add(e)
     g = GeometricGraph(grid.graph.points, tuple(sorted(red | blue)))
     rec = GridFlip(kind, position, removed, added)

@@ -21,29 +21,26 @@ sweep over the hull order, in O(m) merges and O(m log m) bisections
 plus list inserts, and no pair reaches the kernel; only an odd cycle
 sends the input through the sweep above, which names the witness.
 Recognizing a maximal graph on 500 points in convex position (1,494
-edges, 123,753 crossings) takes about 3 ms on a 2-vCPU VM, rows for the
-maximality oracle included, against about 0.04 s through the sweep.
+edges, 123,753 crossings) takes about 3 ms on a 2-vCPU VM, against about
+0.04 s through the sweep, and builds no row.
 
 One kernel answers "which of these edges cross segment ab" for every
-scan: `_crossed` scans rows that each hold an edge's box, endpoints,
-line (`_edge_line`) and a payload.  `_recognize_rows` and
-`crossing_pairs` scan each row's x-window with edge indices as payloads;
-`crossing_pairs` keeps a row for every edge and the full window, and
-returns the sorted pairs, for the SVG renderer, to name the pair when a
-completion loses an input edge, and for the segment masks of
-triangulation enumeration.  The maximality oracle in `analysis` takes
-`_recognize_rows`'s rows, so one hull and one row per edge serve both,
-swaps their payloads for (component, color), and scans them only for a
-non-edge whose ends show no clash; the edges around the ends it tests
-itself, by one signed area each.  A relaxed graph with a vertex inside
-an edge is rejected before any crossing test.
+scan: `_crossed` scans rows (`_edge_rows`) that each hold an edge's box,
+endpoints, line (`_edge_line`) and its index.  `_recognize` and
+`crossing_pairs` scan each row's x-window; `crossing_pairs` keeps a row
+for every edge and the full window, and returns the sorted pairs, for
+the SVG renderer, to name the pair when a completion loses an input
+edge, and for the segment masks of triangulation enumeration.  The
+maximality oracle in `analysis` builds its own rows of the `_crossable`
+edges and scans them whole.  A relaxed graph with a vertex inside an
+edge is rejected before any crossing test.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .geometry import Edge, _typed_eq, convex_hull, edge, segments_cross
 from .graphs import GeometricGraph, check_relaxed_edges
@@ -98,12 +95,12 @@ def _edge_line(xa: int, ya: int, xb: int, yb: int) -> tuple[int, int, int]:
 
 def _crossed(
     rows: Sequence[tuple], lo: int, hi: int, xa: int, ya: int, xb: int, yb: int
-) -> Iterator[Any]:
-    """Payload of each row in rows[lo:hi] whose edge crosses the open segment ab.
+) -> Iterator[int]:
+    """Index of each edge in rows[lo:hi] that crosses the open segment ab.
 
-    A row is (xlo, xhi, ylo, yhi, xc, yc, xd, yd, ex, ey, k, payload): the
-    box of edge cd, its endpoints, its `_edge_line` and whatever the
-    caller wants back; crossings come out in row order.  A row is
+    A row is (xlo, xhi, ylo, yhi, xc, yc, xd, yd, ex, ey, k, i): the box
+    of edge i = cd, its endpoints and its `_edge_line`; crossings come
+    out in row order.  A row is
     rejected when its y-extent misses ab's (the callers window the
     x-extents themselves), then after two signed areas against ab's line
     when c and d lie strictly on one side of it or exactly one of them
@@ -113,7 +110,7 @@ def _crossed(
     """
     dx, dy, k = _edge_line(xa, ya, xb, yb)
     low, high = (ya, yb) if ya < yb else (yb, ya)
-    for _, _, ylo, yhi, xc, yc, xd, yd, ex, ey, kr, payload in rows[lo:hi]:
+    for _, _, ylo, yhi, xc, yc, xd, yd, ex, ey, kr, i in rows[lo:hi]:
         if ylo > high or yhi < low:
             continue
         s1 = dx * yc - dy * xc - k
@@ -126,16 +123,16 @@ def _crossed(
                 continue
         else:
             if s2 == 0 and segments_cross((xa, ya), (xb, yb), (xc, yc), (xd, yd)):
-                yield payload
+                yield i
             continue
         t1 = ex * ya - ey * xa - kr
         t2 = ex * yb - ey * xb - kr
         if (t1 > 0 and t2 < 0) or (t1 < 0 and t2 > 0):
-            yield payload
+            yield i
 
 
 def _edge_rows(g: GeometricGraph, keep: Iterable[int]) -> list[tuple]:
-    """One `_crossed` row for each edge index i in keep, with payload i."""
+    """One `_crossed` row for each edge index i in keep."""
     pts = g.points.points
     edges = g.edges
     rows = []
@@ -183,13 +180,13 @@ def _crossable(g: GeometricGraph, hull: list[int] | None) -> Sequence[int]:
 def crossing_pairs(g: GeometricGraph) -> list[tuple[int, int]]:
     """All pairs (i, j), i < j, of edge indices whose open segments cross, sorted.
 
-    Each edge becomes one `_crossed` row with its index as payload.  Rows
-    are sorted by left end; each row is tested only against the later
-    rows whose left end lies within its own x-extent, so each crossing
-    is found once.  Worst case stays quadratic.
+    Each edge becomes one `_crossed` row.  Rows are sorted by left end;
+    each row is tested only against the later rows whose left end lies
+    within its own x-extent, so each crossing is found once.  Worst case
+    stays quadratic.
 
     The window keeps the rows that start at the row's right end's x or
-    at its left end, which `_recognize_rows` leaves out: g need not pass
+    at its left end, which `_recognize` leaves out: g need not pass
     check_relaxed_edges here, and in a graph that breaks the relaxed
     contract such a row can be a collinear crossing, an edge along
     another from their shared end, or an overlapping vertical edge in
@@ -325,23 +322,20 @@ def _convex_coloring(
     return _colors(label, par)
 
 
-def _recognize_rows(
+def _recognize(
     g: GeometricGraph,
-) -> tuple[tuple[list[int], list[int]] | OddCycleWitness | TooManyEdges, list[tuple]]:
+) -> tuple[list[int], list[int]] | OddCycleWitness | TooManyEdges:
     """Two-color g's crossing graph while sweeping for its crossings.
 
-    Returns the verdict and the rows it swept, sorted by left end.  The
-    verdict is (color, root): edge i's color, 0 or 1, and the
-    lowest-index edge of its crossing-graph component, which has color 0;
-    an odd cycle or the edge cap stops it instead.  Raises ValueError on
-    a relaxed graph with a vertex inside an edge.  The rows are those of
-    the `_crossable` edges, edge indices as payloads; none are built when
-    the edge cap rejects g.
+    Returns (color, root): edge i's color, 0 or 1, and the lowest-index
+    edge of its crossing-graph component, which has color 0; an odd
+    cycle or the edge cap stops it instead.  Raises ValueError on a
+    relaxed graph with a vertex inside an edge.
 
     When the weak hull holds every point of S, `_convex_coloring` colors
-    the crossings in one sweep over the hull order instead, and the kernel
-    is never called.  If it meets an odd cycle, the sweep below runs from
-    the start, so the witness is the one the sweep alone would name.
+    the crossings in one sweep over the hull order instead, and no row is
+    built.  If it meets an odd cycle, the sweep below runs from the
+    start, so the witness is the one the sweep alone would name.
 
     The sweep is `crossing_pairs`' over the `_crossable` edges, with
     narrower windows.  Row p, whose edge spans xlo <= x <= xhi, is
@@ -378,15 +372,15 @@ def _recognize_rows(
     check_relaxed_edges(g)
     n, m = g.n, g.m
     if exceeds_edge_cap(n, m):
-        return TooManyEdges(n, m, biplane_edge_cap(n)), []
+        return TooManyEdges(n, m, biplane_edge_cap(n))
     hull = _weak_hull(g)
     keep = _crossable(g, hull)
-    rows = _edge_rows(g, keep)
-    rows.sort()
     if hull is not None and len(hull) == n:
         coloring = _convex_coloring(g, hull, keep)
         if coloring is not None:
-            return coloring, rows
+            return coloring
+    rows = _edge_rows(g, keep)
+    rows.sort()
     xlos = [r[0] for r in rows]
     xs = sorted(x for x, _ in g.points.points)
     shared = {x for x, y in zip(xs, xs[1:]) if x == y}
@@ -404,8 +398,8 @@ def _recognize_rows(
                 forest.append((i, j))
                 _merge(label, par, rank, link, f, h, par[i] ^ par[j] ^ 1)
             elif par[i] == par[j]:
-                return OddCycleWitness(_forest_cycle(g, forest, i, j)), rows
-    return _colors(label, par), rows
+                return OddCycleWitness(_forest_cycle(g, forest, i, j))
+    return _colors(label, par)
 
 
 def _forest_cycle(
@@ -446,7 +440,7 @@ def test_biplane(g: GeometricGraph) -> BiplaneResult:
     Raises ValueError, naming the edge and the vertex, on a relaxed graph
     with a vertex inside an edge.
     """
-    verdict = _recognize_rows(g)[0]
+    verdict = _recognize(g)
     if isinstance(verdict, (OddCycleWitness, TooManyEdges)):
         return verdict
     color = verdict[0]

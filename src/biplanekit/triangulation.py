@@ -87,28 +87,19 @@ class Triangulation:
     values are safe to share.
     """
 
-    __slots__ = ("points", "head", "apex", "nxt", "out", "boundary")
+    __slots__ = ("points", "head", "apex", "nxt", "out")
 
     def __init__(
-        self,
-        points: PointSet,
-        head: list[int],
-        apex: list[int],
-        nxt: list[int],
-        out: list[int],
-        boundary: Sequence[int],
+        self, points: PointSet, head: list[int], apex: list[int], nxt: list[int], out: list[int]
     ) -> None:
         self.points = points
         self.head = head
         self.apex = apex
         self.nxt = nxt
         self.out = out
-        self.boundary = tuple(boundary)
 
     def copy(self) -> "Triangulation":
-        return Triangulation(
-            self.points, self.head[:], self.apex[:], self.nxt[:], self.out[:], self.boundary
-        )
+        return Triangulation(self.points, self.head[:], self.apex[:], self.nxt[:], self.out[:])
 
     @property
     def n(self) -> int:
@@ -144,7 +135,7 @@ class Triangulation:
 
 def _sweep_triangulation(
     pts: Sequence[Point],
-) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+) -> tuple[list[int], list[int], list[int], list[int]]:
     """Triangulate all points, processing them in lexicographic order.
 
     Maintains the weak hull of the processed prefix as a counterclockwise
@@ -152,7 +143,7 @@ def _sweep_triangulation(
     new point fans to the hull chain it sees, which holds a side of the
     last inserted point, and the chain is unlinked.  Collinear prefixes
     (relaxed sets) are kept as a chain until an off-line point arrives.
-    Returns (head, apex, nxt, out, hull).
+    Returns (head, apex, nxt, out).
     """
     n = len(pts)
     order = sorted(range(n), key=pts.__getitem__)
@@ -259,7 +250,7 @@ def _sweep_triangulation(
     for u in hull:
         nxt[hd[u] ^ 1] = hd[rp[u]] ^ 1
     del head[m:], apex[m:], nxt[m:]
-    return head, apex, nxt, out, hull
+    return head, apex, nxt, out
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from biplanekit.recognition import (
     _crossable,
     _crossed,
     _edge_rows,
-    _recognize_rows,
+    _recognize,
     _weak_hull,
     biplane_edge_cap,
     crossing_pairs,
@@ -86,9 +86,21 @@ def dart_dict(t: Triangulation) -> dict[tuple[int, int], int | None]:
 
 
 def boundary_edges(t: Triangulation) -> frozenset[Edge]:
-    """The hull edges of t, read off its boundary cycle."""
-    b = t.boundary
+    """The sides of the weak convex hull of t's points."""
+    b = convex_hull(t.points)
     return frozenset(edge(u, v) for u, v in zip(b, b[1:] + b[:1]))
+
+
+def outer_cycle(t: Triangulation) -> list[int]:
+    """The vertices on t's outer face, counterclockwise, read off its outer
+    darts: each one's `nxt` is the next outer dart clockwise."""
+    start = d = t.apex.index(OUTER)
+    cycle = []
+    while True:
+        cycle.append(t.head[d])
+        d = t.nxt[d]
+        if d == start:
+            return cycle[::-1]
 
 
 def turn_passed(t: Triangulation, edges) -> dict[tuple[int, int], int]:
@@ -111,9 +123,10 @@ def check_dart_lists(t: Triangulation) -> None:
     of edge k run lower -> higher vertex (2k) and back (2k + 1); `nxt` has
     order 3 on inner darts, whose apex is the head of their next dart, and
     runs once around the h hull vertices on the outer darts; `out[v]`
-    leaves v; and there are exactly 3n - 3 - h edge ids."""
+    leaves v; and there are exactly 3n - 3 - h edge ids, h the size of the
+    weak convex hull of t's points."""
     head, apex, nxt, out = t.head, t.apex, t.nxt, t.out
-    n, h = t.n, len(t.boundary)
+    n, h = t.n, len(convex_hull(t.points))
     if len(head) != 2 * (3 * n - 3 - h) or len(apex) != len(head) or len(nxt) != len(head):
         raise GeometryError(f"{len(head)} darts, not 2(3n - 3 - h) = {2 * (3 * n - 3 - h)}")
     for k in range(len(head) // 2):
@@ -501,7 +514,7 @@ def reference_recognize(
 
     Sorted adjacency lists over every edge, hull sides included, built
     from `crossing_pairs`, then a BFS two-coloring in edge index order.
-    Returns (color, root) as `recognition._recognize_rows` does, or an odd
+    Returns (color, root) as `recognition._recognize` does, or an odd
     cycle that closes the BFS tree paths of two same-colored crossing
     edges.
     """
@@ -706,7 +719,7 @@ def reference_maximality_oracle(g: GeometricGraph) -> bool:
     and is skipped.  Raises ValueError when g is not biplane or breaks the
     relaxed contract.
     """
-    coloring = _recognize_rows(g)[0]
+    coloring = _recognize(g)
     if isinstance(coloring, (OddCycleWitness, TooManyEdges)):
         raise ValueError("input graph is not biplane")
     if exceeds_edge_cap(g.n, g.m + 1):
@@ -1035,8 +1048,8 @@ def validate_triangulation(t: Triangulation) -> None:
     triangle count is not the one Euler's formula gives, or two edges cross."""
     check_dart_lists(t)
     pts = t.points.points
-    n, h = t.n, len(t.boundary)
     hull = boundary_edges(t)
+    n, h = t.n, len(hull)
     left = dart_dict(t)
     triangles = set()
     for (a, b), w in left.items():

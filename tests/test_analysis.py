@@ -31,7 +31,7 @@ from biplanekit.constructions import (
     gen_grid,
     gen_hgon_with_arc,
 )
-from biplanekit.geometry import PointSet, Strictness, convex_hull
+from biplanekit.geometry import PointSet, Strictness, convex_hull, edge
 from biplanekit.graphs import GeometricGraph
 from biplanekit.recognition import _crossed
 from biplanekit.triangulation import complete_to_triangulation
@@ -197,6 +197,40 @@ def test_maximality_oracle_scans_every_row_only_for_few_non_edges(monkeypatch):
     non_edges = len(maximal.complement_edges())
     assert 0 < len(handed) < non_edges / 50
     assert sum(handed) < 10 * non_edges
+
+
+def test_maximality_oracle_scan_does_not_depend_on_labels(monkeypatch):
+    # The full scan meets the edges longest first, ties broken by their
+    # ends' coordinates, so a relabeled copy hands _crossed as many rows
+    # and stops after as many crossings.
+    ps = random_strict_points(random.Random(31), 100)
+    maximal = maximal_augment(GeometricGraph(ps, ())).graph
+    perm = list(range(ps.n))
+    random.Random(32).shuffle(perm)
+    coords = [None] * ps.n
+    for v, p in enumerate(ps.points):
+        coords[perm[v]] = p
+    relabeled = GeometricGraph(
+        PointSet.from_coords(coords),
+        tuple(sorted(edge(perm[a], perm[b]) for a, b in maximal.edges)),
+    )
+    handed = []
+    met = []
+
+    def counted(rows, lo, hi, *segment):
+        handed.append(hi - lo)
+        for i in _crossed(rows, lo, hi, *segment):
+            met.append(i)
+            yield i
+
+    monkeypatch.setattr(analysis, "_crossed", counted)
+    totals = []
+    for g in (maximal, relabeled):
+        handed.clear()
+        met.clear()
+        assert maximality_oracle(g) is True
+        totals.append((len(handed), sum(handed), len(met)))
+    assert totals[0] == totals[1] and totals[0][0] > 0
 
 
 def test_maximality_oracles_reject_graph_over_edge_cap():

@@ -129,6 +129,9 @@ def test_flags_a_command_would_ignore_exit_two(tmp_path, monkeypatch, capsys, ar
         (["generate", "convex"], "convex needs --n"),
         (["generate", "grid", "--k", "8", "--flips", "bogus"], "unknown flip spec 'bogus'"),
         (["check", "absent.graph"], "No such file or directory"),
+        # A flip applied twice finds its edges gone.
+        (["generate", "grid", "--k", "8", "--flips", "corners,corners"], "not in the layer"),
+        (["generate", "grid", "--k", "8", "--flips", "boundary:4,boundary:4"], "not in the layer"),
     ],
 )
 def test_argument_and_io_errors_are_not_file_positions(
@@ -141,6 +144,7 @@ def test_argument_and_io_errors_are_not_file_positions(
     captured = capsys.readouterr()
     assert message in captured.err and "line 0" not in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def test_augment_empty_convex8(tmp_path, capsys):

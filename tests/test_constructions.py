@@ -5,6 +5,7 @@ from _helpers import assert_grid_degree_classes, grid_coord, layer_is_plane
 from biplanekit.analysis import brute_force_maximum
 from biplanekit.augmentation import maximal_augment
 from biplanekit.constructions import (
+    _transform,
     apply_boundary_flips,
     apply_corner_flips,
     bounds,
@@ -190,6 +191,16 @@ def test_boundary_flips_on_other_sides():
         out = apply_boundary_flips(grid, 5, side=side)
         assert isinstance(test_biplane(out.graph), BiplaneDecomposition)
         assert out.graph.m == grid.graph.m
+
+
+def test_inapplicable_flips_raise_value_error():
+    grid = gen_grid(8)
+    with pytest.raises(ValueError, match="to remove is not in the layer"):
+        apply_corner_flips(apply_corner_flips(grid))
+    with pytest.raises(ValueError, match="to remove is not in the layer"):
+        apply_boundary_flips(apply_boundary_flips(grid, 4), 4)
+    with pytest.raises(ValueError, match="to add already exists"):
+        _transform(grid, "boundary", (4, 0), [], [((1, 1), (1, 2))], 0)
 
 
 def test_far_apart_boundary_flips_commute():

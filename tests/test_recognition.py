@@ -43,7 +43,7 @@ from biplanekit.recognition import (
     TooManyEdges,
     _crossed,
     _edge_line,
-    _recognize_rows,
+    _recognize,
     crossing_pairs,
     exceeds_edge_cap,
     test_biplane,
@@ -306,6 +306,33 @@ def test_hull_sides_get_no_kernel_row(monkeypatch):
             assert not any(frozenset((r[4:6], r[6:8])) in side_ends for r in window)
 
 
+def test_hull_order_route_builds_no_rows(monkeypatch):
+    # Rows are built only for the box sweep: never for a biplane graph in
+    # convex position, once when one chord more makes the hull order meet
+    # an odd cycle, and once for points off the hull.
+    convex = maximal_augment(GeometricGraph(gen_convex(60), ())).graph
+    strict = random_strict_points(random.Random(6), 30)
+    graphs = [
+        (convex, BiplaneDecomposition),
+        (with_first_non_edge(convex), OddCycleWitness),
+        (maximal_augment(GeometricGraph(strict, ())).graph, BiplaneDecomposition),
+    ]
+    edge_rows = recognition._edge_rows
+    calls = []
+
+    def counted(g, keep):
+        calls.append(g)
+        return edge_rows(g, keep)
+
+    monkeypatch.setattr(recognition, "_edge_rows", counted)
+    counts = []
+    for g, verdict in graphs:
+        calls.clear()
+        assert isinstance(test_biplane(g), verdict)
+        counts.append(len(calls))
+    assert counts == [0, 1, 1]
+
+
 def test_windows_leave_out_edges_that_meet_at_an_end(monkeypatch):
     # Recognition tests a row against no row that starts at its right
     # end's x, and, where its left end is alone in its column, against no
@@ -397,14 +424,14 @@ def test_merges_relabel_the_class_of_lower_rank(monkeypatch):
     writes = 0
 
     class CountedList(list):
-        # _recognize_rows builds its label and link tables with list().
+        # _recognize builds its label and link tables with list().
         def __setitem__(self, i, v):
             nonlocal writes
             writes += 1
             super().__setitem__(i, v)
 
     monkeypatch.setattr(recognition, "list", CountedList, raising=False)
-    color, root = _recognize_rows(g)[0]
+    color, root = _recognize(g)
     assert root == [0] * g.m and color == [0] * k + [1]
     assert 0 < writes <= g.m * math.log2(g.m)
 
@@ -446,7 +473,7 @@ def test_recognition_matches_the_bfs_reference():
     kinds = set()
     for g in graphs:
         want = reference_recognize(g)
-        got = _recognize_rows(g)[0]
+        got = _recognize(g)
         assert type(got) is type(want)
         kinds.add(type(got).__name__)
         if isinstance(want, OddCycleWitness):
@@ -490,7 +517,7 @@ def test_convex_position_coloring_matches_the_bfs_reference(monkeypatch):
     for g in graphs:
         routed.clear()
         want = reference_recognize(g)
-        got = _recognize_rows(g)[0]
+        got = _recognize(g)
         assert type(got) is type(want)
         kinds[type(got).__name__] += 1
         if isinstance(want, OddCycleWitness):

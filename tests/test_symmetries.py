@@ -22,7 +22,7 @@ from biplanekit.augmentation import maximal_augment
 from biplanekit.constructions import gen_convex, gen_grid
 from biplanekit.geometry import COORD_LIMIT, PointSet, validate
 from biplanekit.graphs import GeometricGraph
-from biplanekit.recognition import OddCycleWitness, TooManyEdges, _recognize_rows
+from biplanekit.recognition import OddCycleWitness, TooManyEdges, _recognize
 from biplanekit.triangulation import complete_to_triangulation
 
 L = COORD_LIMIT
@@ -60,7 +60,7 @@ def outcome(f, *args):
 
 def recognition_key(g: GeometricGraph):
     """(color, root), or the name of the verdict, whose witness may change."""
-    verdict = outcome(lambda: _recognize_rows(g)[0])
+    verdict = outcome(lambda: _recognize(g))
     if isinstance(verdict, (OddCycleWitness, TooManyEdges)):
         return type(verdict).__name__
     return verdict

@@ -15,6 +15,7 @@ from _helpers import (
     flip,
     flip_status,
     is_flippable,
+    outer_cycle,
     random_lattice_points,
     random_plane_graph,
     random_strict_points,
@@ -357,7 +358,8 @@ def test_separating_chord_always_flippable():
 
 
 def test_sweep_boundary_is_convex_hull_up_to_rotation():
-    # build_state takes its hull from the sweep instead of convex_hull.
+    # build_state reads its hull off the completion's outer darts instead of
+    # calling convex_hull.
     rng = random.Random(11)
     sets = [gen_grid(k).graph.points for k in (5, 8)]
     for _ in range(40):
@@ -372,13 +374,13 @@ def test_sweep_boundary_is_convex_hull_up_to_rotation():
             continue  # all points collinear
         t = complete_to_triangulation(ps)
         check_dart_lists(t)
-        b = list(t.boundary)
+        b = outer_cycle(t)
         k = b.index(hull[0])
         assert b[k:] + b[:k] == hull
 
 
 def test_ring_sweep_matches_brute_sweep():
-    # Same apex map and the same boundary list, and consistent dart lists.
+    # Same apex map and the same hull cycle, and consistent dart lists.
     rng = random.Random(23)
     sets = [gen_convex(40), gen_grid(6).graph.points]
     for m in (3, 7):
@@ -405,7 +407,9 @@ def test_ring_sweep_matches_brute_sweep():
         t = Triangulation(ps, *triangulation._sweep_triangulation(pts))
         check_dart_lists(t)
         assert dart_dict(t) == want[0]
-        assert list(t.boundary) == want[1]
+        b = outer_cycle(t)
+        k = b.index(want[1][0])
+        assert b[k:] + b[:k] == want[1]
     assert collinear == 2
 
 
@@ -426,7 +430,7 @@ def test_apex_rotation_matches_angular_rotation():
         except ValueError:
             continue  # all points collinear
         check_dart_lists(t)
-        b = t.boundary
+        b = convex_hull(ps)
         for density in (1.0, 0.6, 0.3, 0.1):
             sub = [e for e in t.sorted_edges() if rng.random() < density]
             rot = brute_angular_rotation(ps.points, sub)

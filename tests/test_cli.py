@@ -388,6 +388,28 @@ def test_render_deterministic(tmp_path, capsys):
     assert first == second
 
 
+def _convex10_complete_text() -> str:
+    from biplanekit.constructions import gen_convex
+
+    pairs = tuple((a, b) for a in range(10) for b in range(a + 1, 10))
+    return format_graph(GeometricGraph(gen_convex(10), pairs))
+
+
+@pytest.mark.parametrize(
+    "text", [k5_text(), _convex10_complete_text()], ids=["odd-cycle", "too-many-edges"]
+)
+def test_render_negative_verdict_exit_one(tmp_path, capsys, text):
+    # An odd cycle and the edge cap both exit 1 with NOT-BIPLANE alone on
+    # stderr, and no drawing is written.
+    f = tmp_path / "neg.graph"
+    f.write_text(text)
+    svg_file = tmp_path / "neg.svg"
+    assert run(["render", str(f), "--out", str(svg_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "NOT-BIPLANE\n" and captured.out == ""
+    assert not svg_file.exists()
+
+
 def test_render_svg_rejects_bad_layers():
     ps = PointSet.from_coords([(0, 0), (4, 0), (0, 4)])
     g = GeometricGraph(ps, ((0, 1),))

@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 from .geometry import Edge, PointSet, _typed_eq, edge
 from .graphs import GeometricGraph, relaxed_edge_violations
-from .recognition import BiplaneDecomposition, BiplaneResult, _merge, test_biplane
+from .recognition import BiplaneDecomposition, NotBiplaneError, _merge, test_biplane
 from .triangulation import (
     OUTER,
     CollinearError,
@@ -78,14 +78,6 @@ from .triangulation import (
 
 RED = 0
 BLUE = 1
-
-
-class NotBiplaneError(ValueError):
-    """Input graph is not biplane; carries the recognition verdict."""
-
-    def __init__(self, verdict: BiplaneResult) -> None:
-        super().__init__(f"input graph is not biplane: {type(verdict).__name__}")
-        self.verdict = verdict
 
 
 @_typed_eq

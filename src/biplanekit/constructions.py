@@ -355,6 +355,8 @@ def apply_boundary_flips(grid: GridGraph, i: int, side: int = 0) -> GridGraph:
     serve the other three boundary sides.
     """
     k = grid.k
+    if k < 7:
+        raise ValueError("boundary flips need k >= 7")
     if not 4 <= i <= k - 3:
         raise ValueError(f"boundary position must satisfy 4 <= i <= {k - 3}")
     removed = [((i - 1, 2), (i - 1, 3)), ((i - 2, 3), (i - 2, 4))]

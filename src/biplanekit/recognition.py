@@ -28,12 +28,13 @@ One kernel answers "which of these edges cross segment ab" for every
 scan: `_crossed` scans rows (`_edge_rows`) that each hold an edge's box,
 endpoints, line (`_edge_line`) and its index.  `_recognize` and
 `crossing_pairs` scan each row's x-window; `crossing_pairs` keeps a row
-for every edge and the full window, and returns the sorted pairs, for
-the SVG renderer, to name the pair when a completion loses an input
-edge, and for the segment masks of triangulation enumeration.  The
-maximality oracle in `analysis` builds its own rows of the `_crossable`
-edges and scans them whole.  A relaxed graph with a vertex inside an
-edge is rejected before any crossing test.
+for every edge and the full window, and returns the sorted pairs, to
+name the pair when a completion loses an input edge and for the segment
+masks of triangulation enumeration.  The maximality oracle in `analysis`
+builds its own rows of the `_crossable` edges and scans them whole.  A
+relaxed graph with a vertex inside an edge is rejected before any
+crossing test.  The SVG renderer reads its strokes off `_recognize`;
+it and the augmentation raise `NotBiplaneError` on a negative verdict.
 """
 
 from __future__ import annotations
@@ -81,6 +82,14 @@ class TooManyEdges(NamedTuple):
 
 
 BiplaneResult = BiplaneDecomposition | OddCycleWitness | TooManyEdges
+
+
+class NotBiplaneError(ValueError):
+    """Input graph is not biplane; carries the recognition verdict."""
+
+    def __init__(self, verdict: BiplaneResult) -> None:
+        super().__init__(f"input graph is not biplane: {type(verdict).__name__}")
+        self.verdict = verdict
 
 
 def _edge_line(xa: int, ya: int, xb: int, yb: int) -> tuple[int, int, int]:

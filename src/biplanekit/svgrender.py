@@ -1,16 +1,18 @@
-"""Deterministic SVG drawings of layered geometric graphs.
+"""Deterministic SVG drawings of biplane geometric graphs.
 
 Style convention: edges crossed by nothing (present in both triangulations
 of any decomposition) are drawn solid, layer-1-only edges dashed, and
-layer-2-only edges dotted.  All arithmetic is integral, so identical inputs
-produce byte-identical documents.
+layer-2-only edges dotted.  One recognition gives both the layers and the
+crossed edges: those that share their crossing-graph component with
+another edge.  All arithmetic is integral, so output is deterministic.
 """
 
 from __future__ import annotations
 
-from .geometry import Edge
+from collections import Counter
+
 from .graphs import GeometricGraph
-from .recognition import crossing_pairs
+from .recognition import NotBiplaneError, OddCycleWitness, TooManyEdges, _recognize
 
 SHARED_COLOR = "#5b2d86"
 LAYER1_COLOR = "#c22727"
@@ -21,16 +23,16 @@ VERTEX_RADIUS = 4
 STROKE_WIDTH = 2
 
 
-def render_svg(
-    g: GeometricGraph,
-    layer1: tuple[Edge, ...],
-    layer2: tuple[Edge, ...],
-) -> str:
-    """Render the graph with its two layers as an SVG document string."""
-    set1, set2 = set(layer1), set(layer2)
-    missing = set(g.edges) - (set1 | set2)
-    if missing or (set1 | set2) - set(g.edges):
-        raise ValueError("layers do not cover exactly the graph's edges")
+def render_svg(g: GeometricGraph) -> str:
+    """Render g with `test_biplane`'s two layers as an SVG document string.
+
+    Raises NotBiplaneError, carrying the verdict, when g is not biplane.
+    """
+    verdict = _recognize(g)
+    if isinstance(verdict, (OddCycleWitness, TooManyEdges)):
+        raise NotBiplaneError(verdict)
+    color, root = verdict
+    size = Counter(root)
     pts = g.points.points
     xs = [p.x for p in pts] or [0]
     ys = [p.y for p in pts] or [0]
@@ -51,18 +53,17 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{height}" viewBox="0 0 {WIDTH} {height}">',
     ]
-    crossed = {i for pair in crossing_pairs(g) for i in pair}
-    for i, e in enumerate(g.edges):
-        a, b = pts[e[0]], pts[e[1]]
-        if i not in crossed:
-            color, dash = SHARED_COLOR, ""
-        elif e in set1:
-            color, dash = LAYER1_COLOR, ' stroke-dasharray="7,4"'
+    for (u, v), c, r in zip(g.edges, color, root):
+        a, b = pts[u], pts[v]
+        if size[r] == 1:
+            stroke, dash = SHARED_COLOR, ""
+        elif c == 0:
+            stroke, dash = LAYER1_COLOR, ' stroke-dasharray="7,4"'
         else:
-            color, dash = LAYER2_COLOR, ' stroke-dasharray="2,4"'
+            stroke, dash = LAYER2_COLOR, ' stroke-dasharray="2,4"'
         lines.append(
             f'  <line x1="{sx(a.x)}" y1="{sy(a.y)}" x2="{sx(b.x)}" y2="{sy(b.y)}" '
-            f'stroke="{color}" stroke-width="{STROKE_WIDTH}"{dash}/>'
+            f'stroke="{stroke}" stroke-width="{STROKE_WIDTH}"{dash}/>'
         )
     for p in pts:
         lines.append(

@@ -337,11 +337,15 @@ def test_criterion_10_scaling_convex_nonempty_input():
     _report(10, f"scaling-convex-nonempty (exponent {slope:.2f}, t4000 {times[4000]:.2f}s)")
 
 
-def test_criterion_10_scaling_convex_strict_check(tmp_path, capsys):
-    # `biplanekit check` on a maximal convex graph: recognition colors it
-    # in one sweep, and the STRICT general-position check must not scan
-    # the Theta(n^2) point pairs either.  Timed as the fastest of three
-    # runs, as above.
+@pytest.mark.parametrize(
+    "command, head", [("check", "BIPLANE\n"), ("render", "<?xml")], ids=["check", "render"]
+)
+def test_criterion_10_scaling_convex_strict_check(tmp_path, capsys, command, head):
+    # `biplanekit check` and `render` on a maximal convex graph:
+    # recognition colors it in one sweep, render reads the crossed edges
+    # off that coloring, and the STRICT general-position check must not
+    # scan the Theta(n^2) point pairs either.  Timed as the fastest of
+    # three runs, as above.
     times = {}
     for n in (1000, 2000, 4000):
         path = tmp_path / f"convex-{n}.graph"
@@ -349,11 +353,11 @@ def test_criterion_10_scaling_convex_strict_check(tmp_path, capsys):
         runs = []
         for _ in range(3):
             t0 = time.perf_counter()
-            code = run(["check", str(path)])
+            code = run([command, str(path)])
             runs.append(time.perf_counter() - t0)
-            assert code == 0 and capsys.readouterr().out.startswith("BIPLANE\n")
+            assert code == 0 and capsys.readouterr().out.startswith(head)
         times[n] = min(runs)
     slope = _fitted_exponent(times)
     assert slope < 1.5, f"fitted exponent {slope:.2f}"
     assert times[4000] < 60.0, f"n=4000 took {times[4000]:.1f}s"
-    _report(10, f"scaling-convex-check (exponent {slope:.2f}, t4000 {times[4000]:.2f}s)")
+    _report(10, f"scaling-convex-{command} (exponent {slope:.2f}, t4000 {times[4000]:.2f}s)")

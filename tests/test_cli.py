@@ -18,6 +18,7 @@ from biplanekit.fileio import (
 )
 from biplanekit.geometry import PointSet, Strictness
 from biplanekit.graphs import GeometricGraph
+from biplanekit.recognition import NotBiplaneError, test_biplane
 from biplanekit.svgrender import LAYER1_COLOR, LAYER2_COLOR, SHARED_COLOR, render_svg
 
 
@@ -132,6 +133,9 @@ def test_flags_a_command_would_ignore_exit_two(tmp_path, monkeypatch, capsys, ar
         # A flip applied twice finds its edges gone.
         (["generate", "grid", "--k", "8", "--flips", "corners,corners"], "not in the layer"),
         (["generate", "grid", "--k", "8", "--flips", "boundary:4,boundary:4"], "not in the layer"),
+        # No boundary position fits below k = 7.
+        (["generate", "grid", "--k", "6", "--flips", "boundary:4"], "boundary flips need k >= 7"),
+        (["generate", "grid", "--k", "5", "--flips", "boundary:4"], "boundary flips need k >= 7"),
     ],
 )
 def test_argument_and_io_errors_are_not_file_positions(
@@ -408,22 +412,17 @@ def test_render_negative_verdict_exit_one(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.err == "NOT-BIPLANE\n" and captured.out == ""
     assert not svg_file.exists()
-
-
-def test_render_svg_rejects_bad_layers():
-    ps = PointSet.from_coords([(0, 0), (4, 0), (0, 4)])
-    g = GeometricGraph(ps, ((0, 1),))
-    with pytest.raises(ValueError):
-        render_svg(g, ((0, 1),), ((1, 2),))
+    g = parse_graph(text)
+    with pytest.raises(NotBiplaneError) as exc:
+        render_svg(g)
+    assert exc.value.verdict == test_biplane(g)
 
 
 def test_cli_grid_render_matches_layer_tags(tmp_path):
     from biplanekit.constructions import gen_grid
-    from biplanekit.recognition import test_biplane
 
     grid = gen_grid(6)
-    verdict = test_biplane(grid.graph)
-    svg = render_svg(grid.graph, verdict.layer1, verdict.layer2)
+    svg = render_svg(grid.graph)
     assert svg.count("<circle") == 36
     assert svg.count("<line") == grid.graph.m
 
@@ -520,19 +519,41 @@ def test_oracle_rejects_graph_file(tmp_path, capsys):
 def test_render_solid_iff_uncrossed():
     import random
 
-    from _helpers import brute_crossing_adjacency, random_biplane_graph, random_strict_points
+    from _helpers import (
+        brute_crossing_adjacency,
+        drop_edges_through_vertices,
+        random_biplane_graph,
+        random_lattice_points,
+        random_strict_points,
+        rectangle_boundary,
+    )
 
-    from biplanekit.constructions import gen_grid
-    from biplanekit.recognition import test_biplane
+    from biplanekit.augmentation import maximal_augment
+    from biplanekit.constructions import gen_convex, gen_grid
 
     rng = random.Random(21)
     graphs = [gen_grid(6).graph]
     for _ in range(20):
         ps = random_strict_points(rng, rng.randint(5, 14))
         graphs.append(random_biplane_graph(rng, ps, rng.randint(4, 30)))
+    # Convex position takes the hull-order route: shuffled maximal graphs,
+    # and the same graphs less a few edges.
+    for _ in range(6):
+        coords = list(gen_convex(rng.randint(8, 30)).points)
+        rng.shuffle(coords)
+        g = maximal_augment(GeometricGraph(PointSet.from_coords(coords), ())).graph
+        graphs.append(g)
+        drop = set(rng.sample(g.edges, rng.randint(1, 4)))
+        graphs.append(GeometricGraph(g.points, tuple(e for e in g.edges if e not in drop)))
+    ps = rectangle_boundary(rng, 4, 3)
+    graphs.append(drop_edges_through_vertices(random_biplane_graph(rng, ps, 20)))
+    ps = random_lattice_points(rng, 5, 12)
+    graphs.append(drop_edges_through_vertices(random_biplane_graph(rng, ps, 30)))
+    ps = PointSet.from_coords([(3 * i, 2 * i) for i in range(6)], Strictness.RELAXED)
+    graphs.append(GeometricGraph(ps, tuple((i, i + 1) for i in range(5))))
     for g in graphs:
         verdict = test_biplane(g)
-        svg = render_svg(g, verdict.layer1, verdict.layer2)
+        svg = render_svg(g)
         colors = [
             line.split('stroke="', 1)[1].split('"', 1)[0]
             for line in svg.splitlines()

@@ -347,6 +347,6 @@ def test_svg_drawings_match_golden_digests():
     for name, g in svg_inputs().items():
         verdict = test_biplane(g)
         assert isinstance(verdict, BiplaneDecomposition)
-        svg = render_svg(g, verdict.layer1, verdict.layer2)
+        svg = render_svg(g)
         got[name] = hashlib.sha256(svg.encode()).hexdigest()
     assert got == GOLDEN_SVG

@@ -7,12 +7,18 @@ algorithms on small instances.
 """
 
 from .analysis import brute_force_maximum, maximality_oracle, vertex_connectivity
-from .augmentation import AugmentResult, NotBiplaneError, maximal_augment
+from .augmentation import AugmentResult, maximal_augment
 from .constructions import bounds, gen_convex, gen_grid
 from .fileio import format_graph
 from .geometry import PointSet, Strictness, validate
 from .graphs import GeometricGraph
-from .recognition import BiplaneDecomposition, OddCycleWitness, TooManyEdges, test_biplane
+from .recognition import (
+    BiplaneDecomposition,
+    NotBiplaneError,
+    OddCycleWitness,
+    TooManyEdges,
+    test_biplane,
+)
 
 __version__ = "0.1.0"
 

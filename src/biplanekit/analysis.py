@@ -3,20 +3,20 @@
 The oracles here are deliberately independent of the fast augmentation
 path.  Maximality is checked against its definition: recognition colors
 the crossing graph once, and each non-edge is tried by a parity check of
-the edges it crosses (non-edges through a vertex are skipped on relaxed
-point sets, found by one relaxed_edge_violations pass over all
-non-edges).  A non-edge uv first tests the edges filed under the angular
-gap at u that holds v, then at v: each edge xy joining two neighbours of
-u is filed under the gaps its wedge at u spans, and uv crosses it
-exactly when v lies strictly across line xy from u, one signed area.
-Only when those show no clash does it scan a row of every edge but the
-hull sides, built here and sorted longest edge first, with recognition's
-exact kernel `_crossed`.  On a maximal random graph at n = 1000 (494,494
+the edges it crosses (on relaxed point sets only a non-edge that shows no
+clash is checked, alone, for a vertex inside it, which makes it no
+edge).  A non-edge uv first tests the edges filed under the angular gap
+at u that holds v, then at v: each edge xy joining two neighbours of u
+is filed under the gaps its wedge at u spans, and uv crosses it exactly
+when v lies strictly across line xy from u, one signed area.  Only when
+those show no clash does it scan a row of every edge but the hull sides,
+built here and sorted longest edge first, with recognition's exact
+kernel `_crossed`.  On a maximal random graph at n = 1000 (494,494
 non-edges) the ends settle all but 6,892 and the oracle takes about
-1.1 s on a 2-vCPU VM.  Maximum size is the largest
-union of two triangulations, each a bitmask over the segments, so every
-pair costs one OR and a bit count.  They exist to verify the fast
-algorithms on desk-scale instances.
+1.1 s on a 2-vCPU VM.  Maximum size is the largest union of two
+triangulations, each a bitmask over the segments, so every pair costs
+one OR and a bit count.  They exist to verify the fast algorithms on
+desk-scale instances.
 """
 
 from __future__ import annotations
@@ -29,16 +29,7 @@ from typing import NamedTuple
 from .augmentation import maximal_augment
 from .geometry import COORD_LIMIT, Edge, Point, PointSet, Strictness, _typed_eq, edge
 from .graphs import GeometricGraph, relaxed_edge_violations
-from .recognition import (
-    OddCycleWitness,
-    TooManyEdges,
-    _crossable,
-    _crossed,
-    _edge_rows,
-    _recognize,
-    _weak_hull,
-    exceeds_edge_cap,
-)
+from .recognition import _crossable, _crossed, _edge_rows, _recognize, _weak_hull
 from .triangulation import CollinearError, _triangulation_masks
 
 
@@ -223,8 +214,10 @@ def maximality_oracle(g: GeometricGraph) -> bool:
     g + e is biplane exactly when, inside each component of g's crossing
     graph, all the edges e crosses have the same color, so one recognition
     of g decides every non-edge.  On relaxed point sets a non-edge with a
-    vertex on its open segment is not a valid edge and is skipped.  Raises
-    ValueError when g is not biplane or breaks the relaxed contract.
+    vertex on its open segment is not a valid edge, so one that shows no
+    clash is checked for such a vertex before the answer is False.  Raises
+    NotBiplaneError when g is not biplane, ValueError when it breaks the
+    relaxed contract.
 
     A non-edge uv first tries the edges filed under the gap at u that
     holds v's direction, then those at v (`_gap_index`): in each
@@ -233,18 +226,13 @@ def maximality_oracle(g: GeometricGraph) -> bool:
     u towards v meets such an edge xy inside it, so uv crosses xy exactly
     when v lies strictly across line xy from u, and a clash found there
     is two real crossings.  (That needs v off the lines ux, uy and xy,
-    which holds for every non-edge tried: a vertex inside an edge is
-    rejected, and a non-edge with one inside it is skipped.)  Only a
-    non-edge with no clash there gets the scan over every row, one
-    `_edge_rows` row per `_crossable` edge, and reads the (root, color)
-    of each edge it crosses.
+    which holds for every valid non-edge: a vertex inside an edge is
+    rejected, and a non-edge with one inside it is no edge, clash or
+    not.)  Only a non-edge with no clash there gets the scan over every
+    row, one `_edge_rows` row per `_crossable` edge, and reads the
+    (root, color) of each edge it crosses.
     """
-    verdict = _recognize(g)
-    if isinstance(verdict, (OddCycleWitness, TooManyEdges)):
-        raise ValueError("input graph is not biplane")
-    if exceeds_edge_cap(g.n, g.m + 1):
-        return True
-    color, root = verdict
+    color, root = _recognize(g)
     pts = g.points.points
     edges = g.edges
     keep = _crossable(g, _weak_hull(g))
@@ -260,16 +248,13 @@ def maximality_oracle(g: GeometricGraph) -> bool:
         return -((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2), p, q
 
     rows = _edge_rows(g, sorted(keep, key=longest_first))
-    through_vertex: set[Edge] = set()
-    if g.points.strictness is Strictness.RELAXED:
-        non_edges = GeometricGraph(g.points, tuple(g.complement_edges()))
-        through_vertex = {e for _, e in relaxed_edge_violations(non_edges)}
+    relaxed = g.points.strictness is Strictness.RELAXED
     n = g.n
     for a in range(n):
         xa, ya = pts[a]
         keys, at, linked = angles[a], gaps[a], adj[a]
         for b in range(a + 1, n):
-            if b in linked or (a, b) in through_vertex:
+            if b in linked:
                 continue
             xb, yb = pts[b]
             seen: dict[int, int] = {}
@@ -287,7 +272,9 @@ def maximality_oracle(g: GeometricGraph) -> bool:
                         if seen.setdefault(root[i], color[i]) != color[i]:
                             break
                     else:
-                        return False
+                        pair = GeometricGraph(g.points, ((a, b),))
+                        if not (relaxed and relaxed_edge_violations(pair)):
+                            return False
     return True
 
 

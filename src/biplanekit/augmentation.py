@@ -65,7 +65,8 @@ from typing import NamedTuple
 
 from .geometry import Edge, PointSet, _typed_eq, edge
 from .graphs import GeometricGraph, relaxed_edge_violations
-from .recognition import BiplaneDecomposition, NotBiplaneError, _merge, test_biplane
+# NotBiplaneError is imported for callers that name it from this module.
+from .recognition import BiplaneDecomposition, NotBiplaneError, _merge, _recognize
 from .triangulation import (
     OUTER,
     CollinearError,
@@ -230,12 +231,12 @@ def build_state(
     g: GeometricGraph, *, collect_trace: bool = False
 ) -> MaximalState:
     """Decompose, complete both layers, and index the purple structure."""
-    verdict = test_biplane(g)
-    if not isinstance(verdict, BiplaneDecomposition):
-        raise NotBiplaneError(verdict)
+    layers: tuple[list[Edge], list[Edge]] = ([], [])
+    for e, c in zip(g.edges, _recognize(g)[0]):
+        layers[c].append(e)
     ps = g.points
     n = len(ps)
-    t_red, t_blue = complete_layers(ps, (verdict.layer1, verdict.layer2))
+    t_red, t_blue = complete_layers(ps, layers)
     head, rapex, rnxt = t_red.head, t_red.apex, t_red.nxt
     m = len(head) // 2
     key = [lo * n + hi for lo, hi in zip(head[1::2], head[::2])]

@@ -18,7 +18,7 @@ from .analysis import (
     find_maximal_gap,
     vertex_connectivity,
 )
-from .augmentation import NotBiplaneError, maximal_augment
+from .augmentation import maximal_augment
 from .constructions import (
     apply_boundary_flips,
     apply_corner_flips,
@@ -37,7 +37,13 @@ from .fileio import (
 )
 from .geometry import PointSet, Strictness, convex_hull, validate
 from .graphs import GeometricGraph, check_relaxed_edges
-from .recognition import BiplaneDecomposition, OddCycleWitness, TooManyEdges, test_biplane
+from .recognition import (
+    BiplaneDecomposition,
+    NotBiplaneError,
+    OddCycleWitness,
+    TooManyEdges,
+    test_biplane,
+)
 from .svgrender import render_svg
 from .triangulation import (
     GeometryError,

@@ -33,8 +33,9 @@ name the pair when a completion loses an input edge and for the segment
 masks of triangulation enumeration.  The maximality oracle in `analysis`
 builds its own rows of the `_crossable` edges and scans them whole.  A
 relaxed graph with a vertex inside an edge is rejected before any
-crossing test.  The SVG renderer reads its strokes off `_recognize`;
-it and the augmentation raise `NotBiplaneError` on a negative verdict.
+crossing test.  On a negative verdict `_recognize` raises
+`NotBiplaneError`, which its callers let through; only `test_biplane`
+turns it back into a verdict.
 """
 
 from __future__ import annotations
@@ -81,14 +82,11 @@ class TooManyEdges(NamedTuple):
     cap: int
 
 
-BiplaneResult = BiplaneDecomposition | OddCycleWitness | TooManyEdges
-
-
 class NotBiplaneError(ValueError):
-    """Input graph is not biplane; carries the recognition verdict."""
+    """Input graph is not biplane; verdict is the OddCycleWitness or TooManyEdges."""
 
-    def __init__(self, verdict: BiplaneResult) -> None:
-        super().__init__(f"input graph is not biplane: {type(verdict).__name__}")
+    def __init__(self, verdict: OddCycleWitness | TooManyEdges) -> None:
+        super().__init__("input graph is not biplane")
         self.verdict = verdict
 
 
@@ -331,15 +329,14 @@ def _convex_coloring(
     return _colors(label, par)
 
 
-def _recognize(
-    g: GeometricGraph,
-) -> tuple[list[int], list[int]] | OddCycleWitness | TooManyEdges:
+def _recognize(g: GeometricGraph) -> tuple[list[int], list[int]]:
     """Two-color g's crossing graph while sweeping for its crossings.
 
     Returns (color, root): edge i's color, 0 or 1, and the lowest-index
-    edge of its crossing-graph component, which has color 0; an odd
-    cycle or the edge cap stops it instead.  Raises ValueError on a
-    relaxed graph with a vertex inside an edge.
+    edge of its crossing-graph component, which has color 0.  An odd
+    cycle or the edge cap raises NotBiplaneError carrying the
+    OddCycleWitness or TooManyEdges.  Raises ValueError on a relaxed
+    graph with a vertex inside an edge.
 
     When the weak hull holds every point of S, `_convex_coloring` colors
     the crossings in one sweep over the hull order instead, and no row is
@@ -381,7 +378,7 @@ def _recognize(
     check_relaxed_edges(g)
     n, m = g.n, g.m
     if exceeds_edge_cap(n, m):
-        return TooManyEdges(n, m, biplane_edge_cap(n))
+        raise NotBiplaneError(TooManyEdges(n, m, biplane_edge_cap(n)))
     hull = _weak_hull(g)
     keep = _crossable(g, hull)
     if hull is not None and len(hull) == n:
@@ -407,7 +404,7 @@ def _recognize(
                 forest.append((i, j))
                 _merge(label, par, rank, link, f, h, par[i] ^ par[j] ^ 1)
             elif par[i] == par[j]:
-                return OddCycleWitness(_forest_cycle(g, forest, i, j))
+                raise NotBiplaneError(OddCycleWitness(_forest_cycle(g, forest, i, j)))
     return _colors(label, par)
 
 
@@ -438,7 +435,7 @@ def _forest_cycle(
     return tuple(g.edges[k] for k in nodes)
 
 
-def test_biplane(g: GeometricGraph) -> BiplaneResult:
+def test_biplane(g: GeometricGraph) -> BiplaneDecomposition | OddCycleWitness | TooManyEdges:
     """Decide biplanarity.
 
     Returns a BiplaneDecomposition, an OddCycleWitness, or TooManyEdges.
@@ -446,13 +443,14 @@ def test_biplane(g: GeometricGraph) -> BiplaneResult:
     edge lands in layer1.  The witness is the first odd cycle the sweep
     closes: the crossing of two edges that are already joined, with one
     color, by a path of earlier crossings, followed by that path.
-    Raises ValueError, naming the edge and the vertex, on a relaxed graph
-    with a vertex inside an edge.
+    The verdicts come from `_recognize`'s NotBiplaneError.  Raises
+    ValueError, naming the edge and the vertex, on a relaxed graph with a
+    vertex inside an edge.
     """
-    verdict = _recognize(g)
-    if isinstance(verdict, (OddCycleWitness, TooManyEdges)):
-        return verdict
-    color = verdict[0]
+    try:
+        color = _recognize(g)[0]
+    except NotBiplaneError as exc:
+        return exc.verdict
     layer1 = tuple(e for e, c in zip(g.edges, color) if c == 0)
     layer2 = tuple(e for e, c in zip(g.edges, color) if c == 1)
     return BiplaneDecomposition(layer1, layer2)

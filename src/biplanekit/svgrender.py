@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .graphs import GeometricGraph
-from .recognition import NotBiplaneError, OddCycleWitness, TooManyEdges, _recognize
+from .recognition import _recognize
 
 SHARED_COLOR = "#5b2d86"
 LAYER1_COLOR = "#c22727"
@@ -26,12 +26,10 @@ STROKE_WIDTH = 2
 def render_svg(g: GeometricGraph) -> str:
     """Render g with `test_biplane`'s two layers as an SVG document string.
 
-    Raises NotBiplaneError, carrying the verdict, when g is not biplane.
+    `_recognize` raises NotBiplaneError, carrying the verdict, when g is
+    not biplane, and the error passes through.
     """
-    verdict = _recognize(g)
-    if isinstance(verdict, (OddCycleWitness, TooManyEdges)):
-        raise NotBiplaneError(verdict)
-    color, root = verdict
+    color, root = _recognize(g)
     size = Counter(root)
     pts = g.points.points
     xs = [p.x for p in pts] or [0]

@@ -37,6 +37,7 @@ from biplanekit.geometry import (
 from biplanekit.graphs import GeometricGraph, check_relaxed_edges, relaxed_edge_violations
 from biplanekit.recognition import (
     BiplaneDecomposition,
+    NotBiplaneError,
     OddCycleWitness,
     TooManyEdges,
     _crossable,
@@ -507,6 +508,16 @@ def brute_crossing_adjacency(g: GeometricGraph) -> list[list[int]]:
     return adj
 
 
+def recognition_verdict(
+    g: GeometricGraph,
+) -> tuple[list[int], list[int]] | OddCycleWitness | TooManyEdges:
+    """`_recognize(g)`'s (color, root), or the verdict its NotBiplaneError carries."""
+    try:
+        return _recognize(g)
+    except NotBiplaneError as exc:
+        return exc.verdict
+
+
 def reference_recognize(
     g: GeometricGraph,
 ) -> tuple[list[int], list[int]] | OddCycleWitness | TooManyEdges:
@@ -716,15 +727,12 @@ def reference_maximality_oracle(g: GeometricGraph) -> bool:
     graph, all the edges e crosses have the same color, so one recognition
     of g decides every non-edge in a pass over the edges.  On relaxed point
     sets a non-edge with a vertex on its open segment is not a valid edge
-    and is skipped.  Raises ValueError when g is not biplane or breaks the
-    relaxed contract.
+    and is skipped.  Raises ValueError when g is not biplane (`_recognize`'s
+    NotBiplaneError) or breaks the relaxed contract.
     """
-    coloring = _recognize(g)
-    if isinstance(coloring, (OddCycleWitness, TooManyEdges)):
-        raise ValueError("input graph is not biplane")
+    color, root = _recognize(g)
     if exceeds_edge_cap(g.n, g.m + 1):
         return True
-    color, root = coloring
     keep = _crossable(g, _weak_hull(g))
     rows = [r[:11] + ((root[r[11]], color[r[11]]),) for r in _edge_rows(g, keep)]
     # Longest edges first: they cross the most non-edges, so a clash is

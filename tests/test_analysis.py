@@ -32,7 +32,7 @@ from biplanekit.constructions import (
     gen_hgon_with_arc,
 )
 from biplanekit.geometry import PointSet, Strictness, convex_hull, edge
-from biplanekit.graphs import GeometricGraph
+from biplanekit.graphs import GeometricGraph, relaxed_edge_violations
 from biplanekit.recognition import _crossed
 from biplanekit.triangulation import complete_to_triangulation
 
@@ -249,6 +249,30 @@ def test_maximality_oracle_on_relaxed_grid(k):
     assert maximality_oracle(g)
     drop = random.Random(k).choice(g.edges)
     assert not maximality_oracle(GeometricGraph(g.points, tuple(e for e in g.edges if e != drop)))
+
+
+def test_maximality_oracle_checks_the_relaxed_rule_only_without_a_clash(monkeypatch):
+    # On relaxed sets a non-edge with a point inside it is no edge.  Only a
+    # non-edge that no clash rules out is checked for one, on its own.
+    calls = []
+
+    def counted(g):
+        calls.append(g.edges)
+        return relaxed_edge_violations(g)
+
+    monkeypatch.setattr(analysis, "relaxed_edge_violations", counted)
+    # (0, 2) runs through (1, 0) and crosses nothing: the answer is True
+    # only because the oracle skips it.
+    ps = PointSet.from_coords([(0, 0), (1, 0), (2, 0)], Strictness.RELAXED)
+    path = GeometricGraph(ps, ((0, 1), (1, 2)))
+    assert maximality_oracle(path) is brute_maximality_oracle(path) is True
+    assert calls == [((0, 2),)]
+    calls.clear()
+    assert maximality_oracle(maximal_augment(gen_grid(5).graph).graph) is True
+    strict = maximal_augment(GeometricGraph(random_strict_points(random.Random(35), 12), ())).graph
+    assert maximality_oracle(strict) is True
+    assert maximality_oracle(GeometricGraph(strict.points, strict.edges[1:])) is False
+    assert calls == []
 
 
 def test_maximality_oracle_k4_true():

@@ -134,6 +134,20 @@ def test_every_library_definition_is_used(monkeypatch):
     assert sorted(".".join(key) for key in defs.keys() - used) == []
 
 
+def test_only_recognition_and_its_readers_name_the_negative_verdicts():
+    # `_recognize` raises NotBiplaneError on a negative verdict, so the
+    # modules that call it never dispatch on the verdict types: only
+    # recognition (which builds them), the CLI (which prints them) and the
+    # package (which exports them) name them.
+    naming = set()
+    for path in Path(biplanekit.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+        if (names_in([tree]) | imported) & {"OddCycleWitness", "TooManyEdges"}:
+            naming.add(path.name)
+    assert naming == {"recognition.py", "cli.py", "__init__.py"}
+
+
 def test_perfbench_trace_targets_exist(monkeypatch):
     # perfbench/run.py wraps these library functions on every run, so a
     # renamed or deleted one would fail every benchmark operation.

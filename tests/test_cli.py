@@ -128,6 +128,9 @@ def test_flags_a_command_would_ignore_exit_two(tmp_path, monkeypatch, capsys, ar
     "argv, message",
     [
         (["generate", "convex"], "convex needs --n"),
+        (["generate", "arc-triangle"], "arc-triangle needs --n"),
+        (["generate", "hgon-arc", "--n", "8"], "hgon-arc needs --n and --h"),
+        (["generate", "grid"], "grid needs --k"),
         (["generate", "grid", "--k", "8", "--flips", "bogus"], "unknown flip spec 'bogus'"),
         (["check", "absent.graph"], "No such file or directory"),
         # A flip applied twice finds its edges gone.
@@ -184,6 +187,13 @@ def test_generate_and_check_grid_with_flips(tmp_path, capsys):
     assert run(["generate", "grid", "--k", "8", "--flips", "corners,boundary:4", "--out", str(gf)]) == 0
     assert run(["check", "--relaxed", str(gf)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "BIPLANE"
+
+
+def test_generate_grid_skips_empty_flip_specs(capsys):
+    from biplanekit.constructions import gen_grid
+
+    assert run(["generate", "grid", "--k", "8", "--flips", ","]) == 0
+    assert capsys.readouterr().out == format_graph(gen_grid(8).graph)
 
 
 def test_generate_families(tmp_path):

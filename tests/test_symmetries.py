@@ -13,6 +13,7 @@ from _helpers import (
     random_edge_subset_graph,
     random_lattice_points,
     random_strict_points,
+    recognition_verdict,
     rectangle_boundary,
     with_first_non_edge,
 )
@@ -22,7 +23,7 @@ from biplanekit.augmentation import maximal_augment
 from biplanekit.constructions import gen_convex, gen_grid
 from biplanekit.geometry import COORD_LIMIT, PointSet, validate
 from biplanekit.graphs import GeometricGraph
-from biplanekit.recognition import OddCycleWitness, TooManyEdges, _recognize
+from biplanekit.recognition import OddCycleWitness, TooManyEdges
 from biplanekit.triangulation import complete_to_triangulation
 
 L = COORD_LIMIT
@@ -60,7 +61,7 @@ def outcome(f, *args):
 
 def recognition_key(g: GeometricGraph):
     """(color, root), or the name of the verdict, whose witness may change."""
-    verdict = outcome(lambda: _recognize(g))
+    verdict = outcome(recognition_verdict, g)
     if isinstance(verdict, (OddCycleWitness, TooManyEdges)):
         return type(verdict).__name__
     return verdict

@@ -128,9 +128,6 @@ def test_flags_a_command_would_ignore_exit_two(tmp_path, monkeypatch, capsys, ar
     "argv, message",
     [
         (["generate", "convex"], "convex needs --n"),
-        (["generate", "arc-triangle"], "arc-triangle needs --n"),
-        (["generate", "hgon-arc", "--n", "8"], "hgon-arc needs --n and --h"),
-        (["generate", "grid"], "grid needs --k"),
         (["generate", "grid", "--k", "8", "--flips", "bogus"], "unknown flip spec 'bogus'"),
         (["check", "absent.graph"], "No such file or directory"),
         # A flip applied twice finds its edges gone.
@@ -139,6 +136,9 @@ def test_flags_a_command_would_ignore_exit_two(tmp_path, monkeypatch, capsys, ar
         # No boundary position fits below k = 7.
         (["generate", "grid", "--k", "6", "--flips", "boundary:4"], "boundary flips need k >= 7"),
         (["generate", "grid", "--k", "5", "--flips", "boundary:4"], "boundary flips need k >= 7"),
+        (["generate", "arc-triangle"], "arc-triangle needs --n"),
+        (["generate", "hgon-arc", "--n", "8"], "hgon-arc needs --n and --h"),
+        (["generate", "grid"], "grid needs --k"),
     ],
 )
 def test_argument_and_io_errors_are_not_file_positions(

@@ -9,14 +9,14 @@ edge).  A non-edge uv first tests the edges filed under the angular gap
 at u that holds v, then at v: each edge xy joining two neighbours of u
 is filed under the gaps its wedge at u spans, and uv crosses it exactly
 when v lies strictly across line xy from u, one signed area.  Only when
-those show no clash does it scan a row of every edge but the hull sides,
-built here and sorted longest edge first, with recognition's exact
-kernel `_crossed`.  On a maximal random graph at n = 1000 (494,494
-non-edges) the ends settle all but 6,892 and the oracle takes about
-1.1 s on a 2-vCPU VM.  Maximum size is the largest union of two
-triangulations, each a bitmask over the segments, so every pair costs
-one OR and a bit count.  They exist to verify the fast algorithms on
-desk-scale instances.
+those show no clash does it scan a row of every edge that shares its
+crossing-graph class with another, built here and sorted longest edge
+first, with recognition's exact kernel `_crossed`.  On a maximal random
+graph at n = 1000 (494,494 non-edges) the ends settle all but 6,892 and
+the oracle takes about 1.1 s on a 2-vCPU VM.  Maximum size is the
+largest union of two triangulations, each a bitmask over the segments,
+so every pair costs one OR and a bit count.  They exist to verify the
+fast algorithms on desk-scale instances.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .augmentation import maximal_augment
 from .geometry import COORD_LIMIT, Edge, Point, PointSet, Strictness, _typed_eq, edge
 from .graphs import GeometricGraph, relaxed_edge_violations
-from .recognition import _crossable, _crossed, _edge_rows, _recognize, _weak_hull
+from .recognition import _crossed, _edge_rows, _recognize
 from .triangulation import CollinearError, _triangulation_masks
 
 
@@ -229,13 +229,16 @@ def maximality_oracle(g: GeometricGraph) -> bool:
     which holds for every valid non-edge: a vertex inside an edge is
     rejected, and a non-edge with one inside it is no edge, clash or
     not.)  Only a non-edge with no clash there gets the scan over every
-    row, one `_edge_rows` row per `_crossable` edge, and reads the
-    (root, color) of each edge it crosses.
+    row, and reads the (root, color) of each edge it crosses.  Both look
+    only at the edges that share their root with another edge: an edge
+    alone in its class, such as a hull side or any edge that nothing
+    crosses, can cause no clash.
     """
     color, root = _recognize(g)
     pts = g.points.points
     edges = g.edges
-    keep = _crossable(g, _weak_hull(g))
+    size = Counter(root)
+    keep = [i for i, r in enumerate(root) if size[r] > 1]
     adj = [set(nbrs) for nbrs in g.adjacency()]
     angles, gaps = _gap_index(g, adj, {edges[i]: (root[i], color[i]) for i in keep})
 
@@ -294,7 +297,7 @@ def brute_force_maximum(ps: PointSet, cap: int = 9) -> OracleResult:
     the path that `maximal_augment` returns.
     """
     try:
-        segments, _, masks = _triangulation_masks(ps, cap)
+        segments, masks = _triangulation_masks(ps, cap)
     except CollinearError:
         path = maximal_augment(GeometricGraph(ps, ())).graph
         return OracleResult(path.m, path, 0)

@@ -83,15 +83,18 @@ def _print_edges(edges) -> None:
         print(f"{a} {b}")
 
 
+def _print_layers(deco: BiplaneDecomposition) -> None:
+    for name, layer in (("LAYER1", deco.layer1), ("LAYER2", deco.layer2)):
+        print(f"{name} {len(layer)}")
+        _print_edges(layer)
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     g = _load(args, args.graph, parse_graph)
     verdict = test_biplane(g)
     if isinstance(verdict, BiplaneDecomposition):
         print("BIPLANE")
-        print(f"LAYER1 {len(verdict.layer1)}")
-        _print_edges(verdict.layer1)
-        print(f"LAYER2 {len(verdict.layer2)}")
-        _print_edges(verdict.layer2)
+        _print_layers(verdict)
         return 0
     if isinstance(verdict, TooManyEdges):
         print("TOO-MANY-EDGES")
@@ -110,7 +113,7 @@ def _cmd_triangulate(args: argparse.Namespace) -> int:
     if args.enumerate:
         # Every input edge is a segment: _load rejected any with a point
         # inside it.  Segments are sorted, so each listing is too.
-        segments, _, masks = _triangulation_masks(g.points, args.cap)
+        segments, masks = _triangulation_masks(g.points, args.cap)
         edges = set(g.edges)
         need = sum(1 << k for k, e in enumerate(segments) if e in edges)
         tris = [mask for mask in masks if mask & need == need]
@@ -137,10 +140,7 @@ def _cmd_augment(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     _emit(args, format_graph(result.graph))
-    print(f"LAYER1 {len(result.decomposition.layer1)}")
-    _print_edges(result.decomposition.layer1)
-    print(f"LAYER2 {len(result.decomposition.layer2)}")
-    _print_edges(result.decomposition.layer2)
+    _print_layers(result.decomposition)
     return 0
 
 

@@ -31,11 +31,11 @@ endpoints, line (`_edge_line`) and its index.  `_recognize` and
 for every edge and the full window, and returns the sorted pairs, to
 name the pair when a completion loses an input edge and for the segment
 masks of triangulation enumeration.  The maximality oracle in `analysis`
-builds its own rows of the `_crossable` edges and scans them whole.  A
-relaxed graph with a vertex inside an edge is rejected before any
-crossing test.  On a negative verdict `_recognize` raises
-`NotBiplaneError`, which its callers let through; only `test_biplane`
-turns it back into a verdict.
+builds its own rows, of the edges that share their `root` with another
+edge, and scans them whole.  A relaxed graph with a vertex inside an
+edge is rejected before any crossing test.  On a negative verdict
+`_recognize` raises `NotBiplaneError`, which its callers let through;
+only `test_biplane` turns it back into a verdict.
 """
 
 from __future__ import annotations
@@ -151,37 +151,6 @@ def _edge_rows(g: GeometricGraph, keep: Iterable[int]) -> list[tuple]:
         line = _edge_line(xa, ya, xb, yb)
         rows.append((xlo, xhi, ylo, yhi, xa, ya, xb, yb, *line, i))
     return rows
-
-
-def _weak_hull(g: GeometricGraph) -> list[int] | None:
-    """g's weak convex hull, or None when g has no edges or convex_hull rejects
-    its points (n < 3, all points collinear).
-
-    A graph with no edges skips the hull, which would cost more than the
-    rest of its recognition.
-    """
-    if g.m == 0:
-        return None
-    try:
-        return convex_hull(g.points)
-    except ValueError:
-        return None
-
-
-def _crossable(g: GeometricGraph, hull: list[int] | None) -> Sequence[int]:
-    """Indices of the edges of g that another edge of g may cross, in order.
-
-    An edge joining two consecutive vertices of the weak convex hull holds
-    no point of S and has every point of S on one side, so only a segment
-    along it that runs through one of its ends can cross it.  Such a
-    segment is no edge once check_relaxed_edges has passed, so callers run
-    that check first.  Without a hull (`_weak_hull` gave None) every edge
-    is kept.
-    """
-    if hull is None:
-        return range(g.m)
-    sides = {edge(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
-    return [i for i, e in enumerate(g.edges) if e not in sides]
 
 
 def crossing_pairs(g: GeometricGraph) -> list[tuple[int, int]]:
@@ -343,8 +312,8 @@ def _recognize(g: GeometricGraph) -> tuple[list[int], list[int]]:
     built.  If it meets an odd cycle, the sweep below runs from the
     start, so the witness is the one the sweep alone would name.
 
-    The sweep is `crossing_pairs`' over the `_crossable` edges, with
-    narrower windows.  Row p, whose edge spans xlo <= x <= xhi, is
+    The sweep is `crossing_pairs`' over every edge but the hull sides,
+    with narrower windows.  Row p, whose edge spans xlo <= x <= xhi, is
     tested against rows[lo:hi]: hi is the first later row that starts at
     x >= xhi, and lo is the first later row that starts right of xlo
     when the vertical line x = xlo holds no point of S but p's left end,
@@ -379,12 +348,24 @@ def _recognize(g: GeometricGraph) -> tuple[list[int], list[int]]:
     n, m = g.n, g.m
     if exceeds_edge_cap(n, m):
         raise NotBiplaneError(TooManyEdges(n, m, biplane_edge_cap(n)))
-    hull = _weak_hull(g)
-    keep = _crossable(g, hull)
-    if hull is not None and len(hull) == n:
-        coloring = _convex_coloring(g, hull, keep)
-        if coloring is not None:
-            return coloring
+    keep: Sequence[int] = range(m)
+    # An empty graph skips the hull, which would cost more than the rest of
+    # its recognition; points that convex_hull rejects keep every edge.
+    if m:
+        try:
+            hull = convex_hull(g.points)
+        except ValueError:
+            pass
+        else:
+            # A hull side holds no point and has every point on one side, so
+            # only a segment along it through one of its ends could cross it,
+            # and check_relaxed_edges has rejected those.
+            sides = {edge(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
+            keep = [i for i, e in enumerate(g.edges) if e not in sides]
+            if len(hull) == n:
+                coloring = _convex_coloring(g, hull, keep)
+                if coloring is not None:
+                    return coloring
     rows = _edge_rows(g, keep)
     rows.sort()
     xlos = [r[0] for r in rows]

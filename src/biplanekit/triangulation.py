@@ -426,23 +426,23 @@ def complete_to_triangulation(source: GeometricGraph | PointSet) -> Triangulatio
     edges cross, and CollinearError if the points span no triangle.  A
     triangulation is plane, so a completion that keeps every input edge
     proves the input plane; only one that loses an edge or raises lists
-    the crossings, to name the first pair.
+    the crossings, to name the first pair.  With no pair to name, a lost
+    edge raises GeometryError naming it.
     """
     if isinstance(source, PointSet):
         return complete_layers(source, [()])[0]
     edges = source.edges
     try:
         t = complete_layers(source.points, [edges])[0]
+        present = t.edge_set()
+        for e in edges:
+            if e not in present:
+                raise GeometryError(f"completion lost input edge {e}")
+        return t
     except (GeometryError, CollinearError):
         pairs = crossing_pairs(source)
         if not pairs:
             raise
-    else:
-        if t.edge_set().issuperset(edges):
-            return t
-        pairs = crossing_pairs(source)
-        if not pairs:
-            return t
     i, j = pairs[0]
     raise NotPlaneError((edges[i], edges[j]))
 
@@ -472,19 +472,16 @@ def complete_layers(
     return out
 
 
-def _triangulation_masks(
-    ps: PointSet, cap: int
-) -> tuple[list[Edge], list[int], list[int]]:
+def _triangulation_masks(ps: PointSet, cap: int) -> tuple[list[Edge], list[int]]:
     """All triangulations of ps as bit masks, by breadth-first search over
     edge flips, which reaches them all (Lawson, Discrete Math. 3, 1972).
 
-    Returns (segments, crossing, masks).  Bit k of a mask stands for
-    segments[k], and the segments are the point pairs with no point inside
-    them, in sorted order.  crossing[k] masks the segments that cross
-    segment k, read off `crossing_pairs`.  masks[0] is the completion of
-    the bare points.  The edges of each triangulation T are tried in
-    sorted order; edge e flips to the segment that crosses e and no other
-    edge of T.  Raises ValueError when ps has more than `cap` points.
+    Returns (segments, masks).  Bit k of a mask stands for segments[k],
+    and the segments are the point pairs with no point inside them, in
+    sorted order.  masks[0] is the completion of the bare points.  The
+    edges of each triangulation T are tried in sorted order; edge e flips
+    to the segment that crosses e and no other edge of T, read off
+    `crossing_pairs`.  Raises ValueError when ps has more than `cap` points.
     """
     if len(ps) > cap:
         raise ValueError(f"point set size {len(ps)} exceeds cap {cap}")
@@ -515,7 +512,7 @@ def _triangulation_masks(
                         seen.add(t2)
                         masks.append(t2)
                     break
-    return segments, crossing, masks
+    return segments, masks
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,9 @@ from biplanekit.recognition import (
     NotBiplaneError,
     OddCycleWitness,
     TooManyEdges,
-    _crossable,
     _crossed,
     _edge_rows,
     _recognize,
-    _weak_hull,
     biplane_edge_cap,
     crossing_pairs,
     exceeds_edge_cap,
@@ -733,7 +731,12 @@ def reference_maximality_oracle(g: GeometricGraph) -> bool:
     color, root = _recognize(g)
     if exceeds_edge_cap(g.n, g.m + 1):
         return True
-    keep = _crossable(g, _weak_hull(g))
+    try:
+        hull = convex_hull(g.points)
+    except ValueError:  # fewer than 3 points, or all collinear: no hull sides
+        hull = []
+    sides = {edge(a, b) for a, b in zip(hull, hull[1:] + hull[:1])}
+    keep = [i for i, e in enumerate(g.edges) if e not in sides]
     rows = [r[:11] + ((root[r[11]], color[r[11]]),) for r in _edge_rows(g, keep)]
     # Longest edges first: they cross the most non-edges, so a clash is
     # found early, and the scan's length depends on the geometry alone,
@@ -910,7 +913,7 @@ def union_is_maximal(crossing: list[int], union: int) -> bool:
 def maximal_unions(ps: PointSet) -> tuple[list[Edge], list[int], dict[int, bool]]:
     """(segments, crossing masks, {distinct union of two triangulations:
     union_is_maximal}) over the triangulations of ps."""
-    segments, _, masks = _triangulation_masks(ps, len(ps))
+    segments, masks = _triangulation_masks(ps, len(ps))
     crossing = brute_crossing_masks(ps, segments)
     unions = {a | b for i, a in enumerate(masks) for b in masks[i:]}
     return segments, crossing, {u: union_is_maximal(crossing, u) for u in unions}

@@ -58,6 +58,9 @@ def test_connectivity_disconnected():
     ps = PointSet.from_coords([(0, 0), (4, 0), (1, 3), (10, 0), (14, 1), (11, 5)])
     g = GeometricGraph(ps, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
     assert vertex_connectivity(g) == ConnectivityReport(0, 2, ())
+    for coords in ([], [(0, 0)]):
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            vertex_connectivity(GeometricGraph(PointSet.from_coords(coords), ()))
 
 
 def test_connectivity_complete_graph():

@@ -196,6 +196,8 @@ def test_value_types_compare_hash_and_print_by_their_fields(cls, kwargs):
     assert repr(x) == f"{cls.__name__}({named})"
     with pytest.raises(AttributeError):
         setattr(x, next(iter(kwargs)), fields[0])
+    with pytest.raises(AttributeError):
+        delattr(x, next(iter(kwargs)))
     assert pickle.loads(pickle.dumps(x)) == x == copy.copy(x) == copy.deepcopy(x)
 
 

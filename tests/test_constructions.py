@@ -125,6 +125,11 @@ def test_grid_adjacency_symmetric_under_negation():
         ra = grid.index(k + 1 - ia, k + 1 - ja)
         rb = grid.index(k + 1 - ib, k + 1 - jb)
         assert edge(ra, rb) in edges
+    # Coordinates run from 1 to k on both axes.
+    assert grid.index(k, 1) == k * (k - 1)
+    for i, j in ((0, 1), (k + 1, 1), (1, 0), (1, k + 1)):
+        with pytest.raises(ValueError, match=rf"\({i}, {j}\) outside the {k} x {k} grid"):
+            grid.index(i, j)
 
 
 def test_grid_layers_are_plane_and_partition():

@@ -160,7 +160,7 @@ def test_completed_layers_match_golden_digests():
 
 def test_enumeration_matches_golden_digest():
     ps = random_strict_points(random.Random(88), 8)
-    segments, _, masks = _triangulation_masks(ps, len(ps))
+    segments, masks = _triangulation_masks(ps, len(ps))
     tris = tuple(tuple(e for k, e in enumerate(segments) if mask >> k & 1) for mask in masks)
     assert digest(tris) == GOLDEN_ENUMERATION
 

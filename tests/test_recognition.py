@@ -255,8 +255,8 @@ def test_hull_sides_get_no_kernel_row(monkeypatch):
     # Recognition scans one x-window per edge that is not a hull side, and
     # stops at the first odd cycle; a biplane graph in convex position is
     # colored in hull order and reaches no window at all.  The oracle's full
-    # scan, for a non-edge whose ends show no clash, covers every such edge
-    # and no hull side.
+    # scan, for a non-edge whose ends show no clash, covers every edge that
+    # another edge crosses, which leaves out every hull side.
     ps = gen_convex(60)
     convex = maximal_augment(GeometricGraph(ps, ())).graph
     inner = len([e for e in convex.edges if e not in _hull_sides(ps)])
@@ -296,14 +296,16 @@ def test_hull_sides_get_no_kernel_row(monkeypatch):
         maximal = maximal_augment(GeometricGraph(ps, ())).graph
         sides = _hull_sides(ps)
         inner = len([e for e in maximal.edges if e not in sides])
-        assert inner < maximal.m
+        crossed = {i for pair in crossing_pairs(maximal) for i in pair}
+        assert len(crossed) < inner < maximal.m
         pts = ps.points
         side_ends = {frozenset((pts[a], pts[b])) for a, b in sides}
         scanned.clear()
         assert maximality_oracle(maximal) is True
         # The ends may settle every non-edge, so a scan is not required.
         for window in scanned:
-            assert len(window) == inner
+            assert {r[11] for r in window} == crossed
+            assert len(window) == len(crossed)
             assert not any(frozenset((r[4:6], r[6:8])) in side_ends for r in window)
 
 
@@ -390,7 +392,7 @@ def test_crossing_pairs_keeps_pairs_that_meet_at_an_end():
 def test_hull_rule_needs_edges_and_a_hull(monkeypatch):
     # An empty graph computes no hull (at n = 4000 it would cost more than
     # the rest of its recognition); where convex_hull rejects the points,
-    # every edge keeps its row.
+    # every edge keeps its row, and each row makes one kernel call.
     def no_hull(ps):
         raise AssertionError("recognition computed a hull for an empty graph")
 
@@ -400,12 +402,19 @@ def test_hull_rule_needs_edges_and_a_hull(monkeypatch):
     monkeypatch.undo()
     line = PointSet.from_coords([(0, 0), (1, 0), (2, 0), (3, 0)], Strictness.RELAXED)
     pair = PointSet.from_coords([(0, 0), (1, 1)])
+    calls = []
+
+    def counted(rows, lo, hi, *segment):
+        calls.append(len(rows))
+        return _crossed(rows, lo, hi, *segment)
+
+    monkeypatch.setattr(recognition, "_crossed", counted)
     for g in (GeometricGraph(line, ((0, 1), (1, 2), (2, 3))), GeometricGraph(pair, ((0, 1),))):
         with pytest.raises(ValueError):
             convex_hull(g.points)
-        assert recognition._weak_hull(g) is None
-        assert list(recognition._crossable(g, None)) == list(range(g.m))
+        calls.clear()
         assert test_biplane(g) == BiplaneDecomposition(g.edges, ())
+        assert calls == [g.m] * g.m
 
 
 def test_merges_relabel_the_class_of_lower_rank(monkeypatch):

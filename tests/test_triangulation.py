@@ -6,7 +6,7 @@ from _helpers import (
     boundary_edges,
     brute_angular_rotation,
     brute_crossed_edges,
-    brute_crossing_masks,
+    brute_crossing_pairs,
     brute_face_walks,
     brute_fill_pocket,
     brute_sweep_triangulation,
@@ -31,7 +31,7 @@ from biplanekit.augmentation import maximal_augment
 from biplanekit.constructions import gen_convex, gen_grid
 from biplanekit.geometry import PointSet, Strictness, convex_hull, cross, edge
 from biplanekit.graphs import GeometricGraph
-from biplanekit.recognition import test_biplane
+from biplanekit.recognition import crossing_pairs, test_biplane
 from biplanekit.triangulation import (
     OUTER,
     NotPlaneError,
@@ -78,6 +78,20 @@ def test_completion_rejects_crossing_input():
     g = GeometricGraph(ps, ((0, 2), (1, 3)))
     with pytest.raises(NotPlaneError):
         complete_to_triangulation(g)
+
+
+def test_completion_that_loses_an_input_edge_raises(monkeypatch):
+    # With no crossing to name, a completion without an input edge is an
+    # error, never a triangulation that breaks "every input edge appears".
+    ps = gen_convex(6)
+    bare = complete_to_triangulation(ps).edge_set()
+    lost = next(e for e in GeometricGraph(ps, ()).complement_edges() if e not in bare)
+    monkeypatch.setattr(
+        triangulation, "complete_layers", lambda ps, layers: complete_layers(ps, [()])
+    )
+    a, b = lost
+    with pytest.raises(triangulation.GeometryError, match=rf"lost input edge \({a}, {b}\)"):
+        complete_to_triangulation(GeometricGraph(ps, (lost,)))
 
 
 def test_completion_of_plane_input_never_lists_crossings(monkeypatch):
@@ -453,27 +467,27 @@ def test_apex_rotation_matches_angular_rotation():
 def mask_edge_lists(ps: PointSet) -> list[list[tuple[int, int]]]:
     """The sorted edge list of each triangulation `_triangulation_masks`
     finds, in its order."""
-    segments, _, masks = _triangulation_masks(ps, len(ps))
+    segments, masks = _triangulation_masks(ps, len(ps))
     return [[e for k, e in enumerate(segments) if mask >> k & 1] for mask in masks]
 
 
 def test_enumerate_convex4_two():
-    assert len(_triangulation_masks(convex4(), 9)[2]) == 2
+    assert len(_triangulation_masks(convex4(), 9)[1]) == 2
 
 
 def test_enumerate_convex5_catalan():
     ps = PointSet.from_coords([(x, x * x) for x in range(5)])
-    assert len(_triangulation_masks(ps, 9)[2]) == 5
+    assert len(_triangulation_masks(ps, 9)[1]) == 5
 
 
 def test_enumerate_convex6_catalan():
     ps = PointSet.from_coords([(x, x * x) for x in range(6)])
-    assert len(_triangulation_masks(ps, 9)[2]) == 14
+    assert len(_triangulation_masks(ps, 9)[1]) == 14
 
 
 def test_enumerate_wheel_unique():
     ps = PointSet.from_coords([(0, 0), (6, 0), (3, 5), (3, 2)])
-    assert len(_triangulation_masks(ps, 9)[2]) == 1
+    assert len(_triangulation_masks(ps, 9)[1]) == 1
 
 
 def test_enumeration_cap():
@@ -488,16 +502,18 @@ def test_mask_enumeration_matches_the_flip_reference():
     # list the same triangulations in the same order.  On lattice sets the
     # segments leave out every point pair with a point inside it, and
     # collinear overlaps count as crossings.
-    # The segment crossing masks match the brute sweep's pairs, also where
-    # lattice segments lie on one line, touching or apart.
+    # The segments' crossing pairs, from which the search builds its masks,
+    # match the brute sweep's, also where lattice segments lie on one line,
+    # touching or apart.
     rng = random.Random(47)
     sets = [gen_convex(6)]
     sets += [random_strict_points(rng, n) for n in (7, 8, 9)]
     sets += [random_lattice_points(rng, 3, 7) for _ in range(6)]
     collinear_hull = interior = collinear_segments = 0
     for ps in sets:
-        segments, crossing, _ = _triangulation_masks(ps, len(ps))
-        assert crossing == brute_crossing_masks(ps, segments)
+        segments, _ = _triangulation_masks(ps, len(ps))
+        segs = GeometricGraph(ps, segments)
+        assert crossing_pairs(segs) == brute_crossing_pairs(segs)
         pts = ps.points
         collinear_segments += sum(
             cross(pts[a], pts[b], pts[c]) == 0 == cross(pts[a], pts[b], pts[d])
